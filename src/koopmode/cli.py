@@ -25,14 +25,13 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .dmd import DmdOptions, exact_dmd, split_snapshots
+from .dmd import DmdOptions, DmdResult, exact_dmd, regression_pair
 from .errors import ConfigError, DataFormatError, NumericalError
 from .grids import SnapshotMatrix, SurfaceSlice, VerticalSection, extract_slice
-from .modes import format_mode_table, polar_mode, tidal_ellipse, write_mode_table
+from .modes import ModeInfo, format_mode_table, tidal_ellipse, write_mode_table
 from .oracle import generate, tidal_spec
-from .ranking import (build_mode_table, cluster_eigenvalues, kde_grid,
-                      KdeDensity, leave_one_out, rms_contribution,
-                      robustness_scores)
+from .ranking import (build_mode_table, kde_grid, KdeDensity, label_clusters,
+                      leave_one_out, LeaveOneOutResult, robustness_scores)
 from .rom import RomSelection, build_rom, error_curve, select_modes
 
 _ROM_FIELDS = ("indices", "rms_min", "rms_max", "robustness_min",
@@ -148,7 +147,8 @@ def _config_echo(cfg: RunConfig) -> str:
     return "\n".join(sorted(lines)) + "\n"
 
 
-def _rom_selection(name: str, fields: dict, n_total: int) -> RomSelection:
+def _rom_selection(name: str, fields: dict, n_total: int,
+                   persistence_t: float, persistence_factor: float) -> RomSelection:
     kw = {}
     try:
         if "indices" in fields:
@@ -164,7 +164,8 @@ def _rom_selection(name: str, fields: dict, n_total: int) -> RomSelection:
             kw["persistent_only"] = _parse_bool(fields["persistent_only"])
     except ValueError as exc:
         raise ConfigError(f"rom.{name}: {exc}") from exc
-    return RomSelection(**kw)
+    return RomSelection(persistence_t=persistence_t,
+                        persistence_factor=persistence_factor, **kw)
 
 
 class _OutputDir:
@@ -202,24 +203,23 @@ def _complex_pairs(arr: np.ndarray) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in np.asarray(arr, dtype=complex)]
 
 
-def _write_csv_rows(path: Path, header: tuple[str, ...], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+def _data_rank(snap: SnapshotMatrix, opts: DmdOptions) -> int:
+    """Numerical rank of the matrix the decomposition regresses on."""
+    x1, _, _, _ = regression_pair(snap, opts)
+    return int(np.linalg.matrix_rank(x1))
 
 
-def _resolve_options(cfg: RunConfig, snap: SnapshotMatrix) -> DmdOptions:
-    """Turn config values into decomposition options, filling the rank
-    default min(numerical rank of the first pair matrix, N - 4)."""
-    rank = cfg.rank
-    if rank is None:
-        x1, _ = split_snapshots(snap)
-        rank = int(min(np.linalg.matrix_rank(x1), max(snap.n - 4, 1)))
-        rank = max(rank, 1)
+def _resolve_options(cfg: RunConfig, snap: SnapshotMatrix) -> tuple[DmdOptions, int | None]:
+    """Turn config values into decomposition options.
+
+    An unset rank defaults to min(data rank, N - 4), the data rank being
+    that of the (centered, under mean removal) regression matrix; it is
+    returned alongside, None when the config fixed the rank.
+    """
+    cap = max(snap.n - 4, 1)
     try:
-        return DmdOptions(
-            r=rank,
+        opts = DmdOptions(
+            r=cap if cfg.rank is None else cfg.rank,
             use_tlsq=cfg.tlsq,
             tlsq_rank=cfg.tlsq_rank,
             normalize_columns=cfg.normalize,
@@ -229,22 +229,58 @@ def _resolve_options(cfg: RunConfig, snap: SnapshotMatrix) -> DmdOptions:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if cfg.rank is not None:
+        return opts, None
+    data_rank = _data_rank(snap, opts)
+    return dataclasses.replace(opts, r=max(min(data_rank, cap), 1)), data_rank
 
 
-def _load_input(cfg: RunConfig) -> SnapshotMatrix:
+@dataclass(frozen=True)
+class _Analysis:
+    """The input, decomposition and mode table of one command; after
+    leave-one-out also the trials and the normalized clustering raster."""
+
+    snap: SnapshotMatrix
+    t_window: float
+    result: DmdResult
+    infos: list[ModeInfo]
+    data_rank: int | None
+    loo: LeaveOneOutResult | None
+    raster: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+
+
+def _analyse(cfg: RunConfig, robust: bool) -> _Analysis:
+    """Load, resolve options, decompose and tabulate the modes; robust runs
+    leave-one-out and fills the robustness and cluster columns."""
     if not cfg.input:
         raise ConfigError("no input dataset configured (key: input)")
     try:
-        return fileio.ingest(cfg.input)
+        snap = fileio.ingest(cfg.input)
     except ValueError as exc:
         raise DataFormatError(str(exc)) from exc
+    opts, data_rank = _resolve_options(cfg, snap)
+    t_window = cfg.persistence_t if cfg.persistence_t is not None else (snap.n - 1) * snap.dt
+    loo = leave_one_out(snap, opts, trials=cfg.loo_trials, seed=cfg.seed) if robust else None
+    result = loo.base if robust else exact_dmd(snap, opts)
+    infos = build_mode_table(result, t_window, layout=snap.layout)
+    raster = None
+    if robust:
+        scores = robustness_scores(result.mu, loo, h=cfg.h_robust)
+        pooled = loo.pooled()
+        density = KdeDensity(points=pooled, weights=np.ones(pooled.size),
+                             bandwidth=cfg.h_cluster)
+        raster = kde_grid(density, extra_points=result.mu, normalized=False)
+        clusters = label_clusters(density, raster, result.mu, cfg.cluster_level,
+                                  weights=np.array([info.rms for info in infos]))
+        values = raster[2]
+        values /= density.normalization  # in place, as kde_grid(normalized=True)
+        infos = [dataclasses.replace(info, robustness=float(s), cluster=c)
+                 for info, s, c in zip(infos, scores, clusters)]
+    return _Analysis(snap, t_window, result, infos, data_rank, loo, raster)
 
 
-def _window(cfg: RunConfig, snap: SnapshotMatrix) -> float:
-    return cfg.persistence_t if cfg.persistence_t is not None else (snap.n - 1) * snap.dt
-
-
-def _write_result_files(out: _OutputDir, result) -> None:
+def _write_result_files(out: _OutputDir, a: _Analysis) -> None:
+    result = a.result
     fileio.write_mode_matrix(out.path("modes.dmdm"), result.modes, result.dt, result.t0)
     payload = {
         "schema": "koopmode.result.v1",
@@ -260,15 +296,9 @@ def _write_result_files(out: _OutputDir, result) -> None:
         "modes_file": "modes.dmdm",
     }
     out.write_json("result.json", payload)
-    _write_csv_rows(
-        out.path("singular_values.csv"), ("k", "sigma"),
-        ((str(k + 1), fileio.format_float(s))
-         for k, s in enumerate(result.singular_values)),
-    )
-
-
-def _table_csv(out: _OutputDir, infos) -> None:
-    write_mode_table(infos, out.path("modes_table.csv"))
+    fileio.write_csv(out.path("singular_values.csv"), ("k", "sigma"), "%d,%.17g",
+                     enumerate(result.singular_values.tolist(), start=1))
+    write_mode_table(a.infos, out.path("modes_table.csv"))
 
 
 def cmd_synth(cfg: RunConfig) -> int:
@@ -307,108 +337,62 @@ def cmd_synth(cfg: RunConfig) -> int:
 
 
 def cmd_run(cfg: RunConfig) -> int:
-    snap = _load_input(cfg)
-    opts = _resolve_options(cfg, snap)
-    result = exact_dmd(snap, opts)
-    infos = build_mode_table(result, _window(cfg, snap), layout=snap.layout)
+    a = _analyse(cfg, robust=False)
     out = _OutputDir(cfg.out, "run")
-    _write_result_files(out, result)
-    _table_csv(out, infos)
+    _write_result_files(out, a)
     out.finish(cfg)
-    print(f"run: r={result.r} modes from {snap.d}x{snap.n} snapshots -> {out.dir}")
-    print(format_mode_table(infos, max_rows=20), end="")
+    print(f"run: r={a.result.r} modes from {a.snap.d}x{a.snap.n} snapshots -> {out.dir}")
+    print(format_mode_table(a.infos, max_rows=20), end="")
     return 0
 
 
-def _loo_pipeline(cfg: RunConfig, snap: SnapshotMatrix, opts: DmdOptions):
-    loo = leave_one_out(snap, opts, trials=cfg.loo_trials, seed=cfg.seed)
-    scores = robustness_scores(loo.base.mu, loo, h=cfg.h_robust)
-    t_window = _window(cfg, snap)
-    rms = np.array([
-        rms_contribution(complex(loo.base.b[k]), complex(loo.base.gamma[k]), t_window)
-        for k in range(loo.base.r)
-    ])
-    clusters = cluster_eigenvalues(loo.base.mu, loo.pooled(), h=cfg.h_cluster,
-                                   level_fraction=cfg.cluster_level, weights=rms)
-    return loo, scores, clusters
-
-
 def cmd_loo(cfg: RunConfig) -> int:
-    snap = _load_input(cfg)
-    opts = _resolve_options(cfg, snap)
-    loo, scores, clusters = _loo_pipeline(cfg, snap, opts)
-    infos = build_mode_table(loo.base, _window(cfg, snap), layout=snap.layout,
-                             robustness=scores, clusters=clusters)
+    a = _analyse(cfg, robust=True)
     out = _OutputDir(cfg.out, "loo")
-    _write_result_files(out, loo.base)
-    _table_csv(out, infos)
-    _write_csv_rows(
-        out.path("pooled_eigenvalues.csv"),
-        ("trial", "omitted_column", "re", "im"),
-        ((str(t), str(trial.omitted_column),
-          fileio.format_float(z.real), fileio.format_float(z.imag))
-         for t, trial in enumerate(loo.trials) for z in trial.mu),
+    _write_result_files(out, a)
+    fileio.write_csv(
+        out.path("pooled_eigenvalues.csv"), ("trial", "omitted_column", "re", "im"),
+        "%d,%d,%.17g,%.17g",
+        ((t, trial.omitted_column, z.real, z.imag)
+         for t, trial in enumerate(a.loo.trials) for z in trial.mu.tolist()),
     )
-    pooled = loo.pooled()
-    density = KdeDensity(points=pooled, weights=np.ones(pooled.size),
-                         bandwidth=cfg.h_cluster)
-    re_axis, im_axis, values = kde_grid(density, extra_points=loo.base.mu)
-    _write_csv_rows(
-        out.path("kde_grid.csv"), ("re", "im", "density"),
-        ((fileio.format_float(re_axis[i]), fileio.format_float(im_axis[j]),
-          fileio.format_float(values[i, j]))
-         for i in range(re_axis.size) for j in range(im_axis.size)),
+    re_axis, im_axis, values = a.raster
+    im_list = im_axis.tolist()
+    fileio.write_csv(
+        out.path("kde_grid.csv"), ("re", "im", "density"), "%.17g,%.17g,%.17g",
+        ((re, im, v) for re, row in zip(re_axis.tolist(), values)
+         for im, v in zip(im_list, row.tolist())),
     )
     out.finish(cfg)
-    n_clustered = sum(1 for c in clusters if c is not None)
-    print(f"loo: {len(loo.trials)} trials, {pooled.size} pooled eigenvalues, "
-          f"{n_clustered}/{loo.base.r} modes in clusters -> {out.dir}")
-    print(format_mode_table(infos, max_rows=20), end="")
+    n_clustered = sum(1 for info in a.infos if info.cluster is not None)
+    print(f"loo: {len(a.loo.trials)} trials, {a.loo.pooled().size} pooled eigenvalues, "
+          f"{n_clustered}/{a.result.r} modes in clusters -> {out.dir}")
+    print(format_mode_table(a.infos, max_rows=20), end="")
     return 0
 
 
 def cmd_rom(cfg: RunConfig) -> int:
     if not cfg.roms:
         raise ConfigError("no ROM selections configured (keys: rom.<name>.<field>)")
-    snap = _load_input(cfg)
-    opts = _resolve_options(cfg, snap)
-    needs_loo = any(
-        "robustness_min" in f or "robustness_max" in f for f in cfg.roms.values()
-    )
-    t_window = _window(cfg, snap)
-    if needs_loo:
-        loo, scores, clusters = _loo_pipeline(cfg, snap, opts)
-        result = loo.base
-        infos = build_mode_table(result, t_window, layout=snap.layout,
-                                 robustness=scores, clusters=clusters)
-    else:
-        result = exact_dmd(snap, opts)
-        infos = build_mode_table(result, t_window, layout=snap.layout)
-    x1, _ = split_snapshots(snap)
-    data_rank = int(np.linalg.matrix_rank(x1))
+    a = _analyse(cfg, robust=any(
+        "robustness_min" in f or "robustness_max" in f for f in cfg.roms.values()))
+    data_rank = a.data_rank if a.data_rank is not None else _data_rank(a.snap, a.result.options)
     out = _OutputDir(cfg.out, "rom")
     summary = {}
     for name in sorted(cfg.roms):
-        sel_fields = dict(cfg.roms[name])
-        if "persistent_only" in sel_fields:
-            sel = _rom_selection(name, sel_fields, result.r)
-            sel = dataclasses.replace(sel, persistence_t=t_window,
-                                      persistence_factor=cfg.persistence_factor)
-        else:
-            sel = _rom_selection(name, sel_fields, result.r)
+        sel = _rom_selection(name, cfg.roms[name], a.result.r, a.t_window,
+                             cfg.persistence_factor)
         try:
-            indices = select_modes(infos, sel)
-            model = build_rom(result, indices)
-            curve = error_curve(snap, model)
+            indices = select_modes(a.infos, sel)
+            model = build_rom(a.result, indices)
+            curve = error_curve(a.snap, model)
         except ValueError as exc:
             raise ConfigError(f"rom.{name}: {exc}") from exc
-        _write_csv_rows(
-            out.path(f"rom_{name}_errors.csv"),
-            ("n", "t_hours", "rom_norm", "rel_error"),
-            ((str(int(n)), fileio.format_float(t),
-              fileio.format_float(rn), fileio.format_float(re))
-             for n, t, rn, re in zip(curve.steps, curve.times_hours,
-                                     curve.rom_norm, curve.rel_error)),
+        fileio.write_csv(
+            out.path(f"rom_{name}_errors.csv"), ("n", "t_hours", "rom_norm", "rel_error"),
+            "%d,%.17g,%.17g,%.17g",
+            zip(curve.steps.tolist(), curve.times_hours.tolist(),
+                curve.rom_norm.tolist(), curve.rel_error.tolist()),
         )
         summary[name] = {
             "indices": list(model.indices),
@@ -428,15 +412,20 @@ def cmd_rom(cfg: RunConfig) -> int:
     return 0
 
 
-def _slice_value(x: float) -> str:
-    return "" if math.isnan(x) else fileio.format_float(x)
+def _ellipse_rows(gu: np.ndarray, gv: np.ndarray):
+    for (j, i), u in np.ndenumerate(gu):
+        v = gv[j, i]
+        if np.isnan(u.real) or np.isnan(v.real):
+            yield j, i, math.nan, math.nan, math.nan, ""
+            continue
+        ell = tidal_ellipse(u, v)
+        yield (j, i, ell.semi_major, ell.semi_minor, ell.orientation_rad,
+               ell.rotation_sense)
 
 
 def cmd_slice(cfg: RunConfig) -> int:
-    snap = _load_input(cfg)
-    opts = _resolve_options(cfg, snap)
-    result = exact_dmd(snap, opts)
-    layout = snap.layout
+    a = _analyse(cfg, robust=False)
+    result, layout = a.result, a.snap.layout
     channel = cfg.slice_channel or layout.channels[0].name
     names = {c.name for c in layout.channels}
     if channel not in names:
@@ -478,10 +467,9 @@ def cmd_slice(cfg: RunConfig) -> int:
         phase = np.angle(sl.values)
         phase[np.isnan(sl.values.real)] = np.nan
         for tag, grid in (("amplitude", amp), ("phase", phase)):
-            _write_csv_rows(
-                out.path(f"slice_mode{m}_{tag}.csv"), ("row", "col", "value"),
-                ((str(i), str(j), _slice_value(grid[i, j]))
-                 for i in range(grid.shape[0]) for j in range(grid.shape[1])),
+            fileio.write_csv(
+                out.path(f"slice_mode{m}_{tag}.csv"), ("row", "col", "value"), "%d,%d,%.17g",
+                ((i, j, v) for i, row in enumerate(grid.tolist()) for j, v in enumerate(row)),
             )
         is_pair = abs(result.mu[m - 1].imag) > 1e-9
         if (cfg.slice_kind == "surface" and is_pair
@@ -490,26 +478,11 @@ def cmd_slice(cfg: RunConfig) -> int:
             w_uy = layout.channels[layout.channel_index("uy")].weight
             gu = layout.grid_from_stacked(vec, "ux")[cfg.slice_k] * (2.0 / w_ux)
             gv = layout.grid_from_stacked(vec, "uy")[cfg.slice_k] * (2.0 / w_uy)
-            rows = []
-            for j in range(layout.ny):
-                for i in range(layout.nx):
-                    u, v = gu[j, i], gv[j, i]
-                    if np.isnan(u.real) or np.isnan(v.real):
-                        rows.append((str(j), str(i), "", "", "", ""))
-                        continue
-                    ell = tidal_ellipse(u, v)
-                    rows.append((
-                        str(j), str(i),
-                        fileio.format_float(ell.semi_major),
-                        fileio.format_float(ell.semi_minor),
-                        fileio.format_float(ell.orientation_rad),
-                        ell.rotation_sense,
-                    ))
-            _write_csv_rows(
+            fileio.write_csv(
                 out.path(f"slice_mode{m}_ellipse.csv"),
                 ("row", "col", "semi_major", "semi_minor", "orientation_rad",
                  "rotation_sense"),
-                rows,
+                "%d,%d,%.17g,%.17g,%.17g,%s", _ellipse_rows(gu, gv),
             )
     out.finish(cfg)
     print(f"slice: wrote {cfg.slice_kind} slices of modes {modes_idx} -> {out.dir}")
@@ -567,13 +540,10 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config) if args.config else RunConfig()
         cfg = _apply_overrides(cfg, args)
         return _COMMANDS[args.command](cfg)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
+    except (NumericalError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (DataFormatError, OSError) as exc:

@@ -22,8 +22,8 @@ snapshots spread across the record.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -381,11 +381,23 @@ def dmd_from_pair(x1: np.ndarray, x2: np.ndarray, fit_data: np.ndarray,
     )
 
 
-def exact_dmd(snap: SnapshotMatrix, opts: DmdOptions) -> DmdResult:
-    """Run the full decomposition pipeline on a snapshot matrix."""
+def regression_pair(snap: SnapshotMatrix, opts: DmdOptions):
+    """The snapshot pair a decomposition with opts regresses on.
+
+    Returns (x1, x2, fit_data, mean_mode): the time-shifted pair of the
+    snapshots, centered first when opts.remove_mean is set; the matrix
+    the amplitudes are fitted against; and the removed temporal mean, or
+    None.
+    """
     mean_mode = None
     work = snap
     if opts.remove_mean:
         mean_mode, work = remove_temporal_mean(snap)
     x1, x2 = split_snapshots(work)
-    return dmd_from_pair(x1, x2, work.data, snap.dt, opts, mean_mode, snap.t0)
+    return x1, x2, work.data, mean_mode
+
+
+def exact_dmd(snap: SnapshotMatrix, opts: DmdOptions) -> DmdResult:
+    """Run the full decomposition pipeline on a snapshot matrix."""
+    x1, x2, fit_data, mean_mode = regression_pair(snap, opts)
+    return dmd_from_pair(x1, x2, fit_data, snap.dt, opts, mean_mode, snap.t0)

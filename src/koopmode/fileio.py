@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import struct
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -173,6 +174,22 @@ def read_mode_matrix(path: str | Path) -> tuple[np.ndarray, float, float]:
     flat = np.frombuffer(payload, dtype="<f8")
     modes = (flat[0::2] + 1j * flat[1::2]).reshape((d, n), order="F")
     return modes, dt, t0
+
+
+def write_csv(path: str | Path, header: Sequence[str], fmt: str,
+              rows: Iterable[tuple]) -> None:
+    """Write a CSV table row by row, with LF line endings.
+
+    Each row is formatted with one `%` against fmt, e.g. "%d,%.17g"
+    (17 significant digits round-trip a float).  NaN cells are written
+    empty: every table encodes undefined values that way.  rows is
+    consumed lazily, so a large table never sits in memory as text.
+    """
+    line = fmt + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write((line % row).replace("nan", ""))
 
 
 def format_float(x: float) -> str:

@@ -14,7 +14,7 @@ entirely so the state dimension is n_channels * n_ocean_cells.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 

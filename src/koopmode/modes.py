@@ -11,7 +11,6 @@ with amplitude and phase the entrywise polar form of Phi_k * b_k.
 """
 from __future__ import annotations
 
-import csv
 import io
 import math
 from dataclasses import dataclass
@@ -21,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericalError
+from .fileio import write_csv
 
 
 def to_continuous(mu: complex | np.ndarray, dt: float):
@@ -177,11 +177,20 @@ class ModeInfo:
 MODE_TABLE_COLUMNS = ("idx", "Cluster", "PT", "HLT", "L2RMS", "L2wRMS", "KSnarrow")
 
 
-def _csv_value(x: float | None) -> str:
-    # Infinite and absent values are encoded as empty fields.
-    if x is None or math.isinf(x):
+def _listed(infos: Sequence[ModeInfo]) -> list[ModeInfo]:
+    # One row per real mode or conjugate pair: its omega >= 0 member.
+    return [info for info in infos if info.is_real or info.gamma.imag >= 0.0]
+
+
+def _cluster_label(info: ModeInfo) -> str:
+    if info.robustness is None:
         return ""
-    return format(float(x), ".17g")
+    return "NaN" if info.cluster is None else str(info.cluster)
+
+
+def _defined(x: float | None) -> float:
+    # Absent and infinite values (no analysis, no period) are undefined.
+    return math.nan if x is None or math.isinf(x) else x
 
 
 def write_mode_table(infos: Sequence[ModeInfo], path: str | Path) -> None:
@@ -191,29 +200,11 @@ def write_mode_table(infos: Sequence[ModeInfo], path: str | Path) -> None:
     half/doubling times that are infinite become empty fields; modes
     outside every cluster get the literal label NaN once clustering ran.
     """
-    rows = []
-    for info in infos:
-        if not info.is_real and info.gamma.imag < 0.0:
-            continue
-        if info.robustness is None:
-            cluster = ""
-            robustness = ""
-        else:
-            cluster = "NaN" if info.cluster is None else str(info.cluster)
-            robustness = format(float(info.robustness), ".17g")
-        rows.append((
-            str(info.index),
-            cluster,
-            _csv_value(info.period_hours),
-            _csv_value(info.half_double_hours),
-            _csv_value(info.rms),
-            _csv_value(info.rms_vertical) if info.rms_vertical is not None else "",
-            robustness,
-        ))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MODE_TABLE_COLUMNS)
-        writer.writerows(rows)
+    write_csv(path, MODE_TABLE_COLUMNS, "%d,%s,%.17g,%.17g,%.17g,%.17g,%.17g", (
+        (info.index, _cluster_label(info), _defined(info.period_hours),
+         _defined(info.half_double_hours), _defined(info.rms),
+         _defined(info.rms_vertical), _defined(info.robustness))
+        for info in _listed(infos)))
 
 
 def format_mode_table(infos: Sequence[ModeInfo], max_rows: int | None = None) -> str:
@@ -221,26 +212,17 @@ def format_mode_table(infos: Sequence[ModeInfo], max_rows: int | None = None) ->
     out = io.StringIO()
     header = f"{'idx':>4} {'Cluster':>7} {'PT':>10} {'HLT':>10} {'L2RMS':>10} {'L2wRMS':>10} {'KSnarrow':>10}"
     print(header, file=out)
-    shown = 0
-    for info in infos:
-        if not info.is_real and info.gamma.imag < 0.0:
-            continue
-        if max_rows is not None and shown >= max_rows:
-            break
-        def fmt(x):
-            if x is None or (isinstance(x, float) and math.isinf(x)):
-                return ""
-            if abs(x) >= 1e6:
-                return f"{x:.2e}"
-            return f"{x:.2f}"
-        cluster = ""
-        if info.robustness is not None:
-            cluster = "NaN" if info.cluster is None else str(info.cluster)
+    def fmt(x):
+        if x is None or (isinstance(x, float) and math.isinf(x)):
+            return ""
+        if abs(x) >= 1e6:
+            return f"{x:.2e}"
+        return f"{x:.2f}"
+    for info in _listed(infos)[:max_rows]:
         print(
-            f"{info.index:>4} {cluster:>7} {fmt(info.period_hours):>10} "
+            f"{info.index:>4} {_cluster_label(info):>7} {fmt(info.period_hours):>10} "
             f"{fmt(info.half_double_hours):>10} {fmt(info.rms):>10} "
             f"{fmt(info.rms_vertical):>10} {fmt(info.robustness):>10}",
             file=out,
         )
-        shown += 1
     return out.getvalue()

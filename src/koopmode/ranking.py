@@ -29,9 +29,8 @@ from typing import Sequence
 import numpy as np
 import scipy.ndimage
 
-from .dmd import DmdOptions, DmdResult, dmd_from_pair, exact_dmd, split_snapshots
-from .errors import NumericalError
-from .grids import GridLayout, SnapshotMatrix, remove_temporal_mean
+from .dmd import DmdOptions, DmdResult, dmd_from_pair, regression_pair
+from .grids import GridLayout, SnapshotMatrix
 from .modes import (ModeInfo, half_doubling_time, pair_conjugates, period)
 
 ROBUSTNESS_BANDWIDTH = 2e-3
@@ -40,13 +39,19 @@ CLUSTER_LEVEL_FRACTION = 0.1
 
 
 def rms_contribution(b: complex, gamma: complex, t_window: float) -> float:
-    """Mean l2 contribution of one unit-norm mode over [0, t_window]."""
+    """Mean l2 contribution of one unit-norm mode over [0, t_window].
+
+    inf when the mode grows beyond the float range within the window.
+    """
     if t_window <= 0:
         raise ValueError("window length must be positive")
     x = gamma.real * t_window
     if abs(x) < 1e-8:
         return abs(b)
-    return abs(b) * math.sqrt(math.expm1(2.0 * x) / (2.0 * x))
+    try:
+        return abs(b) * math.sqrt(math.expm1(2.0 * x) / (2.0 * x))
+    except OverflowError:
+        return math.inf
 
 
 def component_rms(phi: np.ndarray, b: complex, gamma: complex, t_window: float,
@@ -67,7 +72,8 @@ def persistence_filter(gamma: complex, t_window: float, factor: float = 0.1) -> 
         raise ValueError("window length must be positive")
     if not 0.0 < factor < 1.0:
         raise ValueError("cut factor must lie in (0, 1)")
-    return not math.exp(gamma.real * t_window) < factor
+    # growth always persists; testing it through exp could overflow
+    return gamma.real >= 0.0 or not math.exp(gamma.real * t_window) < factor
 
 
 def half_life_cutoff(t_window: float, factor: float = 0.1) -> float:
@@ -125,8 +131,7 @@ def kde_eval(density: KdeDensity, z: complex | np.ndarray, normalized: bool = Tr
     return float(vals[0]) if scalar else vals.reshape(z_arr.shape)
 
 
-def kde_grid(density: KdeDensity, step: float | None = None,
-             margin: float | None = None,
+def kde_grid(density: KdeDensity, *, margin: float | None = None,
              extra_points: np.ndarray | None = None,
              normalized: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rasterize the density on a regular grid covering all points.
@@ -138,8 +143,7 @@ def kde_grid(density: KdeDensity, step: float | None = None,
     peak) are dropped.
     """
     h = density.bandwidth
-    if step is None:
-        step = h / 4.0
+    step = h / 4.0
     if margin is None:
         margin = 3.0 * h
     pts = density.points
@@ -212,12 +216,8 @@ def leave_one_out(snap: SnapshotMatrix, opts: DmdOptions,
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    base = exact_dmd(snap, opts)
-    mean_mode = None
-    work = snap
-    if opts.remove_mean:
-        mean_mode, work = remove_temporal_mean(snap)
-    x1, x2 = split_snapshots(work)
+    x1, x2, fit_data, mean_mode = regression_pair(snap, opts)
+    base = dmd_from_pair(x1, x2, fit_data, snap.dt, opts, mean_mode, snap.t0)
     cols = x1.shape[1]
     if cols < 2:
         raise ValueError("cannot delete a column from a single-column pair")
@@ -233,7 +233,7 @@ def leave_one_out(snap: SnapshotMatrix, opts: DmdOptions,
     for i in omitted:
         x1_t = np.delete(x1, int(i), axis=1)
         x2_t = np.delete(x2, int(i), axis=1)
-        res = dmd_from_pair(x1_t, x2_t, work.data, snap.dt, trial_opts,
+        res = dmd_from_pair(x1_t, x2_t, fit_data, snap.dt, trial_opts,
                             mean_mode, snap.t0)
         out.append(LooTrial(omitted_column=int(i), mu=res.mu))
     return LeaveOneOutResult(base=base, trials=tuple(out), seed=seed)
@@ -266,12 +266,27 @@ def cluster_eigenvalues(base_mus: np.ndarray, pooled_mus: np.ndarray | None = No
     if base.size == 0:
         return []
     pooled = base if pooled_mus is None else np.asarray(pooled_mus, dtype=complex).ravel()
+    density = KdeDensity(points=pooled, weights=np.ones(pooled.size), bandwidth=h)
+    raster = kde_grid(density, extra_points=base, normalized=False)
+    return label_clusters(density, raster, base, level_fraction, weights)
+
+
+def label_clusters(density: KdeDensity,
+                   raster: tuple[np.ndarray, np.ndarray, np.ndarray],
+                   base_mus: np.ndarray,
+                   level_fraction: float = CLUSTER_LEVEL_FRACTION,
+                   weights: np.ndarray | None = None) -> list[int | None]:
+    """The labelling step of cluster_eigenvalues, on a raster in hand.
+
+    raster is kde_grid(density, extra_points=base_mus, normalized=False)
+    at its default margin; labels and their numbering follow
+    cluster_eigenvalues.
+    """
     if not 0.0 < level_fraction < 1.0:
         raise ValueError("level_fraction must lie in (0, 1)")
-    density = KdeDensity(points=pooled, weights=np.ones(pooled.size), bandwidth=h)
-    step = h / 4.0
-    re_axis, im_axis, values = kde_grid(density, step=step, margin=3.0 * h,
-                                        extra_points=base, normalized=False)
+    base = np.asarray(base_mus, dtype=complex).ravel()
+    step = density.bandwidth / 4.0  # the raster step of kde_grid
+    re_axis, im_axis, values = raster
     mask = values >= level_fraction * values.max()
     labels, _ = scipy.ndimage.label(mask)  # default structure: 4-connected
     raw = []

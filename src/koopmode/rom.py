@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dmd import DmdResult, mode_time_sum, reconstruct
+from .dmd import DmdResult, mode_time_sum
 from .grids import SnapshotMatrix
 from .modes import ModeInfo, pair_conjugates
 from .ranking import persistence_filter

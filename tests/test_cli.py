@@ -8,12 +8,14 @@ import math
 import numpy as np
 import pytest
 
+from koopmode import cli
 from koopmode.cli import main, load_config, RunConfig
 from koopmode.errors import ConfigError
 from koopmode.fileio import write_snapshots
 from koopmode.grids import (SnapshotMatrix, VelocityField, fields_to_snapshots,
-                            velocity_layout)
+                            scalar_layout, velocity_layout)
 from koopmode.oracle import TIDAL_PERIODS_HOURS
+from koopmode.ranking import KdeDensity, kde_grid
 
 from conftest import make_rng
 
@@ -174,6 +176,40 @@ def test_run_csv_input_and_overrides(tmp_path):
     assert not (tmp_path / "ignored").exists()
 
 
+def test_default_rank_from_centered_pair(tmp_path):
+    """Under mean removal the default rank comes from the centered pair:
+    the clean tidal oracle has rank 17 uncentered, 16 centered."""
+    data = synth_dataset(tmp_path, d=500, n=144)
+    out = tmp_path / "run"
+    cfg = write_cfg(tmp_path, "run.cfg", input=data, out=out, mean_removal="on")
+    assert main(["run", "--config", cfg]) == 0
+    assert json.loads((out / "result.json").read_text())["r"] == 16
+    rom_out = tmp_path / "rom"
+    rom_cfg = write_cfg(tmp_path, "rom.cfg", input=data, out=rom_out,
+                        mean_removal="on", **{"rom.all.indices": "all"})
+    assert main(["rom", "--config", rom_cfg]) == 0
+    assert json.loads((rom_out / "rom_summary.json").read_text())["data_rank"] == 16
+
+
+def test_growing_mode_runs_clean(tmp_path):
+    """One mode with mu = 15 over 144 snapshots: its windowed RMS and
+    persistence test pass the float range, which is no traceback."""
+    n, d = 144, 8
+    data = np.linspace(1.0, 2.0, d)[:, None] * (15.0 ** np.arange(n))[None, :]
+    path = tmp_path / "grow.dmds"
+    write_snapshots(path, SnapshotMatrix(data, dt=1.0, t0=0.0, layout=scalar_layout(d)))
+    out = tmp_path / "run"
+    cfg = write_cfg(tmp_path, "run.cfg", input=path, out=out, rank=1)
+    assert main(["run", "--config", cfg]) == 0
+    with open(out / "modes_table.csv") as fh:
+        table = list(csv.reader(fh))
+    assert table[1][table[0].index("L2RMS")] == ""
+    rom_cfg = write_cfg(tmp_path, "rom.cfg", input=path, out=tmp_path / "rom",
+                        rank=1, persistence_t=1000,
+                        **{"rom.keep.persistent_only": "on"})
+    assert main(["rom", "--config", rom_cfg]) == 0
+
+
 # ------------------------------------------------------------------- loo
 
 def loo_out(tmp_path, **extra):
@@ -205,6 +241,22 @@ def test_loo_outputs(tmp_path, capsys):
         assert row[k_col] != ""  # robustness always filled after loo
         assert row[c_col] != ""  # clustered or the literal NaN
     assert "loo: 6 trials" in capsys.readouterr().out
+
+
+def test_loo_kde_grid_is_the_pooled_density(tmp_path):
+    out = loo_out(tmp_path)
+    with open(out / "pooled_eigenvalues.csv") as fh:
+        pooled = np.array([complex(float(r[2]), float(r[3]))
+                           for r in list(csv.reader(fh))[1:]])
+    base_mu = np.array([complex(re, im) for re, im in
+                        json.loads((out / "result.json").read_text())["eigenvalues"]])
+    re_axis, im_axis, values = kde_grid(
+        KdeDensity(points=pooled, weights=np.ones(pooled.size), bandwidth=2.5e-2),
+        extra_points=base_mu)
+    grid = np.loadtxt(out / "kde_grid.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(grid[:, 0], np.repeat(re_axis, im_axis.size))
+    assert np.array_equal(grid[:, 1], np.tile(im_axis, re_axis.size))
+    assert np.array_equal(grid[:, 2], values.ravel())
 
 
 def test_loo_determinism_same_dir(tmp_path):
@@ -344,6 +396,27 @@ def test_slice_surface_amplitude_phase_ellipse(tmp_path):
     assert masked[0][2:] == ["", "", "", ""]
 
 
+def test_csv_outputs_end_lines_with_lf(tmp_path):
+    data, _ = rotating_velocity_snapshots(tmp_path)
+    base = dict(input=data, rank=3, tlsq="off", loo_trials=4)
+    jobs = {
+        "run": {},
+        "loo": {},
+        "rom": {"rom.all.indices": "all", "rom.rob.robustness_min": 0.0},
+        "slice": {"slice_channel": "ux", "slice_modes": "1,2,3"},
+    }
+    written = []
+    for cmd, extra in jobs.items():
+        cfg = write_cfg(tmp_path, f"{cmd}.cfg", out=tmp_path / cmd, **base, **extra)
+        assert main([cmd, "--config", cfg]) == 0
+        written += sorted((tmp_path / cmd).glob("*.csv"))
+    assert {p.name for p in written} >= {"modes_table.csv", "kde_grid.csv",
+                                         "rom_all_errors.csv",
+                                         "slice_mode1_amplitude.csv"}
+    for path in written:
+        assert b"\r" not in path.read_bytes(), path.name
+
+
 def test_slice_section(tmp_path):
     data, (nz, ny, nx) = rotating_velocity_snapshots(tmp_path)
     out = tmp_path / "sec"
@@ -399,6 +472,15 @@ def test_exit_code_numerical_error(tmp_path):
     cfg = write_cfg(tmp_path, input=path, out=tmp_path / "o")
     code = main(["run", "--config", cfg, "--rank", "2", "--tlsq", "off"])
     assert code == 3
+
+
+def test_exit_code_arithmetic_error(tmp_path, monkeypatch):
+    def overflow(*args, **kwargs):
+        raise OverflowError("math range error")
+    monkeypatch.setattr(cli, "exact_dmd", overflow)
+    data = synth_dataset(tmp_path)
+    cfg = write_cfg(tmp_path, input=data, out=tmp_path / "o", rank=17)
+    assert main(["run", "--config", cfg]) == 3
 
 
 def test_exit_code_infeasible_rank(tmp_path):

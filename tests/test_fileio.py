@@ -7,7 +7,7 @@ import pytest
 
 from koopmode.errors import DataFormatError
 from koopmode.fileio import (format_float, ingest, read_mode_matrix,
-                             read_snapshots, read_snapshots_csv,
+                             read_snapshots, read_snapshots_csv, write_csv,
                              write_mode_matrix, write_snapshots)
 from koopmode.grids import SnapshotMatrix, scalar_layout, velocity_layout
 
@@ -167,3 +167,11 @@ def test_mode_matrix_rejects_snapshot_file(tmp_path, rng):
 def test_format_float_roundtrips_examples():
     for x in (0.1, 1.0 / 3.0, 12.421, -43.05, 1e-300, 6.02e23):
         assert float(format_float(x)) == x
+
+
+def test_write_csv_rows_nan_and_line_endings(tmp_path):
+    path = tmp_path / "t.csv"
+    rows = ((k, x, tag) for k, x, tag in [(1, 0.1, "cw"), (2, float("nan"), "")])
+    write_csv(path, ("k", "x", "tag"), "%d,%.17g,%s", rows)
+    assert path.read_bytes() == b"k,x,tag\n1,0.10000000000000001,cw\n2,,\n"
+    assert float(path.read_text().splitlines()[1].split(",")[1]) == 0.1

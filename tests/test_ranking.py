@@ -48,6 +48,12 @@ def test_rms_rejects_bad_window():
         rms_contribution(1.0, 0.1 + 0j, 0.0)
 
 
+def test_rms_beyond_float_range_is_inf():
+    # mu = 15 over a 143 h window: exp(2 sigma T) overflows a float
+    assert rms_contribution(1.0, complex(math.log(15.0), 0.2), 143.0) == math.inf
+    assert rms_contribution(1.0, complex(-math.log(15.0), 0.2), 143.0) < 1.0
+
+
 @given(bmag=st.floats(0.01, 10), sigma_t=st.floats(-6, 6))
 @settings(max_examples=80, deadline=None)
 def test_rms_envelope_properties(bmag, sigma_t):
@@ -84,6 +90,12 @@ def test_persistence_boundary():
     assert persistence_filter(complex(sigma_cut * (1 - 1e-9), 1.0), t_window)
     assert persistence_filter(0.0 + 1.0j, t_window)
     assert persistence_filter(0.05 + 0j, t_window)  # growth always survives
+
+
+def test_persistence_beyond_float_range():
+    # gamma.real * T far past the exp overflow at 709
+    assert persistence_filter(complex(10.0, 0.3), 1000.0)
+    assert not persistence_filter(complex(-10.0, 0.3), 1000.0)
 
 
 def test_persistence_validation():
