@@ -17,7 +17,7 @@ from .modes import (ConjugatePairingError, EllipseParams, ModeInfo,
                     write_mode_table)
 from .oracle import (GroundTruth, ModeSpec, OracleSpec, compare_spectra,
                      generate, tidal_preset, tidal_spec, TIDAL_PERIODS_HOURS)
-from .ranking import (KdeDensity, LeaveOneOutResult, LooTrial,
+from .ranking import (KdeDensity, LeaveOneOutResult, LooFailure, LooTrial,
                       build_mode_table, cluster_eigenvalues, component_rms,
                       energy_density, half_life_cutoff, kde_eval, kde_grid,
                       leave_one_out, persistence_filter, rms_contribution,

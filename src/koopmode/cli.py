@@ -365,7 +365,8 @@ def cmd_loo(cfg: RunConfig) -> int:
     )
     out.finish(cfg)
     n_clustered = sum(1 for info in a.infos if info.cluster is not None)
-    print(f"loo: {len(a.loo.trials)} trials, {a.loo.pooled().size} pooled eigenvalues, "
+    failed = f", {len(a.loo.failures)} failed" if a.loo.failures else ""
+    print(f"loo: {len(a.loo.trials)} trials{failed}, {a.loo.pooled().size} pooled eigenvalues, "
           f"{n_clustered}/{a.result.r} modes in clusters -> {out.dir}")
     print(format_mode_table(a.infos, max_rows=20), end="")
     return 0

@@ -19,11 +19,21 @@ poorly scaled or noisy data:
 Amplitudes are always fitted against the original, unscaled snapshots,
 either from the first snapshot alone or jointly over a small set of
 snapshots spread across the record.
+
+Cost model.  The (centered) D x N snapshot matrix is factored once as
+Q R, an O(D N^2) pass (Drmac, Mezic & Mohr, SIAM J. Sci. Comput. 2018).
+Every later step runs on R[:, :-1], R[:, 1:] and R, which have at most N
+rows: normalization, TLSQ, the truncated SVD, the reduced eig and the
+amplitude fit each cost O(N^3) or less.  Q has orthonormal columns, so
+column norms, singular values, eigenpairs and least-squares residuals
+are those of the original matrices.  Modes are lifted by Q once, for the
+returned result only; leave-one-out trials delete columns of the R pair
+and never form a D-row array.  Peak memory is about twice the data.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -152,6 +162,23 @@ def split_snapshots(x) -> tuple[np.ndarray, np.ndarray]:
     return data[:, :-1], data[:, 1:]
 
 
+def column_norms(a: np.ndarray) -> np.ndarray:
+    """l2 norms of the columns of a, finite whenever they fit in a float.
+
+    Squaring entries above ~1e154 overflows; a column whose norm came out
+    infinite is divided by its largest magnitude and measured again.
+    """
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(a, axis=0)
+    cols = np.flatnonzero(np.isinf(norms))
+    if cols.size:
+        scale = np.abs(a[:, cols]).max(axis=0)
+        fits = np.isfinite(scale)  # a column holding inf keeps its inf norm
+        cols, scale = cols[fits], scale[fits]
+        norms[cols] = scale * np.linalg.norm(a[:, cols] / scale, axis=0)
+    return norms
+
+
 def column_normalize(x1: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Divide both matrices by the column norms of the first.
 
@@ -160,7 +187,7 @@ def column_normalize(x1: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, np.nda
     """
     if x1.shape != x2.shape:
         raise ValueError("pair matrices must share one shape")
-    scales = np.linalg.norm(x1, axis=0)
+    scales = column_norms(x1)
     if (scales == 0.0).any():
         k = int(np.nonzero(scales == 0.0)[0][0])
         raise NumericalError(f"column {k} of the input matrix is zero; scale undefined")
@@ -296,33 +323,44 @@ def reconstruct(result: DmdResult, times: Sequence[int]) -> np.ndarray:
     return x
 
 
-def dmd_from_pair(x1: np.ndarray, x2: np.ndarray, fit_data: np.ndarray,
-                  dt: float, opts: DmdOptions,
-                  mean_mode: np.ndarray | None = None, t0: float = 0.0) -> DmdResult:
-    """Decomposition pipeline for an already-split snapshot pair.
+class _Reduced(NamedTuple):
+    """One decomposition in R-factor coordinates, in result order.
 
-    Used directly when the pair is manipulated before the regression,
-    e.g. deleting columns in robustness trials.  fit_data holds the
-    snapshots the amplitudes are fitted against: the original matrix
-    (centered when the mean was removed), never the normalized or
-    projected pair.
+    modes have unit norm and no phase convention yet; b fits them.
     """
-    d, cols = x1.shape
+
+    modes: np.ndarray
+    mu: np.ndarray
+    b: np.ndarray
+    singular_values: np.ndarray
+    residuals: np.ndarray
+
+
+def _reduced_dmd(r1: np.ndarray, r2: np.ndarray, r_fit: np.ndarray, d: int,
+                 opts: DmdOptions) -> _Reduced:
+    """The decomposition of a pair given in R-factor coordinates.
+
+    r1, r2 and r_fit hold the pair and the fit snapshots in one
+    orthonormal basis Q (x = Q @ r), so they have at most N rows; d is
+    the state dimension D of the original snapshots.  Column norms,
+    singular values, eigenpairs and least-squares residuals are those of
+    the original matrices, because Q preserves lengths.
+    """
+    cols = r1.shape[1]
     if opts.normalize_columns:
-        x1, x2, _ = column_normalize(x1, x2)
+        r1, r2, _ = column_normalize(r1, r2)
     if opts.use_tlsq:
         rank = opts.tlsq_rank if opts.tlsq_rank is not None else opts.r
         if rank < opts.r:
             raise ValueError(f"tlsq_rank {rank} is below the truncation rank {opts.r}")
-        x1, x2 = tlsq_project(x1, x2, rank, opts.svd_mode)
+        r1, r2 = tlsq_project(r1, r2, rank, opts.svd_mode)
         cols = rank
     if not 1 <= opts.r <= min(d, cols):
         raise ValueError(
             f"truncation rank r={opts.r} infeasible for a {d}x{cols} matrix"
         )
 
-    svd = truncated_svd(x1, opts.r, opts.svd_mode)
-    sigma_full = svd.singular_values
+    svd = truncated_svd(r1, opts.r, opts.svd_mode)
     if svd.sigma[-1] <= _RANK_RTOL * svd.sigma[0]:
         raise NumericalError(
             f"rank deficiency below r={opts.r}: sigma_r/sigma_1 = "
@@ -330,8 +368,8 @@ def dmd_from_pair(x1: np.ndarray, x2: np.ndarray, fit_data: np.ndarray,
         )
 
     # Reduced one-step operator and its eigendecomposition.
-    x2_v_sinv = (x2 @ svd.v) / svd.sigma[None, :]
-    k_reduced = svd.u.conj().T @ x2_v_sinv
+    r2_v_sinv = (r2 @ svd.v) / svd.sigma[None, :]
+    k_reduced = svd.u.conj().T @ r2_v_sinv
     mu, w = np.linalg.eig(k_reduced)
     # eig returns real arrays for an all-real spectrum; the principal-branch
     # log of a negative eigenvalue needs the complex plane
@@ -348,37 +386,73 @@ def dmd_from_pair(x1: np.ndarray, x2: np.ndarray, fit_data: np.ndarray,
     if (np.abs(mu) == 0.0).any():
         raise NumericalError("zero eigenvalue; continuous-time exponent undefined")
 
-    # Exact modes, unit norm, largest-magnitude entry rotated real-positive.
-    modes = x2_v_sinv @ w
+    # Exact modes at unit norm; the phase convention needs the lifted modes.
+    modes = r2_v_sinv @ w
     norms = np.linalg.norm(modes, axis=0)
     if (norms == 0.0).any():
         raise NumericalError("zero exact mode; cannot normalize")
     modes = modes / norms
-    lead = modes[np.argmax(np.abs(modes), axis=0), np.arange(opts.r)]
-    modes = modes * (np.conj(lead) / np.abs(lead))[None, :]
-
-    gamma = np.log(mu) / dt
 
     count = opts.fit_count()
     if count is None:
-        b = fit_coefficients_first(modes, fit_data[:, 0])
+        b = fit_coefficients_first(modes, r_fit[:, 0])
     else:
-        idx = default_fit_indices(fit_data.shape[1], count)
-        b = fit_coefficients_multi(modes, mu, fit_data, idx)
+        idx = default_fit_indices(r_fit.shape[1], count)
+        b = fit_coefficients_multi(modes, mu, r_fit, idx)
 
+    # |b| does not depend on the phase convention, so neither does the order.
     order = np.lexsort((np.angle(mu), -np.abs(mu), -np.abs(b)))
+    return _Reduced(modes[:, order], mu[order], b[order],
+                    svd.singular_values, residuals[order])
+
+
+def _lift(q: np.ndarray, red: _Reduced, dt: float, opts: DmdOptions,
+          mean_mode: np.ndarray | None, t0: float) -> DmdResult:
+    """The result of a reduced decomposition, with modes lifted by Q.
+
+    The lift is one real product: the complex coordinates, viewed as
+    interleaved real and imaginary parts, give the complex modes in the
+    memory of the product.  Each mode is then rotated so its
+    largest-magnitude entry is real and positive, and its amplitude
+    counter-rotated.
+    """
+    coords = np.ascontiguousarray(red.modes)
+    modes = (q @ coords.view(np.float64)).view(np.complex128)
+    lead = modes[np.argmax(np.abs(modes), axis=0), np.arange(modes.shape[1])]
+    phase = np.conj(lead) / np.abs(lead)
+    modes *= phase[None, :]
     return DmdResult(
-        modes=modes[:, order],
-        mu=mu[order],
-        gamma=gamma[order],
-        b=b[order],
-        singular_values=sigma_full,
-        residuals=residuals[order],
+        modes=modes,
+        mu=red.mu,
+        gamma=np.log(red.mu) / dt,
+        b=red.b / phase,
+        singular_values=red.singular_values,
+        residuals=red.residuals,
         options=opts,
         dt=dt,
         t0=t0,
         mean_mode=mean_mode,
     )
+
+
+def dmd_from_pair(x1: np.ndarray, x2: np.ndarray, fit_data: np.ndarray,
+                  dt: float, opts: DmdOptions,
+                  mean_mode: np.ndarray | None = None, t0: float = 0.0) -> DmdResult:
+    """Decomposition of an already-split snapshot pair.
+
+    fit_data holds the snapshots the amplitudes are fitted against: the
+    original matrix (centered when the mean was removed), never the
+    normalized or projected pair.  The three matrices are compressed by
+    one QR of [x1 | x2 | fit_data].
+    """
+    x1, x2, fit_data = np.asarray(x1), np.asarray(x2), np.asarray(fit_data)
+    if x1.shape != x2.shape:
+        raise ValueError("pair matrices must share one shape")
+    cols = x1.shape[1]
+    q, r = scipy.linalg.qr(np.hstack([x1, x2, fit_data]), mode="economic")
+    red = _reduced_dmd(r[:, :cols], r[:, cols:2 * cols], r[:, 2 * cols:],
+                       x1.shape[0], opts)
+    return _lift(q, red, dt, opts, mean_mode, t0)
 
 
 def regression_pair(snap: SnapshotMatrix, opts: DmdOptions):
@@ -397,7 +471,21 @@ def regression_pair(snap: SnapshotMatrix, opts: DmdOptions):
     return x1, x2, work.data, mean_mode
 
 
+def _compress(snap: SnapshotMatrix, opts: DmdOptions):
+    """One economic QR of the matrix a decomposition with opts works on.
+
+    Returns (Q, R1, R2, R, mean_mode) with the (centered, under mean
+    removal) snapshots equal to Q @ R: Q is D x min(D, N) with
+    orthonormal columns, R is min(D, N) x N, and R1, R2 are its
+    time-shifted pair, the regression pair in R coordinates.
+    """
+    _, _, data, mean_mode = regression_pair(snap, opts)
+    q, r = scipy.linalg.qr(data, mode="economic")
+    return (q, *split_snapshots(r), r, mean_mode)
+
+
 def exact_dmd(snap: SnapshotMatrix, opts: DmdOptions) -> DmdResult:
     """Run the full decomposition pipeline on a snapshot matrix."""
-    x1, x2, fit_data, mean_mode = regression_pair(snap, opts)
-    return dmd_from_pair(x1, x2, fit_data, snap.dt, opts, mean_mode, snap.t0)
+    q, r1, r2, r, mean_mode = _compress(snap, opts)
+    return _lift(q, _reduced_dmd(r1, r2, r, snap.d, opts),
+                 snap.dt, opts, mean_mode, snap.t0)

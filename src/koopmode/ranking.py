@@ -29,7 +29,8 @@ from typing import Sequence
 import numpy as np
 import scipy.ndimage
 
-from .dmd import DmdOptions, DmdResult, dmd_from_pair, regression_pair
+from .dmd import DmdOptions, DmdResult, _compress, _lift, _reduced_dmd
+from .errors import NumericalError
 from .grids import GridLayout, SnapshotMatrix
 from .modes import (ModeInfo, half_doubling_time, pair_conjugates, period)
 
@@ -187,13 +188,22 @@ class LooTrial:
 
 
 @dataclass(frozen=True)
+class LooFailure:
+    """A perturbed rerun that ended in a NumericalError."""
+
+    omitted_column: int
+    message: str
+
+
+@dataclass(frozen=True)
 class LeaveOneOutResult:
     base: DmdResult
     trials: tuple[LooTrial, ...]
     seed: int
+    failures: tuple[LooFailure, ...] = ()
 
     def pooled(self) -> np.ndarray:
-        """All perturbed eigenvalues concatenated in trial order."""
+        """All perturbed eigenvalues of the successful trials, in trial order."""
         return np.concatenate([t.mu for t in self.trials])
 
 
@@ -212,13 +222,18 @@ def leave_one_out(snap: SnapshotMatrix, opts: DmdOptions,
     Column draws come from a single generator seeded with seed, so trial
     order is deterministic; trials are mutually independent.  The
     truncation rank (and TLSQ rank) are capped at the reduced column
-    count when the deletion makes them infeasible.
+    count when the deletion makes them infeasible.  The snapshots are
+    factored once; a trial deletes a column of the R-factor pair and
+    never forms a D-row array.  A trial that raises NumericalError is
+    recorded in failures and skipped; NumericalError is raised only when
+    every trial fails.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    x1, x2, fit_data, mean_mode = regression_pair(snap, opts)
-    base = dmd_from_pair(x1, x2, fit_data, snap.dt, opts, mean_mode, snap.t0)
-    cols = x1.shape[1]
+    q, r1, r2, r, mean_mode = _compress(snap, opts)
+    base = _lift(q, _reduced_dmd(r1, r2, r, snap.d, opts),
+                 snap.dt, opts, mean_mode, snap.t0)
+    cols = r1.shape[1]
     if cols < 2:
         raise ValueError("cannot delete a column from a single-column pair")
     r_cap = min(opts.r, cols - 1)
@@ -229,14 +244,22 @@ def leave_one_out(snap: SnapshotMatrix, opts: DmdOptions,
     trial_opts = replace(opts, r=r_cap, tlsq_rank=tlsq_cap)
     rng = np.random.default_rng(seed)
     omitted = _draw_omitted(cols, trials, rng)
-    out = []
-    for i in omitted:
-        x1_t = np.delete(x1, int(i), axis=1)
-        x2_t = np.delete(x2, int(i), axis=1)
-        res = dmd_from_pair(x1_t, x2_t, fit_data, snap.dt, trial_opts,
-                            mean_mode, snap.t0)
-        out.append(LooTrial(omitted_column=int(i), mu=res.mu))
-    return LeaveOneOutResult(base=base, trials=tuple(out), seed=seed)
+    out, failed = [], []
+    for i in omitted.tolist():
+        try:
+            red = _reduced_dmd(np.delete(r1, i, axis=1), np.delete(r2, i, axis=1),
+                               r, snap.d, trial_opts)
+        except NumericalError as exc:
+            failed.append(LooFailure(omitted_column=i, message=str(exc)))
+            continue
+        out.append(LooTrial(omitted_column=i, mu=red.mu))
+    if not out:
+        raise NumericalError(
+            f"all {len(failed)} leave-one-out trials failed; the first, omitting "
+            f"column {failed[0].omitted_column}: {failed[0].message}"
+        )
+    return LeaveOneOutResult(base=base, trials=tuple(out), seed=seed,
+                             failures=tuple(failed))
 
 
 def robustness_scores(base_mus: np.ndarray, loo: LeaveOneOutResult,

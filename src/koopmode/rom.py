@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dmd import DmdResult, mode_time_sum
+from .dmd import DmdResult, column_norms, mode_time_sum
 from .grids import SnapshotMatrix
 from .modes import ModeInfo, pair_conjugates
 from .ranking import persistence_filter
@@ -158,10 +158,10 @@ def error_curve(snap: SnapshotMatrix, rom: RomModel) -> ErrorCurve:
         raise ValueError(f"time step mismatch: data {snap.dt}, ROM {rom.dt}")
     steps = np.arange(snap.n)
     xhat = reconstruct_rom(rom, steps)
-    rom_norm = np.linalg.norm(xhat, axis=0)
-    data_norm = np.linalg.norm(snap.data, axis=0)
+    rom_norm = column_norms(xhat)
+    data_norm = column_norms(snap.data)
     if (data_norm == 0.0).any():
         raise ValueError("relative error undefined: a data column has zero norm")
-    rel = np.linalg.norm(snap.data - xhat, axis=0) / data_norm
+    rel = column_norms(snap.data - xhat) / data_norm
     return ErrorCurve(steps=steps, times_hours=snap.times(),
                       rom_norm=rom_norm, rel_error=rel)

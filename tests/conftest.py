@@ -49,3 +49,15 @@ def snapshots_from_array(data, dt=1.0, t0=0.0):
 @pytest.fixture
 def rng():
     return make_rng(1234)
+
+
+def rank_critical_snapshots(n=12, seed=3):
+    """A planar linear trajectory plus a third direction that only the
+    first and the last snapshot carry.  Deleting pair column 0 leaves the
+    first matrix of the pair with rank 2, below the pair's rank 3."""
+    x, _ = linear_trajectory(make_rng(seed), 2, n)
+    data = np.zeros((3, n))
+    data[:2] = x
+    data[2, 0] = 1.0
+    data[2, -1] = 0.5
+    return snapshots_from_array(data)

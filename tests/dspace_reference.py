@@ -1,0 +1,115 @@
+"""Reference decomposition that works on the D-row snapshot matrices.
+
+A copy of the pipeline that ran every step on the full-dimension pair
+before the library moved to one QR and R-factor coordinates.  The
+equivalence tests hold the library to it.
+"""
+from __future__ import annotations
+
+from dataclasses import replace
+
+import numpy as np
+
+from koopmode.dmd import (DmdOptions, DmdResult, column_normalize,
+                          default_fit_indices, fit_coefficients_first,
+                          fit_coefficients_multi, regression_pair,
+                          tlsq_project, truncated_svd)
+from koopmode.errors import NumericalError
+
+_DEFECTIVE_COND = 1e12
+_RANK_RTOL = 1e-13
+
+
+def reference_dmd_from_pair(x1: np.ndarray, x2: np.ndarray, fit_data: np.ndarray,
+                            dt: float, opts: DmdOptions,
+                            mean_mode: np.ndarray | None = None,
+                            t0: float = 0.0) -> DmdResult:
+    d, cols = x1.shape
+    if opts.normalize_columns:
+        x1, x2, _ = column_normalize(x1, x2)
+    if opts.use_tlsq:
+        rank = opts.tlsq_rank if opts.tlsq_rank is not None else opts.r
+        if rank < opts.r:
+            raise ValueError(f"tlsq_rank {rank} is below the truncation rank {opts.r}")
+        x1, x2 = tlsq_project(x1, x2, rank, opts.svd_mode)
+        cols = rank
+    if not 1 <= opts.r <= min(d, cols):
+        raise ValueError(
+            f"truncation rank r={opts.r} infeasible for a {d}x{cols} matrix"
+        )
+
+    svd = truncated_svd(x1, opts.r, opts.svd_mode)
+    sigma_full = svd.singular_values
+    if svd.sigma[-1] <= _RANK_RTOL * svd.sigma[0]:
+        raise NumericalError(
+            f"rank deficiency below r={opts.r}: sigma_r/sigma_1 = "
+            f"{svd.sigma[-1] / svd.sigma[0]:.3e}"
+        )
+
+    x2_v_sinv = (x2 @ svd.v) / svd.sigma[None, :]
+    k_reduced = svd.u.conj().T @ x2_v_sinv
+    mu, w = np.linalg.eig(k_reduced)
+    mu = mu.astype(np.complex128, copy=False)
+    w = w.astype(np.complex128, copy=False)
+    cond_w = np.linalg.cond(w)
+    if not np.isfinite(cond_w) or cond_w > _DEFECTIVE_COND:
+        raise NumericalError(
+            f"eigendecomposition is numerically defective; eigenvector "
+            f"condition estimate {cond_w:.3e}"
+        )
+    residuals = np.linalg.norm(k_reduced @ w - w * mu[None, :], axis=0)
+
+    if (np.abs(mu) == 0.0).any():
+        raise NumericalError("zero eigenvalue; continuous-time exponent undefined")
+
+    modes = x2_v_sinv @ w
+    norms = np.linalg.norm(modes, axis=0)
+    if (norms == 0.0).any():
+        raise NumericalError("zero exact mode; cannot normalize")
+    modes = modes / norms
+    lead = modes[np.argmax(np.abs(modes), axis=0), np.arange(opts.r)]
+    modes = modes * (np.conj(lead) / np.abs(lead))[None, :]
+
+    gamma = np.log(mu) / dt
+
+    count = opts.fit_count()
+    if count is None:
+        b = fit_coefficients_first(modes, fit_data[:, 0])
+    else:
+        idx = default_fit_indices(fit_data.shape[1], count)
+        b = fit_coefficients_multi(modes, mu, fit_data, idx)
+
+    order = np.lexsort((np.angle(mu), -np.abs(mu), -np.abs(b)))
+    return DmdResult(
+        modes=modes[:, order],
+        mu=mu[order],
+        gamma=gamma[order],
+        b=b[order],
+        singular_values=sigma_full,
+        residuals=residuals[order],
+        options=opts,
+        dt=dt,
+        t0=t0,
+        mean_mode=mean_mode,
+    )
+
+
+def reference_exact_dmd(snap, opts: DmdOptions) -> DmdResult:
+    x1, x2, fit_data, mean_mode = regression_pair(snap, opts)
+    return reference_dmd_from_pair(x1, x2, fit_data, snap.dt, opts, mean_mode, snap.t0)
+
+
+def reference_trial_mu(snap, opts: DmdOptions, omitted: int) -> np.ndarray:
+    """Spectrum of the leave-one-out trial that deletes pair column omitted,
+    with the ranks capped as leave_one_out caps them."""
+    x1, x2, fit_data, mean_mode = regression_pair(snap, opts)
+    cols = x1.shape[1]
+    tlsq_cap = None
+    if opts.use_tlsq:
+        tlsq_cap = min(opts.tlsq_rank if opts.tlsq_rank is not None else opts.r,
+                       cols - 1)
+    trial_opts = replace(opts, r=min(opts.r, cols - 1), tlsq_rank=tlsq_cap)
+    res = reference_dmd_from_pair(np.delete(x1, omitted, axis=1),
+                                  np.delete(x2, omitted, axis=1),
+                                  fit_data, snap.dt, trial_opts, mean_mode, snap.t0)
+    return res.mu

@@ -17,7 +17,7 @@ from koopmode.grids import (SnapshotMatrix, VelocityField, fields_to_snapshots,
 from koopmode.oracle import TIDAL_PERIODS_HOURS
 from koopmode.ranking import KdeDensity, kde_grid
 
-from conftest import make_rng
+from conftest import make_rng, rank_critical_snapshots
 
 
 def write_cfg(tmp_path, name="run.cfg", **kv):
@@ -210,6 +210,25 @@ def test_growing_mode_runs_clean(tmp_path):
     assert main(["rom", "--config", rom_cfg]) == 0
 
 
+def test_growing_mode_rom_summary_is_strict_json(tmp_path):
+    """Column norms of entries near 1e168 must not overflow into a NaN
+    relative error, which strict JSON readers reject."""
+    n, d = 144, 8
+    data = np.linspace(1.0, 2.0, d)[:, None] * (15.0 ** np.arange(n))[None, :]
+    path = tmp_path / "grow.dmds"
+    write_snapshots(path, SnapshotMatrix(data, dt=1.0, t0=0.0, layout=scalar_layout(d)))
+    out = tmp_path / "rom"
+    cfg = write_cfg(tmp_path, "rom.cfg", input=path, out=out, rank=1,
+                    persistence_t=1000, **{"rom.keep.persistent_only": "on"})
+    assert main(["rom", "--config", cfg]) == 0
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    summary = json.loads((out / "rom_summary.json").read_text(), parse_constant=reject)
+    assert math.isfinite(summary["roms"]["keep"]["max_rel_error"])
+
+
 # ------------------------------------------------------------------- loo
 
 def loo_out(tmp_path, **extra):
@@ -241,6 +260,30 @@ def test_loo_outputs(tmp_path, capsys):
         assert row[k_col] != ""  # robustness always filled after loo
         assert row[c_col] != ""  # clustered or the literal NaN
     assert "loo: 6 trials" in capsys.readouterr().out
+
+
+def test_loo_goes_on_past_failed_trials(tmp_path, capsys):
+    """Deleting pair column 0 of this dataset makes the trial rank
+    deficient: loo records it, reports the count and finishes; with no
+    trial left it exits 3."""
+    path = tmp_path / "critical.dmds"
+    write_snapshots(path, rank_critical_snapshots())
+    out = tmp_path / "loo"
+    cfg = write_cfg(tmp_path, "loo.cfg", input=path, out=out, rank=3, tlsq="off",
+                    loo_trials=11)
+    assert main(["loo", "--config", cfg]) == 0
+    with open(out / "pooled_eigenvalues.csv") as fh:
+        omitted = {int(r[1]) for r in list(csv.reader(fh))[1:]}
+    assert 0 not in omitted
+    ran = len(omitted)
+    assert f"loo: {ran} trials, {11 - ran} failed, " in capsys.readouterr().out
+    first = dir_digest(out)
+    assert main(["loo", "--config", cfg]) == 0
+    assert dir_digest(out) == first
+    # seed 23 draws pair column 0 for a single trial
+    one = write_cfg(tmp_path, "one.cfg", input=path, out=tmp_path / "one", rank=3,
+                    tlsq="off", loo_trials=1, seed=23)
+    assert main(["loo", "--config", one]) == 3
 
 
 def test_loo_kde_grid_is_the_pooled_density(tmp_path):

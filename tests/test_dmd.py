@@ -376,3 +376,12 @@ def test_negative_real_eigenvalue_principal_branch():
     k = int(np.argmin(res.mu.real))
     assert res.gamma[k].imag == pytest.approx(np.pi / 2.0)
     assert res.gamma[k].real == pytest.approx(np.log(0.5) / 2.0)
+
+
+def test_column_normalize_entries_past_squaring_range():
+    """Entries near 1e200 overflow when squared; the scales must still be
+    the finite column norms."""
+    x1 = np.array([[3e200, 1.0], [4e200, 0.0]])
+    x1n, _, scales = column_normalize(x1, x1.copy())
+    assert np.allclose(scales, [5e200, 1.0], rtol=1e-15)
+    assert np.allclose(np.linalg.norm(x1n, axis=0), 1.0, rtol=1e-14)

@@ -1,0 +1,127 @@
+"""The QR-compressed decomposition against the D-row reference pipeline.
+
+exact_dmd and leave_one_out factor the snapshots once and work on the R
+factor; orthogonal invariance makes that exact up to round-off, which
+these tests bound on tidal oracles.  They also hold the memory of one
+decomposition and of 30 trials to a small multiple of the data.
+"""
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from koopmode.dmd import DmdOptions, exact_dmd, modified_options
+from koopmode.errors import NumericalError
+from koopmode.grids import SnapshotMatrix, scalar_layout
+from koopmode.oracle import generate, tidal_spec
+from koopmode.ranking import leave_one_out
+
+from conftest import make_rng
+from dspace_reference import reference_exact_dmd, reference_trial_mu
+
+
+def nearest(mu: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Index of the nearest reference eigenvalue for each eigenvalue.
+
+    Round-off may swap the two members of a conjugate pair in the result
+    order, so eigenvalues are matched by position in the plane.
+    """
+    match = np.abs(mu[:, None] - ref[None, :]).argmin(axis=1)
+    assert np.unique(match).size == mu.size, "eigenvalues do not match one to one"
+    return match
+
+
+def assert_spectra_match(mu, ref, tol=1e-10):
+    assert mu.shape == ref.shape
+    match = nearest(mu, ref)
+    assert np.abs(mu - ref[match]).max() <= tol
+    return match
+
+
+@given(seed=st.integers(0, 10_000),
+       wide=st.booleans(),
+       remove_mean=st.booleans(),
+       b_fit=st.sampled_from(["first", "multi:2", "multi:5", "multi:10"]),
+       use_tlsq=st.booleans(),
+       normalize=st.booleans(),
+       svd_mode=st.sampled_from(["standard", "high_accuracy"]))
+@settings(max_examples=40, deadline=None)
+def test_qr_path_matches_dspace_reference(seed, wide, remove_mean, b_fit, use_tlsq,
+                                          normalize, svd_mode):
+    """D > N (wide) and D < N tidal oracles, every option switch, at the
+    rank of the signal: the oracle's 17 modes, 16 once centering has
+    removed the constant one.  A rank that cuts through the signal, or
+    one that adds a noise mode, leaves eigenpairs that move by ~1e-10
+    under any round-off, an orthogonal rotation of the reference's input
+    included."""
+    n = 40
+    d = 3 * n if wide else 25
+    snap, _ = generate(tidal_spec(d=d, n=n, noise_sigma=1e-3, seed=seed))
+    opts = DmdOptions(r=16 if remove_mean else 17, use_tlsq=use_tlsq, normalize_columns=normalize,
+                      remove_mean=remove_mean, b_fit=b_fit, svd_mode=svd_mode)
+    ref = reference_exact_dmd(snap, opts)
+    res = exact_dmd(snap, opts)
+
+    match = assert_spectra_match(res.mu, ref.mu)
+    assert np.abs(res.modes - ref.modes[:, match]).max() <= 1e-10
+    ref_b = ref.b[match]
+    assert np.all(np.abs(np.abs(res.b) - np.abs(ref_b)) <= 1e-8 * np.abs(ref_b))
+    # the amplitudes carry the same phase as the modes they scale
+    assert np.all(np.abs(res.b - ref_b) <= 1e-8 * np.abs(ref_b))
+    assert np.allclose(res.singular_values, ref.singular_values,
+                       rtol=0, atol=1e-13 * ref.singular_values[0])
+
+    loo = leave_one_out(snap, opts, trials=3, seed=seed)
+    assert np.array_equal(loo.base.mu, res.mu)
+    for trial in loo.trials:
+        assert_spectra_match(trial.mu, reference_trial_mu(snap, opts, trial.omitted_column))
+    # a trial fails exactly where the reference fails, e.g. a two-snapshot
+    # amplitude fit that a spurious fast mode makes rank deficient
+    for failure in loo.failures:
+        with pytest.raises(NumericalError):
+            reference_trial_mu(snap, opts, failure.omitted_column)
+
+
+def test_graded_columns_keep_relative_accuracy_on_r():
+    """Columns scaled over 1e-12..1: under the QR-based SVD driver the
+    small singular values of the R-factor pair keep their relative
+    accuracy, so they agree with the D-row pipeline entry by entry."""
+    rng = make_rng(5)
+    d, n = 300, 24
+    basis, _ = np.linalg.qr(rng.standard_normal((d, n)))
+    data = (basis @ rng.standard_normal((n, n))) * np.logspace(0, -12, n)[None, :]
+    snap = SnapshotMatrix(data, dt=1.0, t0=0.0, layout=scalar_layout(d))
+    opts = DmdOptions(r=n - 1, svd_mode="high_accuracy")
+    ref = reference_exact_dmd(snap, opts)
+    res = exact_dmd(snap, opts)
+    assert res.singular_values[-1] < 1e-11 * res.singular_values[0]
+    assert np.allclose(res.singular_values, ref.singular_values, rtol=1e-10, atol=0)
+    assert_spectra_match(res.mu, ref.mu)
+
+
+@pytest.fixture(scope="module")
+def ocean_sized():
+    """D = 20000, N = 144 tidal oracle: 23 MB of float64 snapshots."""
+    snap, _ = generate(tidal_spec(d=20000, n=144, noise_sigma=1e-3, seed=0))
+    return snap
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_exact_dmd_peak_memory_within_three_times_data(ocean_sized):
+    peak = traced_peak(lambda: exact_dmd(ocean_sized, modified_options(17)))
+    assert peak <= 3 * ocean_sized.data.nbytes
+
+
+def test_leave_one_out_peak_memory_within_three_times_data(ocean_sized):
+    peak = traced_peak(lambda: leave_one_out(ocean_sized, modified_options(17), trials=30))
+    assert peak <= 3 * ocean_sized.data.nbytes

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koopmode.dmd import DmdOptions, exact_dmd
+from koopmode.errors import NumericalError
 from koopmode.grids import velocity_layout
 from koopmode.modes import pair_conjugates
 from koopmode.ranking import (CLUSTER_BANDWIDTH, ROBUSTNESS_BANDWIDTH,
@@ -17,7 +18,8 @@ from koopmode.ranking import (CLUSTER_BANDWIDTH, ROBUSTNESS_BANDWIDTH,
                               kde_grid, leave_one_out, persistence_filter,
                               rms_contribution, robustness_scores)
 
-from conftest import linear_trajectory, make_rng, snapshots_from_array
+from conftest import (linear_trajectory, make_rng, rank_critical_snapshots,
+                      snapshots_from_array)
 
 
 # ------------------------------------------------------------ rms weight
@@ -242,6 +244,23 @@ def test_loo_rejects_bad_budget():
     snap, opts = loo_setup()
     with pytest.raises(ValueError, match="trial"):
         leave_one_out(snap, opts, trials=0)
+
+
+def test_loo_records_failed_trial_and_goes_on():
+    snap = rank_critical_snapshots()
+    cols = snap.n - 1
+    res = leave_one_out(snap, DmdOptions(r=3), trials=cols, seed=0)
+    assert [f.omitted_column for f in res.failures] == [0]
+    assert "rank deficiency" in res.failures[0].message
+    assert sorted(t.omitted_column for t in res.trials) == list(range(1, cols))
+    assert res.pooled().size == 3 * (cols - 1)
+
+
+def test_loo_raises_when_every_trial_fails():
+    snap = rank_critical_snapshots()
+    # seed 23 draws pair column 0 for a single trial
+    with pytest.raises(NumericalError, match="all 1 leave-one-out trials failed.*column 0"):
+        leave_one_out(snap, DmdOptions(r=3), trials=1, seed=23)
 
 
 # ------------------------------------------------------------- clustering
