@@ -21,7 +21,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from koopmode.dmd import exact_dmd, modified_options
-from koopmode.fileio import format_float
+from koopmode.fileio import write_csv
 from koopmode.modes import period
 from koopmode.oracle import compare_spectra, generate, tidal_spec
 
@@ -77,11 +77,10 @@ def main(argv=None):
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
         target = args.out / "eigenvalues.csv"
-        lines = ["re_mu,im_mu,re_gamma,im_gamma,abs_b"]
-        for mu, g, b in zip(result.mu, result.gamma, result.b):
-            lines.append(",".join(format_float(v) for v in
-                                  (mu.real, mu.imag, g.real, g.imag, abs(b))))
-        target.write_text("\n".join(lines) + "\n")
+        write_csv(target, ("re_mu", "im_mu", "re_gamma", "im_gamma", "abs_b"),
+                  "%.17g,%.17g,%.17g,%.17g,%.17g",
+                  ((mu.real, mu.imag, g.real, g.imag, abs(b))
+                   for mu, g, b in zip(result.mu, result.gamma, result.b)))
         print(f"\nwrote {target}")
     return 0
 

@@ -22,6 +22,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from koopmode.dmd import DmdOptions, exact_dmd
+from koopmode.fileio import write_csv
 from koopmode.grids import SnapshotMatrix, scalar_layout
 from koopmode.oracle import compare_spectra
 
@@ -69,9 +70,8 @@ def main(argv=None):
               f"{med_t / med_p:>6.3f}  {wins:>5d}/{args.seeds}")
 
     if args.csv is not None:
-        lines = ["noise,seed,plain_error,tlsq_error"]
-        lines += [f"{n:.6e},{s},{p:.16e},{t:.16e}" for n, s, p, t in rows]
-        args.csv.write_text("\n".join(lines) + "\n")
+        write_csv(args.csv, ("noise", "seed", "plain_error", "tlsq_error"),
+                  "%.6e,%d,%.16e,%.16e", rows)
         print(f"\nwrote {args.csv}")
     return 0
 

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .dmd import DmdOptions, DmdResult, exact_dmd, regression_pair
+from .dmd import DmdOptions, DmdResult, exact_dmd
 from .errors import ConfigError, DataFormatError, NumericalError
 from .grids import SnapshotMatrix, SurfaceSlice, VerticalSection, extract_slice
 from .modes import ModeInfo, format_mode_table, tidal_ellipse, write_mode_table
@@ -203,36 +203,15 @@ def _complex_pairs(arr: np.ndarray) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in np.asarray(arr, dtype=complex)]
 
 
-def _data_rank(snap: SnapshotMatrix, opts: DmdOptions) -> int:
-    """Numerical rank of the matrix the decomposition regresses on."""
-    x1, _, _, _ = regression_pair(snap, opts)
-    return int(np.linalg.matrix_rank(x1))
-
-
-def _resolve_options(cfg: RunConfig, snap: SnapshotMatrix) -> tuple[DmdOptions, int | None]:
-    """Turn config values into decomposition options.
-
-    An unset rank defaults to min(data rank, N - 4), the data rank being
-    that of the (centered, under mean removal) regression matrix; it is
-    returned alongside, None when the config fixed the rank.
-    """
-    cap = max(snap.n - 4, 1)
+def _resolve_options(cfg: RunConfig) -> DmdOptions:
+    """Decomposition options from the config; an unset rank stays None,
+    which the decomposition resolves to its default rank."""
     try:
-        opts = DmdOptions(
-            r=cap if cfg.rank is None else cfg.rank,
-            use_tlsq=cfg.tlsq,
-            tlsq_rank=cfg.tlsq_rank,
-            normalize_columns=cfg.normalize,
-            remove_mean=cfg.mean_removal,
-            b_fit=cfg.bfit,
-            svd_mode=cfg.svd_mode,
-        )
+        return DmdOptions(r=cfg.rank, use_tlsq=cfg.tlsq, tlsq_rank=cfg.tlsq_rank,
+                          normalize_columns=cfg.normalize, remove_mean=cfg.mean_removal,
+                          b_fit=cfg.bfit, svd_mode=cfg.svd_mode)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if cfg.rank is not None:
-        return opts, None
-    data_rank = _data_rank(snap, opts)
-    return dataclasses.replace(opts, r=max(min(data_rank, cap), 1)), data_rank
 
 
 @dataclass(frozen=True)
@@ -244,7 +223,6 @@ class _Analysis:
     t_window: float
     result: DmdResult
     infos: list[ModeInfo]
-    data_rank: int | None
     loo: LeaveOneOutResult | None
     raster: tuple[np.ndarray, np.ndarray, np.ndarray] | None
 
@@ -258,7 +236,7 @@ def _analyse(cfg: RunConfig, robust: bool) -> _Analysis:
         snap = fileio.ingest(cfg.input)
     except ValueError as exc:
         raise DataFormatError(str(exc)) from exc
-    opts, data_rank = _resolve_options(cfg, snap)
+    opts = _resolve_options(cfg)
     t_window = cfg.persistence_t if cfg.persistence_t is not None else (snap.n - 1) * snap.dt
     loo = leave_one_out(snap, opts, trials=cfg.loo_trials, seed=cfg.seed) if robust else None
     result = loo.base if robust else exact_dmd(snap, opts)
@@ -276,7 +254,7 @@ def _analyse(cfg: RunConfig, robust: bool) -> _Analysis:
         values /= density.normalization  # in place, as kde_grid(normalized=True)
         infos = [dataclasses.replace(info, robustness=float(s), cluster=c)
                  for info, s, c in zip(infos, scores, clusters)]
-    return _Analysis(snap, t_window, result, infos, data_rank, loo, raster)
+    return _Analysis(snap, t_window, result, infos, loo, raster)
 
 
 def _write_result_files(out: _OutputDir, a: _Analysis) -> None:
@@ -377,7 +355,7 @@ def cmd_rom(cfg: RunConfig) -> int:
         raise ConfigError("no ROM selections configured (keys: rom.<name>.<field>)")
     a = _analyse(cfg, robust=any(
         "robustness_min" in f or "robustness_max" in f for f in cfg.roms.values()))
-    data_rank = a.data_rank if a.data_rank is not None else _data_rank(a.snap, a.result.options)
+    data_rank = a.result.data_rank
     out = _OutputDir(cfg.out, "rom")
     summary = {}
     for name in sorted(cfg.roms):

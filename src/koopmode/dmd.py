@@ -27,19 +27,25 @@ rows: normalization, TLSQ, the truncated SVD, the reduced eig and the
 amplitude fit each cost O(N^3) or less.  Q has orthonormal columns, so
 column norms, singular values, eigenpairs and least-squares residuals
 are those of the original matrices.  Modes are lifted by Q once, for the
-returned result only; leave-one-out trials delete columns of the R pair
-and never form a D-row array.  Peak memory is about twice the data.
+returned result only; column-deletion trials (deletion_spectra) delete
+columns of the R pair and never form a D-row array.  Peak memory is
+about twice the data.
+
+Rank.  The data rank is counted on R[:, :-1], whose singular values are
+those of the D x (N-1) regression matrix: those above
+sigma_1 * max(D, N-1) * eps count (numpy's matrix_rank rule).
+DmdOptions(r=None) takes the default rank max(1, min(data rank, N - 4)).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
 
 from .errors import NumericalError
-from .grids import SnapshotMatrix, remove_temporal_mean
+from .grids import SnapshotMatrix
 
 # Condition number of the reduced eigenvector matrix beyond which the
 # eigenproblem is reported as (numerically) defective.
@@ -52,13 +58,15 @@ _RANK_RTOL = 1e-13
 class DmdOptions:
     """Settings for one decomposition run.
 
+    r is the truncation rank; None takes the default rank
+    max(1, min(data rank, N - 4)) of the data decomposed.
     b_fit is "first" (amplitudes from the first snapshot) or
     "multi:<count>" (joint fit over count snapshots evenly spread over
     the record, endpoints included).  svd_mode selects the LAPACK driver:
     "standard" divide-and-conquer or "high_accuracy" QR-based.
     """
 
-    r: int
+    r: int | None = None
     use_tlsq: bool = False
     tlsq_rank: int | None = None
     normalize_columns: bool = False
@@ -67,7 +75,7 @@ class DmdOptions:
     svd_mode: str = "standard"
 
     def __post_init__(self):
-        if self.r < 1:
+        if self.r is not None and self.r < 1:
             raise ValueError(f"truncation rank r must be >= 1, got {self.r}")
         if self.tlsq_rank is not None and self.tlsq_rank < 1:
             raise ValueError(f"tlsq_rank must be >= 1, got {self.tlsq_rank}")
@@ -101,7 +109,7 @@ class DmdOptions:
         }
 
 
-def modified_options(r: int, fit_count: int = 10) -> DmdOptions:
+def modified_options(r: int | None, fit_count: int = 10) -> DmdOptions:
     """Options for the debiased variant: normalization, TLSQ at rank r,
     high-accuracy SVD, and a joint amplitude fit."""
     return DmdOptions(r=r, use_tlsq=True, normalize_columns=True,
@@ -132,6 +140,8 @@ class DmdResult:
     ties broken by descending |mu| then ascending arg(mu).  gamma holds
     the continuous-time exponents log(mu)/dt on the principal branch.
     mean_mode is the removed temporal mean when the option was on.
+    data_rank is the numerical rank of the (centered) regression matrix,
+    and options.r the truncation rank in force.
     """
 
     modes: np.ndarray
@@ -144,6 +154,7 @@ class DmdResult:
     dt: float
     t0: float = 0.0
     mean_mode: np.ndarray | None = None
+    data_rank: int | None = None
 
     @property
     def r(self) -> int:
@@ -246,13 +257,17 @@ def default_fit_indices(n: int, count: int) -> np.ndarray:
 
 
 def _solve_amplitudes(m: np.ndarray, y: np.ndarray, r: int) -> np.ndarray:
-    b, _, rank, sv = np.linalg.lstsq(m, y.astype(complex), rcond=None)
+    # Unit columns: a fast mode's mu**n column must not set the scale the
+    # rank test measures every other column against.
+    scales = column_norms(m)
+    scales[scales == 0.0] = 1.0
+    b, _, rank, sv = np.linalg.lstsq(m / scales, y.astype(complex), rcond=None)
     if rank < r:
         raise NumericalError(
             f"amplitude fit is rank deficient ({rank} < {r}); "
-            f"smallest singular value {sv[-1]:.3e}"
+            f"smallest singular value {sv[-1]:.3e} of the column-scaled system"
         )
-    return b
+    return b / scales
 
 
 def fit_coefficients_first(modes: np.ndarray, x0: np.ndarray) -> np.ndarray:
@@ -406,16 +421,22 @@ def _reduced_dmd(r1: np.ndarray, r2: np.ndarray, r_fit: np.ndarray, d: int,
                     svd.singular_values, residuals[order])
 
 
-def _lift(q: np.ndarray, red: _Reduced, dt: float, opts: DmdOptions,
-          mean_mode: np.ndarray | None, t0: float) -> DmdResult:
-    """The result of a reduced decomposition, with modes lifted by Q.
+def _decompose(q: np.ndarray, r1: np.ndarray, r2: np.ndarray, r_fit: np.ndarray,
+               d: int, opts: DmdOptions, mean_mode: np.ndarray | None,
+               dt: float, t0: float) -> DmdResult:
+    """The decomposition of a pair in R-factor coordinates, lifted by Q.
 
-    The lift is one real product: the complex coordinates, viewed as
-    interleaved real and imaginary parts, give the complex modes in the
-    memory of the product.  Each mode is then rotated so its
-    largest-magnitude entry is real and positive, and its amplitude
-    counter-rotated.
+    The data rank is counted on r1 and resolves a default rank.  The lift
+    is one real product: the complex coordinates, viewed as interleaved
+    real and imaginary parts, give the complex modes in the memory of
+    the product.  Each mode is then rotated so its largest-magnitude
+    entry is real and positive, and its amplitude counter-rotated.
     """
+    s = np.linalg.svd(r1, compute_uv=False)
+    data_rank = int((s > s[0] * max(d, r1.shape[1]) * np.finfo(float).eps).sum())
+    if opts.r is None:  # N - 4 = pair columns - 3
+        opts = replace(opts, r=max(1, min(data_rank, r1.shape[1] - 3)))
+    red = _reduced_dmd(r1, r2, r_fit, d, opts)
     coords = np.ascontiguousarray(red.modes)
     modes = (q @ coords.view(np.float64)).view(np.complex128)
     lead = modes[np.argmax(np.abs(modes), axis=0), np.arange(modes.shape[1])]
@@ -432,6 +453,7 @@ def _lift(q: np.ndarray, red: _Reduced, dt: float, opts: DmdOptions,
         dt=dt,
         t0=t0,
         mean_mode=mean_mode,
+        data_rank=data_rank,
     )
 
 
@@ -450,42 +472,52 @@ def dmd_from_pair(x1: np.ndarray, x2: np.ndarray, fit_data: np.ndarray,
         raise ValueError("pair matrices must share one shape")
     cols = x1.shape[1]
     q, r = scipy.linalg.qr(np.hstack([x1, x2, fit_data]), mode="economic")
-    red = _reduced_dmd(r[:, :cols], r[:, cols:2 * cols], r[:, 2 * cols:],
-                       x1.shape[0], opts)
-    return _lift(q, red, dt, opts, mean_mode, t0)
+    return _decompose(q, r[:, :cols], r[:, cols:2 * cols], r[:, 2 * cols:],
+                      x1.shape[0], opts, mean_mode, dt, t0)
 
 
-def regression_pair(snap: SnapshotMatrix, opts: DmdOptions):
-    """The snapshot pair a decomposition with opts regresses on.
+def _qr_dmd(snap: SnapshotMatrix, opts: DmdOptions) -> tuple[DmdResult, np.ndarray]:
+    """exact_dmd, also returning the R factor of its one economic QR.
 
-    Returns (x1, x2, fit_data, mean_mode): the time-shifted pair of the
-    snapshots, centered first when opts.remove_mean is set; the matrix
-    the amplitudes are fitted against; and the removed temporal mean, or
-    None.
+    The snapshots, centered first under mean removal, are Q @ R: Q is
+    D x min(D, N) with orthonormal columns and R is min(D, N) x N, so
+    R[:, :-1] and R[:, 1:] are the regression pair in R coordinates.
     """
-    mean_mode = None
-    work = snap
+    data, mean_mode = snap.data, None
     if opts.remove_mean:
-        mean_mode, work = remove_temporal_mean(snap)
-    x1, x2 = split_snapshots(work)
-    return x1, x2, work.data, mean_mode
-
-
-def _compress(snap: SnapshotMatrix, opts: DmdOptions):
-    """One economic QR of the matrix a decomposition with opts works on.
-
-    Returns (Q, R1, R2, R, mean_mode) with the (centered, under mean
-    removal) snapshots equal to Q @ R: Q is D x min(D, N) with
-    orthonormal columns, R is min(D, N) x N, and R1, R2 are its
-    time-shifted pair, the regression pair in R coordinates.
-    """
-    _, _, data, mean_mode = regression_pair(snap, opts)
+        mean_mode = data.mean(axis=1)
+        data = data - mean_mode[:, None]
     q, r = scipy.linalg.qr(data, mode="economic")
-    return (q, *split_snapshots(r), r, mean_mode)
+    return _decompose(q, r[:, :-1], r[:, 1:], r, snap.d, opts, mean_mode, snap.dt, snap.t0), r
 
 
 def exact_dmd(snap: SnapshotMatrix, opts: DmdOptions) -> DmdResult:
     """Run the full decomposition pipeline on a snapshot matrix."""
-    q, r1, r2, r, mean_mode = _compress(snap, opts)
-    return _lift(q, _reduced_dmd(r1, r2, r, snap.d, opts),
-                 snap.dt, opts, mean_mode, snap.t0)
+    return _qr_dmd(snap, opts)[0]
+
+
+def deletion_spectra(snap: SnapshotMatrix, opts: DmdOptions, omitted: Sequence[int]
+                     ) -> tuple[DmdResult, list[np.ndarray | NumericalError]]:
+    """The decomposition of snap, then the spectrum of one rerun per entry
+    of omitted, with that column of the regression pair deleted.
+
+    The snapshots are factored once; a rerun deletes a column of the R
+    pair and never forms a D-row array.  Its truncation rank (and TLSQ
+    rank) are capped at the reduced column count.  A rerun that raises
+    NumericalError yields the error in place of its spectrum.
+    """
+    base, r = _qr_dmd(snap, opts)
+    r1, r2 = r[:, :-1], r[:, 1:]
+    opts, cols = base.options, r1.shape[1]
+    if cols < 2:
+        raise ValueError("cannot delete a column from a single-column pair")
+    trial_opts = replace(opts, r=min(opts.r, cols - 1),
+                         tlsq_rank=min(opts.tlsq_rank or opts.r, cols - 1))
+    spectra = []
+    for i in omitted:
+        try:
+            spectra.append(_reduced_dmd(np.delete(r1, i, axis=1), np.delete(r2, i, axis=1),
+                                        r, snap.d, trial_opts).mu)
+        except NumericalError as exc:
+            spectra.append(exc)
+    return base, spectra

@@ -191,9 +191,3 @@ def write_csv(path: str | Path, header: Sequence[str], fmt: str,
         for row in rows:
             fh.write((line % row).replace("nan", ""))
 
-
-def format_float(x: float) -> str:
-    """Render one float for machine-facing CSV output (17 significant digits)."""
-    if np.isnan(x):
-        return "NaN"
-    return format(float(x), ".17g")

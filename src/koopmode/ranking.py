@@ -23,13 +23,13 @@ rasterized superlevel set of the same density at a wider bandwidth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 import scipy.ndimage
 
-from .dmd import DmdOptions, DmdResult, _compress, _lift, _reduced_dmd
+from .dmd import DmdOptions, DmdResult, deletion_spectra
 from .errors import NumericalError
 from .grids import GridLayout, SnapshotMatrix
 from .modes import (ModeInfo, half_doubling_time, pair_conjugates, period)
@@ -37,6 +37,10 @@ from .modes import (ModeInfo, half_doubling_time, pair_conjugates, period)
 ROBUSTNESS_BANDWIDTH = 2e-3
 CLUSTER_BANDWIDTH = 2.5e-2
 CLUSTER_LEVEL_FRACTION = 0.1
+# Largest KDE raster kde_grid allocates: 2**25 float64 cells are 256 MiB.
+KDE_MAX_CELLS = 2 ** 25
+# Channel whose share of each mode fills the vertically weighted RMS column.
+VERTICAL_CHANNEL = "uz"
 
 
 def rms_contribution(b: complex, gamma: complex, t_window: float) -> float:
@@ -141,7 +145,8 @@ def kde_grid(density: KdeDensity, *, margin: float | None = None,
     covers the density's points (and extra_points if given) with a
     margin, default 3h, at a step of h/4.  Kernels are accumulated on
     local patches; contributions beyond 7.5 bandwidths (< 4e-25 of the
-    peak) are dropped.
+    peak) are dropped.  A box of more than KDE_MAX_CELLS cells raises
+    NumericalError before anything is allocated.
     """
     h = density.bandwidth
     step = h / 4.0
@@ -156,6 +161,11 @@ def kde_grid(density: KdeDensity, *, margin: float | None = None,
     im1 = pts.imag.max() + margin
     n_re = int(math.ceil((re1 - re0) / step)) + 1
     n_im = int(math.ceil((im1 - im0) / step)) + 1
+    if n_re * n_im > KDE_MAX_CELLS:
+        raise NumericalError(
+            f"KDE raster of {n_re}x{n_im} cells over re [{re0:.6g}, {re1:.6g}] x "
+            f"im [{im0:.6g}, {im1:.6g}] at h={h:.6g} exceeds {KDE_MAX_CELLS} cells"
+        )
     re_axis = re0 + step * np.arange(n_re)
     im_axis = im0 + step * np.arange(n_im)
     values = np.zeros((n_re, n_im))
@@ -223,36 +233,20 @@ def leave_one_out(snap: SnapshotMatrix, opts: DmdOptions,
     order is deterministic; trials are mutually independent.  The
     truncation rank (and TLSQ rank) are capped at the reduced column
     count when the deletion makes them infeasible.  The snapshots are
-    factored once; a trial deletes a column of the R-factor pair and
-    never forms a D-row array.  A trial that raises NumericalError is
-    recorded in failures and skipped; NumericalError is raised only when
-    every trial fails.
+    factored once (dmd.deletion_spectra), so a trial never forms a D-row
+    array.  A trial that raises NumericalError is recorded in failures
+    and skipped; NumericalError is raised only when every trial fails.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    q, r1, r2, r, mean_mode = _compress(snap, opts)
-    base = _lift(q, _reduced_dmd(r1, r2, r, snap.d, opts),
-                 snap.dt, opts, mean_mode, snap.t0)
-    cols = r1.shape[1]
-    if cols < 2:
-        raise ValueError("cannot delete a column from a single-column pair")
-    r_cap = min(opts.r, cols - 1)
-    tlsq_cap = None
-    if opts.use_tlsq:
-        tlsq_cap = min(opts.tlsq_rank if opts.tlsq_rank is not None else opts.r,
-                       cols - 1)
-    trial_opts = replace(opts, r=r_cap, tlsq_rank=tlsq_cap)
-    rng = np.random.default_rng(seed)
-    omitted = _draw_omitted(cols, trials, rng)
+    omitted = _draw_omitted(snap.n - 1, trials, np.random.default_rng(seed)).tolist()
+    base, spectra = deletion_spectra(snap, opts, omitted)
     out, failed = [], []
-    for i in omitted.tolist():
-        try:
-            red = _reduced_dmd(np.delete(r1, i, axis=1), np.delete(r2, i, axis=1),
-                               r, snap.d, trial_opts)
-        except NumericalError as exc:
-            failed.append(LooFailure(omitted_column=i, message=str(exc)))
-            continue
-        out.append(LooTrial(omitted_column=i, mu=red.mu))
+    for i, mu in zip(omitted, spectra):
+        if isinstance(mu, NumericalError):
+            failed.append(LooFailure(omitted_column=i, message=str(mu)))
+        else:
+            out.append(LooTrial(omitted_column=i, mu=mu))
     if not out:
         raise NumericalError(
             f"all {len(failed)} leave-one-out trials failed; the first, omitting "
@@ -344,22 +338,20 @@ def energy_density(mus: np.ndarray, rms_weights: np.ndarray,
 
 def build_mode_table(result: DmdResult, t_window: float,
                      layout: GridLayout | None = None,
-                     vertical_channel: str = "uz",
                      robustness: np.ndarray | None = None,
-                     clusters: Sequence[int | None] | None = None,
-                     pair_tol: float = 1e-9) -> list[ModeInfo]:
+                     clusters: Sequence[int | None] | None = None) -> list[ModeInfo]:
     """Assemble per-mode summary rows for a decomposition.
 
     t_window is the ranking window in hours, normally the record length
-    (N - 1) * dt.  When a layout with the vertical channel is supplied,
+    (N - 1) * dt.  When a layout with VERTICAL_CHANNEL is supplied,
     the vertically weighted RMS column is filled; robustness scores and
     cluster labels are attached when given (aligned with result order).
     """
-    partner = pair_conjugates(result.mu, tol=pair_tol)
+    partner = pair_conjugates(result.mu)
     sel = None
     if layout is not None:
         try:
-            sel = layout.channel_slice(vertical_channel)
+            sel = layout.channel_slice(VERTICAL_CHANNEL)
         except KeyError:
             sel = None
     infos = []

@@ -12,9 +12,10 @@ import numpy as np
 
 from koopmode.dmd import (DmdOptions, DmdResult, column_normalize,
                           default_fit_indices, fit_coefficients_first,
-                          fit_coefficients_multi, regression_pair,
+                          fit_coefficients_multi, split_snapshots,
                           tlsq_project, truncated_svd)
 from koopmode.errors import NumericalError
+from koopmode.grids import remove_temporal_mean
 
 _DEFECTIVE_COND = 1e12
 _RANK_RTOL = 1e-13
@@ -92,6 +93,22 @@ def reference_dmd_from_pair(x1: np.ndarray, x2: np.ndarray, fit_data: np.ndarray
         t0=t0,
         mean_mode=mean_mode,
     )
+
+
+def regression_pair(snap, opts: DmdOptions):
+    """The snapshot pair a decomposition with opts regresses on.
+
+    Returns (x1, x2, fit_data, mean_mode): the time-shifted pair of the
+    snapshots, centered first when opts.remove_mean is set; the matrix
+    the amplitudes are fitted against; and the removed temporal mean, or
+    None.
+    """
+    mean_mode = None
+    work = snap
+    if opts.remove_mean:
+        mean_mode, work = remove_temporal_mean(snap)
+    x1, x2 = split_snapshots(work)
+    return x1, x2, work.data, mean_mode
 
 
 def reference_exact_dmd(snap, opts: DmdOptions) -> DmdResult:

@@ -286,6 +286,17 @@ def test_loo_goes_on_past_failed_trials(tmp_path, capsys):
     assert main(["loo", "--config", one]) == 3
 
 
+def test_loo_exits_3_on_a_kde_raster_beyond_the_cell_bound(tmp_path, capsys):
+    """A cluster bandwidth of 1e-6 would raster the unit circle at
+    2.5e-7 steps, ~6e13 cells: loo exits 3 and names the box."""
+    data = synth_dataset(tmp_path)
+    cfg = write_cfg(tmp_path, "loo.cfg", input=data, out=tmp_path / "loo", rank=17,
+                    loo_trials=3, h_cluster=1e-6)
+    assert main(["loo", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: KDE raster of" in err and "h=1e-06" in err
+
+
 def test_loo_kde_grid_is_the_pooled_density(tmp_path):
     out = loo_out(tmp_path)
     with open(out / "pooled_eigenvalues.csv") as fh:

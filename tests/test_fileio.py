@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from koopmode.errors import DataFormatError
-from koopmode.fileio import (format_float, ingest, read_mode_matrix,
-                             read_snapshots, read_snapshots_csv, write_csv,
-                             write_mode_matrix, write_snapshots)
+from koopmode.fileio import (ingest, read_mode_matrix, read_snapshots,
+                             read_snapshots_csv, write_csv, write_mode_matrix,
+                             write_snapshots)
 from koopmode.grids import SnapshotMatrix, scalar_layout, velocity_layout
 
 from conftest import make_rng, random_mask
@@ -162,11 +162,6 @@ def test_mode_matrix_rejects_snapshot_file(tmp_path, rng):
     write_snapshots(path, snap)
     with pytest.raises(DataFormatError, match="magic"):
         read_mode_matrix(path)
-
-
-def test_format_float_roundtrips_examples():
-    for x in (0.1, 1.0 / 3.0, 12.421, -43.05, 1e-300, 6.02e23):
-        assert float(format_float(x)) == x
 
 
 def test_write_csv_rows_nan_and_line_endings(tmp_path):

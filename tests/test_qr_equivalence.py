@@ -15,11 +15,11 @@ from hypothesis import strategies as st
 from koopmode.dmd import DmdOptions, exact_dmd, modified_options
 from koopmode.errors import NumericalError
 from koopmode.grids import SnapshotMatrix, scalar_layout
-from koopmode.oracle import generate, tidal_spec
+from koopmode.oracle import PROFILE_POLICIES, generate, tidal_spec
 from koopmode.ranking import leave_one_out
 
 from conftest import make_rng
-from dspace_reference import reference_exact_dmd, reference_trial_mu
+from dspace_reference import reference_exact_dmd, reference_trial_mu, regression_pair
 
 
 def nearest(mu: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -77,11 +77,59 @@ def test_qr_path_matches_dspace_reference(seed, wide, remove_mean, b_fit, use_tl
     assert np.array_equal(loo.base.mu, res.mu)
     for trial in loo.trials:
         assert_spectra_match(trial.mu, reference_trial_mu(snap, opts, trial.omitted_column))
-    # a trial fails exactly where the reference fails, e.g. a two-snapshot
-    # amplitude fit that a spurious fast mode makes rank deficient
+    # a trial fails exactly where the reference fails
     for failure in loo.failures:
         with pytest.raises(NumericalError):
             reference_trial_mu(snap, opts, failure.omitted_column)
+
+
+@given(seed=st.integers(0, 10_000),
+       d=st.sampled_from([20, 30, 120]),
+       n=st.sampled_from([24, 40]),
+       noise=st.sampled_from([0.0, 1e-6, 1e-3]),
+       profile=st.sampled_from(PROFILE_POLICIES),
+       remove_mean=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_data_rank_from_r_equals_dspace_matrix_rank(seed, d, n, noise, profile,
+                                                    remove_mean):
+    """The data rank counted on R[:, :-1] is numpy's matrix_rank of the
+    D-row regression matrix, centered under mean removal: D < N and
+    D > N, a clean oracle (rank 17, or 16 centered) and noisy ones."""
+    snap, _ = generate(tidal_spec(d=d, n=n, noise_sigma=noise, seed=seed, profile=profile))
+    opts = DmdOptions(r=1, remove_mean=remove_mean)
+    x1, _, _, _ = regression_pair(snap, opts)
+    assert exact_dmd(snap, opts).data_rank == np.linalg.matrix_rank(x1)
+
+
+def test_data_rank_tolerance_keeps_the_d_row_dimension():
+    """A singular value of 3e-14 * sigma_1 lies below matrix_rank's
+    tolerance for the 300 x 11 regression matrix (300 * eps = 6.7e-14)
+    but above that of an 11 x 11 R pair (11 * eps = 2.4e-15): the count
+    on R must use D."""
+    rng = make_rng(11)
+    d, n = 300, 12
+    u, _ = np.linalg.qr(rng.standard_normal((d, n - 1)))
+    v, _ = np.linalg.qr(rng.standard_normal((n - 1, n - 1)))
+    sigma = np.r_[np.logspace(0, -3, n - 2), 3e-14]
+    x1 = (u * sigma) @ v.T
+    snap = SnapshotMatrix(np.c_[x1, x1[:, -1]], dt=1.0, t0=0.0, layout=scalar_layout(d))
+    assert np.linalg.matrix_rank(x1) == n - 2
+    assert exact_dmd(snap, DmdOptions(r=1)).data_rank == n - 2
+
+
+@pytest.mark.parametrize("svd_mode", ["standard", "high_accuracy"])
+def test_fast_spurious_mode_leaves_two_snapshot_fit_full_rank(svd_mode):
+    """A spurious mode growing as mu**n inflates the largest singular
+    value of the stacked multi:2 amplitude system.  The fit scales its
+    columns first, so the trial omitting pair column 37 no longer reads
+    as rank deficient (13 < 16) and matches the reference trial."""
+    snap, _ = generate(tidal_spec(d=25, n=40, noise_sigma=1e-3, seed=1767))
+    opts = DmdOptions(r=16, use_tlsq=True, normalize_columns=True, remove_mean=True,
+                      b_fit="multi:2", svd_mode=svd_mode)
+    loo = leave_one_out(snap, opts, trials=39)  # every pair column once
+    assert loo.failures == ()
+    trial = next(t for t in loo.trials if t.omitted_column == 37)
+    assert_spectra_match(trial.mu, reference_trial_mu(snap, opts, 37))
 
 
 def test_graded_columns_keep_relative_accuracy_on_r():

@@ -11,7 +11,8 @@ from koopmode.dmd import DmdOptions, exact_dmd
 from koopmode.errors import NumericalError
 from koopmode.grids import velocity_layout
 from koopmode.modes import pair_conjugates
-from koopmode.ranking import (CLUSTER_BANDWIDTH, ROBUSTNESS_BANDWIDTH,
+from koopmode import ranking
+from koopmode.ranking import (CLUSTER_BANDWIDTH, KDE_MAX_CELLS, ROBUSTNESS_BANDWIDTH,
                               KdeDensity, build_mode_table,
                               cluster_eigenvalues, component_rms,
                               energy_density, half_life_cutoff, kde_eval,
@@ -185,6 +186,27 @@ def test_kde_grid_covers_extra_points():
     far = np.array([1.0 + 1.0j])
     re_axis, im_axis, _ = kde_grid(d, extra_points=far)
     assert re_axis[-1] >= 1.0 and im_axis[-1] >= 1.0
+
+
+def test_kde_grid_refuses_a_box_beyond_the_cell_bound():
+    """Two points 100 apart at the cluster bandwidth span 16025 x 16025
+    cells (2 GB of float64): an error naming the box, not an allocation."""
+    d = KdeDensity(points=np.array([0j, 100 + 100j]), weights=np.ones(2),
+                   bandwidth=CLUSTER_BANDWIDTH)
+    with pytest.raises(NumericalError, match=r"16025x16025 cells over re \[-0.075"):
+        kde_grid(d)
+
+
+def test_kde_grid_cell_bound_is_inclusive(monkeypatch):
+    d = KdeDensity(points=np.array([0j, 1 + 0.5j]), weights=np.ones(2), bandwidth=0.1)
+    re_axis, im_axis, _ = kde_grid(d)
+    cells = re_axis.size * im_axis.size
+    assert cells < KDE_MAX_CELLS
+    monkeypatch.setattr(ranking, "KDE_MAX_CELLS", cells)
+    assert kde_grid(d)[2].size == cells
+    monkeypatch.setattr(ranking, "KDE_MAX_CELLS", cells - 1)
+    with pytest.raises(NumericalError, match="h=0.1 exceeds"):
+        kde_grid(d)
 
 
 # ----------------------------------------------------------- leave-one-out
