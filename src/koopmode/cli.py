@@ -214,6 +214,23 @@ def _resolve_options(cfg: RunConfig) -> DmdOptions:
         raise ConfigError(str(exc)) from exc
 
 
+def _check_settings(cfg: RunConfig) -> None:
+    """Reject bad window, robustness and clustering settings before any
+    data is read or decomposed."""
+    checks = (
+        ("loo_trials", cfg.loo_trials >= 1, ">= 1"),
+        ("h_robust", 0.0 < cfg.h_robust < math.inf, "positive and finite"),
+        ("h_cluster", 0.0 < cfg.h_cluster < math.inf, "positive and finite"),
+        ("cluster_level", 0.0 < cfg.cluster_level < 1.0, "in (0, 1)"),
+        ("persistence_t", cfg.persistence_t is None or 0.0 < cfg.persistence_t < math.inf,
+         "positive and finite"),
+        ("persistence_factor", 0.0 < cfg.persistence_factor < 1.0, "in (0, 1)"),
+    )
+    for key, ok, rule in checks:
+        if not ok:
+            raise ConfigError(f"{key} must be {rule}, got {getattr(cfg, key)}")
+
+
 @dataclass(frozen=True)
 class _Analysis:
     """The input, decomposition and mode table of one command; after
@@ -232,11 +249,12 @@ def _analyse(cfg: RunConfig, robust: bool) -> _Analysis:
     leave-one-out and fills the robustness and cluster columns."""
     if not cfg.input:
         raise ConfigError("no input dataset configured (key: input)")
+    _check_settings(cfg)
+    opts = _resolve_options(cfg)
     try:
         snap = fileio.ingest(cfg.input)
     except ValueError as exc:
         raise DataFormatError(str(exc)) from exc
-    opts = _resolve_options(cfg)
     t_window = cfg.persistence_t if cfg.persistence_t is not None else (snap.n - 1) * snap.dt
     loo = leave_one_out(snap, opts, trials=cfg.loo_trials, seed=cfg.seed) if robust else None
     result = loo.base if robust else exact_dmd(snap, opts)

@@ -27,9 +27,10 @@ rows: normalization, TLSQ, the truncated SVD, the reduced eig and the
 amplitude fit each cost O(N^3) or less.  Q has orthonormal columns, so
 column norms, singular values, eigenpairs and least-squares residuals
 are those of the original matrices.  Modes are lifted by Q once, for the
-returned result only; column-deletion trials (deletion_spectra) delete
-columns of the R pair and never form a D-row array.  Peak memory is
-about twice the data.
+returned result only, and the amplitudes are fitted once.  Column-deletion
+trials (deletion_spectra) delete columns of the R pair, never form a
+D-row array, and compute eigenvalues only: no modes, residuals or
+amplitude fit.  Peak memory is about twice the data.
 
 Rank.  The data rank is counted on R[:, :-1], whose singular values are
 those of the D x (N-1) regression matrix: those above
@@ -338,28 +339,29 @@ def reconstruct(result: DmdResult, times: Sequence[int]) -> np.ndarray:
     return x
 
 
-class _Reduced(NamedTuple):
-    """One decomposition in R-factor coordinates, in result order.
+class _Spectrum(NamedTuple):
+    """The reduced eigenproblem of one pair in R-factor coordinates.
 
-    modes have unit norm and no phase convention yet; b fits them.
+    mu and w are the eigenpairs of k_reduced, in eig's order; r2_v_sinv
+    lifts w to the (unnormalized) exact modes.
     """
 
-    modes: np.ndarray
     mu: np.ndarray
-    b: np.ndarray
+    w: np.ndarray
+    k_reduced: np.ndarray
+    r2_v_sinv: np.ndarray
     singular_values: np.ndarray
-    residuals: np.ndarray
 
 
-def _reduced_dmd(r1: np.ndarray, r2: np.ndarray, r_fit: np.ndarray, d: int,
-                 opts: DmdOptions) -> _Reduced:
-    """The decomposition of a pair given in R-factor coordinates.
+def _spectrum(r1: np.ndarray, r2: np.ndarray, d: int, opts: DmdOptions) -> _Spectrum:
+    """The eigenvalues of a pair given in R-factor coordinates.
 
-    r1, r2 and r_fit hold the pair and the fit snapshots in one
-    orthonormal basis Q (x = Q @ r), so they have at most N rows; d is
-    the state dimension D of the original snapshots.  Column norms,
-    singular values, eigenpairs and least-squares residuals are those of
-    the original matrices, because Q preserves lengths.
+    r1 and r2 hold the pair in one orthonormal basis Q (x = Q @ r), so
+    they have at most N rows; d is the state dimension D of the original
+    snapshots.  Column norms, singular values and eigenpairs are those
+    of the original matrices, because Q preserves lengths.  Raises
+    NumericalError on rank loss below opts.r, a numerically defective
+    eigenvector matrix or a zero eigenvalue.
     """
     cols = r1.shape[1]
     if opts.normalize_columns:
@@ -396,13 +398,39 @@ def _reduced_dmd(r1: np.ndarray, r2: np.ndarray, r_fit: np.ndarray, d: int,
             f"eigendecomposition is numerically defective; eigenvector "
             f"condition estimate {cond_w:.3e}"
         )
-    residuals = np.linalg.norm(k_reduced @ w - w * mu[None, :], axis=0)
-
     if (np.abs(mu) == 0.0).any():
         raise NumericalError("zero eigenvalue; continuous-time exponent undefined")
+    return _Spectrum(mu, w, k_reduced, r2_v_sinv, svd.singular_values)
+
+
+class _Reduced(NamedTuple):
+    """One decomposition in R-factor coordinates, in result order.
+
+    modes have unit norm and no phase convention yet; b fits them.
+    """
+
+    modes: np.ndarray
+    mu: np.ndarray
+    b: np.ndarray
+    singular_values: np.ndarray
+    residuals: np.ndarray
+
+
+def _reduced_dmd(r1: np.ndarray, r2: np.ndarray, r_fit: np.ndarray, d: int,
+                 opts: DmdOptions) -> _Reduced:
+    """The decomposition of a pair given in R-factor coordinates.
+
+    _spectrum of the pair, then the eig residuals, the exact modes and
+    their amplitudes fitted against r_fit, the fit snapshots in the same
+    basis Q.  Least-squares residuals are those of the original
+    matrices, because Q preserves lengths.
+    """
+    sp = _spectrum(r1, r2, d, opts)
+    mu, w = sp.mu, sp.w
+    residuals = np.linalg.norm(sp.k_reduced @ w - w * mu[None, :], axis=0)
 
     # Exact modes at unit norm; the phase convention needs the lifted modes.
-    modes = r2_v_sinv @ w
+    modes = sp.r2_v_sinv @ w
     norms = np.linalg.norm(modes, axis=0)
     if (norms == 0.0).any():
         raise NumericalError("zero exact mode; cannot normalize")
@@ -418,7 +446,7 @@ def _reduced_dmd(r1: np.ndarray, r2: np.ndarray, r_fit: np.ndarray, d: int,
     # |b| does not depend on the phase convention, so neither does the order.
     order = np.lexsort((np.angle(mu), -np.abs(mu), -np.abs(b)))
     return _Reduced(modes[:, order], mu[order], b[order],
-                    svd.singular_values, residuals[order])
+                    sp.singular_values, residuals[order])
 
 
 def _decompose(q: np.ndarray, r1: np.ndarray, r2: np.ndarray, r_fit: np.ndarray,
@@ -503,8 +531,12 @@ def deletion_spectra(snap: SnapshotMatrix, opts: DmdOptions, omitted: Sequence[i
 
     The snapshots are factored once; a rerun deletes a column of the R
     pair and never forms a D-row array.  Its truncation rank (and TLSQ
-    rank) are capped at the reduced column count.  A rerun that raises
-    NumericalError yields the error in place of its spectrum.
+    rank) are capped at the reduced column count.  A rerun computes its
+    eigenvalues only, sorted by descending |mu| then ascending arg(mu);
+    it forms no modes and fits no amplitudes, so it cannot fail on the
+    amplitude fit.  A rerun that raises NumericalError (rank loss, a
+    defective eigenvector matrix or a zero eigenvalue) yields the error
+    in place of its spectrum.
     """
     base, r = _qr_dmd(snap, opts)
     r1, r2 = r[:, :-1], r[:, 1:]
@@ -516,8 +548,10 @@ def deletion_spectra(snap: SnapshotMatrix, opts: DmdOptions, omitted: Sequence[i
     spectra = []
     for i in omitted:
         try:
-            spectra.append(_reduced_dmd(np.delete(r1, i, axis=1), np.delete(r2, i, axis=1),
-                                        r, snap.d, trial_opts).mu)
+            mu = _spectrum(np.delete(r1, i, axis=1), np.delete(r2, i, axis=1),
+                           snap.d, trial_opts).mu
         except NumericalError as exc:
             spectra.append(exc)
+            continue
+        spectra.append(mu[np.lexsort((np.angle(mu), -np.abs(mu)))])
     return base, spectra

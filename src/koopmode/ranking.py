@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.ndimage
 
 from .dmd import DmdOptions, DmdResult, deletion_spectra
 from .errors import NumericalError
@@ -191,7 +190,11 @@ def kde_grid(density: KdeDensity, *, margin: float | None = None,
 
 @dataclass(frozen=True)
 class LooTrial:
-    """Spectrum of one perturbed rerun with a single pair column deleted."""
+    """Spectrum of one perturbed rerun with a single pair column deleted.
+
+    mu holds eigenvalues only, sorted by descending |mu| then ascending
+    arg(mu); a trial fits no amplitudes, so it cannot fail on the fit.
+    """
 
     omitted_column: int
     mu: np.ndarray
@@ -234,8 +237,9 @@ def leave_one_out(snap: SnapshotMatrix, opts: DmdOptions,
     truncation rank (and TLSQ rank) are capped at the reduced column
     count when the deletion makes them infeasible.  The snapshots are
     factored once (dmd.deletion_spectra), so a trial never forms a D-row
-    array.  A trial that raises NumericalError is recorded in failures
-    and skipped; NumericalError is raised only when every trial fails.
+    array, and a trial computes its eigenvalues only.  A trial that
+    raises NumericalError is recorded in failures and skipped;
+    NumericalError is raised only when every trial fails.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -299,6 +303,8 @@ def label_clusters(density: KdeDensity,
     at its default margin; labels and their numbering follow
     cluster_eigenvalues.
     """
+    import scipy.ndimage  # imported here so that run and slice never load it
+
     if not 0.0 < level_fraction < 1.0:
         raise ValueError("level_fraction must lie in (0, 1)")
     base = np.asarray(base_mus, dtype=complex).ravel()

@@ -286,6 +286,26 @@ def test_loo_goes_on_past_failed_trials(tmp_path, capsys):
     assert main(["loo", "--config", one]) == 3
 
 
+@pytest.mark.parametrize("key,value", [
+    ("loo_trials", 0), ("h_robust", 0), ("h_robust", "nan"), ("h_cluster", -0.1),
+    ("h_cluster", "inf"), ("cluster_level", 1), ("persistence_t", 0),
+    ("persistence_factor", 1.5),
+])
+def test_loo_exits_2_on_bad_settings_before_reading_data(tmp_path, monkeypatch, capsys,
+                                                          key, value):
+    """A bad window, robustness or clustering setting ends loo with exit
+    2 before the input is read or any trial runs."""
+    def never(*args, **kwargs):
+        raise AssertionError("called before the settings were checked")
+
+    monkeypatch.setattr(cli.fileio, "ingest", never)
+    monkeypatch.setattr(cli, "leave_one_out", never)
+    cfg = write_cfg(tmp_path, "loo.cfg", input=tmp_path / "absent.dmds",
+                    out=tmp_path / "loo", rank=17, **{key: value})
+    assert main(["loo", "--config", cfg]) == 2
+    assert f"config error: {key} must be" in capsys.readouterr().err
+
+
 def test_loo_exits_3_on_a_kde_raster_beyond_the_cell_bound(tmp_path, capsys):
     """A cluster bandwidth of 1e-6 would raster the unit circle at
     2.5e-7 steps, ~6e13 cells: loo exits 3 and names the box."""

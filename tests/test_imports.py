@@ -1,10 +1,14 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and the
+command-line module loads no more than its commands need.
 
-The check reads the sources with the stdlib ast module, so it needs no
-linter.  __init__.py is exempt (its imports are re-exports), and so are
-`from __future__` imports.
+The unused-import check reads the sources with the stdlib ast module, so
+it needs no linter.  __init__.py is exempt (its imports are re-exports),
+and so are `from __future__` imports.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +41,15 @@ def test_checker_flags_unused_names():
     ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_cli_import_leaves_out_scipy_ndimage():
+    """Only clustering labels with scipy.ndimage, so `run` and `slice`
+    never pay for importing it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(PACKAGE.parent), env.get("PYTHONPATH")) if p)
+    code = ("import sys, koopmode.cli\n"
+            "assert 'koopmode.ranking' in sys.modules\n"
+            "assert 'scipy.ndimage' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
