@@ -1,27 +1,24 @@
 """Koopman-mode decomposition toolkit for gridded snapshot data."""
 
 from .dmd import (DmdOptions, DmdResult, TruncatedSvd, column_normalize,
-                  dmd_from_pair, exact_dmd, fit_coefficients_first,
-                  fit_coefficients_multi, modified_options, reconstruct,
-                  split_snapshots, tlsq_project, truncated_svd)
+                  dmd_from_pair, exact_dmd, fit_coefficients_multi,
+                  modified_options, reconstruct, split_snapshots,
+                  tlsq_project, truncated_svd)
 from .errors import ConfigError, DataFormatError, KoopmodeError, NumericalError
 from .fileio import ingest, read_mode_matrix, read_snapshots, write_mode_matrix, write_snapshots
-from .grids import (ChannelSpec, DepthMap, GridLayout, SliceResult,
-                    SnapshotMatrix, SurfaceSlice, VelocityField,
-                    VerticalSection, extract_slice, fields_to_snapshots,
-                    remove_temporal_mean, scalar_layout, stack_observables,
-                    velocity_layout)
+from .grids import (ChannelSpec, GridLayout, SliceResult, SnapshotMatrix,
+                    SurfaceSlice, VelocityField, VerticalSection,
+                    extract_slice, fields_to_snapshots, scalar_layout,
+                    stack_observables, velocity_layout)
 from .modes import (ConjugatePairingError, EllipseParams, ModeInfo,
                     half_doubling_time, pair_conjugates, period, polar_mode,
-                    tidal_ellipse, to_continuous, two_layer_wave_speed,
-                    write_mode_table)
+                    tidal_ellipse, two_layer_wave_speed, write_mode_table)
 from .oracle import (GroundTruth, ModeSpec, OracleSpec, compare_spectra,
                      generate, tidal_preset, tidal_spec, TIDAL_PERIODS_HOURS)
 from .ranking import (KdeDensity, LeaveOneOutResult, LooFailure, LooTrial,
                       build_mode_table, cluster_eigenvalues, component_rms,
-                      energy_density, half_life_cutoff, kde_eval, kde_grid,
-                      leave_one_out, persistence_filter, rms_contribution,
-                      robustness_scores)
+                      half_life_cutoff, kde_eval, kde_grid, leave_one_out,
+                      persistence_filter, rms_contribution, robustness_scores)
 from .rom import (ErrorCurve, RomModel, RomSelection, build_rom, error_curve,
                   reconstruct_rom, select_modes)
 

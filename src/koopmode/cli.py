@@ -19,6 +19,7 @@ import dataclasses
 import json
 import math
 import sys
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,7 +29,8 @@ from . import fileio
 from .dmd import DmdOptions, DmdResult, exact_dmd
 from .errors import ConfigError, DataFormatError, NumericalError
 from .grids import SnapshotMatrix, SurfaceSlice, VerticalSection, extract_slice
-from .modes import ModeInfo, format_mode_table, tidal_ellipse, write_mode_table
+from .modes import (ModeInfo, format_mode_table, polar_mode, tidal_ellipse,
+                    write_mode_table)
 from .oracle import generate, tidal_spec
 from .ranking import (build_mode_table, kde_grid, KdeDensity, label_clusters,
                       leave_one_out, LeaveOneOutResult, robustness_scores)
@@ -78,30 +80,18 @@ def _parse_bool(s: str) -> bool:
         return True
     if low in ("off", "false", "no", "0"):
         return False
-    raise ConfigError(f"expected on/off, got {s!r}")
+    raise ValueError(f"expected on/off, got {s!r}")
 
 
-def _parse_opt_int(s: str):
-    return None if s.strip() == "" else int(s)
+def _optional(parse):
+    return lambda s: None if s.strip() == "" else parse(s)
 
 
-def _parse_opt_float(s: str):
-    return None if s.strip() == "" else float(s)
-
-
-_PARSERS = {
-    "input": str, "out": str, "seed": int,
-    "rank": _parse_opt_int, "tlsq": _parse_bool, "tlsq_rank": _parse_opt_int,
-    "normalize": _parse_bool, "mean_removal": _parse_bool,
-    "bfit": str, "svd_mode": str,
-    "loo_trials": int, "h_robust": float, "h_cluster": float,
-    "cluster_level": float,
-    "persistence_t": _parse_opt_float, "persistence_factor": float,
-    "synth_preset": str, "synth_d": int, "synth_n": int, "synth_dt": float,
-    "synth_noise": float, "synth_profile": str,
-    "slice_kind": str, "slice_channel": str, "slice_k": int,
-    "slice_path": str, "slice_modes": str,
-}
+# One parser per RunConfig field, chosen by its annotation.
+_TYPE_PARSERS = {str: str, int: int, float: float, bool: _parse_bool,
+                 int | None: _optional(int), float | None: _optional(float)}
+_PARSERS = {name: _TYPE_PARSERS[hint]
+            for name, hint in typing.get_type_hints(RunConfig).items() if name != "roms"}
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -128,7 +118,7 @@ def load_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
             setattr(cfg, key, _PARSERS[key](value))
-        except (ValueError, ConfigError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return cfg
 
@@ -147,14 +137,15 @@ def _config_echo(cfg: RunConfig) -> str:
     return "\n".join(sorted(lines)) + "\n"
 
 
-def _rom_selection(name: str, fields: dict, n_total: int,
-                   persistence_t: float, persistence_factor: float) -> RomSelection:
+def _rom_fields(name: str, fields: dict) -> dict:
+    """The RomSelection keywords of one rom.<name> block; indices = all
+    stays the string "all" until the rank is known."""
     kw = {}
     try:
         if "indices" in fields:
             txt = fields["indices"].strip()
             if txt.lower() == "all":
-                kw["indices"] = tuple(range(1, n_total + 1))
+                kw["indices"] = "all"
             else:
                 kw["indices"] = tuple(int(t) for t in txt.split(",") if t.strip())
         for fld in ("rms_min", "rms_max", "robustness_min", "robustness_max"):
@@ -164,8 +155,32 @@ def _rom_selection(name: str, fields: dict, n_total: int,
             kw["persistent_only"] = _parse_bool(fields["persistent_only"])
     except ValueError as exc:
         raise ConfigError(f"rom.{name}: {exc}") from exc
-    return RomSelection(persistence_t=persistence_t,
-                        persistence_factor=persistence_factor, **kw)
+    return kw
+
+
+def _slice_request(cfg: RunConfig) -> tuple[list[int], SurfaceSlice | VerticalSection]:
+    """The 1-based mode indices and the slice geometry of cfg.  The
+    geometry's channel is left empty: it needs the layout of the input."""
+    try:
+        modes_idx = [int(t) for t in cfg.slice_modes.split(",") if t.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"bad slice_modes: {exc}") from exc
+    if not modes_idx:
+        raise ConfigError("slice_modes selects no modes")
+    if cfg.slice_kind == "surface":
+        return modes_idx, SurfaceSlice(channel="", k=cfg.slice_k)
+    if cfg.slice_kind != "section":
+        raise ConfigError(f"unknown slice_kind {cfg.slice_kind!r}")
+    try:
+        verts = tuple(
+            tuple(int(c) for c in vert.split(","))
+            for vert in cfg.slice_path.split(";") if vert.strip()
+        )
+    except ValueError as exc:
+        raise ConfigError(f"bad slice_path: {exc}") from exc
+    if not verts or any(len(v) != 2 for v in verts):
+        raise ConfigError("slice_path must be j0,i0;j1,i1;...")
+    return modes_idx, VerticalSection(channel="", path=verts)
 
 
 class _OutputDir:
@@ -371,14 +386,17 @@ def cmd_loo(cfg: RunConfig) -> int:
 def cmd_rom(cfg: RunConfig) -> int:
     if not cfg.roms:
         raise ConfigError("no ROM selections configured (keys: rom.<name>.<field>)")
+    selections = {name: _rom_fields(name, cfg.roms[name]) for name in sorted(cfg.roms)}
     a = _analyse(cfg, robust=any(
         "robustness_min" in f or "robustness_max" in f for f in cfg.roms.values()))
     data_rank = a.result.data_rank
     out = _OutputDir(cfg.out, "rom")
     summary = {}
-    for name in sorted(cfg.roms):
-        sel = _rom_selection(name, cfg.roms[name], a.result.r, a.t_window,
-                             cfg.persistence_factor)
+    for name, kw in selections.items():
+        if kw.get("indices") == "all":
+            kw["indices"] = tuple(range(1, a.result.r + 1))
+        sel = RomSelection(persistence_t=a.t_window,
+                           persistence_factor=cfg.persistence_factor, **kw)
         try:
             indices = select_modes(a.infos, sel)
             model = build_rom(a.result, indices)
@@ -421,6 +439,7 @@ def _ellipse_rows(gu: np.ndarray, gv: np.ndarray):
 
 
 def cmd_slice(cfg: RunConfig) -> int:
+    modes_idx, spec = _slice_request(cfg)
     a = _analyse(cfg, robust=False)
     result, layout = a.result, a.snap.layout
     channel = cfg.slice_channel or layout.channels[0].name
@@ -428,42 +447,18 @@ def cmd_slice(cfg: RunConfig) -> int:
     if channel not in names:
         raise ConfigError(f"layout has no channel named {channel!r}; "
                           f"available: {', '.join(sorted(names))}")
-    try:
-        modes_idx = [int(t) for t in cfg.slice_modes.split(",") if t.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad slice_modes: {exc}") from exc
-    if not modes_idx:
-        raise ConfigError("slice_modes selects no modes")
     for m in modes_idx:
         if not 1 <= m <= result.r:
             raise ConfigError(f"slice mode index {m} outside 1..{result.r}")
-    if cfg.slice_kind == "surface":
-        spec = SurfaceSlice(channel=channel, k=cfg.slice_k)
-    elif cfg.slice_kind == "section":
-        try:
-            verts = tuple(
-                tuple(int(c) for c in vert.split(","))
-                for vert in cfg.slice_path.split(";") if vert.strip()
-            )
-        except ValueError as exc:
-            raise ConfigError(f"bad slice_path: {exc}") from exc
-        if not verts or any(len(v) != 2 for v in verts):
-            raise ConfigError("slice_path must be j0,i0;j1,i1;...")
-        spec = VerticalSection(channel=channel, path=verts)
-    else:
-        raise ConfigError(f"unknown slice_kind {cfg.slice_kind!r}")
+    spec = dataclasses.replace(spec, channel=channel)
     out = _OutputDir(cfg.out, "slice")
     for m in modes_idx:
-        vec = result.modes[:, m - 1] * result.b[m - 1]
+        phi, b = result.modes[:, m - 1], result.b[m - 1]
         try:
-            sl = extract_slice(vec, layout, spec)
+            sl = extract_slice(phi, layout, spec)
         except (IndexError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
-        amp = np.abs(sl.values)
-        amp[np.isnan(sl.values.real)] = np.nan
-        phase = np.angle(sl.values)
-        phase[np.isnan(sl.values.real)] = np.nan
-        for tag, grid in (("amplitude", amp), ("phase", phase)):
+        for tag, grid in zip(("amplitude", "phase"), polar_mode(sl.values, b)):
             fileio.write_csv(
                 out.path(f"slice_mode{m}_{tag}.csv"), ("row", "col", "value"), "%d,%d,%.17g",
                 ((i, j, v) for i, row in enumerate(grid.tolist()) for j, v in enumerate(row)),
@@ -471,6 +466,7 @@ def cmd_slice(cfg: RunConfig) -> int:
         is_pair = abs(result.mu[m - 1].imag) > 1e-9
         if (cfg.slice_kind == "surface" and is_pair
                 and {"ux", "uy"} <= names):
+            vec = phi * b
             w_ux = layout.channels[layout.channel_index("ux")].weight
             w_uy = layout.channels[layout.channel_index("uy")].weight
             gu = layout.grid_from_stacked(vec, "ux")[cfg.slice_k] * (2.0 / w_ux)

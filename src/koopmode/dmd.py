@@ -16,9 +16,9 @@ poorly scaled or noisy data:
     accuracy on graded matrices, instead of the faster divide-and-conquer
     driver.
 
-Amplitudes are always fitted against the original, unscaled snapshots,
-either from the first snapshot alone or jointly over a small set of
-snapshots spread across the record.
+Amplitudes are always fitted against the original, unscaled snapshots
+by one joint least-squares fit over a set of snapshot indices: {0} for
+the first-snapshot fit, or a small set spread across the record.
 
 Cost model.  The (centered) D x N snapshot matrix is factored once as
 Q R, an O(D N^2) pass (Drmac, Mezic & Mohr, SIAM J. Sci. Comput. 2018).
@@ -61,9 +61,9 @@ class DmdOptions:
 
     r is the truncation rank; None takes the default rank
     max(1, min(data rank, N - 4)) of the data decomposed.
-    b_fit is "first" (amplitudes from the first snapshot) or
-    "multi:<count>" (joint fit over count snapshots evenly spread over
-    the record, endpoints included).  svd_mode selects the LAPACK driver:
+    b_fit is "first" (the joint amplitude fit over snapshot 0 alone) or
+    "multi:<count>" (over count snapshots evenly spread over the record,
+    endpoints included).  svd_mode selects the LAPACK driver:
     "standard" divide-and-conquer or "high_accuracy" QR-based.
     """
 
@@ -257,32 +257,14 @@ def default_fit_indices(n: int, count: int) -> np.ndarray:
     return np.unique(np.rint(np.linspace(0, n - 1, count)).astype(int))
 
 
-def _solve_amplitudes(m: np.ndarray, y: np.ndarray, r: int) -> np.ndarray:
-    # Unit columns: a fast mode's mu**n column must not set the scale the
-    # rank test measures every other column against.
-    scales = column_norms(m)
-    scales[scales == 0.0] = 1.0
-    b, _, rank, sv = np.linalg.lstsq(m / scales, y.astype(complex), rcond=None)
-    if rank < r:
-        raise NumericalError(
-            f"amplitude fit is rank deficient ({rank} < {r}); "
-            f"smallest singular value {sv[-1]:.3e} of the column-scaled system"
-        )
-    return b / scales
-
-
-def fit_coefficients_first(modes: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """Least-squares amplitudes reproducing the first snapshot."""
-    modes = np.asarray(modes)
-    return _solve_amplitudes(modes, np.asarray(x0), modes.shape[1])
-
-
 def fit_coefficients_multi(modes: np.ndarray, mu: np.ndarray, data: np.ndarray,
                            indices: Sequence[int]) -> np.ndarray:
-    """Joint least-squares amplitudes over several snapshots.
+    """Joint least-squares amplitudes over a set of snapshots.
 
     Minimizes the stacked residual of data[:, n] - modes @ (mu**n * b)
-    over the given snapshot indices.
+    over the given snapshot indices; indices [0] fit the first snapshot
+    alone.  Raises NumericalError when the stacked system is rank
+    deficient.
     """
     modes = np.asarray(modes)
     mu = np.asarray(mu)
@@ -294,7 +276,18 @@ def fit_coefficients_multi(modes: np.ndarray, mu: np.ndarray, data: np.ndarray,
         raise ValueError("fit indices outside the snapshot range")
     blocks = [modes * (mu[None, :] ** int(n)) for n in idx]
     rhs = np.concatenate([data[:, int(n)] for n in idx])
-    return _solve_amplitudes(np.vstack(blocks), rhs, modes.shape[1])
+    m = np.vstack(blocks)
+    # Unit columns: a fast mode's mu**n column must not set the scale the
+    # rank test measures every other column against.
+    scales = column_norms(m)
+    scales[scales == 0.0] = 1.0
+    b, _, rank, sv = np.linalg.lstsq(m / scales, rhs.astype(complex), rcond=None)
+    if rank < modes.shape[1]:
+        raise NumericalError(
+            f"amplitude fit is rank deficient ({rank} < {modes.shape[1]}); "
+            f"smallest singular value {sv[-1]:.3e} of the column-scaled system"
+        )
+    return b / scales
 
 
 def _conjugate_closed(mu: np.ndarray, tol: float = 1e-9) -> bool:
@@ -437,11 +430,8 @@ def _reduced_dmd(r1: np.ndarray, r2: np.ndarray, r_fit: np.ndarray, d: int,
     modes = modes / norms
 
     count = opts.fit_count()
-    if count is None:
-        b = fit_coefficients_first(modes, r_fit[:, 0])
-    else:
-        idx = default_fit_indices(r_fit.shape[1], count)
-        b = fit_coefficients_multi(modes, mu, r_fit, idx)
+    idx = [0] if count is None else default_fit_indices(r_fit.shape[1], count)
+    b = fit_coefficients_multi(modes, mu, r_fit, idx)
 
     # |b| does not depend on the phase convention, so neither does the order.
     order = np.lexsort((np.angle(mu), -np.abs(mu), -np.abs(b)))

@@ -263,13 +263,6 @@ def fields_to_snapshots(fields: Sequence[VelocityField], layout: GridLayout,
     return SnapshotMatrix(np.column_stack(cols), dt=dt, t0=t0, layout=layout)
 
 
-def remove_temporal_mean(snap: SnapshotMatrix) -> tuple[np.ndarray, SnapshotMatrix]:
-    """Split snapshots into their temporal mean and centered residuals."""
-    mean = snap.data.mean(axis=1)
-    centered = snap.data - mean[:, None]
-    return mean, SnapshotMatrix(centered, dt=snap.dt, t0=snap.t0, layout=snap.layout)
-
-
 @dataclass(frozen=True)
 class SurfaceSlice:
     """Horizontal layer at depth index k of one channel."""
@@ -284,18 +277,6 @@ class VerticalSection:
 
     channel: str
     path: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
-class DepthMap:
-    """Horizontal map sampled at a per-column depth index.
-
-    k_of_column is an integer (ny, nx) array; -1 marks columns with no
-    defined depth, which come back as NaN.
-    """
-
-    channel: str
-    k_of_column: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -327,9 +308,9 @@ def _rasterize_path(path: Sequence[tuple[int, int]], ny: int, nx: int) -> tuple[
 def extract_slice(vec: np.ndarray, layout: GridLayout, spec) -> SliceResult:
     """Extract a 2-D view of one channel of a stacked vector.
 
-    Supports surface layers, vertical sections along polylines, and
-    per-column depth maps.  Masked or undefined cells are NaN in the
-    result; coordinate arrays ride along in meta.
+    Supports surface layers and vertical sections along polylines.
+    Masked cells are NaN in the result; coordinate arrays ride along in
+    meta.
     """
     grid = layout.grid_from_stacked(vec, spec.channel)
     if isinstance(spec, SurfaceSlice):
@@ -353,26 +334,6 @@ def extract_slice(vec: np.ndarray, layout: GridLayout, spec) -> SliceResult:
             "rows_k": np.arange(layout.nz),
             "path_j": jj,
             "path_i": ii,
-        }
-        return SliceResult(values, meta)
-    if isinstance(spec, DepthMap):
-        kmap = np.asarray(spec.k_of_column, dtype=int)
-        if kmap.shape != (layout.ny, layout.nx):
-            raise ValueError(
-                f"k_of_column shape {kmap.shape} does not match ({layout.ny}, {layout.nx})"
-            )
-        defined = kmap >= 0
-        if kmap[defined].size and (kmap[defined] >= layout.nz).any():
-            raise IndexError("k_of_column holds indices beyond the deepest layer")
-        dtype = complex if np.iscomplexobj(grid) else float
-        values = np.full((layout.ny, layout.nx), np.nan, dtype=dtype)
-        jj, ii = np.nonzero(defined)
-        values[jj, ii] = grid[kmap[jj, ii], jj, ii]
-        meta = {
-            "kind": "depthmap",
-            "channel": spec.channel,
-            "rows_j": np.arange(layout.ny),
-            "cols_i": np.arange(layout.nx),
         }
         return SliceResult(values, meta)
     raise TypeError(f"unknown slice spec {type(spec).__name__}")

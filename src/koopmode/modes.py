@@ -1,9 +1,10 @@
-"""Spectrum post-processing: continuous-time exponents, periods, conjugate
-pairing, polar mode form, tidal ellipses, and the mode-table CSV schema.
+"""Spectrum post-processing: periods, conjugate pairing, polar mode form,
+tidal ellipses, and the mode-table CSV schema.
 
-Discrete eigenvalues mu map to continuous exponents gamma = log(mu)/dt
-on the principal branch, so frequencies live in (-pi/dt, pi/dt].  A mode
-pair's real contribution at a grid point is
+Periods and half/doubling times read the exponents gamma = log(mu)/dt
+that the decomposition takes on the principal branch, so frequencies
+live in (-pi/dt, pi/dt].  A mode pair's real contribution at a grid
+point is
 
     2 * amplitude * exp(sigma t) * cos(omega t + phase)
 
@@ -21,17 +22,6 @@ import numpy as np
 
 from .errors import NumericalError
 from .fileio import write_csv
-
-
-def to_continuous(mu: complex | np.ndarray, dt: float):
-    """Continuous-time exponent log(mu)/dt on the principal branch."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    mu_arr = np.asarray(mu, dtype=complex)
-    if (np.abs(mu_arr) == 0.0).any():
-        raise NumericalError("zero eigenvalue has no continuous-time exponent")
-    gamma = np.log(mu_arr) / dt
-    return complex(gamma) if np.isscalar(mu) or mu_arr.ndim == 0 else gamma
 
 
 def period(gamma: complex) -> float:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -335,23 +334,14 @@ def label_clusters(density: KdeDensity,
     return [None if lab is None else renumber[lab] for lab in raw]
 
 
-def energy_density(mus: np.ndarray, rms_weights: np.ndarray,
-                   h: float = ROBUSTNESS_BANDWIDTH) -> KdeDensity:
-    """Spectral energy density: eigenvalues weighted by RMS contributions."""
-    return KdeDensity(points=np.asarray(mus, dtype=complex),
-                      weights=np.asarray(rms_weights, dtype=float), bandwidth=h)
-
-
 def build_mode_table(result: DmdResult, t_window: float,
-                     layout: GridLayout | None = None,
-                     robustness: np.ndarray | None = None,
-                     clusters: Sequence[int | None] | None = None) -> list[ModeInfo]:
+                     layout: GridLayout | None = None) -> list[ModeInfo]:
     """Assemble per-mode summary rows for a decomposition.
 
     t_window is the ranking window in hours, normally the record length
     (N - 1) * dt.  When a layout with VERTICAL_CHANNEL is supplied,
-    the vertically weighted RMS column is filled; robustness scores and
-    cluster labels are attached when given (aligned with result order).
+    the vertically weighted RMS column is filled.  Robustness scores and
+    cluster labels stay None; a leave-one-out analysis attaches them.
     """
     partner = pair_conjugates(result.mu)
     sel = None
@@ -379,7 +369,5 @@ def build_mode_table(result: DmdResult, t_window: float,
             b_mag=abs(complex(result.b[k])),
             rms=rms,
             rms_vertical=rms_v,
-            robustness=None if robustness is None else float(robustness[k]),
-            cluster=None if clusters is None else clusters[k],
         ))
     return infos

@@ -10,15 +10,41 @@ from dataclasses import replace
 
 import numpy as np
 
-from koopmode.dmd import (DmdOptions, DmdResult, column_normalize,
-                          default_fit_indices, fit_coefficients_first,
-                          fit_coefficients_multi, split_snapshots,
-                          tlsq_project, truncated_svd)
+from koopmode.dmd import (DmdOptions, DmdResult, column_normalize, column_norms,
+                          default_fit_indices, fit_coefficients_multi,
+                          split_snapshots, tlsq_project, truncated_svd)
 from koopmode.errors import NumericalError
-from koopmode.grids import remove_temporal_mean
+from koopmode.grids import SnapshotMatrix
 
 _DEFECTIVE_COND = 1e12
 _RANK_RTOL = 1e-13
+
+
+def _solve_amplitudes(m: np.ndarray, y: np.ndarray, r: int) -> np.ndarray:
+    # Unit columns: a fast mode's mu**n column must not set the scale the
+    # rank test measures every other column against.
+    scales = column_norms(m)
+    scales[scales == 0.0] = 1.0
+    b, _, rank, sv = np.linalg.lstsq(m / scales, y.astype(complex), rcond=None)
+    if rank < r:
+        raise NumericalError(
+            f"amplitude fit is rank deficient ({rank} < {r}); "
+            f"smallest singular value {sv[-1]:.3e} of the column-scaled system"
+        )
+    return b / scales
+
+
+def fit_coefficients_first(modes: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """Least-squares amplitudes reproducing the first snapshot."""
+    modes = np.asarray(modes)
+    return _solve_amplitudes(modes, np.asarray(x0), modes.shape[1])
+
+
+def remove_temporal_mean(snap: SnapshotMatrix) -> tuple[np.ndarray, SnapshotMatrix]:
+    """Split snapshots into their temporal mean and centered residuals."""
+    mean = snap.data.mean(axis=1)
+    centered = snap.data - mean[:, None]
+    return mean, SnapshotMatrix(centered, dt=snap.dt, t0=snap.t0, layout=snap.layout)
 
 
 def reference_dmd_from_pair(x1: np.ndarray, x2: np.ndarray, fit_data: np.ndarray,

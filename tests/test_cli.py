@@ -1,6 +1,7 @@
 """Command-line interface: config parsing, subcommand pipelines, exit
 codes, and byte-level determinism of outputs."""
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -93,6 +94,28 @@ def test_load_config_rejects_bare_line(tmp_path):
     path.write_text("just words\n")
     with pytest.raises(ConfigError, match="key = value"):
         load_config(path)
+
+
+def test_config_echo_round_trips(tmp_path):
+    """load_config reads back what config_echo.cfg writes: every field,
+    each set away from its default, and the ROM blocks.  A field without
+    a parser reads as an unknown key."""
+    cfg = RunConfig(
+        input="data.dmds", out="elsewhere", seed=5, rank=17, tlsq=False,
+        tlsq_rank=20, normalize=False, mean_removal=True, bfit="first",
+        svd_mode="standard", loo_trials=7, h_robust=0.004, h_cluster=0.05,
+        cluster_level=0.2, persistence_t=143.5, persistence_factor=0.3,
+        synth_preset="other", synth_d=60, synth_n=48, synth_dt=0.5,
+        synth_noise=1e-3, synth_profile="phase_ramp", slice_kind="section",
+        slice_channel="uz", slice_k=2, slice_path="0,0;2,3", slice_modes="1,2",
+        roms={"all": {"indices": "all"},
+              "band": {"rms_min": "0.5", "persistent_only": "on"}})
+    for f in dataclasses.fields(RunConfig):
+        default = f.default_factory() if f.default is dataclasses.MISSING else f.default
+        assert getattr(cfg, f.name) != default, f.name
+    path = tmp_path / "echo.cfg"
+    path.write_text(cli._config_echo(cfg))
+    assert load_config(path) == cfg
 
 
 def test_load_config_missing_file(tmp_path):
@@ -503,6 +526,29 @@ def test_slice_section(tmp_path):
     assert rows[0] == ["row", "col", "value"]
     # rows of a section are depth levels
     assert max(int(r[0]) for r in rows[1:]) == nz - 1
+
+
+@pytest.mark.parametrize("command,key,value,message", [
+    ("rom", "rom.a.rms_min", "abc", "rom.a: could not convert"),
+    ("rom", "rom.a.indices", "1,x", "rom.a: invalid literal"),
+    ("rom", "rom.a.persistent_only", "maybe", "rom.a: expected on/off"),
+    ("slice", "slice_kind", "bogus", "unknown slice_kind"),
+    ("slice", "slice_modes", "a", "bad slice_modes"),
+    ("slice", "slice_path", "1;2", "slice_path must be"),
+])
+def test_rom_and_slice_exit_2_on_bad_settings_before_reading_data(
+        tmp_path, monkeypatch, capsys, command, key, value, message):
+    """A malformed ROM selection or slice request ends rom or slice with
+    exit 2 before the input is read."""
+    def never(*args, **kwargs):
+        raise AssertionError("called before the settings were checked")
+
+    monkeypatch.setattr(cli.fileio, "ingest", never)
+    extra = {"slice_kind": "section"} if key == "slice_path" else {}
+    cfg = write_cfg(tmp_path, f"{command}.cfg", input=tmp_path / "absent.dmds",
+                    out=tmp_path / command, rank=17, **extra, **{key: value})
+    assert main([command, "--config", cfg]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
 
 
 def test_slice_bad_requests(tmp_path):

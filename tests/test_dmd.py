@@ -6,15 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koopmode.dmd import (DmdOptions, column_normalize, default_fit_indices,
-                          dmd_from_pair, exact_dmd, fit_coefficients_first,
-                          fit_coefficients_multi, mode_time_sum,
-                          modified_options, reconstruct, split_snapshots,
-                          tlsq_project, truncated_svd)
+                          dmd_from_pair, exact_dmd, fit_coefficients_multi,
+                          mode_time_sum, modified_options, reconstruct,
+                          split_snapshots, tlsq_project, truncated_svd)
 from koopmode.errors import NumericalError
 from koopmode.grids import SnapshotMatrix, scalar_layout
 from koopmode.modes import pair_conjugates
 
 from conftest import linear_trajectory, make_rng, snapshots_from_array
+from dspace_reference import fit_coefficients_first
 
 
 # ---------------------------------------------------------------- options
@@ -165,14 +165,15 @@ def test_default_fit_indices_properties(n, count):
 
 
 def test_fit_multi_matches_first_for_exact_data(rng):
-    """On data exactly generated by the modes, both fits agree."""
+    """On data exactly generated by the modes, the fit over snapshot 0
+    and the fit over ten snapshots agree."""
     d, r, n = 12, 4, 20
     modes, _ = np.linalg.qr(rng.standard_normal((d, r))
                             + 1j * rng.standard_normal((d, r)))
     mu = np.exp(1j * rng.uniform(-np.pi, np.pi, r)) * rng.uniform(0.9, 1.0, r)
     b_true = rng.standard_normal(r) + 1j * rng.standard_normal(r)
     data = modes @ (mu[:, None] ** np.arange(n)[None, :] * b_true[:, None])
-    b1 = fit_coefficients_first(modes, data[:, 0])
+    b1 = fit_coefficients_multi(modes, mu, data, [0])
     bm = fit_coefficients_multi(modes, mu, data, default_fit_indices(n, 10))
     assert np.allclose(b1, b_true, rtol=1e-10)
     assert np.allclose(bm, b_true, rtol=1e-10)
@@ -190,8 +191,25 @@ def test_fit_multi_rejects_bad_indices(rng):
 
 def test_fit_rank_deficient_modes(rng):
     modes = np.ones((5, 2), dtype=complex)  # two identical columns
+    mu = np.array([0.9 + 0.1j, 0.9 - 0.1j])
     with pytest.raises(NumericalError, match="rank deficient"):
-        fit_coefficients_first(modes, rng.standard_normal(5))
+        fit_coefficients_multi(modes, mu, rng.standard_normal((5, 3)), [0])
+
+
+@given(seed=st.integers(0, 10_000), d=st.sampled_from([3, 12, 60]),
+       r=st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_fit_over_snapshot_zero_is_the_first_snapshot_fit(seed, d, r):
+    """The joint fit over the index set [0] is bitwise the least-squares
+    fit of complex modes, as a decomposition forms them, to the first
+    snapshot alone."""
+    rng = make_rng(seed)
+    modes = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
+    mu = rng.uniform(0.5, 1.5, r) * np.exp(1j * rng.uniform(-np.pi, np.pi, r))
+    data = rng.standard_normal((d, 4))
+    b = fit_coefficients_multi(modes, mu, data, [0])
+    ref = fit_coefficients_first(modes, data[:, 0])
+    assert b.tobytes() == ref.tobytes()
 
 
 # -------------------------------------------------------------- pipeline

@@ -1,12 +1,11 @@
-"""Stacking, layouts, mean removal, and slice extraction."""
+"""Stacking, layouts, and slice extraction."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from koopmode.grids import (ChannelSpec, DepthMap, GridLayout, SnapshotMatrix,
+from koopmode.grids import (ChannelSpec, GridLayout, SnapshotMatrix,
                             SurfaceSlice, VelocityField, VerticalSection,
-                            extract_slice, fields_to_snapshots,
-                            remove_temporal_mean, scalar_layout,
+                            extract_slice, fields_to_snapshots, scalar_layout,
                             stack_observables, velocity_layout)
 
 from conftest import make_rng, random_mask, random_velocity
@@ -135,27 +134,6 @@ def test_snapshot_matrix_validation():
     assert np.allclose(snap.times(), [2.0, 2.5, 3.0, 3.5])
 
 
-def test_remove_temporal_mean_centers_columns():
-    rng = make_rng(5)
-    data = rng.standard_normal((6, 9)) + 3.0
-    snap = SnapshotMatrix(data, dt=1.0, t0=0.0, layout=scalar_layout(6))
-    mean, centered = remove_temporal_mean(snap)
-    assert np.allclose(mean, data.mean(axis=1))
-    resid = centered.data.mean(axis=1)
-    assert np.all(np.abs(resid) <= 1e-12 * max(np.linalg.norm(mean), 1.0))
-    # adding the mean back restores the data
-    assert np.allclose(centered.data + mean[:, None], data)
-
-
-def test_remove_temporal_mean_constant_data_is_zero():
-    layout = scalar_layout(4)
-    snap = SnapshotMatrix(np.tile([[1.0], [2.0], [3.0], [4.0]], (1, 5)),
-                          dt=1.0, t0=0.0, layout=layout)
-    mean, centered = remove_temporal_mean(snap)
-    assert np.allclose(mean, [1, 2, 3, 4])
-    assert np.all(centered.data == 0.0)
-
-
 def test_surface_slice_identity_pattern():
     nx, ny, nz = 5, 4, 3
     layout = velocity_layout(nx, ny, nz)
@@ -202,21 +180,6 @@ def test_vertical_section_follows_polyline():
     with pytest.raises(IndexError):
         extract_slice(vec, layout,
                       VerticalSection(channel="state", path=((0, 0), (9, 0))))
-
-
-def test_depth_map_slice():
-    layout = scalar_layout(2, 2, 3)
-    vec = np.arange(layout.dim, dtype=float)
-    grid = layout.grid_from_stacked(vec, "state")
-    kmap = np.array([[0, 1], [2, -1]])
-    sl = extract_slice(vec, layout, DepthMap(channel="state", k_of_column=kmap))
-    assert sl.values[0, 0] == grid[0, 0, 0]
-    assert sl.values[0, 1] == grid[1, 0, 1]
-    assert sl.values[1, 0] == grid[2, 1, 0]
-    assert np.isnan(sl.values[1, 1])
-    with pytest.raises(IndexError):
-        extract_slice(vec, layout,
-                      DepthMap(channel="state", k_of_column=np.full((2, 2), 7)))
 
 
 def test_complex_mode_slice_keeps_phase():

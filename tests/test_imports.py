@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and the
-command-line module loads no more than its commands need.
+"""Every name a package module imports is used in that module, the
+command-line module loads no more than its commands need, and README's
+library quick start runs.
 
 The unused-import check reads the sources with the stdlib ast module, so
 it needs no linter.  __init__.py is exempt (its imports are re-exports),
@@ -13,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "koopmode"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "koopmode"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -53,3 +55,13 @@ def test_cli_import_leaves_out_scipy_ndimage():
             "assert 'koopmode.ranking' in sys.modules\n"
             "assert 'scipy.ndimage' not in sys.modules")
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
+def test_readme_quick_start_runs(capsys):
+    """The README's Python quick start, run as written: a public name it
+    uses cannot disappear unnoticed."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Quick start (library)", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert "period" in capsys.readouterr().out

@@ -1,5 +1,4 @@
-"""Spectrum post-processing: exponents, periods, conjugate pairing,
-polar form, tidal ellipses, wave speeds, and the mode-table CSV."""
+"""Spectrum post-processing: periods, conjugate pairing, polar form, tidal ellipses, wave speeds, and the mode-table CSV."""
 import csv
 import math
 
@@ -8,47 +7,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from koopmode.errors import NumericalError
 from koopmode.modes import (MODE_TABLE_COLUMNS, ConjugatePairingError,
                             EllipseParams, ModeInfo, format_mode_table,
                             half_doubling_time, pair_conjugates, period,
-                            polar_mode, tidal_ellipse, to_continuous,
-                            two_layer_wave_speed, write_mode_table)
+                            polar_mode, tidal_ellipse, two_layer_wave_speed,
+                            write_mode_table)
 
 
-# ------------------------------------------------------------- exponents
-
-def test_principal_branch_at_negative_axis():
-    dt = 2.0
-    gamma = to_continuous(-1.0 + 0j, dt)
-    assert gamma.imag == pytest.approx(np.pi / dt)
-    assert gamma.real == pytest.approx(0.0, abs=1e-15)
-
-
-def test_continuous_exponent_examples():
-    g = to_continuous(np.exp((0.02 + 0.5j) * 1.5), 1.5)
-    assert g.real == pytest.approx(0.02) and g.imag == pytest.approx(0.5)
-    arr = to_continuous(np.array([1.0 + 0j, 1j]), 1.0)
-    assert arr[0] == pytest.approx(0.0)
-    assert arr[1].imag == pytest.approx(np.pi / 2)
-    with pytest.raises(NumericalError, match="zero"):
-        to_continuous(0j, 1.0)
-    with pytest.raises(ValueError, match="dt"):
-        to_continuous(1.0 + 0j, 0.0)
-
-
-@given(sigma=st.floats(-1, 1), omega=st.floats(-3, 3),
-       dt=st.floats(0.1, 2.0))
-@settings(max_examples=80, deadline=None)
-def test_exponent_roundtrip_within_branch(sigma, omega, dt):
-    """Exponents with |omega*dt| < pi survive the discrete round trip."""
-    if abs(omega * dt) >= np.pi - 1e-6:
-        return
-    mu = np.exp((sigma + 1j * omega) * dt)
-    g = to_continuous(mu, dt)
-    assert g.real == pytest.approx(sigma, abs=1e-9)
-    assert g.imag == pytest.approx(omega, abs=1e-9)
-
+# --------------------------------------------------------------- periods
 
 def test_period_and_half_doubling():
     assert period(0.1 + 0.0j) == math.inf

@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from koopmode.dmd import DmdOptions, exact_dmd, modified_options
@@ -47,6 +47,10 @@ def assert_spectra_match(mu, ref, tol=1e-10):
        use_tlsq=st.booleans(),
        normalize=st.booleans(),
        svd_mode=st.sampled_from(["standard", "high_accuracy"]))
+@example(seed=7406, wide=True, remove_mean=True, b_fit="multi:2", use_tlsq=False,
+         normalize=True, svd_mode="standard")
+@example(seed=1963, wide=False, remove_mean=False, b_fit="first", use_tlsq=True,
+         normalize=False, svd_mode="standard")
 @settings(max_examples=40, deadline=None)
 def test_qr_path_matches_dspace_reference(seed, wide, remove_mean, b_fit, use_tlsq,
                                           normalize, svd_mode):
@@ -67,9 +71,12 @@ def test_qr_path_matches_dspace_reference(seed, wide, remove_mean, b_fit, use_tl
     match = assert_spectra_match(res.mu, ref.mu)
     assert np.abs(res.modes - ref.modes[:, match]).max() <= 1e-10
     ref_b = ref.b[match]
-    assert np.all(np.abs(np.abs(res.b) - np.abs(ref_b)) <= 1e-8 * np.abs(ref_b))
+    # a noise-level amplitude moves with the 1e-10 mode differences above,
+    # so each bound has a floor of 1e-13 of the largest amplitude
+    b_tol = 1e-8 * np.abs(ref_b) + 1e-13 * np.abs(ref_b).max()
+    assert np.all(np.abs(np.abs(res.b) - np.abs(ref_b)) <= b_tol)
     # the amplitudes carry the same phase as the modes they scale
-    assert np.all(np.abs(res.b - ref_b) <= 1e-8 * np.abs(ref_b))
+    assert np.all(np.abs(res.b - ref_b) <= b_tol)
     assert np.allclose(res.singular_values, ref.singular_values,
                        rtol=0, atol=1e-13 * ref.singular_values[0])
 

@@ -12,10 +12,9 @@ from koopmode.errors import NumericalError
 from koopmode.grids import velocity_layout
 from koopmode.modes import pair_conjugates
 from koopmode import ranking
-from koopmode.ranking import (CLUSTER_BANDWIDTH, KDE_MAX_CELLS, ROBUSTNESS_BANDWIDTH,
-                              KdeDensity, build_mode_table,
-                              cluster_eigenvalues, component_rms,
-                              energy_density, half_life_cutoff, kde_eval,
+from koopmode.ranking import (CLUSTER_BANDWIDTH, KDE_MAX_CELLS, KdeDensity,
+                              build_mode_table, cluster_eigenvalues,
+                              component_rms, half_life_cutoff, kde_eval,
                               kde_grid, leave_one_out, persistence_filter,
                               rms_contribution, robustness_scores)
 
@@ -330,13 +329,6 @@ def test_cluster_level_validation():
         cluster_eigenvalues(two_group_spectrum(), level_fraction=0.0)
 
 
-def test_energy_density_weights():
-    mus = np.array([1j, -1j])
-    d = energy_density(mus, np.array([3.0, 3.0]))
-    assert d.bandwidth == ROBUSTNESS_BANDWIDTH
-    assert d.weights.sum() == 6.0
-
-
 # ------------------------------------------------------------ mode table
 
 def test_build_mode_table_alignment(rng):
@@ -370,11 +362,3 @@ def test_build_mode_table_vertical_component():
         assert info.rms_vertical == pytest.approx(expect)
 
 
-def test_build_mode_table_attaches_analysis(rng):
-    x, _ = linear_trajectory(rng, 5, 30)
-    res = exact_dmd(snapshots_from_array(x), DmdOptions(r=5))
-    rob = np.arange(5, dtype=float) + 1
-    labels = [1, 1, 2, None, 2]
-    infos = build_mode_table(res, 29.0, robustness=rob, clusters=labels)
-    assert [i.robustness for i in infos] == list(rob)
-    assert [i.cluster for i in infos] == labels
