@@ -34,7 +34,7 @@ from .modes import (ModeInfo, format_mode_table, polar_mode, tidal_ellipse,
 from .oracle import generate, tidal_spec
 from .ranking import (build_mode_table, kde_grid, KdeDensity, label_clusters,
                       leave_one_out, LeaveOneOutResult, robustness_scores)
-from .rom import RomSelection, build_rom, error_curve, select_modes
+from .rom import RomSelection, build_rom, factor_error_curve, select_modes
 
 _ROM_FIELDS = ("indices", "rms_min", "rms_max", "robustness_min",
                "robustness_max", "persistent_only")
@@ -249,9 +249,11 @@ def _check_settings(cfg: RunConfig) -> None:
 @dataclass(frozen=True)
 class _Analysis:
     """The input, decomposition and mode table of one command; after
-    leave-one-out also the trials and the normalized clustering raster."""
+    leave-one-out also the trials and the normalized clustering raster.
+    snap is a DMDS file opened for streaming, or CSV snapshots loaded
+    whole."""
 
-    snap: SnapshotMatrix
+    snap: fileio.SnapshotFile | SnapshotMatrix
     t_window: float
     result: DmdResult
     infos: list[ModeInfo]
@@ -267,7 +269,7 @@ def _analyse(cfg: RunConfig, robust: bool) -> _Analysis:
     _check_settings(cfg)
     opts = _resolve_options(cfg)
     try:
-        snap = fileio.ingest(cfg.input)
+        snap = fileio.open_source(cfg.input)
     except ValueError as exc:
         raise DataFormatError(str(exc)) from exc
     t_window = cfg.persistence_t if cfg.persistence_t is not None else (snap.n - 1) * snap.dt
@@ -400,7 +402,7 @@ def cmd_rom(cfg: RunConfig) -> int:
         try:
             indices = select_modes(a.infos, sel)
             model = build_rom(a.result, indices)
-            curve = error_curve(a.snap, model)
+            curve = factor_error_curve(a.result, model)
         except ValueError as exc:
             raise ConfigError(f"rom.{name}: {exc}") from exc
         fileio.write_csv(

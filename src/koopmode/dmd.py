@@ -20,17 +20,24 @@ Amplitudes are always fitted against the original, unscaled snapshots
 by one joint least-squares fit over a set of snapshot indices: {0} for
 the first-snapshot fit, or a small set spread across the record.
 
-Cost model.  The (centered) D x N snapshot matrix is factored once as
-Q R, an O(D N^2) pass (Drmac, Mezic & Mohr, SIAM J. Sci. Comput. 2018).
-Every later step runs on R[:, :-1], R[:, 1:] and R, which have at most N
-rows: normalization, TLSQ, the truncated SVD, the reduced eig and the
-amplitude fit each cost O(N^3) or less.  Q has orthonormal columns, so
-column norms, singular values, eigenpairs and least-squares residuals
-are those of the original matrices.  Modes are lifted by Q once, for the
-returned result only, and the amplitudes are fitted once.  Column-deletion
-trials (deletion_spectra) delete columns of the R pair, never form a
-D-row array, and compute eigenvalues only: no modes, residuals or
-amplitude fit.  Peak memory is about twice the data.
+Cost model.  The snapshots are read in two sequential passes over
+fixed-size row blocks, so no D-row matrix is ever formed but the D x r
+modes.  Pass 1 centers each block (under remove_mean; a row's mean is
+local to its block) and folds it into the R factor of everything read
+so far, R <- R factor of [R; block]: the tall-skinny QR of Demmel,
+Grigori, Hoemmen & Langou (SIAM J. Sci. Comput. 2012), as used for DMD
+by Sayadi & Schmid (Theor. Comput. Fluid Dyn. 2016).  The snapshots are
+then X = Q R for an orthonormal Q that is never formed.  Every later
+step runs on R[:, :-1], R[:, 1:] and R, which have at most N rows:
+normalization, TLSQ, the truncated SVD, the reduced eig and the
+amplitude fit each cost O(N^3) or less.  Q preserves lengths, so column
+norms, singular values, eigenpairs and least-squares residuals are
+those of the original matrices.  Pass 2 lifts the modes as X2 (M w):
+M folds the column scaling, the TLSQ projection, V Sigma^-1 and the
+unit norm, so Q is never needed (Q R2 = X2).  Column-deletion trials
+(deletion_spectra) delete columns of the R pair and compute eigenvalues
+only: no modes, residuals or amplitude fit.  Beyond the modes, memory
+holds one block and O(N^2) numbers.
 
 Rank.  The data rank is counted on R[:, :-1], whose singular values are
 those of the D x (N-1) regression matrix: those above
@@ -39,7 +46,7 @@ DmdOptions(r=None) takes the default rank max(1, min(data rank, N - 4)).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -47,6 +54,10 @@ import scipy.linalg
 
 from .errors import NumericalError
 from .grids import SnapshotMatrix
+
+# Rows per block of the two passes over the snapshots.  Fixed, so that a
+# rerun repeats every floating-point operation.
+_BLOCK_ROWS = 4096
 
 # Condition number of the reduced eigenvector matrix beyond which the
 # eigenproblem is reported as (numerically) defective.
@@ -142,7 +153,9 @@ class DmdResult:
     the continuous-time exponents log(mu)/dt on the principal branch.
     mean_mode is the removed temporal mean when the option was on.
     data_rank is the numerical rank of the (centered) regression matrix,
-    and options.r the truncation rank in force.
+    and options.r the truncation rank in force.  factor holds the
+    snapshots and modes in R-factor coordinates for rom_norms; only
+    functions of this module read it.
     """
 
     modes: np.ndarray
@@ -156,6 +169,7 @@ class DmdResult:
     t0: float = 0.0
     mean_mode: np.ndarray | None = None
     data_rank: int | None = None
+    factor: "_Factor | None" = field(default=None, repr=False, compare=False)
 
     @property
     def r(self) -> int:
@@ -227,6 +241,19 @@ def truncated_svd(a: np.ndarray, r: int, svd_mode: str = "standard") -> Truncate
     return TruncatedSvd(u=u[:, :r], sigma=s[:r], v=vh[:r].conj().T, sigma_tail=s[r:])
 
 
+def _tlsq_basis(x1: np.ndarray, x2: np.ndarray, rank: int, svd_mode: str) -> np.ndarray:
+    """The leading rank right singular vectors of the stacked pair."""
+    if x1.shape != x2.shape:
+        raise ValueError("pair matrices must share one shape")
+    cols = x1.shape[1]
+    if not 1 <= rank <= min(2 * x1.shape[0], cols):
+        raise ValueError(
+            f"tlsq rank {rank} outside 1..{min(2 * x1.shape[0], cols)}"
+        )
+    _, _, vh = _svd(np.vstack([x1, x2]), svd_mode)
+    return vh[:rank].conj().T
+
+
 def tlsq_project(x1: np.ndarray, x2: np.ndarray, rank: int,
                  svd_mode: str = "standard") -> tuple[np.ndarray, np.ndarray]:
     """Project the pair onto the leading right singular directions of the
@@ -236,16 +263,7 @@ def tlsq_project(x1: np.ndarray, x2: np.ndarray, rank: int,
     basis; smaller ranks discard directions dominated by noise shared
     between the two matrices.
     """
-    if x1.shape != x2.shape:
-        raise ValueError("pair matrices must share one shape")
-    cols = x1.shape[1]
-    if not 1 <= rank <= min(2 * x1.shape[0], cols):
-        raise ValueError(
-            f"tlsq rank {rank} outside 1..{min(2 * x1.shape[0], cols)}"
-        )
-    z = np.vstack([x1, x2])
-    _, _, vh = _svd(z, svd_mode)
-    v = vh[:rank].conj().T
+    v = _tlsq_basis(x1, x2, rank, svd_mode)
     return x1 @ v, x2 @ v
 
 
@@ -335,14 +353,17 @@ def reconstruct(result: DmdResult, times: Sequence[int]) -> np.ndarray:
 class _Spectrum(NamedTuple):
     """The reduced eigenproblem of one pair in R-factor coordinates.
 
-    mu and w are the eigenpairs of k_reduced, in eig's order; r2_v_sinv
-    lifts w to the (unnormalized) exact modes.
+    mu and w are the eigenpairs of k_reduced, in eig's order.  The
+    (unnormalized) exact modes are r2_v_sinv @ w in R coordinates and
+    x2 @ lift @ w for the pair's own second matrix x2: lift folds the
+    column scaling, the TLSQ projection and V Sigma^-1.
     """
 
     mu: np.ndarray
     w: np.ndarray
     k_reduced: np.ndarray
     r2_v_sinv: np.ndarray
+    lift: np.ndarray
     singular_values: np.ndarray
 
 
@@ -357,13 +378,15 @@ def _spectrum(r1: np.ndarray, r2: np.ndarray, d: int, opts: DmdOptions) -> _Spec
     eigenvector matrix or a zero eigenvalue.
     """
     cols = r1.shape[1]
+    scales = basis = None
     if opts.normalize_columns:
-        r1, r2, _ = column_normalize(r1, r2)
+        r1, r2, scales = column_normalize(r1, r2)
     if opts.use_tlsq:
         rank = opts.tlsq_rank if opts.tlsq_rank is not None else opts.r
         if rank < opts.r:
             raise ValueError(f"tlsq_rank {rank} is below the truncation rank {opts.r}")
-        r1, r2 = tlsq_project(r1, r2, rank, opts.svd_mode)
+        basis = _tlsq_basis(r1, r2, rank, opts.svd_mode)
+        r1, r2 = r1 @ basis, r2 @ basis
         cols = rank
     if not 1 <= opts.r <= min(d, cols):
         raise ValueError(
@@ -378,7 +401,8 @@ def _spectrum(r1: np.ndarray, r2: np.ndarray, d: int, opts: DmdOptions) -> _Spec
         )
 
     # Reduced one-step operator and its eigendecomposition.
-    r2_v_sinv = (r2 @ svd.v) / svd.sigma[None, :]
+    lift = svd.v / svd.sigma[None, :]
+    r2_v_sinv = r2 @ lift
     k_reduced = svd.u.conj().T @ r2_v_sinv
     mu, w = np.linalg.eig(k_reduced)
     # eig returns real arrays for an all-real spectrum; the principal-branch
@@ -393,13 +417,18 @@ def _spectrum(r1: np.ndarray, r2: np.ndarray, d: int, opts: DmdOptions) -> _Spec
         )
     if (np.abs(mu) == 0.0).any():
         raise NumericalError("zero eigenvalue; continuous-time exponent undefined")
-    return _Spectrum(mu, w, k_reduced, r2_v_sinv, svd.singular_values)
+    if basis is not None:
+        lift = basis @ lift
+    if scales is not None:
+        lift = lift / scales[:, None]
+    return _Spectrum(mu, w, k_reduced, r2_v_sinv, lift, svd.singular_values)
 
 
 class _Reduced(NamedTuple):
     """One decomposition in R-factor coordinates, in result order.
 
-    modes have unit norm and no phase convention yet; b fits them.
+    modes have unit norm and no phase convention yet; b fits them.  The
+    same modes of the D-row pair are x2 @ lift.
     """
 
     modes: np.ndarray
@@ -407,6 +436,7 @@ class _Reduced(NamedTuple):
     b: np.ndarray
     singular_values: np.ndarray
     residuals: np.ndarray
+    lift: np.ndarray
 
 
 def _reduced_dmd(r1: np.ndarray, r2: np.ndarray, r_fit: np.ndarray, d: int,
@@ -435,44 +465,134 @@ def _reduced_dmd(r1: np.ndarray, r2: np.ndarray, r_fit: np.ndarray, d: int,
 
     # |b| does not depend on the phase convention, so neither does the order.
     order = np.lexsort((np.angle(mu), -np.abs(mu), -np.abs(b)))
-    return _Reduced(modes[:, order], mu[order], b[order],
-                    sp.singular_values, residuals[order])
+    return _Reduced(modes[:, order], mu[order], b[order], sp.singular_values,
+                    residuals[order], (sp.lift @ w / norms)[:, order])
 
 
-def _decompose(q: np.ndarray, r1: np.ndarray, r2: np.ndarray, r_fit: np.ndarray,
-               d: int, opts: DmdOptions, mean_mode: np.ndarray | None,
-               dt: float, t0: float) -> DmdResult:
-    """The decomposition of a pair in R-factor coordinates, lifted by Q.
+class _Factor(NamedTuple):
+    """Pass 1 over a snapshot source, with the modes once they are known.
 
-    The data rank is counted on r1 and resolves a default rank.  The lift
-    is one real product: the complex coordinates, viewed as interleaved
-    real and imaginary parts, give the complex modes in the memory of
-    the product.  Each mode is then rotated so its largest-magnitude
-    entry is real and positive, and its amplitude counter-rotated.
+    With Q the orthonormal basis the pass never forms, the source's n
+    columns (centered under mean removal) are Q @ r[:, :n], and the
+    removed mean is Q @ r[:, n].  r has min(D, columns) rows.  mean is
+    the D-row mean, norms the column norms of the uncentered source,
+    and the result's modes are Q @ modes, on the first min(D, n) rows.
     """
+
+    r: np.ndarray
+    mean: np.ndarray | None
+    norms: np.ndarray
+    modes: np.ndarray | None = None
+
+
+def _blocks(d: int):
+    for start in range(0, d, _BLOCK_ROWS):
+        yield start, min(start + _BLOCK_ROWS, d)
+
+
+def _factor(src, center: bool) -> _Factor:
+    """Pass 1: R <- R factor of [R; block] over the row blocks of src.
+
+    Each block is read into one F-ordered buffer under the R factor so
+    far, factored in place, and never held after its fold; centering
+    appends the block's row means as one more column.
+    """
+    n = src.n
+    cols = n + 1 if center else n
+    mean = np.empty(src.d) if center else None
+    norms = np.zeros(n)
+    r = np.empty((0, cols))
+    buf = np.empty((0, cols), order="F")
+    for start, stop in _blocks(src.d):
+        k = r.shape[0]
+        if buf.shape[0] != k + stop - start:
+            buf = np.empty((k + stop - start, cols), order="F")
+        block = buf[k:, :n]
+        src.read_rows(start, block)
+        norms = np.hypot(norms, column_norms(block))
+        if center:
+            mean[start:stop] = buf[k:, n] = block.mean(axis=1)
+            block -= buf[k:, n:]
+        buf[:k] = r
+        r = scipy.linalg.qr(buf, mode="raw", overwrite_a=True, check_finite=False)[1]
+    return _Factor(r, mean, norms)
+
+
+def _lift(src, cols: slice, mean: np.ndarray | None, coef: np.ndarray) -> np.ndarray:
+    """Pass 2: the D-row product of the (centered) columns cols of src
+    with coef, block by block, as an F-ordered complex matrix."""
+    real = np.ascontiguousarray(coef).view(np.float64)
+    out = np.empty((src.d, coef.shape[1]), dtype=complex, order="F")
+    buf = np.empty((min(_BLOCK_ROWS, src.d), src.n), order="F")
+    for start, stop in _blocks(src.d):
+        block = buf[:stop - start]
+        src.read_rows(start, block)
+        if mean is not None:
+            block -= mean[start:stop, None]
+        out[start:stop] = (block[:, cols] @ real).view(np.complex128)
+    return out
+
+
+def _decompose(src, opts: DmdOptions, center: bool, pair: tuple[slice, slice, slice],
+               mean_mode: np.ndarray | None = None) -> DmdResult:
+    """Both passes over src, with the decomposition on R between them.
+
+    pair selects the columns of the regression pair and of the fit
+    snapshots.  The data rank is counted on the first matrix of the
+    pair and resolves a default rank.  Each lifted mode is rotated so
+    its largest-magnitude entry is real and positive, and its amplitude
+    counter-rotated.
+    """
+    fac = _factor(src, center)
+    r = fac.r[:min(src.d, src.n), :src.n]
+    r1, r2, r_fit = (r[:, cols] for cols in pair)
     s = np.linalg.svd(r1, compute_uv=False)
-    data_rank = int((s > s[0] * max(d, r1.shape[1]) * np.finfo(float).eps).sum())
+    data_rank = int((s > s[0] * max(src.d, r1.shape[1]) * np.finfo(float).eps).sum())
     if opts.r is None:  # N - 4 = pair columns - 3
         opts = replace(opts, r=max(1, min(data_rank, r1.shape[1] - 3)))
-    red = _reduced_dmd(r1, r2, r_fit, d, opts)
-    coords = np.ascontiguousarray(red.modes)
-    modes = (q @ coords.view(np.float64)).view(np.complex128)
-    lead = modes[np.argmax(np.abs(modes), axis=0), np.arange(modes.shape[1])]
+    red = _reduced_dmd(r1, r2, r_fit, src.d, opts)
+    modes = _lift(src, pair[1], fac.mean, red.lift)
+    lead = np.array([col[np.argmax(np.abs(col))] for col in modes.T])
     phase = np.conj(lead) / np.abs(lead)
     modes *= phase[None, :]
     return DmdResult(
         modes=modes,
         mu=red.mu,
-        gamma=np.log(red.mu) / dt,
+        gamma=np.log(red.mu) / src.dt,
         b=red.b / phase,
         singular_values=red.singular_values,
         residuals=red.residuals,
         options=opts,
-        dt=dt,
-        t0=t0,
-        mean_mode=mean_mode,
+        dt=src.dt,
+        t0=src.t0,
+        mean_mode=fac.mean if center else mean_mode,
         data_rank=data_rank,
+        factor=fac._replace(modes=red.modes * phase[None, :]),
     )
+
+
+class _Columns(NamedTuple):
+    """Matrices side by side, read as one snapshot source through row views."""
+
+    parts: tuple[np.ndarray, ...]
+    dt: float
+    t0: float
+
+    @property
+    def d(self) -> int:
+        return self.parts[0].shape[0]
+
+    @property
+    def n(self) -> int:
+        return sum(p.shape[1] for p in self.parts)
+
+    def read_rows(self, start: int, out: np.ndarray) -> None:
+        j = 0
+        for p in self.parts:
+            out[:, j:j + p.shape[1]] = p[start:start + out.shape[0]]
+            j += p.shape[1]
+        if not np.isfinite(out).all():
+            raise ValueError("pair matrices hold non-finite values")
 
 
 def dmd_from_pair(x1: np.ndarray, x2: np.ndarray, fit_data: np.ndarray,
@@ -482,36 +602,56 @@ def dmd_from_pair(x1: np.ndarray, x2: np.ndarray, fit_data: np.ndarray,
 
     fit_data holds the snapshots the amplitudes are fitted against: the
     original matrix (centered when the mean was removed), never the
-    normalized or projected pair.  The three matrices are compressed by
-    one QR of [x1 | x2 | fit_data].
+    normalized or projected pair.  The three matrices are factored
+    together, [x1 | x2 | fit_data] = Q R, in row blocks of views.
     """
     x1, x2, fit_data = np.asarray(x1), np.asarray(x2), np.asarray(fit_data)
     if x1.shape != x2.shape:
         raise ValueError("pair matrices must share one shape")
-    cols = x1.shape[1]
-    q, r = scipy.linalg.qr(np.hstack([x1, x2, fit_data]), mode="economic")
-    return _decompose(q, r[:, :cols], r[:, cols:2 * cols], r[:, 2 * cols:],
-                      x1.shape[0], opts, mean_mode, dt, t0)
+    c = x1.shape[1]
+    pair = (slice(0, c), slice(c, 2 * c), slice(2 * c, None))
+    result = _decompose(_Columns((x1, x2, fit_data), dt, t0), opts, False, pair, mean_mode)
+    return replace(result, factor=None)
 
 
-def _qr_dmd(snap: SnapshotMatrix, opts: DmdOptions) -> tuple[DmdResult, np.ndarray]:
-    """exact_dmd, also returning the R factor of its one economic QR.
-
-    The snapshots, centered first under mean removal, are Q @ R: Q is
-    D x min(D, N) with orthonormal columns and R is min(D, N) x N, so
-    R[:, :-1] and R[:, 1:] are the regression pair in R coordinates.
-    """
-    data, mean_mode = snap.data, None
-    if opts.remove_mean:
-        mean_mode = data.mean(axis=1)
-        data = data - mean_mode[:, None]
-    q, r = scipy.linalg.qr(data, mode="economic")
-    return _decompose(q, r[:, :-1], r[:, 1:], r, snap.d, opts, mean_mode, snap.dt, snap.t0), r
+def _snapshot_pair(n: int) -> tuple[slice, slice, slice]:
+    """Columns of the regression pair and of the fit snapshots among n."""
+    return slice(0, n - 1), slice(1, n), slice(0, n)
 
 
 def exact_dmd(snap: SnapshotMatrix, opts: DmdOptions) -> DmdResult:
-    """Run the full decomposition pipeline on a snapshot matrix."""
-    return _qr_dmd(snap, opts)[0]
+    """Run the full decomposition pipeline on snapshots.
+
+    snap is a SnapshotMatrix, or any source with the same d, n, dt, t0
+    and read_rows, such as a fileio.SnapshotFile, which is then read in
+    two passes of row blocks and never held in memory.
+    """
+    return _decompose(snap, opts, opts.remove_mean, _snapshot_pair(snap.n))
+
+
+def rom_norms(result: DmdResult, indices: Sequence[int]
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The norms ||x_n||, ||xhat_n|| and ||x_n - xhat_n|| of every snapshot
+    n that exact_dmd decomposed into result.
+
+    xhat_n is the real superposition of the 1-based modes indices at
+    step n, plus the removed mean: rom.reconstruct_rom's column.  The
+    last two norms are taken in R-factor coordinates, on vectors of at
+    most N + 1 rows; ||x_n|| comes from pass 1.
+    """
+    fac = result.factor
+    if fac is None:
+        raise ValueError("the result carries no snapshot factor (not from exact_dmd)")
+    pos = np.asarray(indices, dtype=int) - 1
+    n = fac.norms.size
+    k = fac.modes.shape[0]
+    xhat = mode_time_sum(fac.modes[:, pos], result.mu[pos], result.b[pos], np.arange(n)).real
+    err = column_norms(fac.r[:k, :n] - xhat)
+    if fac.mean is not None:
+        xhat += fac.r[:k, n:]
+        # a mean outside the span of the centered snapshots adds one row
+        xhat = np.vstack([xhat, np.repeat(fac.r[k:, n:], n, axis=1)])
+    return fac.norms, column_norms(xhat), err
 
 
 def deletion_spectra(snap: SnapshotMatrix, opts: DmdOptions, omitted: Sequence[int]
@@ -519,16 +659,19 @@ def deletion_spectra(snap: SnapshotMatrix, opts: DmdOptions, omitted: Sequence[i
     """The decomposition of snap, then the spectrum of one rerun per entry
     of omitted, with that column of the regression pair deleted.
 
-    The snapshots are factored once; a rerun deletes a column of the R
-    pair and never forms a D-row array.  Its truncation rank (and TLSQ
-    rank) are capped at the reduced column count.  A rerun computes its
-    eigenvalues only, sorted by descending |mu| then ascending arg(mu);
-    it forms no modes and fits no amplitudes, so it cannot fail on the
-    amplitude fit.  A rerun that raises NumericalError (rank loss, a
-    defective eigenvector matrix or a zero eigenvalue) yields the error
-    in place of its spectrum.
+    snap is any source exact_dmd takes.  The snapshots are factored
+    once; a rerun deletes a column of the R pair and never forms a D-row
+    array.  Its truncation rank (and TLSQ rank) are capped at the
+    reduced column count.  A rerun computes its eigenvalues only, sorted
+    by descending |mu| then ascending arg(mu); it forms no modes and
+    fits no amplitudes, so it cannot fail on the amplitude fit.  A rerun
+    that raises NumericalError (rank loss, a defective eigenvector
+    matrix or a zero eigenvalue) yields the error in place of its
+    spectrum.
     """
-    base, r = _qr_dmd(snap, opts)
+    n = snap.n
+    base = _decompose(snap, opts, opts.remove_mean, _snapshot_pair(n))
+    r = base.factor.r[:min(snap.d, n), :n]
     r1, r2 = r[:, :-1], r[:, 1:]
     opts, cols = base.options, r1.shape[1]
     if cols < 2:

@@ -14,13 +14,21 @@ complex values as interleaved (re, im) float64 pairs, column-major.
 A JSON sidecar <file>.grid.json carries the grid layout for snapshot
 files; when it is absent a flat single-channel layout is assumed.
 
+A column-major array is written from, and read into, its own buffer:
+on a little-endian host an F-ordered float64 or complex128 array
+already holds the payload bytes.  open_snapshots validates a DMDS file
+without reading its payload; the decomposition then streams it in row
+blocks (SnapshotFile.read_rows), so the data is never held in memory.
+
 CSV snapshot ingestion reads one column per snapshot with a header row
 of "t=<hours>" cells; the time step is inferred and must be uniform.
 """
 from __future__ import annotations
 
 import json
+import os
 import struct
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -39,15 +47,21 @@ def _sidecar_path(path: Path) -> Path:
     return path.with_name(path.name + ".grid.json")
 
 
-def _write_payload(path: Path, magic: bytes, d: int, n: int, dt: float,
-                   t0: float, payload: np.ndarray) -> None:
+def _write_payload(path: Path, magic: bytes, payload: np.ndarray, dtype: str,
+                   dt: float, t0: float) -> None:
+    """Write a header and the columns of payload, each from its own memory
+    when it is contiguous in dtype (an F-ordered array's always are)."""
+    d, n = payload.shape
     header = _HEADER.pack(magic, FORMAT_VERSION, d, n, float(dt), float(t0))
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload.astype("<f8", copy=False).tobytes())
+        for col in payload.T:
+            fh.write(np.ascontiguousarray(col, dtype=dtype))
 
 
-def _read_header(fh, path: Path, magic: bytes) -> tuple[int, int, float, float]:
+def _open_payload(fh, path: Path, magic: bytes, itemsize: int
+                  ) -> tuple[int, int, float, float]:
+    """Read and check the header; the file must hold exactly D*N items."""
     raw = fh.read(_HEADER.size)
     if len(raw) != _HEADER.size:
         raise DataFormatError(f"{path}: truncated header")
@@ -56,42 +70,93 @@ def _read_header(fh, path: Path, magic: bytes) -> tuple[int, int, float, float]:
         raise DataFormatError(f"{path}: bad magic {got_magic!r}, expected {magic!r}")
     if version != FORMAT_VERSION:
         raise DataFormatError(f"{path}: unsupported version {version}")
+    size = os.fstat(fh.fileno()).st_size - _HEADER.size
+    if size != d * n * itemsize:
+        raise DataFormatError(
+            f"{path}: payload is {size} bytes, header implies {d * n * itemsize}"
+        )
     return int(d), int(n), float(dt), float(t0)
+
+
+def _read_payload(fh, path: Path, d: int, n: int, dtype: str) -> np.ndarray:
+    """The payload as a (D, N) F-ordered array, read into its own memory."""
+    out = np.empty((n, d), dtype=dtype)
+    if fh.readinto(out) != out.nbytes:
+        raise DataFormatError(f"{path}: payload ended early")
+    return out.T
 
 
 def write_snapshots(path: str | Path, snap: SnapshotMatrix) -> None:
     """Write a snapshot matrix and its grid sidecar next to it."""
     path = Path(path)
-    _write_payload(path, SNAPSHOT_MAGIC, snap.d, snap.n, snap.dt, snap.t0,
-                   snap.data.ravel(order="F"))
+    _write_payload(path, SNAPSHOT_MAGIC, snap.data, "<f8", snap.dt, snap.t0)
     sidecar = _sidecar_path(path)
     sidecar.write_text(json.dumps(snap.layout.to_json_dict(), sort_keys=True, indent=1) + "\n")
 
 
-def read_snapshots(path: str | Path) -> SnapshotMatrix:
-    """Read a binary snapshot file; layout comes from the sidecar if present."""
+@dataclass(frozen=True)
+class SnapshotFile:
+    """A DMDS file whose header and sidecar are checked and whose payload
+    stays on disk: a snapshot source that is read in row blocks."""
+
+    path: Path
+    d: int
+    n: int
+    dt: float
+    t0: float
+    layout: GridLayout
+
+    def read_rows(self, start: int, out: np.ndarray) -> None:
+        """Read rows start .. start + len(out) - 1 into out, whose columns
+        must each be contiguous; raise DataFormatError on a non-finite
+        value or a payload cut short since the file was opened."""
+        rows = out.shape[0]
+        with open(self.path, "rb") as fh:
+            for j in range(out.shape[1]):
+                offset = _HEADER.size + 8 * (j * self.d + start)
+                if os.preadv(fh.fileno(), [out[:, j]], offset) != 8 * rows:
+                    raise DataFormatError(f"{self.path}: payload ended early")
+        if not np.dtype("<f8").isnative:
+            out.byteswap(inplace=True)
+        if not np.isfinite(out).all():
+            raise DataFormatError(f"{self.path}: non-finite values in snapshot payload")
+
+
+def open_snapshots(path: str | Path) -> SnapshotFile:
+    """Check a binary snapshot file's header, size, time axis and sidecar
+    without reading its payload."""
     path = Path(path)
     with open(path, "rb") as fh:
-        d, n, dt, t0 = _read_header(fh, path, SNAPSHOT_MAGIC)
-        payload = fh.read()
-    expected = d * n * 8
-    if len(payload) != expected:
-        raise DataFormatError(
-            f"{path}: payload is {len(payload)} bytes, header implies {expected}"
-        )
-    data = np.frombuffer(payload, dtype="<f8").reshape((d, n), order="F")
-    if not np.isfinite(data).all():
-        raise DataFormatError(f"{path}: non-finite values in snapshot payload")
+        d, n, dt, t0 = _open_payload(fh, path, SNAPSHOT_MAGIC, 8)
+    if d < 1 or n < 2:
+        raise DataFormatError(f"{path}: need D >= 1 rows and N >= 2 snapshots, "
+                              f"header gives {d}x{n}")
+    if not (dt > 0 and np.isfinite(dt) and np.isfinite(t0)):
+        raise DataFormatError(f"{path}: dt {dt} and t0 {t0} must be finite, dt positive")
     sidecar = _sidecar_path(path)
     if sidecar.exists():
-        layout = GridLayout.from_json_dict(json.loads(sidecar.read_text()))
+        try:
+            layout = GridLayout.from_json_dict(json.loads(sidecar.read_text()))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DataFormatError(f"{sidecar}: bad grid layout: {exc!r}") from exc
         if layout.dim != d:
             raise DataFormatError(
                 f"{path}: sidecar layout dimension {layout.dim} != data rows {d}"
             )
     else:
         layout = scalar_layout(d)
-    return SnapshotMatrix(data, dt=dt, t0=t0, layout=layout)
+    return SnapshotFile(path, d, n, dt, t0, layout)
+
+
+def read_snapshots(path: str | Path) -> SnapshotMatrix:
+    """Read a binary snapshot file whole; layout comes from the sidecar if present."""
+    src = open_snapshots(path)
+    with open(src.path, "rb") as fh:
+        fh.seek(_HEADER.size)
+        data = _read_payload(fh, src.path, src.d, src.n, "<f8")
+    if not np.isfinite(data).all():
+        raise DataFormatError(f"{src.path}: non-finite values in snapshot payload")
+    return SnapshotMatrix(data, dt=src.dt, t0=src.t0, layout=src.layout)
 
 
 def read_snapshots_csv(path: str | Path, layout: GridLayout | None = None) -> SnapshotMatrix:
@@ -146,33 +211,30 @@ def ingest(path: str | Path, format: str = "auto") -> SnapshotMatrix:
     raise ValueError(f"unknown snapshot format {format!r}")
 
 
+def open_source(path: str | Path) -> SnapshotFile | SnapshotMatrix:
+    """The snapshots of a file as a decomposition source: a .csv file is
+    loaded whole, anything else is opened as a DMDS file for row-block
+    reads."""
+    path = Path(path)
+    if path.suffix.lower() == ".csv":
+        return read_snapshots_csv(path)
+    return open_snapshots(path)
+
+
 def write_mode_matrix(path: str | Path, modes: np.ndarray, dt: float, t0: float = 0.0) -> None:
     """Write a complex matrix as interleaved re/im float64, column-major."""
-    path = Path(path)
     modes = np.asarray(modes, dtype=complex)
     if modes.ndim != 2:
         raise ValueError("mode matrix must be 2-D")
-    d, n = modes.shape
-    cols = modes.ravel(order="F")
-    interleaved = np.empty(2 * cols.size, dtype="<f8")
-    interleaved[0::2] = cols.real
-    interleaved[1::2] = cols.imag
-    _write_payload(path, MODES_MAGIC, d, n, dt, t0, interleaved)
+    _write_payload(Path(path), MODES_MAGIC, modes, "<c16", dt, t0)
 
 
 def read_mode_matrix(path: str | Path) -> tuple[np.ndarray, float, float]:
     """Read a complex mode matrix written by write_mode_matrix."""
     path = Path(path)
     with open(path, "rb") as fh:
-        d, n, dt, t0 = _read_header(fh, path, MODES_MAGIC)
-        payload = fh.read()
-    expected = d * n * 16
-    if len(payload) != expected:
-        raise DataFormatError(
-            f"{path}: payload is {len(payload)} bytes, header implies {expected}"
-        )
-    flat = np.frombuffer(payload, dtype="<f8")
-    modes = (flat[0::2] + 1j * flat[1::2]).reshape((d, n), order="F")
+        d, n, dt, t0 = _open_payload(fh, path, MODES_MAGIC, 16)
+        modes = _read_payload(fh, path, d, n, "<c16")
     return modes, dt, t0
 
 

@@ -219,6 +219,10 @@ class SnapshotMatrix:
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.n)
 
+    def read_rows(self, start: int, out: np.ndarray) -> None:
+        """Copy rows start .. start + len(out) - 1 into out."""
+        out[...] = self.data[start:start + out.shape[0]]
+
 
 def stack_observables(field: VelocityField, layout: GridLayout) -> np.ndarray:
     """Stack one velocity snapshot into a single weighted column vector.

@@ -234,10 +234,11 @@ def leave_one_out(snap: SnapshotMatrix, opts: DmdOptions,
     Column draws come from a single generator seeded with seed, so trial
     order is deterministic; trials are mutually independent.  The
     truncation rank (and TLSQ rank) are capped at the reduced column
-    count when the deletion makes them infeasible.  The snapshots are
-    factored once (dmd.deletion_spectra), so a trial never forms a D-row
-    array, and a trial computes its eigenvalues only.  A trial that
-    raises NumericalError is recorded in failures and skipped;
+    count when the deletion makes them infeasible.  snap is any source
+    dmd.exact_dmd takes, a SnapshotMatrix or a fileio.SnapshotFile.  The
+    snapshots are factored once (dmd.deletion_spectra), so a trial never
+    forms a D-row array, and a trial computes its eigenvalues only.  A
+    trial that raises NumericalError is recorded in failures and skipped;
     NumericalError is raised only when every trial fails.
     """
     if trials < 1:

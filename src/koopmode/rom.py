@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dmd import DmdResult, column_norms, mode_time_sum
+from .dmd import DmdResult, column_norms, mode_time_sum, rom_norms
 from .grids import SnapshotMatrix
 from .modes import ModeInfo, pair_conjugates
 from .ranking import persistence_filter
@@ -149,7 +149,8 @@ class ErrorCurve:
 
 
 def error_curve(snap: SnapshotMatrix, rom: RomModel) -> ErrorCurve:
-    """Reconstruction-norm and relative-error curves over all snapshots."""
+    """Reconstruction-norm and relative-error curves over all snapshots,
+    from the D-row data and reconstruction."""
     if snap.d != rom.modes.shape[0]:
         raise ValueError(
             f"data dimension {snap.d} does not match ROM dimension {rom.modes.shape[0]}"
@@ -165,3 +166,15 @@ def error_curve(snap: SnapshotMatrix, rom: RomModel) -> ErrorCurve:
     rel = column_norms(snap.data - xhat) / data_norm
     return ErrorCurve(steps=steps, times_hours=snap.times(),
                       rom_norm=rom_norm, rel_error=rel)
+
+
+def factor_error_curve(result: DmdResult, rom: RomModel) -> ErrorCurve:
+    """error_curve of a ROM of result against the snapshots exact_dmd
+    decomposed into result, computed on their R factor (dmd.rom_norms):
+    no D-row array is formed."""
+    data_norm, rom_norm, err = rom_norms(result, rom.indices)
+    if (data_norm == 0.0).any():
+        raise ValueError("relative error undefined: a data column has zero norm")
+    steps = np.arange(data_norm.size)
+    return ErrorCurve(steps=steps, times_hours=result.t0 + result.dt * steps,
+                      rom_norm=rom_norm, rel_error=err / data_norm)

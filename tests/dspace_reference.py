@@ -47,10 +47,9 @@ def remove_temporal_mean(snap: SnapshotMatrix) -> tuple[np.ndarray, SnapshotMatr
     return mean, SnapshotMatrix(centered, dt=snap.dt, t0=snap.t0, layout=snap.layout)
 
 
-def reference_dmd_from_pair(x1: np.ndarray, x2: np.ndarray, fit_data: np.ndarray,
-                            dt: float, opts: DmdOptions,
-                            mean_mode: np.ndarray | None = None,
-                            t0: float = 0.0) -> DmdResult:
+def _reduced_operator(x1: np.ndarray, x2: np.ndarray, opts: DmdOptions):
+    """The truncated SVD of the (normalized, projected) first matrix, the
+    lift x2 V Sigma^-1 and the reduced operator of a D-row pair."""
     d, cols = x1.shape
     if opts.normalize_columns:
         x1, x2, _ = column_normalize(x1, x2)
@@ -66,7 +65,6 @@ def reference_dmd_from_pair(x1: np.ndarray, x2: np.ndarray, fit_data: np.ndarray
         )
 
     svd = truncated_svd(x1, opts.r, opts.svd_mode)
-    sigma_full = svd.singular_values
     if svd.sigma[-1] <= _RANK_RTOL * svd.sigma[0]:
         raise NumericalError(
             f"rank deficiency below r={opts.r}: sigma_r/sigma_1 = "
@@ -74,7 +72,15 @@ def reference_dmd_from_pair(x1: np.ndarray, x2: np.ndarray, fit_data: np.ndarray
         )
 
     x2_v_sinv = (x2 @ svd.v) / svd.sigma[None, :]
-    k_reduced = svd.u.conj().T @ x2_v_sinv
+    return svd, x2_v_sinv, svd.u.conj().T @ x2_v_sinv
+
+
+def reference_dmd_from_pair(x1: np.ndarray, x2: np.ndarray, fit_data: np.ndarray,
+                            dt: float, opts: DmdOptions,
+                            mean_mode: np.ndarray | None = None,
+                            t0: float = 0.0) -> DmdResult:
+    svd, x2_v_sinv, k_reduced = _reduced_operator(x1, x2, opts)
+    sigma_full = svd.singular_values
     mu, w = np.linalg.eig(k_reduced)
     mu = mu.astype(np.complex128, copy=False)
     w = w.astype(np.complex128, copy=False)
@@ -140,6 +146,12 @@ def regression_pair(snap, opts: DmdOptions):
 def reference_exact_dmd(snap, opts: DmdOptions) -> DmdResult:
     x1, x2, fit_data, mean_mode = regression_pair(snap, opts)
     return reference_dmd_from_pair(x1, x2, fit_data, snap.dt, opts, mean_mode, snap.t0)
+
+
+def reference_operator_norm(snap, opts: DmdOptions) -> float:
+    """The 2-norm of the reference's reduced operator."""
+    x1, x2, _, _ = regression_pair(snap, opts)
+    return float(np.linalg.norm(_reduced_operator(x1, x2, opts)[2], 2))
 
 
 def reference_trial_mu(snap, opts: DmdOptions, omitted: int) -> np.ndarray:

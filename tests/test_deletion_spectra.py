@@ -45,7 +45,7 @@ def test_trial_spectrum_is_the_reduced_decomposition_spectrum(seed, wide, rank, 
     omitted = list(range(n - 1))
     base, spectra = deletion_spectra(snap, opts, omitted)
 
-    _, r = dmd._qr_dmd(snap, opts)
+    r = base.factor.r
     r1, r2 = r[:, :-1], r[:, 1:]
     cap = r1.shape[1] - 1
     trial_opts = replace(base.options, r=min(base.options.r, cap),

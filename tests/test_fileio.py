@@ -170,3 +170,47 @@ def test_write_csv_rows_nan_and_line_endings(tmp_path):
     write_csv(path, ("k", "x", "tag"), "%d,%.17g,%s", rows)
     assert path.read_bytes() == b"k,x,tag\n1,0.10000000000000001,cw\n2,,\n"
     assert float(path.read_text().splitlines()[1].split(",")[1]) == 0.1
+
+
+def legacy_payload(values: np.ndarray) -> bytes:
+    """Payload bytes as the earlier writer made them: a column-major copy,
+    for complex values interleaved into a third array, then tobytes."""
+    cols = values.ravel(order="F")
+    if np.iscomplexobj(values):
+        flat = np.empty(2 * cols.size, dtype="<f8")
+        flat[0::2] = cols.real
+        flat[1::2] = cols.imag
+        cols = flat
+    return cols.astype("<f8", copy=False).tobytes()
+
+
+def awkward(rng, shape) -> np.ndarray:
+    """Random magnitudes from subnormal to 1e300, signed zeros included."""
+    x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-320, 300, shape)
+    x.flat[::3] = -0.0
+    x.flat[1::5] = 5e-324
+    return x
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("shape", [(1, 2), (7, 5), (33, 4)])
+def test_writers_emit_the_earlier_bytes_from_the_array_buffer(tmp_path, rng, shape, order):
+    data = np.asarray(awkward(rng, shape), order=order)
+    snap = SnapshotMatrix(data, dt=0.5, t0=-1.0, layout=scalar_layout(shape[0]))
+    write_snapshots(tmp_path / "s.dmds", snap)
+    assert (tmp_path / "s.dmds").read_bytes()[40:] == legacy_payload(data)
+
+    modes = np.asarray(awkward(rng, shape) + 1j * awkward(rng, shape), order=order)
+    write_mode_matrix(tmp_path / "m.dmdm", modes, dt=0.5)
+    assert (tmp_path / "m.dmdm").read_bytes()[40:] == legacy_payload(modes)
+    back, _, _ = read_mode_matrix(tmp_path / "m.dmdm")
+    assert back.tobytes() == modes.tobytes()
+    assert np.signbit(back.real).tolist() == np.signbit(modes.real).tolist()
+
+
+def test_mode_matrix_payload_size_checked(tmp_path, rng):
+    path = tmp_path / "modes.dmdm"
+    write_mode_matrix(path, rng.standard_normal((4, 3)) + 0j, dt=1.0)
+    path.write_bytes(path.read_bytes()[:-16])
+    with pytest.raises(DataFormatError, match="payload"):
+        read_mode_matrix(path)

@@ -1,0 +1,219 @@
+"""DMDS input is decomposed in two passes over row blocks of the file.
+
+Pass 1 folds each block into the R factor, pass 2 lifts the modes from
+the blocks: the data is never held in memory.  The block size is patched
+down to a few rows here, so that many blocks, a partial last block and
+D below N all run at test sizes.
+"""
+import json
+import tempfile
+import tracemalloc
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from koopmode import dmd
+from koopmode.cli import main
+from koopmode.dmd import DmdOptions, exact_dmd
+from koopmode.fileio import open_snapshots, write_snapshots
+from koopmode.grids import SnapshotMatrix, scalar_layout
+from koopmode.modes import pair_conjugates
+from koopmode.oracle import generate, tidal_spec
+from koopmode.rom import build_rom, error_curve, factor_error_curve
+
+from dspace_reference import reference_exact_dmd
+from test_qr_equivalence import assert_spectra_match, mode_tolerance
+
+BLOCK_ROWS = st.sampled_from([1, 2, 3, 5, 8, 4096])
+OPTION_SETS = dict(remove_mean=st.booleans(), use_tlsq=st.booleans(),
+                   normalize=st.booleans(),
+                   b_fit=st.sampled_from(["first", "multi:2", "multi:10"]),
+                   svd_mode=st.sampled_from(["standard", "high_accuracy"]))
+
+
+def write_file(snap: SnapshotMatrix, folder: str):
+    path = Path(folder) / "snap.dmds"
+    write_snapshots(path, snap)
+    return open_snapshots(path)
+
+
+@given(seed=st.integers(0, 10_000), d=st.sampled_from([25, 61, 120]),
+       block_rows=BLOCK_ROWS, **OPTION_SETS)
+@settings(max_examples=40, deadline=None)
+def test_streamed_file_matches_dspace_reference(seed, d, block_rows, remove_mean,
+                                                use_tlsq, normalize, b_fit, svd_mode):
+    """D below and above N = 40, every option: the streamed file gives
+    the eigenvalues and modes of the D-row reference within 1e-10 (more
+    for a sensitive eigenvector, as in test_qr_equivalence), and exactly
+    the result of the in-memory snapshots under the same block size."""
+    snap, _ = generate(tidal_spec(d=d, n=40, noise_sigma=1e-3, seed=seed))
+    opts = DmdOptions(r=16 if remove_mean else 17, use_tlsq=use_tlsq, normalize_columns=normalize,
+                      remove_mean=remove_mean, b_fit=b_fit, svd_mode=svd_mode)
+    with tempfile.TemporaryDirectory() as folder, \
+            mock.patch.object(dmd, "_BLOCK_ROWS", block_rows):
+        res = exact_dmd(write_file(snap, folder), opts)
+        in_memory = exact_dmd(snap, opts)
+    for name in ("mu", "b", "modes", "singular_values", "residuals"):
+        assert np.array_equal(getattr(res, name), getattr(in_memory, name)), name
+    if remove_mean:
+        assert np.array_equal(res.mean_mode, in_memory.mean_mode)
+        assert np.allclose(res.mean_mode, snap.data.mean(axis=1), rtol=0, atol=1e-14)
+
+    ref = reference_exact_dmd(snap, opts)
+    match = assert_spectra_match(res.mu, ref.mu)
+    mode_err = np.abs(res.modes - ref.modes[:, match]).max(axis=0)
+    assert np.all(mode_err <= mode_tolerance(snap, opts, ref.mu)[match])
+    assert np.allclose(res.singular_values, ref.singular_values,
+                       rtol=0, atol=1e-13 * ref.singular_values[0])
+
+
+def growing_snapshots(d: int = 8, n: int = 144) -> SnapshotMatrix:
+    """One mode with mu = 15: entries reach 1e168, so squared column
+    norms overflow."""
+    data = np.linspace(1.0, 2.0, d)[:, None] * (15.0 ** np.arange(n))[None, :]
+    return SnapshotMatrix(data, dt=1.0, t0=0.0, layout=scalar_layout(d))
+
+
+@given(seed=st.integers(0, 10_000), d=st.sampled_from([20, 30, 90]),
+       remove_mean=st.booleans(), growing=st.booleans(), block_rows=BLOCK_ROWS,
+       keep=st.integers(1, 17))
+@settings(max_examples=40, deadline=None)
+def test_rom_curves_from_the_factor_match_the_d_row_curves(seed, d, remove_mean, growing,
+                                                           block_rows, keep):
+    """rom's curves come from the R factor: data norms, ROM norms and
+    relative errors agree with rom.error_curve's D-row curves to 1e-12
+    relative.  A relative error at round-off level is held to 1e-14 of
+    the data norm instead."""
+    if growing:
+        snap, rank = growing_snapshots(d), 1
+    else:
+        snap = generate(tidal_spec(d=d, n=40, noise_sigma=1e-3, seed=seed))[0]
+        rank = 16 if remove_mean else 17
+    opts = DmdOptions(r=rank, remove_mean=remove_mean, b_fit="multi:10")
+    with tempfile.TemporaryDirectory() as folder, \
+            mock.patch.object(dmd, "_BLOCK_ROWS", block_rows):
+        result = exact_dmd(write_file(snap, folder), opts)
+    # the leading modes, closed under conjugation
+    partner = pair_conjugates(result.mu)
+    chosen = set(range(min(keep, result.r)))
+    chosen |= {partner[i] for i in chosen if partner[i] is not None}
+    model = build_rom(result, [i + 1 for i in sorted(chosen)])
+
+    got = factor_error_curve(result, model)
+    want = error_curve(snap, model)
+    assert np.array_equal(got.steps, want.steps)
+    assert np.array_equal(got.times_hours, want.times_hours)
+    assert np.allclose(got.rom_norm, want.rom_norm, rtol=1e-12, atol=0)
+    assert np.all(np.abs(got.rel_error - want.rel_error)
+                  <= 1e-12 * want.rel_error + 1e-14)
+
+
+def test_rom_curves_need_a_snapshot_factor():
+    snap = generate(tidal_spec(d=30, n=40, seed=1))[0]
+    x = snap.data
+    result = dmd.dmd_from_pair(x[:, :-1], x[:, 1:], x, 1.0, DmdOptions(r=17))
+    with pytest.raises(ValueError, match="factor"):
+        factor_error_curve(result, build_rom(result, range(1, 18)))
+
+
+# ------------------------------------------------------------------ memory
+
+@pytest.fixture(scope="module")
+def ocean_file(tmp_path_factory):
+    """D = 20000, N = 144 tidal oracle on disk: 23 MB of float64."""
+    snap, _ = generate(tidal_spec(d=20000, n=144, noise_sigma=1e-3, seed=0))
+    folder = tmp_path_factory.mktemp("ocean")
+    write_snapshots(folder / "oracle.dmds", snap)
+    return folder / "oracle.dmds", snap.data.nbytes
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("run", {}),
+    ("rom", {"rom.all.indices": "all", "rom.top.indices": "1,2,3"}),
+])
+def test_cli_peak_memory_within_the_payload(ocean_file, tmp_path, command, extra):
+    """run and rom stream the file: their tracemalloc peak (the D x 17
+    modes, a ROM's copy of them, one row block) stays below the payload,
+    which the whole-file path held about three times over."""
+    path, payload = ocean_file
+    cfg = tmp_path / "cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in
+                           {"input": path, "out": tmp_path / "out", "rank": 17,
+                            "mean_removal": "on", **extra}.items()))
+    tracemalloc.start()
+    try:
+        assert main([command, "--config", str(cfg)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= payload
+
+
+# -------------------------------------------------------------- robustness
+
+BROKEN = ("ok", "truncated", "overlong", "nan_last_block", "inf_last_block",
+          "sidecar_mismatch", "zeros", "constant")
+
+
+def write_input(folder: Path, data: np.ndarray, kind: str) -> Path:
+    d, n = data.shape
+    if kind == "zeros":
+        data = np.zeros((d, n))
+    elif kind == "constant":
+        data = np.full((d, n), 2.5)
+    path = folder / "input.dmds"
+    write_snapshots(path, SnapshotMatrix(data, dt=1.0, t0=0.0, layout=scalar_layout(d)))
+    raw = bytearray(path.read_bytes())
+    if kind in ("nan_last_block", "inf_last_block"):
+        at = 40 + 8 * ((n // 2) * d + d - 1)  # the last row, in the last block
+        raw[at:at + 8] = np.float64(np.nan if kind == "nan_last_block" else -np.inf).tobytes()
+    elif kind == "truncated":
+        raw = raw[:-8]
+    elif kind == "overlong":
+        raw += bytes(8)
+    elif kind == "sidecar_mismatch":
+        (folder / "input.dmds.grid.json").write_text(
+            json.dumps(scalar_layout(d + 1).to_json_dict()))
+    path.write_bytes(raw)
+    return path
+
+
+COMMANDS = {
+    "run": {},
+    "loo": {"loo_trials": 3},
+    "rom": {"rom.all.indices": "all"},
+    "slice": {"slice_modes": "1"},
+}
+
+
+@given(d=st.integers(1, 60), n=st.integers(2, 40), kind=st.sampled_from(BROKEN),
+       seed=st.integers(0, 2**32 - 1), block_rows=st.sampled_from([1, 3, 7, 4096]),
+       mean_removal=st.booleans(), tlsq=st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_no_dmds_input_ends_in_a_traceback(d, n, kind, seed, block_rows, mean_removal,
+                                           tlsq):
+    """Broken, degenerate and healthy DMDS files through every command
+    that reads one: each ends in exit 0, 2, 3 or 4, and exit 4 (an input
+    error) leaves no output directory."""
+    data = np.random.default_rng(seed).standard_normal((d, n))
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(dmd, "_BLOCK_ROWS", block_rows):
+        folder = Path(tmp)
+        path = write_input(folder, data, kind)
+        for command, extra in COMMANDS.items():
+            out = folder / f"out-{command}"
+            cfg = folder / f"{command}.cfg"
+            cfg.write_text("".join(f"{k} = {v}\n" for k, v in {
+                "input": path, "out": out, "mean_removal": "on" if mean_removal else "off",
+                "tlsq": "on" if tlsq else "off", **extra}.items()))
+            code = main([command, "--config", str(cfg)])
+            assert code in (0, 2, 3, 4), (command, code)
+            if code == 4:
+                assert not out.exists(), command
+            if kind in ("truncated", "overlong", "nan_last_block", "inf_last_block",
+                        "sidecar_mismatch"):
+                assert code == 4, (command, code)
