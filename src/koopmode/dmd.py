@@ -493,9 +493,10 @@ def _blocks(d: int):
 def _factor(src, center: bool) -> _Factor:
     """Pass 1: R <- R factor of [R; block] over the row blocks of src.
 
-    Each block is read into one F-ordered buffer under the R factor so
-    far, factored in place, and never held after its fold; centering
-    appends the block's row means as one more column.
+    Each block is read into an F-ordered buffer below the R factor so
+    far (one buffer while the block shape holds), factored in place, and
+    never held after its fold; centering appends the block's row means
+    as one more column.
     """
     n = src.n
     cols = n + 1 if center else n

@@ -78,14 +78,6 @@ def _open_payload(fh, path: Path, magic: bytes, itemsize: int
     return int(d), int(n), float(dt), float(t0)
 
 
-def _read_payload(fh, path: Path, d: int, n: int, dtype: str) -> np.ndarray:
-    """The payload as a (D, N) F-ordered array, read into its own memory."""
-    out = np.empty((n, d), dtype=dtype)
-    if fh.readinto(out) != out.nbytes:
-        raise DataFormatError(f"{path}: payload ended early")
-    return out.T
-
-
 def write_snapshots(path: str | Path, snap: SnapshotMatrix) -> None:
     """Write a snapshot matrix and its grid sidecar next to it."""
     path = Path(path)
@@ -151,11 +143,8 @@ def open_snapshots(path: str | Path) -> SnapshotFile:
 def read_snapshots(path: str | Path) -> SnapshotMatrix:
     """Read a binary snapshot file whole; layout comes from the sidecar if present."""
     src = open_snapshots(path)
-    with open(src.path, "rb") as fh:
-        fh.seek(_HEADER.size)
-        data = _read_payload(fh, src.path, src.d, src.n, "<f8")
-    if not np.isfinite(data).all():
-        raise DataFormatError(f"{src.path}: non-finite values in snapshot payload")
+    data = np.empty((src.d, src.n), order="F")
+    src.read_rows(0, data)
     return SnapshotMatrix(data, dt=src.dt, t0=src.t0, layout=src.layout)
 
 
@@ -234,8 +223,10 @@ def read_mode_matrix(path: str | Path) -> tuple[np.ndarray, float, float]:
     path = Path(path)
     with open(path, "rb") as fh:
         d, n, dt, t0 = _open_payload(fh, path, MODES_MAGIC, 16)
-        modes = _read_payload(fh, path, d, n, "<c16")
-    return modes, dt, t0
+        modes = np.empty((n, d), dtype="<c16")
+        if fh.readinto(modes) != modes.nbytes:
+            raise DataFormatError(f"{path}: payload ended early")
+    return modes.T, dt, t0
 
 
 def write_csv(path: str | Path, header: Sequence[str], fmt: str,
