@@ -53,7 +53,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericalError
-from .grids import SnapshotMatrix
+from .grids import SnapshotMatrix, scalar_layout
 
 # Rows per block of the two passes over the snapshots.  Fixed, so that a
 # rerun repeats every floating-point operation.
@@ -400,9 +400,9 @@ def _spectrum(r1: np.ndarray, r2: np.ndarray, d: int, opts: DmdOptions) -> _Spec
             f"{svd.sigma[-1] / svd.sigma[0]:.3e}"
         )
 
-    # Reduced one-step operator and its eigendecomposition.
-    lift = svd.v / svd.sigma[None, :]
-    r2_v_sinv = r2 @ lift
+    # Reduced one-step operator and its eigendecomposition; X2 V Sigma^-1
+    # is rounded in the order of the D-row formulation.
+    r2_v_sinv = (r2 @ svd.v) / svd.sigma[None, :]
     k_reduced = svd.u.conj().T @ r2_v_sinv
     mu, w = np.linalg.eig(k_reduced)
     # eig returns real arrays for an all-real spectrum; the principal-branch
@@ -417,6 +417,7 @@ def _spectrum(r1: np.ndarray, r2: np.ndarray, d: int, opts: DmdOptions) -> _Spec
         )
     if (np.abs(mu) == 0.0).any():
         raise NumericalError("zero eigenvalue; continuous-time exponent undefined")
+    lift = svd.v / svd.sigma[None, :]
     if basis is not None:
         lift = basis @ lift
     if scales is not None:
@@ -495,27 +496,39 @@ def _factor(src, center: bool) -> _Factor:
 
     Each block is read into an F-ordered buffer below the R factor so
     far (one buffer while the block shape holds), factored in place, and
-    never held after its fold; centering appends the block's row means
-    as one more column.
+    never held after its fold.  Centering carries the row means m as one
+    more column, [X_c | m] = Q R, by applying each fold's reflectors to
+    them, so the data columns of R round as those of X_c alone.
     """
     n = src.n
-    cols = n + 1 if center else n
     mean = np.empty(src.d) if center else None
     norms = np.zeros(n)
-    r = np.empty((0, cols))
-    buf = np.empty((0, cols), order="F")
+    r = np.empty((0, n))
+    m_r, m_out = np.empty(0), 0.0  # R coordinates of m, its norm outside them
+    buf = np.empty((0, n), order="F")
     for start, stop in _blocks(src.d):
         k = r.shape[0]
         if buf.shape[0] != k + stop - start:
-            buf = np.empty((k + stop - start, cols), order="F")
-        block = buf[k:, :n]
+            buf = np.empty((k + stop - start, n), order="F")
+        block = buf[k:]
         src.read_rows(start, block)
         norms = np.hypot(norms, column_norms(block))
         if center:
-            mean[start:stop] = buf[k:, n] = block.mean(axis=1)
-            block -= buf[k:, n:]
+            # numpy sums a contiguous row pairwise, an F-ordered block's
+            # rows one column at a time with an error growing with n
+            m = np.ascontiguousarray(block).mean(axis=1)
+            mean[start:stop] = m
+            block -= m[:, None]
         buf[:k] = r
-        r = scipy.linalg.qr(buf, mode="raw", overwrite_a=True, check_finite=False)[1]
+        (h, tau), r = scipy.linalg.qr(buf, mode="raw", overwrite_a=True, check_finite=False)
+        if center:
+            c = scipy.linalg.lapack.dormqr("L", "T", h[:, :tau.size], tau,
+                                           np.r_[m_r, m][:, None], 1)[0][:, 0]
+            m_r, m_out = c[:r.shape[0]], np.hypot(m_out, np.linalg.norm(c[r.shape[0]:]))
+    if center:
+        r = np.c_[r, m_r]
+        if src.d > n:  # the part of m outside the span of X_c
+            r = np.r_[r, np.r_[np.zeros(n), m_out][None, :]]
     return _Factor(r, mean, norms)
 
 
@@ -572,30 +585,6 @@ def _decompose(src, opts: DmdOptions, center: bool, pair: tuple[slice, slice, sl
     )
 
 
-class _Columns(NamedTuple):
-    """Matrices side by side, read as one snapshot source through row views."""
-
-    parts: tuple[np.ndarray, ...]
-    dt: float
-    t0: float
-
-    @property
-    def d(self) -> int:
-        return self.parts[0].shape[0]
-
-    @property
-    def n(self) -> int:
-        return sum(p.shape[1] for p in self.parts)
-
-    def read_rows(self, start: int, out: np.ndarray) -> None:
-        j = 0
-        for p in self.parts:
-            out[:, j:j + p.shape[1]] = p[start:start + out.shape[0]]
-            j += p.shape[1]
-        if not np.isfinite(out).all():
-            raise ValueError("pair matrices hold non-finite values")
-
-
 def dmd_from_pair(x1: np.ndarray, x2: np.ndarray, fit_data: np.ndarray,
                   dt: float, opts: DmdOptions,
                   mean_mode: np.ndarray | None = None, t0: float = 0.0) -> DmdResult:
@@ -604,15 +593,16 @@ def dmd_from_pair(x1: np.ndarray, x2: np.ndarray, fit_data: np.ndarray,
     fit_data holds the snapshots the amplitudes are fitted against: the
     original matrix (centered when the mean was removed), never the
     normalized or projected pair.  The three matrices are factored
-    together, [x1 | x2 | fit_data] = Q R, in row blocks of views.
+    together, [x1 | x2 | fit_data] = Q R.
     """
-    x1, x2, fit_data = np.asarray(x1), np.asarray(x2), np.asarray(fit_data)
+    x1, x2 = np.asarray(x1), np.asarray(x2)
     if x1.shape != x2.shape:
         raise ValueError("pair matrices must share one shape")
     c = x1.shape[1]
     pair = (slice(0, c), slice(c, 2 * c), slice(2 * c, None))
-    result = _decompose(_Columns((x1, x2, fit_data), dt, t0), opts, False, pair, mean_mode)
-    return replace(result, factor=None)
+    src = SnapshotMatrix(np.hstack([x1, x2, fit_data]), dt=dt, t0=t0,
+                         layout=scalar_layout(x1.shape[0]))
+    return replace(_decompose(src, opts, False, pair, mean_mode), factor=None)
 
 
 def _snapshot_pair(n: int) -> tuple[slice, slice, slice]:

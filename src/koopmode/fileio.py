@@ -184,15 +184,19 @@ def read_snapshots_csv(path: str | Path, layout: GridLayout | None = None) -> Sn
     return SnapshotMatrix(data, dt=float(dt), t0=float(times_arr[0]), layout=layout)
 
 
-def ingest(path: str | Path, format: str = "auto") -> SnapshotMatrix:
-    """Load snapshots from a DMDS binary or CSV file.
-
-    format "auto" dispatches on the file extension (.csv reads as CSV,
-    anything else as binary).
-    """
-    path = Path(path)
+def _resolve_format(path: Path, format: str) -> str:
+    """format, with "auto" resolved by the file extension: .csv reads as
+    CSV, anything else as DMDS binary."""
     if format == "auto":
-        format = "csv" if path.suffix.lower() == ".csv" else "dmds"
+        return "csv" if path.suffix.lower() == ".csv" else "dmds"
+    return format
+
+
+def ingest(path: str | Path, format: str = "auto") -> SnapshotMatrix:
+    """Load snapshots from a DMDS binary or CSV file (format "dmds",
+    "csv", or "auto" to go by the extension)."""
+    path = Path(path)
+    format = _resolve_format(path, format)
     if format == "dmds":
         return read_snapshots(path)
     if format == "csv":
@@ -201,13 +205,12 @@ def ingest(path: str | Path, format: str = "auto") -> SnapshotMatrix:
 
 
 def open_source(path: str | Path) -> SnapshotFile | SnapshotMatrix:
-    """The snapshots of a file as a decomposition source: a .csv file is
-    loaded whole, anything else is opened as a DMDS file for row-block
-    reads."""
+    """The snapshots of a file as a decomposition source: a DMDS file is
+    opened for row-block reads, a CSV file loaded whole by ingest."""
     path = Path(path)
-    if path.suffix.lower() == ".csv":
-        return read_snapshots_csv(path)
-    return open_snapshots(path)
+    if _resolve_format(path, "auto") == "dmds":
+        return open_snapshots(path)
+    return ingest(path)
 
 
 def write_mode_matrix(path: str | Path, modes: np.ndarray, dt: float, t0: float = 0.0) -> None:
