@@ -1,9 +1,8 @@
 """Koopman-mode decomposition toolkit for gridded snapshot data."""
 
 from .dmd import (DmdOptions, DmdResult, TruncatedSvd, column_normalize,
-                  dmd_from_pair, exact_dmd, fit_coefficients_multi,
-                  modified_options, reconstruct, split_snapshots,
-                  tlsq_project, truncated_svd)
+                  exact_dmd, fit_coefficients_multi, modified_options,
+                  reconstruct, truncated_svd)
 from .errors import ConfigError, DataFormatError, KoopmodeError, NumericalError
 from .fileio import ingest, read_mode_matrix, read_snapshots, write_mode_matrix, write_snapshots
 from .grids import (ChannelSpec, GridLayout, SliceResult, SnapshotMatrix,

@@ -272,6 +272,9 @@ def _analyse(cfg: RunConfig, robust: bool) -> _Analysis:
         snap = fileio.open_source(cfg.input)
     except ValueError as exc:
         raise DataFormatError(str(exc)) from exc
+    if robust and snap.n < 3:  # a trial deletes one of the N - 1 pair columns
+        raise DataFormatError(f"{cfg.input}: leave-one-out needs N >= 3 snapshots, "
+                              f"the input has N = {snap.n}")
     t_window = cfg.persistence_t if cfg.persistence_t is not None else (snap.n - 1) * snap.dt
     loo = leave_one_out(snap, opts, trials=cfg.loo_trials, seed=cfg.seed) if robust else None
     result = loo.base if robust else exact_dmd(snap, opts)

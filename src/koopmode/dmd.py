@@ -1,9 +1,10 @@
 """Exact dynamic mode decomposition with optional debiasing refinements.
 
-The baseline algorithm regresses the one-step propagator from a pair of
-time-shifted snapshot matrices through a rank-r SVD and reads modes and
-eigenvalues off the reduced operator.  Three optional refinements target
-poorly scaled or noisy data:
+exact_dmd is the one entry: it takes a record of time-ordered snapshots
+(in memory, or a file read in row blocks), regresses the one-step
+propagator from the time-shifted pair of its columns through a rank-r
+SVD and reads modes and eigenvalues off the reduced operator.  Three
+optional refinements target poorly scaled or noisy data:
 
   * column normalization: both matrices of the pair are divided by the
     l2 norms of the first matrix's columns, equalizing snapshot weights
@@ -53,7 +54,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericalError
-from .grids import SnapshotMatrix, scalar_layout
+from .grids import SnapshotMatrix
 
 # Rows per block of the two passes over the snapshots.  Fixed, so that a
 # rerun repeats every floating-point operation.
@@ -153,9 +154,9 @@ class DmdResult:
     the continuous-time exponents log(mu)/dt on the principal branch.
     mean_mode is the removed temporal mean when the option was on.
     data_rank is the numerical rank of the (centered) regression matrix,
-    and options.r the truncation rank in force.  factor holds the
-    snapshots and modes in R-factor coordinates for rom_norms; only
-    functions of this module read it.
+    and options.r the truncation rank in force.  exact_dmd builds every
+    result; factor holds its snapshots and modes in R-factor coordinates
+    for rom_norms, and only functions of this module read it.
     """
 
     modes: np.ndarray
@@ -174,18 +175,6 @@ class DmdResult:
     @property
     def r(self) -> int:
         return self.mu.size
-
-
-def split_snapshots(x) -> tuple[np.ndarray, np.ndarray]:
-    """Split snapshots into the time-shifted regression pair.
-
-    Accepts a SnapshotMatrix or a plain (D, N) array; returns views of
-    columns 0..N-2 and 1..N-1.
-    """
-    data = x.data if isinstance(x, SnapshotMatrix) else np.asarray(x)
-    if data.ndim != 2 or data.shape[1] < 2:
-        raise ValueError("need a (D, N) matrix with N >= 2")
-    return data[:, :-1], data[:, 1:]
 
 
 def column_norms(a: np.ndarray) -> np.ndarray:
@@ -252,19 +241,6 @@ def _tlsq_basis(x1: np.ndarray, x2: np.ndarray, rank: int, svd_mode: str) -> np.
         )
     _, _, vh = _svd(np.vstack([x1, x2]), svd_mode)
     return vh[:rank].conj().T
-
-
-def tlsq_project(x1: np.ndarray, x2: np.ndarray, rank: int,
-                 svd_mode: str = "standard") -> tuple[np.ndarray, np.ndarray]:
-    """Project the pair onto the leading right singular directions of the
-    vertically stacked pair.
-
-    With rank equal to the column count this is an orthogonal change of
-    basis; smaller ranks discard directions dominated by noise shared
-    between the two matrices.
-    """
-    v = _tlsq_basis(x1, x2, rank, svd_mode)
-    return x1 @ v, x2 @ v
 
 
 def default_fit_indices(n: int, count: int) -> np.ndarray:
@@ -532,9 +508,9 @@ def _factor(src, center: bool) -> _Factor:
     return _Factor(r, mean, norms)
 
 
-def _lift(src, cols: slice, mean: np.ndarray | None, coef: np.ndarray) -> np.ndarray:
-    """Pass 2: the D-row product of the (centered) columns cols of src
-    with coef, block by block, as an F-ordered complex matrix."""
+def _lift(src, mean: np.ndarray | None, coef: np.ndarray) -> np.ndarray:
+    """Pass 2: the D-row product of the (centered) snapshots 1..N-1 of
+    src with coef, block by block, as an F-ordered complex matrix."""
     real = np.ascontiguousarray(coef).view(np.float64)
     out = np.empty((src.d, coef.shape[1]), dtype=complex, order="F")
     buf = np.empty((min(_BLOCK_ROWS, src.d), src.n), order="F")
@@ -543,81 +519,48 @@ def _lift(src, cols: slice, mean: np.ndarray | None, coef: np.ndarray) -> np.nda
         src.read_rows(start, block)
         if mean is not None:
             block -= mean[start:stop, None]
-        out[start:stop] = (block[:, cols] @ real).view(np.complex128)
+        out[start:stop] = (block[:, 1:] @ real).view(np.complex128)
     return out
 
 
-def _decompose(src, opts: DmdOptions, center: bool, pair: tuple[slice, slice, slice],
-               mean_mode: np.ndarray | None = None) -> DmdResult:
-    """Both passes over src, with the decomposition on R between them.
+def exact_dmd(snap: SnapshotMatrix, opts: DmdOptions) -> DmdResult:
+    """The decomposition of snapshots: the one entry to this module's
+    pipeline.
 
-    pair selects the columns of the regression pair and of the fit
-    snapshots.  The data rank is counted on the first matrix of the
-    pair and resolves a default rank.  Each lifted mode is rotated so
-    its largest-magnitude entry is real and positive, and its amplitude
-    counter-rotated.
+    snap is a SnapshotMatrix, or any source with the same d, n, dt, t0
+    and read_rows, such as a fileio.SnapshotFile, which is then read in
+    two passes of row blocks and never held in memory.  Pass 1 factors
+    the snapshots (centered under opts.remove_mean), X = Q R; the pair
+    is R[:, :-1], R[:, 1:] and the amplitudes are fitted against R.  The
+    data rank is counted on R[:, :-1] and resolves a default rank.  Pass
+    2 lifts the modes; each is rotated so its largest-magnitude entry is
+    real and positive, and its amplitude counter-rotated.
     """
-    fac = _factor(src, center)
-    r = fac.r[:min(src.d, src.n), :src.n]
-    r1, r2, r_fit = (r[:, cols] for cols in pair)
-    s = np.linalg.svd(r1, compute_uv=False)
-    data_rank = int((s > s[0] * max(src.d, r1.shape[1]) * np.finfo(float).eps).sum())
-    if opts.r is None:  # N - 4 = pair columns - 3
-        opts = replace(opts, r=max(1, min(data_rank, r1.shape[1] - 3)))
-    red = _reduced_dmd(r1, r2, r_fit, src.d, opts)
-    modes = _lift(src, pair[1], fac.mean, red.lift)
+    fac = _factor(snap, opts.remove_mean)
+    r = fac.r[:min(snap.d, snap.n), :snap.n]
+    s = np.linalg.svd(r[:, :-1], compute_uv=False)
+    data_rank = int((s > s[0] * max(snap.d, snap.n - 1) * np.finfo(float).eps).sum())
+    if opts.r is None:
+        opts = replace(opts, r=max(1, min(data_rank, snap.n - 4)))
+    red = _reduced_dmd(r[:, :-1], r[:, 1:], r, snap.d, opts)
+    modes = _lift(snap, fac.mean, red.lift)
     lead = np.array([col[np.argmax(np.abs(col))] for col in modes.T])
     phase = np.conj(lead) / np.abs(lead)
     modes *= phase[None, :]
     return DmdResult(
         modes=modes,
         mu=red.mu,
-        gamma=np.log(red.mu) / src.dt,
+        gamma=np.log(red.mu) / snap.dt,
         b=red.b / phase,
         singular_values=red.singular_values,
         residuals=red.residuals,
         options=opts,
-        dt=src.dt,
-        t0=src.t0,
-        mean_mode=fac.mean if center else mean_mode,
+        dt=snap.dt,
+        t0=snap.t0,
+        mean_mode=fac.mean,
         data_rank=data_rank,
         factor=fac._replace(modes=red.modes * phase[None, :]),
     )
-
-
-def dmd_from_pair(x1: np.ndarray, x2: np.ndarray, fit_data: np.ndarray,
-                  dt: float, opts: DmdOptions,
-                  mean_mode: np.ndarray | None = None, t0: float = 0.0) -> DmdResult:
-    """Decomposition of an already-split snapshot pair.
-
-    fit_data holds the snapshots the amplitudes are fitted against: the
-    original matrix (centered when the mean was removed), never the
-    normalized or projected pair.  The three matrices are factored
-    together, [x1 | x2 | fit_data] = Q R.
-    """
-    x1, x2 = np.asarray(x1), np.asarray(x2)
-    if x1.shape != x2.shape:
-        raise ValueError("pair matrices must share one shape")
-    c = x1.shape[1]
-    pair = (slice(0, c), slice(c, 2 * c), slice(2 * c, None))
-    src = SnapshotMatrix(np.hstack([x1, x2, fit_data]), dt=dt, t0=t0,
-                         layout=scalar_layout(x1.shape[0]))
-    return replace(_decompose(src, opts, False, pair, mean_mode), factor=None)
-
-
-def _snapshot_pair(n: int) -> tuple[slice, slice, slice]:
-    """Columns of the regression pair and of the fit snapshots among n."""
-    return slice(0, n - 1), slice(1, n), slice(0, n)
-
-
-def exact_dmd(snap: SnapshotMatrix, opts: DmdOptions) -> DmdResult:
-    """Run the full decomposition pipeline on snapshots.
-
-    snap is a SnapshotMatrix, or any source with the same d, n, dt, t0
-    and read_rows, such as a fileio.SnapshotFile, which is then read in
-    two passes of row blocks and never held in memory.
-    """
-    return _decompose(snap, opts, opts.remove_mean, _snapshot_pair(snap.n))
 
 
 def rom_norms(result: DmdResult, indices: Sequence[int]
@@ -661,7 +604,7 @@ def deletion_spectra(snap: SnapshotMatrix, opts: DmdOptions, omitted: Sequence[i
     spectrum.
     """
     n = snap.n
-    base = _decompose(snap, opts, opts.remove_mean, _snapshot_pair(n))
+    base = exact_dmd(snap, opts)
     r = base.factor.r[:min(snap.d, n), :n]
     r1, r2 = r[:, :-1], r[:, 1:]
     opts, cols = base.options, r1.shape[1]

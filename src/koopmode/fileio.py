@@ -35,7 +35,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataFormatError
-from .grids import GridLayout, SnapshotMatrix, scalar_layout
+from .grids import GridLayout, SnapshotMatrix, _all_finite, scalar_layout
 
 _HEADER = struct.Struct("<4sIQQdd")
 SNAPSHOT_MAGIC = b"DMDS"
@@ -110,7 +110,7 @@ class SnapshotFile:
                     raise DataFormatError(f"{self.path}: payload ended early")
         if not np.dtype("<f8").isnative:
             out.byteswap(inplace=True)
-        if not np.isfinite(out).all():
+        if not _all_finite(out):
             raise DataFormatError(f"{self.path}: non-finite values in snapshot payload")
 
 
@@ -140,12 +140,18 @@ def open_snapshots(path: str | Path) -> SnapshotFile:
     return SnapshotFile(path, d, n, dt, t0, layout)
 
 
-def read_snapshots(path: str | Path) -> SnapshotMatrix:
-    """Read a binary snapshot file whole; layout comes from the sidecar if present."""
-    src = open_snapshots(path)
+def _read_whole(src: SnapshotFile) -> SnapshotMatrix:
+    """The payload of src in one F-ordered array, which the SnapshotMatrix
+    adopts read-only instead of copying."""
     data = np.empty((src.d, src.n), order="F")
     src.read_rows(0, data)
+    data.flags.writeable = False
     return SnapshotMatrix(data, dt=src.dt, t0=src.t0, layout=src.layout)
+
+
+def read_snapshots(path: str | Path) -> SnapshotMatrix:
+    """Read a binary snapshot file whole; layout comes from the sidecar if present."""
+    return _read_whole(open_snapshots(path))
 
 
 def read_snapshots_csv(path: str | Path, layout: GridLayout | None = None) -> SnapshotMatrix:
@@ -184,33 +190,21 @@ def read_snapshots_csv(path: str | Path, layout: GridLayout | None = None) -> Sn
     return SnapshotMatrix(data, dt=float(dt), t0=float(times_arr[0]), layout=layout)
 
 
-def _resolve_format(path: Path, format: str) -> str:
-    """format, with "auto" resolved by the file extension: .csv reads as
-    CSV, anything else as DMDS binary."""
-    if format == "auto":
-        return "csv" if path.suffix.lower() == ".csv" else "dmds"
-    return format
-
-
-def ingest(path: str | Path, format: str = "auto") -> SnapshotMatrix:
-    """Load snapshots from a DMDS binary or CSV file (format "dmds",
-    "csv", or "auto" to go by the extension)."""
-    path = Path(path)
-    format = _resolve_format(path, format)
-    if format == "dmds":
-        return read_snapshots(path)
-    if format == "csv":
-        return read_snapshots_csv(path)
-    raise ValueError(f"unknown snapshot format {format!r}")
-
-
 def open_source(path: str | Path) -> SnapshotFile | SnapshotMatrix:
-    """The snapshots of a file as a decomposition source: a DMDS file is
-    opened for row-block reads, a CSV file loaded whole by ingest."""
+    """The snapshots of a file as a decomposition source: a .csv file
+    (any case) is loaded whole, any other is opened as DMDS for row-block
+    reads."""
     path = Path(path)
-    if _resolve_format(path, "auto") == "dmds":
-        return open_snapshots(path)
-    return ingest(path)
+    if path.suffix.lower() == ".csv":
+        return read_snapshots_csv(path)
+    return open_snapshots(path)
+
+
+def ingest(path: str | Path) -> SnapshotMatrix:
+    """Load the snapshots of a CSV or DMDS file whole, by open_source's
+    extension rule."""
+    src = open_source(path)
+    return src if isinstance(src, SnapshotMatrix) else _read_whole(src)
 
 
 def write_mode_matrix(path: str | Path, modes: np.ndarray, dt: float, t0: float = 0.0) -> None:

@@ -180,9 +180,21 @@ class VelocityField:
             object.__setattr__(self, nm, a)
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of a non-empty float array is finite.  NaN
+    propagates through min and max, so this allocates nothing as large
+    as a."""
+    return bool(np.isfinite(a.min()) and np.isfinite(a.max()))
+
+
 @dataclass(frozen=True)
 class SnapshotMatrix:
-    """Stacked snapshots as columns, with uniform time step in hours."""
+    """Stacked snapshots as columns, with uniform time step in hours.
+
+    data is held read-only.  An owned, read-only float64 array is adopted
+    as it is, handed over by its caller; any other input is copied, so
+    the caller cannot change it.
+    """
 
     data: np.ndarray
     dt: float
@@ -190,7 +202,10 @@ class SnapshotMatrix:
     layout: GridLayout
 
     def __post_init__(self):
-        data = np.array(self.data, dtype=float, copy=True)
+        data = self.data
+        if not (type(data) is np.ndarray and data.dtype == np.float64
+                and data.flags.owndata and not data.flags.writeable):
+            data = np.array(data, dtype=float, copy=True)
         if data.ndim != 2:
             raise ValueError("snapshot data must be a 2-D array")
         if data.shape[1] < 2:
@@ -199,7 +214,7 @@ class SnapshotMatrix:
             raise ValueError(
                 f"data has {data.shape[0]} rows but layout dimension is {self.layout.dim}"
             )
-        if not np.isfinite(data).all():
+        if not _all_finite(data):
             raise ValueError("snapshot data contains non-finite entries")
         if not (self.dt > 0 and np.isfinite(self.dt)):
             raise ValueError("dt must be a positive finite number of hours")

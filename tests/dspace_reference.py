@@ -10,9 +10,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from koopmode.dmd import (DmdOptions, DmdResult, column_normalize, column_norms,
-                          default_fit_indices, fit_coefficients_multi,
-                          split_snapshots, tlsq_project, truncated_svd)
+from koopmode.dmd import (DmdOptions, DmdResult, _tlsq_basis, column_normalize,
+                          column_norms, default_fit_indices,
+                          fit_coefficients_multi, truncated_svd)
 from koopmode.errors import NumericalError
 from koopmode.grids import SnapshotMatrix
 
@@ -57,7 +57,8 @@ def _reduced_operator(x1: np.ndarray, x2: np.ndarray, opts: DmdOptions):
         rank = opts.tlsq_rank if opts.tlsq_rank is not None else opts.r
         if rank < opts.r:
             raise ValueError(f"tlsq_rank {rank} is below the truncation rank {opts.r}")
-        x1, x2 = tlsq_project(x1, x2, rank, opts.svd_mode)
+        v = _tlsq_basis(x1, x2, rank, opts.svd_mode)
+        x1, x2 = x1 @ v, x2 @ v
         cols = rank
     if not 1 <= opts.r <= min(d, cols):
         raise ValueError(
@@ -139,8 +140,7 @@ def regression_pair(snap, opts: DmdOptions):
     work = snap
     if opts.remove_mean:
         mean_mode, work = remove_temporal_mean(snap)
-    x1, x2 = split_snapshots(work)
-    return x1, x2, work.data, mean_mode
+    return work.data[:, :-1], work.data[:, 1:], work.data, mean_mode
 
 
 def reference_exact_dmd(snap, opts: DmdOptions) -> DmdResult:

@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 from koopmode.cli import main
-from koopmode.dmd import (DmdOptions, dmd_from_pair, exact_dmd,
-                          modified_options, split_snapshots)
+from koopmode.dmd import DmdOptions, exact_dmd, modified_options
 from koopmode.grids import (SnapshotMatrix, VelocityField, scalar_layout,
                             stack_observables, velocity_layout)
 from koopmode.modes import period, two_layer_wave_speed
@@ -194,9 +193,10 @@ def test_acceptance_07_reduced_spectrum_identity():
         else:
             k = int(rng.integers(2, max(3, d - 1)))
             x = rng.standard_normal((d, k)) @ rng.standard_normal((k, n))
-        x1, x2 = split_snapshots(x)
+        x1, x2 = x[:, :-1], x[:, 1:]
         r = int(np.linalg.matrix_rank(x1))
-        res = dmd_from_pair(x1, x2, x, 1.0, DmdOptions(r=r))
+        res = exact_dmd(SnapshotMatrix(x, dt=1.0, t0=0.0, layout=scalar_layout(d)),
+                        DmdOptions(r=r))
         lam = np.linalg.eigvals(x2 @ np.linalg.pinv(x1))
         lam = lam[np.argsort(-np.abs(lam))][:r]
         worst = max(worst, compare_spectra(res.mu, lam).max_error)

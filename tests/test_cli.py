@@ -321,7 +321,7 @@ def test_loo_exits_2_on_bad_settings_before_reading_data(tmp_path, monkeypatch, 
     def never(*args, **kwargs):
         raise AssertionError("called before the settings were checked")
 
-    monkeypatch.setattr(cli.fileio, "ingest", never)
+    monkeypatch.setattr(cli.fileio, "open_source", never)
     monkeypatch.setattr(cli, "leave_one_out", never)
     cfg = write_cfg(tmp_path, "loo.cfg", input=tmp_path / "absent.dmds",
                     out=tmp_path / "loo", rank=17, **{key: value})
@@ -543,7 +543,7 @@ def test_rom_and_slice_exit_2_on_bad_settings_before_reading_data(
     def never(*args, **kwargs):
         raise AssertionError("called before the settings were checked")
 
-    monkeypatch.setattr(cli.fileio, "ingest", never)
+    monkeypatch.setattr(cli.fileio, "open_source", never)
     extra = {"slice_kind": "section"} if key == "slice_path" else {}
     cfg = write_cfg(tmp_path, f"{command}.cfg", input=tmp_path / "absent.dmds",
                     out=tmp_path / command, rank=17, **extra, **{key: value})
@@ -582,6 +582,24 @@ def test_exit_code_io_errors(tmp_path):
     corrupt.write_bytes(b"NOPE" + bytes(36))
     cfg2 = write_cfg(tmp_path, "c2.cfg", input=corrupt, out=tmp_path / "o")
     assert main(["run", "--config", cfg2]) == 4
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("loo", {}),
+    ("rom", {"rom.rob.robustness_min": 0.0}),
+])
+def test_leave_one_out_on_two_snapshots_is_a_data_error(tmp_path, capsys, command, extra):
+    """A D x 2 record has a one-column pair, so no column can be deleted:
+    the input is at fault, and the command exits 4 before writing."""
+    path = tmp_path / "two.dmds"
+    write_snapshots(path, SnapshotMatrix(make_rng(0).standard_normal((5, 2)), dt=1.0,
+                                         t0=0.0, layout=scalar_layout(5)))
+    out = tmp_path / command
+    cfg = write_cfg(tmp_path, input=path, out=out, rank=1, **extra)
+    assert main([command, "--config", cfg]) == 4
+    err = capsys.readouterr().err
+    assert err == f"i/o error: {path}: leave-one-out needs N >= 3 snapshots, the input has N = 2\n"
+    assert not out.exists()
 
 
 def test_exit_code_numerical_error(tmp_path):

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from koopmode import dmd
 from koopmode.dmd import (DmdOptions, column_normalize, default_fit_indices,
-                          dmd_from_pair, exact_dmd, fit_coefficients_multi,
-                          mode_time_sum, modified_options, reconstruct,
-                          split_snapshots, tlsq_project, truncated_svd)
+                          exact_dmd, fit_coefficients_multi, mode_time_sum,
+                          modified_options, reconstruct, truncated_svd)
 from koopmode.errors import NumericalError
 from koopmode.grids import SnapshotMatrix, scalar_layout
 from koopmode.modes import pair_conjugates
@@ -44,21 +44,6 @@ def test_modified_options_flags():
 
 # ---------------------------------------------------------- preprocessing
 
-def test_split_overlap(rng):
-    x = rng.standard_normal((4, 9))
-    x1, x2 = split_snapshots(x)
-    assert x1.shape == x2.shape == (4, 8)
-    assert np.array_equal(x1[:, 1:], x2[:, :-1])
-    with pytest.raises(ValueError, match="N >= 2"):
-        split_snapshots(x[:, :1])
-
-
-def test_split_accepts_snapshot_matrix(rng):
-    snap = snapshots_from_array(rng.standard_normal((3, 5)))
-    x1, x2 = split_snapshots(snap)
-    assert np.array_equal(x1, snap.data[:, :-1])
-
-
 def test_column_normalize_roundtrip(rng):
     x1 = rng.standard_normal((6, 10))
     x2 = rng.standard_normal((6, 10))
@@ -79,10 +64,9 @@ def test_tlsq_full_rank_preserves_spectrum(rng):
     """Projection at full column rank is an orthogonal change of basis:
     the recovered eigenvalues must match the unprojected run."""
     x, _ = linear_trajectory(rng, 5, 9)
-    x1, x2 = split_snapshots(x)
-    plain = dmd_from_pair(x1, x2, x, 1.0, DmdOptions(r=5))
-    proj = dmd_from_pair(x1, x2, x, 1.0,
-                         DmdOptions(r=5, use_tlsq=True, tlsq_rank=x1.shape[1]))
+    snap = snapshots_from_array(x)
+    plain = exact_dmd(snap, DmdOptions(r=5))
+    proj = exact_dmd(snap, DmdOptions(r=5, use_tlsq=True, tlsq_rank=x.shape[1] - 1))
     assert np.allclose(np.sort_complex(plain.mu), np.sort_complex(proj.mu),
                        atol=1e-10)
 
@@ -94,7 +78,8 @@ def test_tlsq_energy_identity(rng):
     z = np.vstack([x1, x2])
     s = np.linalg.svd(z, compute_uv=False)
     for rank in (3, 7, 12):
-        p1, p2 = tlsq_project(x1, x2, rank)
+        v = dmd._tlsq_basis(x1, x2, rank, "standard")
+        p1, p2 = x1 @ v, x2 @ v
         kept = np.linalg.norm(p1) ** 2 + np.linalg.norm(p2) ** 2
         assert kept == pytest.approx(np.sum(s[:rank] ** 2), rel=1e-12)
 
@@ -102,11 +87,11 @@ def test_tlsq_energy_identity(rng):
 def test_tlsq_rank_bounds(rng):
     x1 = rng.standard_normal((4, 6))
     with pytest.raises(ValueError, match="rank"):
-        tlsq_project(x1, x1, 0)
+        dmd._tlsq_basis(x1, x1, 0, "standard")
     with pytest.raises(ValueError, match="rank"):
-        tlsq_project(x1, x1, 7)
+        dmd._tlsq_basis(x1, x1, 7, "standard")
     with pytest.raises(ValueError, match="shape"):
-        tlsq_project(x1, x1[:, :-1], 2)
+        dmd._tlsq_basis(x1, x1[:, :-1], 2, "standard")
 
 
 # -------------------------------------------------------------------- svd
@@ -324,17 +309,17 @@ def test_rank_deficiency_detected(rng):
 
 
 def test_defective_operator_detected():
-    x1 = np.eye(2)
+    """Only a pair that is not a time shift makes the operator exactly
+    defective, so the pair goes straight to the reduced eigenproblem."""
     jordan = np.array([[1.0, 1.0], [0.0, 1.0]])
     with pytest.raises(NumericalError, match="defective"):
-        dmd_from_pair(x1, jordan, np.hstack([x1, jordan]), 1.0, DmdOptions(r=2))
+        dmd._spectrum(np.eye(2), jordan, 2, DmdOptions(r=2))
 
 
 def test_zero_eigenvalue_detected():
-    x1 = np.eye(2)
     x2 = np.diag([1.0, 0.0])
     with pytest.raises(NumericalError, match="zero eigenvalue"):
-        dmd_from_pair(x1, x2, np.hstack([x1, x2]), 1.0, DmdOptions(r=2))
+        dmd._spectrum(np.eye(2), x2, 2, DmdOptions(r=2))
 
 
 def test_infeasible_rank_rejected(rng):
@@ -345,10 +330,8 @@ def test_infeasible_rank_rejected(rng):
 
 def test_tlsq_rank_below_truncation_rejected(rng):
     x = rng.standard_normal((6, 12))
-    x1, x2 = split_snapshots(x)
     with pytest.raises(ValueError, match="below the truncation"):
-        dmd_from_pair(x1, x2, x, 1.0,
-                      DmdOptions(r=4, use_tlsq=True, tlsq_rank=3))
+        exact_dmd(snapshots_from_array(x), DmdOptions(r=4, use_tlsq=True, tlsq_rank=3))
 
 
 def test_reconstruct_flags_open_spectrum(rng):
@@ -365,10 +348,9 @@ def test_reconstruct_flags_open_spectrum(rng):
 def test_spectrum_invariant_under_column_scaling(rng):
     """Normalization must not move the recovered eigenvalues on clean data."""
     x, _ = linear_trajectory(rng, 5, 30)
-    x1, x2 = split_snapshots(x)
-    plain = dmd_from_pair(x1, x2, x, 1.0, DmdOptions(r=5))
-    scaled = dmd_from_pair(x1, x2, x, 1.0,
-                           DmdOptions(r=5, normalize_columns=True))
+    snap = snapshots_from_array(x)
+    plain = exact_dmd(snap, DmdOptions(r=5))
+    scaled = exact_dmd(snap, DmdOptions(r=5, normalize_columns=True))
     assert np.allclose(np.sort_complex(plain.mu), np.sort_complex(scaled.mu),
                        atol=1e-9)
 
@@ -387,9 +369,9 @@ def test_unit_norm_property(seed):
 def test_negative_real_eigenvalue_principal_branch():
     """An all-real spectrum with a negative eigenvalue maps to the top of
     the principal branch, never to NaN."""
-    x1 = np.eye(2)
-    x2 = np.diag([-0.5, 0.25])
-    res = dmd_from_pair(x1, x2, np.hstack([x1, x2]), 2.0, DmdOptions(r=2))
+    # x0 = (1, 1) under K = diag(-0.5, 0.25)
+    x = np.array([[1.0, -0.5, 0.25], [1.0, 0.25, 0.0625]])
+    res = exact_dmd(snapshots_from_array(x, dt=2.0), DmdOptions(r=2))
     assert np.all(np.isfinite(res.gamma.real))
     k = int(np.argmin(res.mu.real))
     assert res.gamma[k].imag == pytest.approx(np.pi / 2.0)

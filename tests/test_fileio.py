@@ -142,8 +142,6 @@ def test_ingest_dispatches_on_extension(tmp_path, rng):
     csvpath = tmp_path / "a.csv"
     csvpath.write_text("t=0,t=1\n1,2\n")
     assert ingest(csvpath).data.shape == (1, 2)
-    with pytest.raises(ValueError, match="format"):
-        ingest(binpath, format="parquet")
 
 
 def test_mode_matrix_roundtrip(tmp_path, rng):

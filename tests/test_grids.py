@@ -134,6 +134,34 @@ def test_snapshot_matrix_validation():
     assert np.allclose(snap.times(), [2.0, 2.5, 3.0, 3.5])
 
 
+def test_snapshot_matrix_copies_what_the_caller_can_write():
+    """A caller's writeable array, a read-only view of one and any other
+    dtype are copied, so changing the caller's array leaves the snapshots
+    as they were; an owned read-only float64 array is adopted."""
+    layout = scalar_layout(3)
+    x = np.ones((3, 4))
+    view = x[:, :]
+    view.flags.writeable = False
+    for arr in (x, view, x.astype(np.float32)):
+        snap = SnapshotMatrix(arr, dt=1.0, t0=0.0, layout=layout)
+        assert not snap.data.flags.writeable
+        x[1, 2] = 7.0
+        assert np.array_equal(snap.data, np.ones((3, 4)))
+        x[1, 2] = 1.0
+    owned = np.ones((3, 4))
+    owned.flags.writeable = False
+    assert SnapshotMatrix(owned, dt=1.0, t0=0.0, layout=layout).data is owned
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_snapshot_matrix_rejects_any_non_finite_entry(bad):
+    data = np.ones((3, 4))
+    data[2, 1] = bad
+    for arr in (data, np.asfortranarray(data)):
+        with pytest.raises(ValueError, match="non-finite"):
+            SnapshotMatrix(arr, dt=1.0, t0=0.0, layout=scalar_layout(3))
+
+
 def test_surface_slice_identity_pattern():
     nx, ny, nz = 5, 4, 3
     layout = velocity_layout(nx, ny, nz)

@@ -1,10 +1,15 @@
 """Reduced-order models: selection semantics, conjugate closure, and
 error curves."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from koopmode.dmd import DmdOptions, exact_dmd, reconstruct
+from koopmode.dmd import DmdOptions, exact_dmd, modified_options, reconstruct
 from koopmode.modes import pair_conjugates
+from koopmode.oracle import generate, tidal_spec
 from koopmode.ranking import build_mode_table
 from koopmode.rom import (RomSelection, build_rom, error_curve,
                           reconstruct_rom, select_modes)
@@ -121,6 +126,46 @@ def test_full_rom_matches_reconstruct():
     steps = np.arange(snap.n)
     assert np.allclose(reconstruct_rom(rom, steps), reconstruct(res, steps),
                        atol=1e-12)
+
+
+def tidal_decomposition(seed, wide, mean_removal, rank, debiased):
+    """exact_dmd of a noisy 40-snapshot tidal oracle with D = 120 (wide)
+    or 25 (below N), plain or with the debiased options."""
+    snap, _ = generate(tidal_spec(d=120 if wide else 25, n=40, noise_sigma=1e-3,
+                                  seed=seed))
+    opts = modified_options(rank) if debiased else DmdOptions(r=rank)
+    return snap, exact_dmd(snap, replace(opts, remove_mean=mean_removal))
+
+
+tidal_draws = dict(seed=st.integers(0, 10_000), wide=st.booleans(),
+                   mean_removal=st.booleans(), rank=st.sampled_from([None, 17]),
+                   debiased=st.booleans())
+
+
+@given(**tidal_draws)
+@settings(max_examples=30, deadline=None)
+def test_spectrum_and_amplitudes_are_conjugate_closed(seed, wide, mean_removal, rank,
+                                                      debiased):
+    """Every non-real eigenvalue has a conjugate partner within 1e-9, and
+    the partner's amplitude is the conjugate within 1e-8 relative."""
+    _, res = tidal_decomposition(seed, wide, mean_removal, rank, debiased)
+    for k in np.flatnonzero(res.mu.imag != 0.0):
+        dist = np.abs(res.mu - np.conj(res.mu[k]))
+        dist[k] = np.inf
+        j = int(np.argmin(dist))
+        assert dist[j] <= 1e-9
+        assert abs(res.b[j] - np.conj(res.b[k])) <= 1e-8 * abs(res.b[k])
+
+
+@given(**tidal_draws)
+@settings(max_examples=30, deadline=None)
+def test_reconstruct_is_the_all_modes_rom(seed, wide, mean_removal, rank, debiased):
+    snap, res = tidal_decomposition(seed, wide, mean_removal, rank, debiased)
+    steps = np.arange(snap.n)
+    want = reconstruct(res, steps)
+    got = reconstruct_rom(build_rom(res, range(1, res.r + 1)), steps)
+    assert np.all(np.linalg.norm(got - want, axis=0)
+                  <= 1e-12 * np.linalg.norm(want, axis=0))
 
 
 def test_full_rom_tracks_data():

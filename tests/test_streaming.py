@@ -8,6 +8,7 @@ D below N all run at test sizes.
 import json
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from koopmode import dmd
 from koopmode.cli import main
 from koopmode.dmd import DmdOptions, exact_dmd
-from koopmode.fileio import open_snapshots, write_snapshots
+from koopmode.fileio import ingest, open_snapshots, write_snapshots
 from koopmode.grids import SnapshotMatrix, scalar_layout
 from koopmode.modes import pair_conjugates
 from koopmode.oracle import generate, tidal_spec
@@ -114,8 +115,7 @@ def test_rom_curves_from_the_factor_match_the_d_row_curves(seed, d, remove_mean,
 
 def test_rom_curves_need_a_snapshot_factor():
     snap = generate(tidal_spec(d=30, n=40, seed=1))[0]
-    x = snap.data
-    result = dmd.dmd_from_pair(x[:, :-1], x[:, 1:], x, 1.0, DmdOptions(r=17))
+    result = replace(exact_dmd(snap, DmdOptions(r=17)), factor=None)
     with pytest.raises(ValueError, match="factor"):
         factor_error_curve(result, build_rom(result, range(1, 18)))
 
@@ -151,6 +151,22 @@ def test_cli_peak_memory_within_the_payload(ocean_file, tmp_path, command, extra
     finally:
         tracemalloc.stop()
     assert peak <= payload
+
+
+def test_ingest_holds_the_payload_once(ocean_file):
+    """ingest reads the file into one array, which the SnapshotMatrix
+    adopts instead of copying."""
+    path, payload = ocean_file
+    tracemalloc.start()
+    try:
+        snap = ingest(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * payload
+    assert snap.data.nbytes == payload and not snap.data.flags.writeable
+    raw = np.fromfile(path, dtype="<f8", offset=40).reshape(snap.n, snap.d).T
+    assert np.array_equal(snap.data, raw)
 
 
 # -------------------------------------------------------------- robustness
