@@ -27,8 +27,16 @@ modes.  Pass 1 centers each block (under remove_mean; a row's mean is
 local to its block) and folds it into the R factor of everything read
 so far, R <- R factor of [R; block]: the tall-skinny QR of Demmel,
 Grigori, Hoemmen & Langou (SIAM J. Sci. Comput. 2012), as used for DMD
-by Sayadi & Schmid (Theor. Comput. Fluid Dyn. 2016).  The snapshots are
-then X = Q R for an orthonormal Q that is never formed.  Every later
+by Sayadi & Schmid (Theor. Comput. Fluid Dyn. 2016).  Until R has N
+rows, a fold stacks R above the block and factors the stack with geqrf;
+from then on LAPACK's triangular-pentagonal tpqrt folds each block into
+the N x N triangle, at about half the cost of refactoring the stack,
+since it leaves R's zeros alone.  A single block (D up to 4096 rows)
+is thus factored by geqrf alone, and its R is bitwise that of
+scipy.linalg.qr of the whole matrix: geqrt on the stack is faster but
+rounds differently, enough to move a nearly colliding eigenvalue pair
+past 1e-10 of the D-row reference.  The snapshots are then X = Q R for
+an orthonormal Q that is never formed.  Every later
 step runs on R[:, :-1], R[:, 1:] and R, which have at most N rows:
 normalization, TLSQ, the truncated SVD, the reduced eig and the
 amplitude fit each cost O(N^3) or less.  Q preserves lengths, so column
@@ -59,6 +67,10 @@ from .grids import SnapshotMatrix
 # Rows per block of the two passes over the snapshots.  Fixed, so that a
 # rerun repeats every floating-point operation.
 _BLOCK_ROWS = 4096
+# Column block size of tpqrt's compact-WY reflectors when pass 1 folds a
+# block into a full R.  Fixed for the same reason; 16 and 32 measure
+# alike at N = 144.
+_FOLD_NB = 16
 
 # Condition number of the reduced eigenvector matrix beyond which the
 # eigenproblem is reported as (numerically) defective.
@@ -150,7 +162,9 @@ class DmdResult:
 
     Columns of modes have unit l2 norm with the largest-magnitude entry
     rotated real and positive.  Entries are sorted by descending |b|,
-    ties broken by descending |mu| then ascending arg(mu).  gamma holds
+    where both members of a conjugate pair take the larger of their two
+    |b|, ties broken by descending |mu| then ascending arg(mu): a pair is
+    adjacent, its negative imaginary part first.  gamma holds
     the continuous-time exponents log(mu)/dt on the principal branch.
     mean_mode is the removed temporal mean when the option was on.
     data_rank is the numerical rank of the (centered) regression matrix,
@@ -441,7 +455,14 @@ def _reduced_dmd(r1: np.ndarray, r2: np.ndarray, r_fit: np.ndarray, d: int,
     b = fit_coefficients_multi(modes, mu, r_fit, idx)
 
     # |b| does not depend on the phase convention, so neither does the order.
-    order = np.lexsort((np.angle(mu), -np.abs(mu), -np.abs(b)))
+    # A conjugate pair's two |b| differ by round-off only: both partners
+    # take the larger, so arg(mu) orders the pair.  eig of the real
+    # operator returns each pair adjacent and exactly conjugate, the
+    # positive imaginary part first.
+    amp = np.abs(b)
+    first = np.flatnonzero(mu.imag > 0)
+    amp[first] = amp[first + 1] = np.maximum(amp[first], amp[first + 1])
+    order = np.lexsort((np.angle(mu), -np.abs(mu), -amp))
     return _Reduced(modes[:, order], mu[order], b[order], sp.singular_values,
                     residuals[order], (sp.lift @ w / norms)[:, order])
 
@@ -470,11 +491,13 @@ def _blocks(d: int):
 def _factor(src, center: bool) -> _Factor:
     """Pass 1: R <- R factor of [R; block] over the row blocks of src.
 
-    Each block is read into an F-ordered buffer below the R factor so
-    far (one buffer while the block shape holds), factored in place, and
-    never held after its fold.  Centering carries the row means m as one
-    more column, [X_c | m] = Q R, by applying each fold's reflectors to
-    them, so the data columns of R round as those of X_c alone.
+    Each block is read into an F-ordered buffer (one buffer while the
+    block shape holds), folded into R in place, and never held after its
+    fold.  While R has fewer than N rows the buffer stacks R above the
+    block and geqrf factors the stack; once R is a full N x N triangle,
+    tpqrt folds the block into it.  Centering carries the row means m as
+    one more column, [X_c | m] = Q R, by applying each fold's reflectors
+    to them, so the data columns of R round as those of X_c alone.
     """
     n = src.n
     mean = np.empty(src.d) if center else None
@@ -483,7 +506,8 @@ def _factor(src, center: bool) -> _Factor:
     m_r, m_out = np.empty(0), 0.0  # R coordinates of m, its norm outside them
     buf = np.empty((0, n), order="F")
     for start, stop in _blocks(src.d):
-        k = r.shape[0]
+        fold = r.shape[0] == n
+        k = 0 if fold else r.shape[0]  # rows of R stacked above the block
         if buf.shape[0] != k + stop - start:
             buf = np.empty((k + stop - start, n), order="F")
         block = buf[k:]
@@ -495,12 +519,25 @@ def _factor(src, center: bool) -> _Factor:
             m = np.ascontiguousarray(block).mean(axis=1)
             mean[start:stop] = m
             block -= m[:, None]
-        buf[:k] = r
-        (h, tau), r = scipy.linalg.qr(buf, mode="raw", overwrite_a=True, check_finite=False)
+        c = np.r_[m_r, m][:, None] if center else None
+        if fold:
+            r, v, t, info = scipy.linalg.lapack.dtpqrt(0, min(_FOLD_NB, n), r, block,
+                                                       overwrite_a=1, overwrite_b=1)
+            if center and info == 0:
+                c[:n], c[n:], info = scipy.linalg.lapack.dtpmqrt(0, v, t, c[:n], c[n:],
+                                                                 trans="T")
+        else:
+            buf[:k] = r
+            (h, tau), r = scipy.linalg.qr(buf, mode="raw", overwrite_a=True,
+                                          check_finite=False)
+            info = 0
+            if center:
+                c, _, info = scipy.linalg.lapack.dormqr("L", "T", h[:, :tau.size], tau, c, 1)
+        if info != 0:
+            raise NumericalError(f"LAPACK fold of rows {start}..{stop - 1} failed, info {info}")
         if center:
-            c = scipy.linalg.lapack.dormqr("L", "T", h[:, :tau.size], tau,
-                                           np.r_[m_r, m][:, None], 1)[0][:, 0]
-            m_r, m_out = c[:r.shape[0]], np.hypot(m_out, np.linalg.norm(c[r.shape[0]:]))
+            m_r, rest = np.split(c[:, 0], [r.shape[0]])
+            m_out = np.hypot(m_out, np.linalg.norm(rest))
     if center:
         r = np.c_[r, m_r]
         if src.d > n:  # the part of m outside the span of X_c

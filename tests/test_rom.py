@@ -157,6 +157,27 @@ def test_spectrum_and_amplitudes_are_conjugate_closed(seed, wide, mean_removal, 
         assert abs(res.b[j] - np.conj(res.b[k])) <= 1e-8 * abs(res.b[k])
 
 
+@given(seed=st.integers(0, 10_000), wide=st.booleans(), rank=st.sampled_from([None, 17]),
+       remove_mean=st.booleans(), use_tlsq=st.booleans(), normalize=st.booleans(),
+       b_fit=st.sampled_from(["first", "multi:2", "multi:10"]),
+       svd_mode=st.sampled_from(["standard", "high_accuracy"]))
+@settings(max_examples=40, deadline=None)
+def test_conjugate_partners_are_adjacent_negative_imaginary_first(
+        seed, wide, rank, remove_mean, use_tlsq, normalize, b_fit, svd_mode):
+    """A pair's two |b| differ by round-off, so the result order must not
+    depend on them: partners sit next to each other, the one with the
+    negative imaginary part first, under every option."""
+    snap, _ = generate(tidal_spec(d=120 if wide else 25, n=40, noise_sigma=1e-3,
+                                  seed=seed))
+    res = exact_dmd(snap, DmdOptions(r=rank, use_tlsq=use_tlsq, normalize_columns=normalize,
+                                     remove_mean=remove_mean, b_fit=b_fit,
+                                     svd_mode=svd_mode))
+    for k, j in enumerate(pair_conjugates(res.mu)):
+        if j is not None:
+            assert abs(j - k) == 1, (k, j)
+            assert res.mu[min(j, k)].imag < 0 < res.mu[max(j, k)].imag
+
+
 @given(**tidal_draws)
 @settings(max_examples=30, deadline=None)
 def test_reconstruct_is_the_all_modes_rom(seed, wide, mean_removal, rank, debiased):

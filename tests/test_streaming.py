@@ -14,6 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,7 +30,9 @@ from koopmode.rom import build_rom, error_curve, factor_error_curve
 from dspace_reference import reference_exact_dmd
 from test_qr_equivalence import assert_spectra_match, mode_tolerance
 
-BLOCK_ROWS = st.sampled_from([1, 2, 3, 5, 8, 4096])
+# N = 40 below: 39, 40 and 41 rows make R square before, at and after a
+# block boundary, where pass 1 switches from stacking to folding.
+BLOCK_ROWS = st.sampled_from([1, 2, 3, 5, 8, 39, 40, 41, 4096])
 OPTION_SETS = dict(remove_mean=st.booleans(), use_tlsq=st.booleans(),
                    normalize=st.booleans(),
                    b_fit=st.sampled_from(["first", "multi:2", "multi:10"]),
@@ -70,6 +73,36 @@ def test_streamed_file_matches_dspace_reference(seed, d, block_rows, remove_mean
     assert np.all(mode_err <= mode_tolerance(snap, opts, ref.mu)[match])
     assert np.allclose(res.singular_values, ref.singular_values,
                        rtol=0, atol=1e-13 * ref.singular_values[0])
+
+
+@given(seed=st.integers(0, 10_000), d=st.sampled_from([35, 40, 120, 200]),
+       block_rows=st.sampled_from([1, 3, 39, 40, 41, 4096]), center=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_factor_is_the_qr_of_the_whole_matrix(seed, d, block_rows, center):
+    """Pass 1 with N = 40 and D below, at and above N: R is the R factor
+    of the whole (centered) matrix up to the sign of each row, within
+    1e-13 of its norm, and bitwise when D fits in one block.  Under
+    centering the last column holds the row means m in R coordinates:
+    with the remainder outside them it has the length of m, and against
+    the data columns it gives X_c^T m."""
+    snap = generate(tidal_spec(d=d, n=40, noise_sigma=1e-3, seed=seed))[0]
+    with mock.patch.object(dmd, "_BLOCK_ROWS", block_rows):
+        fac = dmd._factor(snap, center)
+    n, k = snap.n, min(d, snap.n)
+    m = np.ascontiguousarray(snap.data).mean(axis=1)
+    x = snap.data - m[:, None] if center else snap.data
+    want = scipy.linalg.qr(x, mode="raw")[1]
+    assert fac.r.shape == ((k + (d > n), n + 1) if center else (k, n))
+    r = fac.r[:k, :n]
+    if d <= block_rows:
+        assert np.array_equal(r, want)
+    sign = np.where(np.diag(r) * np.diag(want) < 0, -1.0, 1.0)
+    scale = np.linalg.norm(x)
+    assert np.abs(sign[:, None] * r - want).max() <= 1e-13 * scale
+    if center:
+        m_r, rest = fac.r[:k, n], fac.r[k:, n]
+        assert abs(m_r @ m_r + rest @ rest - m @ m) <= 1e-13 * (m @ m)
+        assert np.abs(r.T @ m_r - x.T @ m).max() <= 1e-13 * scale * np.linalg.norm(m)
 
 
 def growing_snapshots(d: int = 8, n: int = 144) -> SnapshotMatrix:
