@@ -34,7 +34,7 @@ from .modes import (ModeInfo, format_mode_table, polar_mode, tidal_ellipse,
 from .oracle import generate, tidal_spec
 from .ranking import (build_mode_table, kde_grid, KdeDensity, label_clusters,
                       leave_one_out, LeaveOneOutResult, robustness_scores)
-from .rom import RomSelection, build_rom, factor_error_curve, select_modes
+from .rom import RomSelection, factor_error_curve, rom_indices, select_modes
 
 _ROM_FIELDS = ("indices", "rms_min", "rms_max", "robustness_min",
                "robustness_max", "persistent_only")
@@ -297,7 +297,7 @@ def _analyse(cfg: RunConfig, robust: bool) -> _Analysis:
 
 def _write_result_files(out: _OutputDir, a: _Analysis) -> None:
     result = a.result
-    fileio.write_mode_matrix(out.path("modes.dmdm"), result.modes, result.dt, result.t0)
+    result.modes_file.copy_to(out.path("modes.dmdm"))  # never reads the mapped modes
     payload = {
         "schema": "koopmode.result.v1",
         "r": result.r,
@@ -403,9 +403,8 @@ def cmd_rom(cfg: RunConfig) -> int:
         sel = RomSelection(persistence_t=a.t_window,
                            persistence_factor=cfg.persistence_factor, **kw)
         try:
-            indices = select_modes(a.infos, sel)
-            model = build_rom(a.result, indices)
-            curve = factor_error_curve(a.result, model)
+            indices = rom_indices(a.result, select_modes(a.infos, sel))
+            curve = factor_error_curve(a.result, indices)
         except ValueError as exc:
             raise ConfigError(f"rom.{name}: {exc}") from exc
         fileio.write_csv(
@@ -415,12 +414,12 @@ def cmd_rom(cfg: RunConfig) -> int:
                 curve.rom_norm.tolist(), curve.rel_error.tolist()),
         )
         summary[name] = {
-            "indices": list(model.indices),
-            "n_modes": model.n_modes,
-            "pct_of_rank": 100.0 * model.n_modes / data_rank,
+            "indices": list(indices),
+            "n_modes": len(indices),
+            "pct_of_rank": 100.0 * len(indices) / data_rank,
             "max_rel_error": float(curve.rel_error.max()),
         }
-        print(f"rom {name}: {model.n_modes} modes "
+        print(f"rom {name}: {len(indices)} modes "
               f"({summary[name]['pct_of_rank']:.2f}% of rank {data_rank}), "
               f"max rel error {curve.rel_error.max():.3e}")
     out.write_json("rom_summary.json", {
@@ -458,7 +457,7 @@ def cmd_slice(cfg: RunConfig) -> int:
     spec = dataclasses.replace(spec, channel=channel)
     out = _OutputDir(cfg.out, "slice")
     for m in modes_idx:
-        phi, b = result.modes[:, m - 1], result.b[m - 1]
+        phi, b = result.mode(m - 1), result.b[m - 1]
         try:
             sl = extract_slice(phi, layout, spec)
         except (IndexError, ValueError) as exc:

@@ -22,8 +22,8 @@ by one joint least-squares fit over a set of snapshot indices: {0} for
 the first-snapshot fit, or a small set spread across the record.
 
 Cost model.  The snapshots are read in two sequential passes over
-fixed-size row blocks, so no D-row matrix is ever formed but the D x r
-modes.  Pass 1 centers each block (under remove_mean; a row's mean is
+fixed-size row blocks through one buffer, so no D-row matrix is ever
+held.  Pass 1 centers each block (under remove_mean; a row's mean is
 local to its block) and folds it into the R factor of everything read
 so far, R <- R factor of [R; block]: the tall-skinny QR of Demmel,
 Grigori, Hoemmen & Langou (SIAM J. Sci. Comput. 2012), as used for DMD
@@ -43,10 +43,14 @@ amplitude fit each cost O(N^3) or less.  Q preserves lengths, so column
 norms, singular values, eigenpairs and least-squares residuals are
 those of the original matrices.  Pass 2 lifts the modes as X2 (M w):
 M folds the column scaling, the TLSQ projection, V Sigma^-1 and the
-unit norm, so Q is never needed (Q R2 = X2).  Column-deletion trials
-(deletion_spectra) delete columns of the R pair and compute eigenvalues
-only: no modes, residuals or amplitude fit.  Beyond the modes, memory
-holds one block and O(N^2) numbers.
+unit norm, so Q is never needed (Q R2 = X2).  It writes each block's
+rows of the modes to a file (fileio.ModeFile) and keeps each mode's
+running lead entry; one sweep over the file in blocks then applies the
+phase convention.  This continues the row-block streaming of Sayadi &
+Schmid to the D x r modes, which are never held in memory either.
+Column-deletion trials (deletion_spectra) delete columns of the R pair
+and compute eigenvalues only: no modes, residuals or amplitude fit.
+Memory holds one block, its r lifted columns and O(N^2) numbers.
 
 Rank.  The data rank is counted on R[:, :-1], whose singular values are
 those of the D x (N-1) regression matrix: those above
@@ -62,6 +66,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericalError
+from .fileio import ModeFile
 from .grids import SnapshotMatrix
 
 # Rows per block of the two passes over the snapshots.  Fixed, so that a
@@ -71,6 +76,11 @@ _BLOCK_ROWS = 4096
 # block into a full R.  Fixed for the same reason; 16 and 32 measure
 # alike at N = 144.
 _FOLD_NB = 16
+# Rows per C-ordered copy from which pass 1 takes row means.
+_MEAN_ROWS = 256
+# Rows per BLAS product within a block of pass 2: a row of the product
+# comes out as in the whole block's product, whatever rows surround it.
+_LIFT_ROWS = 1024
 
 # Condition number of the reduced eigenvector matrix beyond which the
 # eigenproblem is reported as (numerically) defective.
@@ -160,8 +170,8 @@ class TruncatedSvd:
 class DmdResult:
     """Modes, spectrum, and amplitudes of one decomposition.
 
-    Columns of modes have unit l2 norm with the largest-magnitude entry
-    rotated real and positive.  Entries are sorted by descending |b|,
+    Columns of modes have unit l2 norm with the first largest-magnitude
+    entry rotated real and positive.  Entries are sorted by descending |b|,
     where both members of a conjugate pair take the larger of their two
     |b|, ties broken by descending |mu| then ascending arg(mu): a pair is
     adjacent, its negative imaginary part first.  gamma holds
@@ -170,7 +180,10 @@ class DmdResult:
     data_rank is the numerical rank of the (centered) regression matrix,
     and options.r the truncation rank in force.  exact_dmd builds every
     result; factor holds its snapshots and modes in R-factor coordinates
-    for rom_norms, and only functions of this module read it.
+    for rom_norms, and only functions of this module read it.  Its modes
+    are a read-only np.memmap of modes_file, a DMDM file in an unlinked
+    temporary in TMPDIR: a page is read from disk when touched, and
+    mode(k) reads one column without touching the map.
     """
 
     modes: np.ndarray
@@ -185,10 +198,22 @@ class DmdResult:
     mean_mode: np.ndarray | None = None
     data_rank: int | None = None
     factor: "_Factor | None" = field(default=None, repr=False, compare=False)
+    modes_file: ModeFile | None = field(default=None, repr=False, compare=False)
 
     @property
     def r(self) -> int:
         return self.mu.size
+
+    def mode(self, k: int, rows: slice = slice(None)) -> np.ndarray:
+        """Mode k (0-based), or a contiguous run of its rows, in a new
+        array.  A result of exact_dmd reads it from modes_file, so no page
+        of the mapped modes enters memory."""
+        if self.modes_file is None:
+            return np.array(self.modes[rows, k])
+        start, stop, _ = rows.indices(self.modes.shape[0])
+        out = np.empty(max(stop - start, 0), dtype=complex)
+        self.modes_file.read_rows(k, start, out)
+        return out
 
 
 def column_norms(a: np.ndarray) -> np.ndarray:
@@ -282,14 +307,17 @@ def fit_coefficients_multi(modes: np.ndarray, mu: np.ndarray, data: np.ndarray,
         raise ValueError("need at least one fit snapshot")
     if (idx < 0).any() or (idx >= data.shape[1]).any():
         raise ValueError("fit indices outside the snapshot range")
-    blocks = [modes * (mu[None, :] ** int(n)) for n in idx]
+    rows = modes.shape[0]
+    m = np.empty((idx.size * rows, modes.shape[1]), dtype=np.result_type(modes, mu))
+    for i, n in enumerate(idx):
+        np.multiply(modes, mu[None, :] ** int(n), out=m[i * rows:(i + 1) * rows])
     rhs = np.concatenate([data[:, int(n)] for n in idx])
-    m = np.vstack(blocks)
     # Unit columns: a fast mode's mu**n column must not set the scale the
     # rank test measures every other column against.
     scales = column_norms(m)
     scales[scales == 0.0] = 1.0
-    b, _, rank, sv = np.linalg.lstsq(m / scales, rhs.astype(complex), rcond=None)
+    m /= scales
+    b, _, rank, sv = np.linalg.lstsq(m, rhs.astype(complex), rcond=None)
     if rank < modes.shape[1]:
         raise NumericalError(
             f"amplitude fit is rank deficient ({rank} < {modes.shape[1]}); "
@@ -488,36 +516,54 @@ def _blocks(d: int):
         yield start, min(start + _BLOCK_ROWS, d)
 
 
-def _factor(src, center: bool) -> _Factor:
+def _block_buffer(d: int, n: int) -> np.ndarray:
+    """One flat buffer for the blocks of both passes.  Its largest use is
+    a block of pass 1 stacked under R while R has fewer than n rows."""
+    return np.empty(max(stop if start < n else stop - start
+                        for start, stop in _blocks(d)) * n)
+
+
+def _rows(buf: np.ndarray, rows: int, n: int) -> np.ndarray:
+    """The head of buf as an F-ordered rows x n matrix."""
+    return buf[:rows * n].reshape((rows, n), order="F")
+
+
+def _factor(src, center: bool, buf: np.ndarray | None = None) -> _Factor:
     """Pass 1: R <- R factor of [R; block] over the row blocks of src.
 
-    Each block is read into an F-ordered buffer (one buffer while the
-    block shape holds), folded into R in place, and never held after its
-    fold.  While R has fewer than N rows the buffer stacks R above the
-    block and geqrf factors the stack; once R is a full N x N triangle,
-    tpqrt folds the block into it.  Centering carries the row means m as
-    one more column, [X_c | m] = Q R, by applying each fold's reflectors
-    to them, so the data columns of R round as those of X_c alone.
+    Each block is read into the head of buf (_block_buffer's by
+    default), folded into R in place, and never held after its fold.
+    While R has fewer than N rows the buffer stacks R above the block and
+    geqrf factors the stack; once R is a full N x N triangle, tpqrt folds
+    the block into it.  Centering carries the row means m as one more
+    column, [X_c | m] = Q R, by applying each fold's reflectors to them,
+    so the data columns of R round as those of X_c alone.  The column
+    norms of the source are those of R's columns; under centering they
+    are accumulated over the row slices the means are taken from, since
+    R[:, j] + R[:, N] cancels when the mean dwarfs a snapshot.
     """
     n = src.n
+    if buf is None:
+        buf = _block_buffer(src.d, n)
     mean = np.empty(src.d) if center else None
-    norms = np.zeros(n)
+    norms = np.zeros(n)  # of the source columns, accumulated under centering
     r = np.empty((0, n))
     m_r, m_out = np.empty(0), 0.0  # R coordinates of m, its norm outside them
-    buf = np.empty((0, n), order="F")
     for start, stop in _blocks(src.d):
         fold = r.shape[0] == n
         k = 0 if fold else r.shape[0]  # rows of R stacked above the block
-        if buf.shape[0] != k + stop - start:
-            buf = np.empty((k + stop - start, n), order="F")
-        block = buf[k:]
+        stack = _rows(buf, k + stop - start, n)
+        block = stack[k:]
         src.read_rows(start, block)
-        norms = np.hypot(norms, column_norms(block))
         if center:
             # numpy sums a contiguous row pairwise, an F-ordered block's
-            # rows one column at a time with an error growing with n
-            m = np.ascontiguousarray(block).mean(axis=1)
-            mean[start:stop] = m
+            # rows one column at a time with an error growing with n; a
+            # C-ordered copy of a few rows at a time keeps the pairwise sum
+            m = mean[start:stop]
+            for i in range(0, stop - start, _MEAN_ROWS):
+                rows = np.ascontiguousarray(block[i:i + _MEAN_ROWS])
+                rows.mean(axis=1, out=m[i:i + _MEAN_ROWS])
+                norms = np.hypot(norms, column_norms(rows))
             block -= m[:, None]
         c = np.r_[m_r, m][:, None] if center else None
         if fold:
@@ -527,8 +573,8 @@ def _factor(src, center: bool) -> _Factor:
                 c[:n], c[n:], info = scipy.linalg.lapack.dtpmqrt(0, v, t, c[:n], c[n:],
                                                                  trans="T")
         else:
-            buf[:k] = r
-            (h, tau), r = scipy.linalg.qr(buf, mode="raw", overwrite_a=True,
+            stack[:k] = r
+            (h, tau), r = scipy.linalg.qr(stack, mode="raw", overwrite_a=True,
                                           check_finite=False)
             info = 0
             if center:
@@ -538,26 +584,43 @@ def _factor(src, center: bool) -> _Factor:
         if center:
             m_r, rest = np.split(c[:, 0], [r.shape[0]])
             m_out = np.hypot(m_out, np.linalg.norm(rest))
-    if center:
-        r = np.c_[r, m_r]
-        if src.d > n:  # the part of m outside the span of X_c
-            r = np.r_[r, np.r_[np.zeros(n), m_out][None, :]]
+    if not center:
+        return _Factor(r, mean, column_norms(r))
+    r = np.c_[r, m_r]
+    if src.d > n:  # the part of m outside the span of X_c
+        r = np.r_[r, np.r_[np.zeros(n), m_out][None, :]]
     return _Factor(r, mean, norms)
 
 
-def _lift(src, mean: np.ndarray | None, coef: np.ndarray) -> np.ndarray:
+def _lift(src, mean: np.ndarray | None, coef: np.ndarray, buf: np.ndarray,
+          out: ModeFile) -> np.ndarray:
     """Pass 2: the D-row product of the (centered) snapshots 1..N-1 of
-    src with coef, block by block, as an F-ordered complex matrix."""
+    src with coef, block by block through the head of buf and _LIFT_ROWS
+    rows per product, written to out one column's rows at a time.
+    Returns each column's lead, its first entry of largest magnitude: the
+    entry np.argmax finds over the whole column."""
+    n, r = src.n, coef.shape[1]
     real = np.ascontiguousarray(coef).view(np.float64)
-    out = np.empty((src.d, coef.shape[1]), dtype=complex, order="F")
-    buf = np.empty((min(_BLOCK_ROWS, src.d), src.n), order="F")
+    most = min(_LIFT_ROWS, src.d)
+    prod, col, mag = np.empty((most, 2 * r)), np.empty(most, dtype=complex), np.empty(most)
+    lead, top = np.zeros(r, dtype=complex), np.full(r, -1.0)
     for start, stop in _blocks(src.d):
-        block = buf[:stop - start]
+        block = _rows(buf, stop - start, n)
         src.read_rows(start, block)
         if mean is not None:
             block -= mean[start:stop, None]
-        out[start:stop] = (block[:, 1:] @ real).view(np.complex128)
-    return out
+        for i in range(0, stop - start, _LIFT_ROWS):
+            x2 = block[i:i + _LIFT_ROWS, 1:]
+            rows = x2.shape[0]
+            phi = np.matmul(x2, real, out=prod[:rows]).view(np.complex128)
+            c, m = col[:rows], mag[:rows]
+            for k in range(r):
+                np.copyto(c, phi[:, k])
+                j = int(np.abs(c, out=m).argmax())
+                if not m[j] <= top[k] and not np.isnan(top[k]):  # a NaN leads, as in argmax
+                    top[k], lead[k] = m[j], c[j]
+                out.write_rows(k, start + i, c)
+    return lead
 
 
 def exact_dmd(snap: SnapshotMatrix, opts: DmdOptions) -> DmdResult:
@@ -570,22 +633,32 @@ def exact_dmd(snap: SnapshotMatrix, opts: DmdOptions) -> DmdResult:
     the snapshots (centered under opts.remove_mean), X = Q R; the pair
     is R[:, :-1], R[:, 1:] and the amplitudes are fitted against R.  The
     data rank is counted on R[:, :-1] and resolves a default rank.  Pass
-    2 lifts the modes; each is rotated so its largest-magnitude entry is
-    real and positive, and its amplitude counter-rotated.
+    2 lifts the modes into a fileio.ModeFile, an unlinked temporary file
+    in TMPDIR; a sweep over it then rotates each mode so its first
+    largest-magnitude entry is real and positive, and its amplitude is
+    counter-rotated.  The result's modes map that file read-only, and no
+    D x r array is held.
     """
-    fac = _factor(snap, opts.remove_mean)
+    buf = _block_buffer(snap.d, snap.n)
+    fac = _factor(snap, opts.remove_mean, buf)
     r = fac.r[:min(snap.d, snap.n), :snap.n]
     s = np.linalg.svd(r[:, :-1], compute_uv=False)
     data_rank = int((s > s[0] * max(snap.d, snap.n - 1) * np.finfo(float).eps).sum())
     if opts.r is None:
         opts = replace(opts, r=max(1, min(data_rank, snap.n - 4)))
     red = _reduced_dmd(r[:, :-1], r[:, 1:], r, snap.d, opts)
-    modes = _lift(snap, fac.mean, red.lift)
-    lead = np.array([col[np.argmax(np.abs(col))] for col in modes.T])
+    mode_file = ModeFile(snap.d, red.mu.size, snap.dt, snap.t0)
+    lead = _lift(snap, fac.mean, red.lift, buf, mode_file)
     phase = np.conj(lead) / np.abs(lead)
-    modes *= phase[None, :]
+    col = buf[:2 * min(_BLOCK_ROWS, snap.d)].view(np.complex128)
+    for k in range(red.mu.size):
+        for start, stop in _blocks(snap.d):
+            c = col[:stop - start]
+            mode_file.read_rows(k, start, c)
+            c *= phase[k]
+            mode_file.write_rows(k, start, c)
     return DmdResult(
-        modes=modes,
+        modes=mode_file.matrix(),
         mu=red.mu,
         gamma=np.log(red.mu) / snap.dt,
         b=red.b / phase,
@@ -597,6 +670,7 @@ def exact_dmd(snap: SnapshotMatrix, opts: DmdOptions) -> DmdResult:
         mean_mode=fac.mean,
         data_rank=data_rank,
         factor=fac._replace(modes=red.modes * phase[None, :]),
+        modes_file=mode_file,
     )
 
 

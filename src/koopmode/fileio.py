@@ -19,6 +19,9 @@ on a little-endian host an F-ordered float64 or complex128 array
 already holds the payload bytes.  open_snapshots validates a DMDS file
 without reading its payload; the decomposition then streams it in row
 blocks (SnapshotFile.read_rows), so the data is never held in memory.
+It writes its modes the same way, row block by row block, into a
+ModeFile: a DMDM file in an unlinked temporary that is mapped read-only
+once complete and copied to its destination inside the kernel.
 
 CSV snapshot ingestion reads one column per snapshot with a header row
 of "t=<hours>" cells; the time step is inferred and must be uniform.
@@ -28,6 +31,8 @@ from __future__ import annotations
 import json
 import os
 import struct
+import tempfile
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -47,14 +52,16 @@ def _sidecar_path(path: Path) -> Path:
     return path.with_name(path.name + ".grid.json")
 
 
+def _header(magic: bytes, d: int, n: int, dt: float, t0: float) -> bytes:
+    return _HEADER.pack(magic, FORMAT_VERSION, d, n, float(dt), float(t0))
+
+
 def _write_payload(path: Path, magic: bytes, payload: np.ndarray, dtype: str,
                    dt: float, t0: float) -> None:
     """Write a header and the columns of payload, each from its own memory
     when it is contiguous in dtype (an F-ordered array's always are)."""
-    d, n = payload.shape
-    header = _HEADER.pack(magic, FORMAT_VERSION, d, n, float(dt), float(t0))
     with open(path, "wb") as fh:
-        fh.write(header)
+        fh.write(_header(magic, *payload.shape, dt, t0))
         for col in payload.T:
             fh.write(np.ascontiguousarray(col, dtype=dtype))
 
@@ -213,6 +220,56 @@ def write_mode_matrix(path: str | Path, modes: np.ndarray, dt: float, t0: float 
     if modes.ndim != 2:
         raise ValueError("mode matrix must be 2-D")
     _write_payload(Path(path), MODES_MAGIC, modes, "<c16", dt, t0)
+
+
+class ModeFile:
+    """A D x r DMDM file (header and payload) in an unlinked temporary
+    file in TMPDIR, written and read by row ranges of one column at a
+    time.  matrix() maps the payload read-only; copy_to copies the whole
+    file inside the kernel, so none of its pages enter this process.
+    The file is closed when the ModeFile is collected; a mapping keeps
+    its own handle.
+    """
+
+    def __init__(self, d: int, r: int, dt: float, t0: float):
+        self.d, self.r = d, r
+        self._fh = tempfile.TemporaryFile()
+        weakref.finalize(self, self._fh.close)
+        self._fh.write(_header(MODES_MAGIC, d, r, dt, t0))
+        self._fh.truncate(_HEADER.size + 16 * d * r)  # flushes the header
+
+    def _at(self, k: int, start: int) -> int:
+        return _HEADER.size + 16 * (k * self.d + start)
+
+    def write_rows(self, k: int, start: int, rows: np.ndarray) -> None:
+        """Write a contiguous complex128 vector as rows start.. of column k."""
+        if os.pwrite(self._fh.fileno(), rows.astype("<c16", copy=False),
+                     self._at(k, start)) != rows.nbytes:
+            raise OSError(f"short write to the mode file, column {k}")
+
+    def read_rows(self, k: int, start: int, out: np.ndarray) -> None:
+        """Read rows start.. of column k into a contiguous complex128 vector."""
+        if os.preadv(self._fh.fileno(), [out], self._at(k, start)) != out.nbytes:
+            raise OSError(f"short read from the mode file, column {k}")
+        if not np.dtype("<c16").isnative:
+            out.byteswap(inplace=True)
+
+    def matrix(self) -> np.memmap:
+        """The payload as a read-only D x r complex128 map."""
+        return np.memmap(self._fh, dtype="<c16", mode="r", offset=_HEADER.size,
+                         shape=(self.d, self.r), order="F")
+
+    def copy_to(self, path: str | Path) -> None:
+        """Write the DMDM file to path: os.sendfile copies it page by page
+        inside the kernel."""
+        src, size = self._fh.fileno(), _HEADER.size + 16 * self.d * self.r
+        with open(path, "wb") as out:
+            done = 0
+            while done < size:
+                sent = os.sendfile(out.fileno(), src, done, size - done)
+                if sent == 0:
+                    raise OSError(f"{path}: the mode file ended early")
+                done += sent
 
 
 def read_mode_matrix(path: str | Path) -> tuple[np.ndarray, float, float]:

@@ -357,8 +357,8 @@ def build_mode_table(result: DmdResult, t_window: float,
         rms = rms_contribution(complex(result.b[k]), gamma, t_window)
         rms_v = None
         if sel is not None:
-            rms_v = component_rms(result.modes[:, k], complex(result.b[k]),
-                                  gamma, t_window, sel)
+            rms_v = component_rms(result.mode(k, sel), complex(result.b[k]),
+                                  gamma, t_window, slice(None))
         infos.append(ModeInfo(
             index=k + 1,
             mu=complex(result.mu[k]),

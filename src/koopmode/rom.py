@@ -96,8 +96,8 @@ def select_modes(table: Sequence[ModeInfo], selection: RomSelection) -> tuple[in
     return tuple(sorted(chosen))
 
 
-def build_rom(result: DmdResult, indices: Sequence[int]) -> RomModel:
-    """Extract the given 1-based modes into a ROM.
+def rom_indices(result: DmdResult, indices: Sequence[int]) -> tuple[int, ...]:
+    """The given 1-based modes of result as a sorted tuple, checked.
 
     The index set must be conjugate-closed; a missing partner is an
     error rather than being silently added here.
@@ -117,6 +117,12 @@ def build_rom(result: DmdResult, indices: Sequence[int]) -> RomModel:
     if missing:
         detail = ", ".join(f"{i} needs {p}" for i, p in missing)
         raise ValueError(f"mode selection is not conjugate-closed: {detail}")
+    return tuple(idx)
+
+
+def build_rom(result: DmdResult, indices: Sequence[int]) -> RomModel:
+    """Extract the given 1-based modes into a ROM; rom_indices checks them."""
+    idx = rom_indices(result, indices)
     pos = [i - 1 for i in idx]
     return RomModel(
         modes=result.modes[:, pos],
@@ -124,7 +130,7 @@ def build_rom(result: DmdResult, indices: Sequence[int]) -> RomModel:
         b=result.b[pos],
         dt=result.dt,
         t0=result.t0,
-        indices=tuple(idx),
+        indices=idx,
         mean_mode=result.mean_mode,
     )
 
@@ -168,11 +174,12 @@ def error_curve(snap: SnapshotMatrix, rom: RomModel) -> ErrorCurve:
                       rom_norm=rom_norm, rel_error=rel)
 
 
-def factor_error_curve(result: DmdResult, rom: RomModel) -> ErrorCurve:
-    """error_curve of a ROM of result against the snapshots exact_dmd
-    decomposed into result, computed on their R factor (dmd.rom_norms):
-    no D-row array is formed."""
-    data_norm, rom_norm, err = rom_norms(result, rom.indices)
+def factor_error_curve(result: DmdResult, indices: Sequence[int]) -> ErrorCurve:
+    """error_curve of the ROM of result's 1-based modes indices (a
+    RomModel's indices) against the snapshots exact_dmd decomposed into
+    result, computed on their R factor (dmd.rom_norms): no D-row array is
+    formed, and no mode is read."""
+    data_norm, rom_norm, err = rom_norms(result, indices)
     if (data_norm == 0.0).any():
         raise ValueError("relative error undefined: a data column has zero norm")
     steps = np.arange(data_norm.size)

@@ -19,9 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koopmode import dmd
-from koopmode.cli import main
+from koopmode.cli import _resolve_options, load_config, main
 from koopmode.dmd import DmdOptions, exact_dmd
-from koopmode.fileio import ingest, open_snapshots, write_snapshots
+from koopmode.fileio import ingest, open_snapshots, write_mode_matrix, write_snapshots
 from koopmode.grids import SnapshotMatrix, scalar_layout
 from koopmode.modes import pair_conjugates
 from koopmode.oracle import generate, tidal_spec
@@ -137,7 +137,7 @@ def test_rom_curves_from_the_factor_match_the_d_row_curves(seed, d, remove_mean,
     chosen |= {partner[i] for i in chosen if partner[i] is not None}
     model = build_rom(result, [i + 1 for i in sorted(chosen)])
 
-    got = factor_error_curve(result, model)
+    got = factor_error_curve(result, model.indices)
     want = error_curve(snap, model)
     assert np.array_equal(got.steps, want.steps)
     assert np.array_equal(got.times_hours, want.times_hours)
@@ -150,7 +150,59 @@ def test_rom_curves_need_a_snapshot_factor():
     snap = generate(tidal_spec(d=30, n=40, seed=1))[0]
     result = replace(exact_dmd(snap, DmdOptions(r=17)), factor=None)
     with pytest.raises(ValueError, match="factor"):
-        factor_error_curve(result, build_rom(result, range(1, 18)))
+        factor_error_curve(result, range(1, 18))
+
+
+def read_csv_columns(path: Path) -> np.ndarray:
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
+@given(seed=st.integers(0, 10_000), d=st.sampled_from([25, 61, 120]),
+       block_rows=st.sampled_from([1, 3, 7, 4096]), mean_removal=st.booleans())
+@settings(max_examples=20, deadline=None)
+def test_streamed_mode_file(seed, d, block_rows, mean_removal):
+    """Pass 2 writes the modes to a file block by block.  Every mode's
+    first entry of largest magnitude is rotated real and positive, also
+    when a later block holds an entry of equal magnitude and opposite
+    sign; the modes are a read-only map; run's modes.dmdm holds the
+    bytes write_mode_matrix writes for them; and rom, which gathers no
+    mode, writes the curves of the model build_rom gathers (which
+    test_rom_curves_from_the_factor_match_the_d_row_curves holds to the
+    D-row curves)."""
+    data = generate(tidal_spec(d=d, n=40, noise_sigma=1e-3, seed=seed))[0].data.copy()
+    data[0] *= 10.0  # the largest entry of every mode
+    if block_rows < d // 2:  # its negation, at the same place of the next block
+        data[block_rows] = -data[0]
+    snap = SnapshotMatrix(data, dt=1.0, t0=0.0, layout=scalar_layout(d))
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(dmd, "_BLOCK_ROWS", block_rows):
+        folder = Path(tmp)
+        src = write_file(snap, tmp)
+        cfg = folder / "cfg"
+        cfg.write_text(f"input = {src.path}\nrank = {16 if mean_removal else 17}\n"
+                       f"mean_removal = {'on' if mean_removal else 'off'}\n"
+                       "rom.all.indices = all\nrom.top.indices = 1,2,3\n")
+        assert main(["run", "--config", str(cfg), "--out", str(folder / "run")]) == 0
+        assert main(["rom", "--config", str(cfg), "--out", str(folder / "rom")]) == 0
+        result = exact_dmd(src, _resolve_options(load_config(cfg)))
+        modes = np.asarray(result.modes)
+        write_mode_matrix(folder / "want.dmdm", modes, result.dt, result.t0)
+        assert (folder / "run" / "modes.dmdm").read_bytes() == (folder / "want.dmdm").read_bytes()
+        summary = json.loads((folder / "rom" / "rom_summary.json").read_text())
+        curves = {name: read_csv_columns(folder / "rom" / f"rom_{name}_errors.csv")
+                  for name in summary["roms"]}
+
+    lead = modes[np.argmax(np.abs(modes), axis=0), np.arange(result.r)]
+    assert np.all(lead.real > 0)
+    assert np.all(np.abs(lead.imag) <= 4 * np.finfo(float).eps * lead.real)
+    assert not result.modes.flags.writeable
+    with pytest.raises(ValueError):
+        result.modes[0, 0] = 0.0
+    for name, got in curves.items():
+        model = build_rom(result, summary["roms"][name]["indices"])
+        want = factor_error_curve(result, model.indices)
+        for k, column in enumerate(("steps", "times_hours", "rom_norm", "rel_error")):
+            assert np.array_equal(got[:, k], getattr(want, column)), (name, column)
 
 
 # ------------------------------------------------------------------ memory
@@ -184,6 +236,24 @@ def test_cli_peak_memory_within_the_payload(ocean_file, tmp_path, command, extra
     finally:
         tracemalloc.stop()
     assert peak <= payload
+
+
+@pytest.mark.parametrize("mean_removal", ["off", "on"])
+def test_run_holds_no_mode_matrix(ocean_file, tmp_path, mean_removal):
+    """run at r = 60 streams its 19 MB of modes to a file: the tracemalloc
+    peak (one row block, one product of it, the amplitude fit) stays
+    below half the D x r mode bytes, which the run held whole before."""
+    path, _ = ocean_file
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"input = {path}\nout = {tmp_path / 'out'}\nrank = 60\n"
+                   f"mean_removal = {mean_removal}\n")
+    tracemalloc.start()
+    try:
+        assert main(["run", "--config", str(cfg)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 20000 * 60 * 16
 
 
 def test_ingest_holds_the_payload_once(ocean_file):
