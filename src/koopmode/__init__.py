@@ -2,13 +2,12 @@
 
 from .dmd import (DmdOptions, DmdResult, TruncatedSvd, column_normalize,
                   exact_dmd, fit_coefficients_multi, modified_options,
-                  reconstruct, truncated_svd)
+                  truncated_svd)
 from .errors import ConfigError, DataFormatError, KoopmodeError, NumericalError
-from .fileio import ingest, read_mode_matrix, read_snapshots, write_mode_matrix, write_snapshots
-from .grids import (ChannelSpec, GridLayout, SliceResult, SnapshotMatrix,
-                    SurfaceSlice, VelocityField, VerticalSection,
-                    extract_slice, fields_to_snapshots, scalar_layout,
-                    stack_observables, velocity_layout)
+from .fileio import read_mode_matrix, write_mode_matrix, write_snapshots
+from .grids import (ChannelSpec, GridLayout, SnapshotMatrix, SurfaceSlice,
+                    VelocityField, VerticalSection, extract_slice,
+                    scalar_layout, stack_observables, velocity_layout)
 from .modes import (ConjugatePairingError, EllipseParams, ModeInfo,
                     half_doubling_time, pair_conjugates, period, polar_mode,
                     tidal_ellipse, two_layer_wave_speed, write_mode_table)

@@ -462,7 +462,7 @@ def cmd_slice(cfg: RunConfig) -> int:
             sl = extract_slice(phi, layout, spec)
         except (IndexError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
-        for tag, grid in zip(("amplitude", "phase"), polar_mode(sl.values, b)):
+        for tag, grid in zip(("amplitude", "phase"), polar_mode(sl, b)):
             fileio.write_csv(
                 out.path(f"slice_mode{m}_{tag}.csv"), ("row", "col", "value"), "%d,%d,%.17g",
                 ((i, j, v) for i, row in enumerate(grid.tolist()) for j, v in enumerate(row)),

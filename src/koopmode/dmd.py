@@ -59,7 +59,7 @@ DmdOptions(r=None) takes the default rank max(1, min(data rank, N - 4)).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -133,15 +133,7 @@ class DmdOptions:
         raise ValueError(f"unknown b_fit {self.b_fit!r}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "use_tlsq": self.use_tlsq,
-            "tlsq_rank": self.tlsq_rank,
-            "normalize_columns": self.normalize_columns,
-            "remove_mean": self.remove_mean,
-            "b_fit": self.b_fit,
-            "svd_mode": self.svd_mode,
-        }
+        return asdict(self)
 
 
 def modified_options(r: int | None, fit_count: int = 10) -> DmdOptions:
@@ -326,46 +318,12 @@ def fit_coefficients_multi(modes: np.ndarray, mu: np.ndarray, data: np.ndarray,
     return b / scales
 
 
-def _conjugate_closed(mu: np.ndarray, tol: float = 1e-9) -> bool:
-    """Whether the eigenvalue multiset equals its own conjugate within tol."""
-    key = np.lexsort((mu.imag, mu.real))
-    ckey = np.lexsort((-mu.imag, mu.real))
-    a = mu[key]
-    b = np.conj(mu)[ckey]
-    return bool(np.all(np.abs(a - b) <= tol * np.maximum(1.0, np.abs(a))))
-
-
 def mode_time_sum(modes: np.ndarray, mu: np.ndarray, b: np.ndarray,
                   times: Sequence[int]) -> np.ndarray:
     """Complex superposition modes @ diag(mu**n) b for each step index n."""
     steps = np.asarray(times, dtype=int)
     dyn = mu[:, None] ** steps[None, :]
     return modes @ (dyn * b[:, None])
-
-
-def reconstruct(result: DmdResult, times: Sequence[int]) -> np.ndarray:
-    """Superpose the modes at integer step indices, returning real columns.
-
-    For a conjugate-closed mode set the imaginary residue must stay below
-    1e-10 of each column norm; it is checked and discarded.  The removed
-    temporal mean, when present, is added back so columns live in the
-    units of the original data.
-    """
-    c = mode_time_sum(result.modes, result.mu, result.b, times)
-    if _conjugate_closed(result.mu):
-        col_norm = np.linalg.norm(c, axis=0)
-        resid = np.linalg.norm(c.imag, axis=0)
-        bad = resid > 1e-10 * np.maximum(col_norm, 1e-300)
-        if bad.any():
-            k = int(np.nonzero(bad)[0][0])
-            raise NumericalError(
-                f"imaginary residue {resid[k]:.3e} exceeds 1e-10 of column norm "
-                f"{col_norm[k]:.3e} at step index {int(np.asarray(times)[k])}"
-            )
-    x = c.real
-    if result.mean_mode is not None:
-        x = x + result.mean_mode[:, None]
-    return x
 
 
 class _Spectrum(NamedTuple):

@@ -147,22 +147,9 @@ def open_snapshots(path: str | Path) -> SnapshotFile:
     return SnapshotFile(path, d, n, dt, t0, layout)
 
 
-def _read_whole(src: SnapshotFile) -> SnapshotMatrix:
-    """The payload of src in one F-ordered array, which the SnapshotMatrix
-    adopts read-only instead of copying."""
-    data = np.empty((src.d, src.n), order="F")
-    src.read_rows(0, data)
-    data.flags.writeable = False
-    return SnapshotMatrix(data, dt=src.dt, t0=src.t0, layout=src.layout)
-
-
-def read_snapshots(path: str | Path) -> SnapshotMatrix:
-    """Read a binary snapshot file whole; layout comes from the sidecar if present."""
-    return _read_whole(open_snapshots(path))
-
-
-def read_snapshots_csv(path: str | Path, layout: GridLayout | None = None) -> SnapshotMatrix:
-    """Read snapshots from CSV with a "t=<hours>" header per column."""
+def read_snapshots_csv(path: str | Path) -> SnapshotMatrix:
+    """Read snapshots from CSV with a "t=<hours>" header per column, as
+    the columns of a flat single-channel layout."""
     path = Path(path)
     with open(path, "r") as fh:
         header = fh.readline().strip()
@@ -192,9 +179,8 @@ def read_snapshots_csv(path: str | Path, layout: GridLayout | None = None) -> Sn
     dt = steps[0]
     if dt <= 0 or not np.allclose(steps, dt, rtol=1e-9, atol=0.0):
         raise DataFormatError(f"{path}: snapshot times are not uniformly spaced")
-    if layout is None:
-        layout = scalar_layout(data.shape[0])
-    return SnapshotMatrix(data, dt=float(dt), t0=float(times_arr[0]), layout=layout)
+    return SnapshotMatrix(data, dt=float(dt), t0=float(times_arr[0]),
+                          layout=scalar_layout(data.shape[0]))
 
 
 def open_source(path: str | Path) -> SnapshotFile | SnapshotMatrix:
@@ -205,13 +191,6 @@ def open_source(path: str | Path) -> SnapshotFile | SnapshotMatrix:
     if path.suffix.lower() == ".csv":
         return read_snapshots_csv(path)
     return open_snapshots(path)
-
-
-def ingest(path: str | Path) -> SnapshotMatrix:
-    """Load the snapshots of a CSV or DMDS file whole, by open_source's
-    extension rule."""
-    src = open_source(path)
-    return src if isinstance(src, SnapshotMatrix) else _read_whole(src)
 
 
 def write_mode_matrix(path: str | Path, modes: np.ndarray, dt: float, t0: float = 0.0) -> None:

@@ -66,11 +66,6 @@ class GridLayout:
         mask = mask.copy()
         mask.flags.writeable = False
         object.__setattr__(self, "mask", mask)
-        # Rank of each unmasked cell in C-order flattening (k, j, i).
-        rank = np.full(mask.shape, -1, dtype=np.int64)
-        rank[mask] = np.arange(int(mask.sum()), dtype=np.int64)
-        rank.flags.writeable = False
-        object.__setattr__(self, "_cell_rank", rank)
 
     @property
     def n_cells(self) -> int:
@@ -95,15 +90,6 @@ class GridLayout:
         """Slice of the stacked vector holding the given channel."""
         c = self.channel_index(name)
         return slice(c * self.n_cells, (c + 1) * self.n_cells)
-
-    def stacked_position(self, channel: str, k: int, j: int, i: int) -> int:
-        """Stacked-vector index of an unmasked cell; raises on masked cells."""
-        if not (0 <= k < self.nz and 0 <= j < self.ny and 0 <= i < self.nx):
-            raise IndexError(f"cell ({k}, {j}, {i}) outside grid")
-        r = int(self._cell_rank[k, j, i])
-        if r < 0:
-            raise ValueError(f"cell ({k}, {j}, {i}) is masked")
-        return self.channel_index(channel) * self.n_cells + r
 
     def grid_from_stacked(self, vec: np.ndarray, channel: str) -> np.ndarray:
         """Scatter one channel of a stacked vector back onto the grid.
@@ -275,13 +261,6 @@ def stack_observables(field: VelocityField, layout: GridLayout) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def fields_to_snapshots(fields: Sequence[VelocityField], layout: GridLayout,
-                        dt: float, t0: float = 0.0) -> SnapshotMatrix:
-    """Stack a time series of velocity fields into a SnapshotMatrix."""
-    cols = [stack_observables(f, layout) for f in fields]
-    return SnapshotMatrix(np.column_stack(cols), dt=dt, t0=t0, layout=layout)
-
-
 @dataclass(frozen=True)
 class SurfaceSlice:
     """Horizontal layer at depth index k of one channel."""
@@ -296,12 +275,6 @@ class VerticalSection:
 
     channel: str
     path: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
-class SliceResult:
-    values: np.ndarray
-    meta: dict
 
 
 def _rasterize_path(path: Sequence[tuple[int, int]], ny: int, nx: int) -> tuple[np.ndarray, np.ndarray]:
@@ -324,35 +297,19 @@ def _rasterize_path(path: Sequence[tuple[int, int]], ny: int, nx: int) -> tuple[
     return np.asarray(jj), np.asarray(ii)
 
 
-def extract_slice(vec: np.ndarray, layout: GridLayout, spec) -> SliceResult:
-    """Extract a 2-D view of one channel of a stacked vector.
+def extract_slice(vec: np.ndarray, layout: GridLayout, spec) -> np.ndarray:
+    """One channel of a stacked vector on a 2-D cut of the grid, as a new
+    array.
 
-    Supports surface layers and vertical sections along polylines.
-    Masked cells are NaN in the result; coordinate arrays ride along in
-    meta.
+    Supports surface layers (ny x nx) and vertical sections along
+    polylines (nz x path length).  Masked cells are NaN in the result.
     """
     grid = layout.grid_from_stacked(vec, spec.channel)
     if isinstance(spec, SurfaceSlice):
         if not 0 <= spec.k < layout.nz:
             raise IndexError(f"layer k={spec.k} outside 0..{layout.nz - 1}")
-        values = grid[spec.k].copy()
-        meta = {
-            "kind": "surface",
-            "channel": spec.channel,
-            "k": spec.k,
-            "rows_j": np.arange(layout.ny),
-            "cols_i": np.arange(layout.nx),
-        }
-        return SliceResult(values, meta)
+        return grid[spec.k].copy()
     if isinstance(spec, VerticalSection):
         jj, ii = _rasterize_path(spec.path, layout.ny, layout.nx)
-        values = grid[:, jj, ii].copy()
-        meta = {
-            "kind": "section",
-            "channel": spec.channel,
-            "rows_k": np.arange(layout.nz),
-            "path_j": jj,
-            "path_i": ii,
-        }
-        return SliceResult(values, meta)
+        return grid[:, jj, ii]
     raise TypeError(f"unknown slice spec {type(spec).__name__}")

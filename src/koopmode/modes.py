@@ -156,7 +156,6 @@ class ModeInfo:
     period_hours: float
     half_double_hours: float
     conj_partner: int | None
-    is_real: bool
     b_mag: float
     rms: float
     rms_vertical: float | None
@@ -169,7 +168,8 @@ MODE_TABLE_COLUMNS = ("idx", "Cluster", "PT", "HLT", "L2RMS", "L2wRMS", "KSnarro
 
 def _listed(infos: Sequence[ModeInfo]) -> list[ModeInfo]:
     # One row per real mode or conjugate pair: its omega >= 0 member.
-    return [info for info in infos if info.is_real or info.gamma.imag >= 0.0]
+    return [info for info in infos
+            if info.conj_partner is None or info.gamma.imag >= 0.0]
 
 
 def _cluster_label(info: ModeInfo) -> str:

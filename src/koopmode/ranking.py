@@ -57,15 +57,11 @@ def rms_contribution(b: complex, gamma: complex, t_window: float) -> float:
         return math.inf
 
 
-def component_rms(phi: np.ndarray, b: complex, gamma: complex, t_window: float,
-                  selector: np.ndarray | slice) -> float:
-    """RMS contribution restricted to a subset of stacked entries.
-
-    selector is a boolean mask or slice over the stacked vector.  With a
-    full selector and unit-norm phi this reduces to rms_contribution.
+def component_rms(phi: np.ndarray, b: complex, gamma: complex, t_window: float) -> float:
+    """RMS contribution of phi, a mode's entries on a subset of the
+    stacked vector.  For a whole unit-norm mode this is rms_contribution.
     """
-    sub = np.linalg.norm(np.asarray(phi)[selector])
-    return rms_contribution(abs(b) * sub, gamma, t_window)
+    return rms_contribution(abs(b) * np.linalg.norm(phi), gamma, t_window)
 
 
 def persistence_filter(gamma: complex, t_window: float, factor: float = 0.1) -> bool:
@@ -358,7 +354,7 @@ def build_mode_table(result: DmdResult, t_window: float,
         rms_v = None
         if sel is not None:
             rms_v = component_rms(result.mode(k, sel), complex(result.b[k]),
-                                  gamma, t_window, slice(None))
+                                  gamma, t_window)
         infos.append(ModeInfo(
             index=k + 1,
             mu=complex(result.mu[k]),
@@ -366,7 +362,6 @@ def build_mode_table(result: DmdResult, t_window: float,
             period_hours=period(gamma),
             half_double_hours=half_doubling_time(gamma),
             conj_partner=None if partner[k] is None else partner[k] + 1,
-            is_real=partner[k] is None,
             b_mag=abs(complex(result.b[k])),
             rms=rms,
             rms_vertical=rms_v,

@@ -52,10 +52,6 @@ class RomModel:
     indices: tuple[int, ...]
     mean_mode: np.ndarray | None = None
 
-    @property
-    def n_modes(self) -> int:
-        return self.mu.size
-
 
 def select_modes(table: Sequence[ModeInfo], selection: RomSelection) -> tuple[int, ...]:
     """Resolve a selection to a sorted, conjugate-closed tuple of indices."""
@@ -178,7 +174,15 @@ def factor_error_curve(result: DmdResult, indices: Sequence[int]) -> ErrorCurve:
     """error_curve of the ROM of result's 1-based modes indices (a
     RomModel's indices) against the snapshots exact_dmd decomposed into
     result, computed on their R factor (dmd.rom_norms): no D-row array is
-    formed, and no mode is read."""
+    formed, and no mode is read.
+
+    Accuracy is absolute, not relative: ||x_n - xhat_n|| is the
+    difference of two R-coordinate vectors of size ||x_n||, which match
+    the data and the result's lifted modes only to the rounding of the
+    QR and of the lift.  rel_error is thus accurate to a multiple of
+    N eps, not of itself: for a ROM of nearly every mode, whose relative
+    error is small, it can differ from error_curve's by far more than
+    1e-12 of it."""
     data_norm, rom_norm, err = rom_norms(result, indices)
     if (data_norm == 0.0).any():
         raise ValueError("relative error undefined: a data column has zero norm")

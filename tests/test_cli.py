@@ -13,8 +13,8 @@ from koopmode import cli
 from koopmode.cli import main, load_config, RunConfig
 from koopmode.errors import ConfigError
 from koopmode.fileio import write_snapshots
-from koopmode.grids import (SnapshotMatrix, VelocityField, fields_to_snapshots,
-                            scalar_layout, velocity_layout)
+from koopmode.grids import (SnapshotMatrix, VelocityField, scalar_layout,
+                            stack_observables, velocity_layout)
 from koopmode.oracle import TIDAL_PERIODS_HOURS
 from koopmode.ranking import KdeDensity, kde_grid
 
@@ -452,8 +452,9 @@ def rotating_velocity_snapshots(tmp_path):
             uy=2.0 + c * a["y"] + s * b["y"],
             uz=2.0 + c * a["z"] + s * b["z"],
         ))
-    snap = fields_to_snapshots(fields, velocity_layout(nx, ny, nz, mask),
-                               dt=1.0)
+    layout = velocity_layout(nx, ny, nz, mask)
+    snap = SnapshotMatrix(np.column_stack([stack_observables(f, layout) for f in fields]),
+                          dt=1.0, t0=0.0, layout=layout)
     path = tmp_path / "vel.dmds"
     write_snapshots(path, snap)
     return path, (nz, ny, nx)

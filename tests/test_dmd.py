@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from koopmode import dmd
 from koopmode.dmd import (DmdOptions, column_normalize, default_fit_indices,
                           exact_dmd, fit_coefficients_multi, mode_time_sum,
-                          modified_options, reconstruct, truncated_svd)
+                          modified_options, truncated_svd)
 from koopmode.errors import NumericalError
 from koopmode.grids import SnapshotMatrix, scalar_layout
 from koopmode.modes import pair_conjugates
+from koopmode.rom import build_rom, reconstruct_rom
 
 from conftest import linear_trajectory, make_rng, snapshots_from_array
 from dspace_reference import fit_coefficients_first
@@ -252,14 +253,14 @@ def test_noiseless_reconstruction(rng):
     x, _ = linear_trajectory(rng, 6, 40)
     snap = snapshots_from_array(x)
     res = exact_dmd(snap, DmdOptions(r=6, b_fit="multi:10"))
-    rec = reconstruct(res, np.arange(40))
+    rec = reconstruct_rom(build_rom(res, range(1, res.r + 1)), np.arange(40))
     assert np.linalg.norm(rec - x) <= 1e-8 * np.linalg.norm(x)
 
 
 def test_first_fit_exact_at_step_zero(rng):
     x, _ = linear_trajectory(rng, 5, 30)
     res = exact_dmd(snapshots_from_array(x), DmdOptions(r=5, b_fit="first"))
-    rec = reconstruct(res, [0])
+    rec = reconstruct_rom(build_rom(res, range(1, res.r + 1)), [0])
     assert np.allclose(rec[:, 0], x[:, 0], rtol=1e-9, atol=1e-12)
 
 
@@ -295,11 +296,12 @@ def test_mean_removal_semantics(rng):
     centered0 = (shifted[:, 0] - res.mean_mode).astype(complex)
     b_ref = np.linalg.lstsq(res.modes, centered0, rcond=None)[0]
     assert np.allclose(res.b, b_ref, atol=1e-10)
-    rec = reconstruct(res, [0])
+    rom = build_rom(res, range(1, res.r + 1))
+    rec = reconstruct_rom(rom, [0])
     assert np.allclose(rec[:, 0], (res.modes @ res.b).real + res.mean_mode,
                        atol=1e-10)
     # over the whole record the centered model plus mean tracks the data
-    full = reconstruct(res, np.arange(40))
+    full = reconstruct_rom(rom, np.arange(40))
     assert np.linalg.norm(full - shifted) <= 0.05 * np.linalg.norm(shifted)
 
 
@@ -337,15 +339,6 @@ def test_tlsq_rank_below_truncation_rejected(rng):
     x = rng.standard_normal((6, 12))
     with pytest.raises(ValueError, match="below the truncation"):
         exact_dmd(snapshots_from_array(x), DmdOptions(r=4, use_tlsq=True, tlsq_rank=3))
-
-
-def test_reconstruct_flags_open_spectrum(rng):
-    """A deliberately non-closed complex superposition with a large
-    imaginary part must not silently drop it."""
-    x, _ = linear_trajectory(rng, 6, 30)
-    res = exact_dmd(snapshots_from_array(x), DmdOptions(r=6))
-    rec = reconstruct(res, np.arange(30))
-    assert rec.dtype == np.float64
 
 
 # ----------------------------------------------------------- invariance

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from koopmode.errors import DataFormatError
-from koopmode.fileio import (ingest, read_mode_matrix, read_snapshots,
-                             read_snapshots_csv, write_csv, write_mode_matrix,
-                             write_snapshots)
+from koopmode.fileio import (SnapshotFile, open_snapshots, open_source,
+                             read_mode_matrix, read_snapshots_csv, write_csv,
+                             write_mode_matrix, write_snapshots)
 from koopmode.grids import SnapshotMatrix, scalar_layout, velocity_layout
 
 from conftest import make_rng, random_mask
@@ -19,11 +19,20 @@ def make_snap(rng, d=6, n=5, dt=1.5, t0=2.0):
                           layout=scalar_layout(d))
 
 
+def read_payload(src) -> np.ndarray:
+    """The whole payload of an opened snapshot file, read as the
+    decomposition reads it, in one block."""
+    data = np.empty((src.d, src.n), order="F")
+    src.read_rows(0, data)
+    return data
+
+
 def test_binary_roundtrip_bit_exact(tmp_path, rng):
     snap = make_snap(rng)
     path = tmp_path / "snap.dmds"
     write_snapshots(path, snap)
-    back = read_snapshots(path)
+    src = open_snapshots(path)
+    back = SnapshotMatrix(read_payload(src), dt=src.dt, t0=src.t0, layout=src.layout)
     assert back.data.tobytes() == snap.data.tobytes()
     assert back.dt == snap.dt and back.t0 == snap.t0
     # writing the loaded data again produces identical bytes
@@ -42,7 +51,7 @@ def test_binary_layout_sidecar_roundtrip(tmp_path):
     write_snapshots(path, snap)
     sidecar = json.loads((tmp_path / "vel.dmds.grid.json").read_text())
     assert sidecar["order"] == "channel,k,j,i"
-    back = read_snapshots(path)
+    back = open_snapshots(path)
     assert np.array_equal(back.layout.mask, mask)
     assert [c.name for c in back.layout.channels] == ["ux", "uy", "uz", "speed"]
 
@@ -55,7 +64,7 @@ def test_binary_bad_magic(tmp_path, rng):
     raw[:4] = b"XXXX"
     path.write_bytes(raw)
     with pytest.raises(DataFormatError, match="magic"):
-        read_snapshots(path)
+        open_snapshots(path)
 
 
 def test_binary_bad_version(tmp_path, rng):
@@ -66,7 +75,7 @@ def test_binary_bad_version(tmp_path, rng):
     raw[4:8] = struct.pack("<I", 99)
     path.write_bytes(raw)
     with pytest.raises(DataFormatError, match="version"):
-        read_snapshots(path)
+        open_snapshots(path)
 
 
 def test_binary_truncated_payload(tmp_path, rng):
@@ -76,7 +85,7 @@ def test_binary_truncated_payload(tmp_path, rng):
     raw = path.read_bytes()
     path.write_bytes(raw[:-8])
     with pytest.raises(DataFormatError, match="payload"):
-        read_snapshots(path)
+        open_snapshots(path)
 
 
 def test_binary_rejects_nan_payload(tmp_path, rng):
@@ -86,8 +95,9 @@ def test_binary_rejects_nan_payload(tmp_path, rng):
     raw = bytearray(path.read_bytes())
     raw[40:48] = struct.pack("<d", float("nan"))
     path.write_bytes(raw)
+    src = open_snapshots(path)
     with pytest.raises(DataFormatError, match="non-finite"):
-        read_snapshots(path)
+        read_payload(src)
 
 
 def test_binary_missing_sidecar_gets_flat_layout(tmp_path, rng):
@@ -95,7 +105,7 @@ def test_binary_missing_sidecar_gets_flat_layout(tmp_path, rng):
     path = tmp_path / "snap.dmds"
     write_snapshots(path, snap)
     (tmp_path / "snap.dmds.grid.json").unlink()
-    back = read_snapshots(path)
+    back = open_snapshots(path)
     assert back.layout.dim == snap.d
     assert back.layout.n_channels == 1
 
@@ -138,10 +148,12 @@ def test_ingest_dispatches_on_extension(tmp_path, rng):
     snap = make_snap(rng)
     binpath = tmp_path / "a.dmds"
     write_snapshots(binpath, snap)
-    assert ingest(binpath).data.shape == snap.data.shape
-    csvpath = tmp_path / "a.csv"
+    src = open_source(binpath)
+    assert isinstance(src, SnapshotFile) and (src.d, src.n) == snap.data.shape
+    csvpath = tmp_path / "a.CSV"
     csvpath.write_text("t=0,t=1\n1,2\n")
-    assert ingest(csvpath).data.shape == (1, 2)
+    src = open_source(csvpath)
+    assert isinstance(src, SnapshotMatrix) and src.data.shape == (1, 2)
 
 
 def test_mode_matrix_roundtrip(tmp_path, rng):

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from koopmode.grids import (ChannelSpec, GridLayout, SnapshotMatrix,
                             SurfaceSlice, VelocityField, VerticalSection,
-                            extract_slice, fields_to_snapshots, scalar_layout,
-                            stack_observables, velocity_layout)
+                            extract_slice, scalar_layout, stack_observables,
+                            velocity_layout)
 
 from conftest import make_rng, random_mask, random_velocity
 
@@ -33,9 +33,8 @@ def test_stack_dimension_and_order():
     assert np.allclose(x[:8], w * field.ux.ravel(order="C"))
     # third segment is uz with effective weight 1
     assert np.allclose(x[16:24], field.uz.ravel(order="C"))
-    # position lookup agrees
-    pos = layout.stacked_position("uy", 1, 0, 1)
-    assert x[pos] == pytest.approx(w * field.uy[1, 0, 1])
+    # scattering a channel back onto the grid inverts the stacking
+    assert np.array_equal(layout.grid_from_stacked(x, "uy"), w * field.uy)
 
 
 def test_stack_excludes_masked_cells():
@@ -52,8 +51,8 @@ def test_stack_excludes_masked_cells():
     field = VelocityField(ux=ok, uy=np.zeros((1, 2, 2)), uz=np.zeros((1, 2, 2)))
     x = stack_observables(field, layout)
     assert np.isfinite(x).all()
-    with pytest.raises(ValueError, match="masked"):
-        layout.stacked_position("ux", 0, 0, 0)
+    back = layout.grid_from_stacked(x, "ux")
+    assert np.isnan(back[0, 0, 0]) and np.isfinite(back[mask]).all()
 
 
 def test_stack_rejects_nan_on_unmasked_cells():
@@ -173,9 +172,8 @@ def test_surface_slice_identity_pattern():
     x = stack_observables(field, layout)
     sl = extract_slice(x, layout, SurfaceSlice(channel="ux", k=0))
     w = np.sqrt(2.0) / 2.0
-    assert sl.values.shape == (ny, nx)
-    assert np.allclose(sl.values, w * pattern[0])
-    assert sl.meta["kind"] == "surface"
+    assert sl.shape == (ny, nx)
+    assert np.allclose(sl, w * pattern[0])
 
 
 def test_surface_slice_masked_cells_are_nan():
@@ -186,8 +184,8 @@ def test_surface_slice_masked_cells_are_nan():
     field = random_velocity(rng, 2, 2, 3)
     x = stack_observables(field, layout)
     sl = extract_slice(x, layout, SurfaceSlice(channel="uy", k=0))
-    assert np.isnan(sl.values[1, 2])
-    assert np.isfinite(sl.values[0, 0])
+    assert np.isnan(sl[1, 2])
+    assert np.isfinite(sl[0, 0])
 
 
 def test_surface_slice_bounds_error():
@@ -202,9 +200,9 @@ def test_vertical_section_follows_polyline():
     vec = np.arange(layout.dim, dtype=float)
     sl = extract_slice(vec, layout,
                        VerticalSection(channel="state", path=((0, 0), (0, 3))))
-    assert sl.values.shape == (2, 4)
+    assert sl.shape == (2, 4)
     grid = layout.grid_from_stacked(vec, "state")
-    assert np.allclose(sl.values, grid[:, 0, 0:4])
+    assert np.allclose(sl, grid[:, 0, 0:4])
     with pytest.raises(IndexError):
         extract_slice(vec, layout,
                       VerticalSection(channel="state", path=((0, 0), (9, 0))))
@@ -214,14 +212,5 @@ def test_complex_mode_slice_keeps_phase():
     layout = scalar_layout(6)
     vec = np.exp(1j * np.linspace(0, 2, 6))
     sl = extract_slice(vec, layout, SurfaceSlice(channel="state", k=0))
-    assert sl.values.dtype.kind == "c"
-    assert np.allclose(np.angle(sl.values[0]), np.linspace(0, 2, 6))
-
-
-def test_fields_to_snapshots_shapes():
-    rng = make_rng(7)
-    layout = velocity_layout(3, 2, 2)
-    fields = [random_velocity(rng, 2, 2, 3) for _ in range(5)]
-    snap = fields_to_snapshots(fields, layout, dt=0.5, t0=1.0)
-    assert snap.data.shape == (layout.dim, 5)
-    assert snap.dt == 0.5 and snap.t0 == 1.0
+    assert sl.dtype.kind == "c"
+    assert np.allclose(np.angle(sl[0]), np.linspace(0, 2, 6))

@@ -1,10 +1,10 @@
-"""Every name a package module imports is used in that module, the
-command-line module loads no more than its commands need, and README's
-library quick start runs.
+"""Every name a package module imports is used in that module, every
+public name it defines has a caller, the command-line module loads no
+more than its commands need, and README's library quick start runs.
 
-The unused-import check reads the sources with the stdlib ast module, so
-it needs no linter.  __init__.py is exempt (its imports are re-exports),
-and so are `from __future__` imports.
+The unused-import and caller checks read the sources with the stdlib ast
+module, so they need no linter.  __init__.py is exempt (its imports are
+re-exports), and so are `from __future__` imports.
 """
 import ast
 import os
@@ -43,6 +43,71 @@ def test_checker_flags_unused_names():
     ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# Where a public name may be called from: the package, the scripts, the
+# benchmark and the acceptance tests, but no unit test.
+CALLERS = (sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+           + sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"])
+# Kept without a caller: the DMDM reader the tests check modes.dmdm with.
+NO_CALLER_NEEDED = {"fileio.read_mode_matrix"}
+
+
+def public_definitions(tree: ast.Module, module: str):
+    """(qualified name, name, node) of each public module-level function
+    or class and each public method of such a class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield f"{module}.{node.name}", node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield f"{module}.{node.name}.{item.name}", item.name, item
+
+
+def referenced_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Names and attribute names used in tree, outside the subtree skip."""
+    inside = {id(n) for n in ast.walk(skip)} if skip is not None else set()
+    names = set()
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def names_without_caller(package: Path, callers) -> list[str]:
+    trees = {path: ast.parse(path.read_text()) for path in callers
+             if path.name != "__init__.py"}
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for qualified, name, node in public_definitions(trees[path], path.stem):
+            if not any(name in referenced_names(tree, node if other == path else None)
+                       for other, tree in trees.items()):
+                found.append(qualified)
+    return found
+
+
+def test_caller_check_flags_a_name_used_only_by_itself(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def used():\n    return 1\n"
+        "def recursive(n):\n    return recursive(n - 1) + used()\n"
+        "class Box:\n    def get(self):\n        return self.get\n"
+        "    def put(self):\n        return Box()\n")
+    (tmp_path / "user.py").write_text("import mod\nmod.Box().put()\n")
+    assert sorted(names_without_caller(tmp_path, sorted(tmp_path.glob("*.py")))) == [
+        "mod.Box.get", "mod.recursive"]
+
+
+def test_every_public_name_has_a_caller():
+    """A public function, class or method that only unit tests call is a
+    second way of doing a job the program does one way: delete it."""
+    assert set(names_without_caller(PACKAGE, CALLERS)) == NO_CALLER_NEEDED
 
 
 def test_cli_import_leaves_out_scipy_ndimage():

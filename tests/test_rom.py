@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koopmode.dmd import DmdOptions, exact_dmd, modified_options, reconstruct
+from koopmode.dmd import DmdOptions, exact_dmd, mode_time_sum, modified_options
 from koopmode.modes import pair_conjugates
 from koopmode.oracle import generate, tidal_spec
 from koopmode.ranking import build_mode_table
@@ -112,21 +112,13 @@ def test_build_extracts_requested_columns():
     k = next(i for i, p in enumerate(partner) if p is not None)
     pair = sorted((k, partner[k]))
     rom = build_rom(res, [p + 1 for p in pair])
-    assert rom.n_modes == 2
+    assert rom.mu.size == 2
     assert rom.indices == tuple(p + 1 for p in pair)
     assert np.array_equal(rom.mu, res.mu[pair])
     assert np.array_equal(rom.modes, res.modes[:, pair])
 
 
 # --------------------------------------------------------- reconstruction
-
-def test_full_rom_matches_reconstruct():
-    snap, res, _ = fitted()
-    rom = build_rom(res, range(1, res.r + 1))
-    steps = np.arange(snap.n)
-    assert np.allclose(reconstruct_rom(rom, steps), reconstruct(res, steps),
-                       atol=1e-12)
-
 
 def tidal_decomposition(seed, wide, mean_removal, rank, debiased):
     """exact_dmd of a noisy 40-snapshot tidal oracle with D = 120 (wide)
@@ -181,9 +173,15 @@ def test_conjugate_partners_are_adjacent_negative_imaginary_first(
 @given(**tidal_draws)
 @settings(max_examples=30, deadline=None)
 def test_reconstruct_is_the_all_modes_rom(seed, wide, mean_removal, rank, debiased):
+    """The superposition of all modes is real: its imaginary part stays
+    within 1e-10 of each column's norm, because the spectrum and the
+    amplitudes are conjugate-closed.  The all-modes ROM reconstructs its
+    real part plus the removed mean."""
     snap, res = tidal_decomposition(seed, wide, mean_removal, rank, debiased)
     steps = np.arange(snap.n)
-    want = reconstruct(res, steps)
+    c = mode_time_sum(np.asarray(res.modes), res.mu, res.b, steps)
+    assert np.all(np.linalg.norm(c.imag, axis=0) <= 1e-10 * np.linalg.norm(c, axis=0))
+    want = c.real if res.mean_mode is None else c.real + res.mean_mode[:, None]
     got = reconstruct_rom(build_rom(res, range(1, res.r + 1)), steps)
     assert np.all(np.linalg.norm(got - want, axis=0)
                   <= 1e-12 * np.linalg.norm(want, axis=0))
@@ -205,9 +203,10 @@ def test_mean_mode_carries_into_rom():
     res = exact_dmd(snap, DmdOptions(r=4, remove_mean=True, b_fit="multi:10"))
     rom = build_rom(res, range(1, res.r + 1))
     assert rom.mean_mode is not None
+    assert np.allclose(rom.mean_mode, snap.data.mean(axis=1))
     steps = np.arange(snap.n)
-    assert np.allclose(reconstruct_rom(rom, steps), reconstruct(res, steps),
-                       atol=1e-12)
+    centered = reconstruct_rom(replace(rom, mean_mode=None), steps)
+    assert np.array_equal(reconstruct_rom(rom, steps), centered + rom.mean_mode[:, None])
 
 
 def test_nested_roms_monotone_error():
