@@ -8,9 +8,9 @@ from .fileio import read_mode_matrix, write_mode_matrix, write_snapshots
 from .grids import (ChannelSpec, GridLayout, SnapshotMatrix, SurfaceSlice,
                     VelocityField, VerticalSection, extract_slice,
                     scalar_layout, stack_observables, velocity_layout)
-from .modes import (ConjugatePairingError, EllipseParams, ModeInfo,
-                    half_doubling_time, pair_conjugates, period, polar_mode,
-                    tidal_ellipse, two_layer_wave_speed, write_mode_table)
+from .modes import (EllipseParams, ModeInfo, half_doubling_time, period,
+                    polar_mode, tidal_ellipse, two_layer_wave_speed,
+                    write_mode_table)
 from .oracle import (GroundTruth, ModeSpec, OracleSpec, compare_spectra,
                      generate, tidal_preset, tidal_spec, TIDAL_PERIODS_HOURS)
 from .ranking import (KdeDensity, LeaveOneOutResult, LooFailure, LooTrial,

@@ -29,12 +29,12 @@ from . import fileio
 from .dmd import DmdOptions, DmdResult, exact_dmd
 from .errors import ConfigError, DataFormatError, NumericalError
 from .grids import SnapshotMatrix, SurfaceSlice, VerticalSection, extract_slice
-from .modes import (ModeInfo, format_mode_table, polar_mode, tidal_ellipse,
-                    write_mode_table)
+from .modes import (ModeInfo, format_mode_table, period, polar_mode,
+                    tidal_ellipse, write_mode_table)
 from .oracle import generate, tidal_spec
 from .ranking import (build_mode_table, kde_grid, KdeDensity, label_clusters,
                       leave_one_out, LeaveOneOutResult, robustness_scores)
-from .rom import RomSelection, factor_error_curve, rom_indices, select_modes
+from .rom import RomSelection, factor_error_curve, select_modes
 
 _ROM_FIELDS = ("indices", "rms_min", "rms_max", "robustness_min",
                "robustness_max", "persistent_only")
@@ -249,21 +249,19 @@ def _check_settings(cfg: RunConfig) -> None:
 @dataclass(frozen=True)
 class _Analysis:
     """The input, decomposition and mode table of one command; after
-    leave-one-out also the trials and the normalized clustering raster.
-    snap is a DMDS file opened for streaming, or CSV snapshots loaded
-    whole."""
+    leave-one-out also the trials.  snap is a DMDS file opened for
+    streaming, or CSV snapshots loaded whole."""
 
     snap: fileio.SnapshotFile | SnapshotMatrix
     t_window: float
     result: DmdResult
     infos: list[ModeInfo]
     loo: LeaveOneOutResult | None
-    raster: tuple[np.ndarray, np.ndarray, np.ndarray] | None
 
 
 def _analyse(cfg: RunConfig, robust: bool) -> _Analysis:
     """Load, resolve options, decompose and tabulate the modes; robust runs
-    leave-one-out and fills the robustness and cluster columns."""
+    leave-one-out and fills the robustness column."""
     if not cfg.input:
         raise ConfigError("no input dataset configured (key: input)")
     _check_settings(cfg)
@@ -279,20 +277,11 @@ def _analyse(cfg: RunConfig, robust: bool) -> _Analysis:
     loo = leave_one_out(snap, opts, trials=cfg.loo_trials, seed=cfg.seed) if robust else None
     result = loo.base if robust else exact_dmd(snap, opts)
     infos = build_mode_table(result, t_window, layout=snap.layout)
-    raster = None
     if robust:
         scores = robustness_scores(result.mu, loo, h=cfg.h_robust)
-        pooled = loo.pooled()
-        density = KdeDensity(points=pooled, weights=np.ones(pooled.size),
-                             bandwidth=cfg.h_cluster)
-        raster = kde_grid(density, extra_points=result.mu, normalized=False)
-        clusters = label_clusters(density, raster, result.mu, cfg.cluster_level,
-                                  weights=np.array([info.rms for info in infos]))
-        values = raster[2]
-        values /= density.normalization  # in place, as kde_grid(normalized=True)
-        infos = [dataclasses.replace(info, robustness=float(s), cluster=c)
-                 for info, s, c in zip(infos, scores, clusters)]
-    return _Analysis(snap, t_window, result, infos, loo, raster)
+        infos = [dataclasses.replace(info, robustness=float(s))
+                 for info, s in zip(infos, scores)]
+    return _Analysis(snap, t_window, result, infos, loo)
 
 
 def _write_result_files(out: _OutputDir, a: _Analysis) -> None:
@@ -346,7 +335,7 @@ def cmd_synth(cfg: RunConfig) -> int:
     for g, b in zip(truth.gamma, truth.b):
         if g.imag < 0:
             continue
-        p = math.inf if g.imag == 0 else 2 * math.pi / abs(g.imag)
+        p = period(g)
         pt = "" if math.isinf(p) else f"{p:.2f}"
         print(f"  gamma={g.real:+.4f}{g.imag:+.4f}i  period={pt:>6}  |b|={abs(b):.2f}")
     return 0
@@ -364,6 +353,16 @@ def cmd_run(cfg: RunConfig) -> int:
 
 def cmd_loo(cfg: RunConfig) -> int:
     a = _analyse(cfg, robust=True)
+    pooled = a.loo.pooled()
+    density = KdeDensity(points=pooled, weights=np.ones(pooled.size),
+                         bandwidth=cfg.h_cluster)
+    raster = kde_grid(density, extra_points=a.result.mu, normalized=False)
+    clusters = label_clusters(density, raster, a.result.mu, cfg.cluster_level,
+                              weights=np.array([info.rms for info in a.infos]))
+    re_axis, im_axis, values = raster
+    values /= density.normalization  # in place, as kde_grid(normalized=True)
+    a = dataclasses.replace(a, infos=[dataclasses.replace(info, cluster=c)
+                                      for info, c in zip(a.infos, clusters)])
     out = _OutputDir(cfg.out, "loo")
     _write_result_files(out, a)
     fileio.write_csv(
@@ -372,7 +371,6 @@ def cmd_loo(cfg: RunConfig) -> int:
         ((t, trial.omitted_column, z.real, z.imag)
          for t, trial in enumerate(a.loo.trials) for z in trial.mu.tolist()),
     )
-    re_axis, im_axis, values = a.raster
     im_list = im_axis.tolist()
     fileio.write_csv(
         out.path("kde_grid.csv"), ("re", "im", "density"), "%.17g,%.17g,%.17g",
@@ -382,7 +380,7 @@ def cmd_loo(cfg: RunConfig) -> int:
     out.finish(cfg)
     n_clustered = sum(1 for info in a.infos if info.cluster is not None)
     failed = f", {len(a.loo.failures)} failed" if a.loo.failures else ""
-    print(f"loo: {len(a.loo.trials)} trials{failed}, {a.loo.pooled().size} pooled eigenvalues, "
+    print(f"loo: {len(a.loo.trials)} trials{failed}, {pooled.size} pooled eigenvalues, "
           f"{n_clustered}/{a.result.r} modes in clusters -> {out.dir}")
     print(format_mode_table(a.infos, max_rows=20), end="")
     return 0
@@ -403,7 +401,7 @@ def cmd_rom(cfg: RunConfig) -> int:
         sel = RomSelection(persistence_t=a.t_window,
                            persistence_factor=cfg.persistence_factor, **kw)
         try:
-            indices = rom_indices(a.result, select_modes(a.infos, sel))
+            indices = select_modes(a.infos, sel)
             curve = factor_error_curve(a.result, indices)
         except ValueError as exc:
             raise ConfigError(f"rom.{name}: {exc}") from exc
@@ -467,8 +465,7 @@ def cmd_slice(cfg: RunConfig) -> int:
                 out.path(f"slice_mode{m}_{tag}.csv"), ("row", "col", "value"), "%d,%d,%.17g",
                 ((i, j, v) for i, row in enumerate(grid.tolist()) for j, v in enumerate(row)),
             )
-        is_pair = abs(result.mu[m - 1].imag) > 1e-9
-        if (cfg.slice_kind == "surface" and is_pair
+        if (cfg.slice_kind == "surface" and result.partner[m - 1] is not None
                 and {"ux", "uy"} <= names):
             vec = phi * b
             w_ux = layout.channels[layout.channel_index("ux")].weight

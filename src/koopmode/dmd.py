@@ -166,8 +166,12 @@ class DmdResult:
     entry rotated real and positive.  Entries are sorted by descending |b|,
     where both members of a conjugate pair take the larger of their two
     |b|, ties broken by descending |mu| then ascending arg(mu): a pair is
-    adjacent, its negative imaginary part first.  gamma holds
-    the continuous-time exponents log(mu)/dt on the principal branch.
+    adjacent, its negative imaginary part first.  partner[k] is the
+    0-based index of mode k's conjugate partner, None for a real mode:
+    the pairs eig returns, exactly conjugate.  The mode table, the ROM
+    closure and slice's ellipses read it; nothing else decides which
+    modes pair.  gamma holds the continuous-time exponents log(mu)/dt on
+    the principal branch.
     mean_mode is the removed temporal mean when the option was on.
     data_rank is the numerical rank of the (centered) regression matrix,
     and options.r the truncation rank in force.  exact_dmd builds every
@@ -184,6 +188,7 @@ class DmdResult:
     b: np.ndarray
     singular_values: np.ndarray
     residuals: np.ndarray
+    partner: tuple[int | None, ...]
     options: DmdOptions
     dt: float
     t0: float = 0.0
@@ -405,7 +410,8 @@ class _Reduced(NamedTuple):
     """One decomposition in R-factor coordinates, in result order.
 
     modes have unit norm and no phase convention yet; b fits them.  The
-    same modes of the D-row pair are x2 @ lift.
+    same modes of the D-row pair are x2 @ lift.  partner is
+    DmdResult.partner.
     """
 
     modes: np.ndarray
@@ -414,6 +420,7 @@ class _Reduced(NamedTuple):
     singular_values: np.ndarray
     residuals: np.ndarray
     lift: np.ndarray
+    partner: tuple[int | None, ...]
 
 
 def _reduced_dmd(r1: np.ndarray, r2: np.ndarray, r_fit: np.ndarray, d: int,
@@ -449,8 +456,12 @@ def _reduced_dmd(r1: np.ndarray, r2: np.ndarray, r_fit: np.ndarray, d: int,
     first = np.flatnonzero(mu.imag > 0)
     amp[first] = amp[first + 1] = np.maximum(amp[first], amp[first + 1])
     order = np.lexsort((np.angle(mu), -np.abs(mu), -amp))
+    at = np.argsort(order)  # the result position of each of eig's entries
+    partner: list[int | None] = [None] * mu.size
+    for i, j in zip(at[first].tolist(), at[first + 1].tolist()):
+        partner[i], partner[j] = j, i
     return _Reduced(modes[:, order], mu[order], b[order], sp.singular_values,
-                    residuals[order], (sp.lift @ w / norms)[:, order])
+                    residuals[order], (sp.lift @ w / norms)[:, order], tuple(partner))
 
 
 class _Factor(NamedTuple):
@@ -622,6 +633,7 @@ def exact_dmd(snap: SnapshotMatrix, opts: DmdOptions) -> DmdResult:
         b=red.b / phase,
         singular_values=red.singular_values,
         residuals=red.residuals,
+        partner=red.partner,
         options=opts,
         dt=snap.dt,
         t0=snap.t0,

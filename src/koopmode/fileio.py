@@ -179,6 +179,7 @@ def read_snapshots_csv(path: str | Path) -> SnapshotMatrix:
     dt = steps[0]
     if dt <= 0 or not np.allclose(steps, dt, rtol=1e-9, atol=0.0):
         raise DataFormatError(f"{path}: snapshot times are not uniformly spaced")
+    data.flags.writeable = False  # handed over: SnapshotMatrix adopts it uncopied
     return SnapshotMatrix(data, dt=float(dt), t0=float(times_arr[0]),
                           layout=scalar_layout(data.shape[0]))
 

@@ -1,5 +1,5 @@
-"""Spectrum post-processing: periods, conjugate pairing, polar mode form,
-tidal ellipses, and the mode-table CSV schema.
+"""Spectrum post-processing: periods, polar mode form, tidal ellipses,
+and the mode-table CSV schema.
 
 Periods and half/doubling times read the exponents gamma = log(mu)/dt
 that the decomposition takes on the principal branch, so frequencies
@@ -20,7 +20,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NumericalError
 from .fileio import write_csv
 
 
@@ -42,47 +41,6 @@ def half_doubling_time(gamma: complex) -> float:
     if sigma == 0.0:
         return math.inf
     return math.log(2.0) / sigma
-
-
-class ConjugatePairingError(NumericalError):
-    """The eigenvalue multiset admits no unambiguous conjugate pairing."""
-
-
-def pair_conjugates(mus: Sequence[complex] | np.ndarray, tol: float = 1e-9) -> list[int | None]:
-    """Match eigenvalues into conjugate pairs by greedy nearest matching.
-
-    Returns partner[k] = index of the conjugate of mus[k], or None for
-    (near-)real eigenvalues with |Im mu| <= tol.  A non-real eigenvalue
-    with no partner within tol, or with several candidates within tol,
-    raises ConjugatePairingError.
-    """
-    mu = np.asarray(mus, dtype=complex)
-    partner: list[int | None] = [None] * mu.size
-    paired = np.zeros(mu.size, dtype=bool)
-    real = np.abs(mu.imag) <= tol
-    for j in range(mu.size):
-        if paired[j] or real[j]:
-            continue
-        target = np.conj(mu[j])
-        cand = [
-            k for k in range(mu.size)
-            if k != j and not paired[k] and not real[k]
-            and abs(mu[k] - target) <= tol
-        ]
-        if len(cand) == 0:
-            raise ConjugatePairingError(
-                f"eigenvalue {mu[j]} has no conjugate partner within {tol}"
-            )
-        if len(cand) > 1:
-            raise ConjugatePairingError(
-                f"eigenvalue {mu[j]} has ambiguous conjugate partners: "
-                + ", ".join(str(mu[k]) for k in cand)
-            )
-        k = cand[0]
-        partner[j] = k
-        partner[k] = j
-        paired[j] = paired[k] = True
-    return partner
 
 
 def polar_mode(phi: np.ndarray, b: complex) -> tuple[np.ndarray, np.ndarray]:

@@ -30,7 +30,7 @@ import numpy as np
 from .dmd import DmdOptions, DmdResult, deletion_spectra
 from .errors import NumericalError
 from .grids import GridLayout, SnapshotMatrix
-from .modes import (ModeInfo, half_doubling_time, pair_conjugates, period)
+from .modes import ModeInfo, half_doubling_time, period
 
 ROBUSTNESS_BANDWIDTH = 2e-3
 CLUSTER_BANDWIDTH = 2.5e-2
@@ -339,8 +339,9 @@ def build_mode_table(result: DmdResult, t_window: float,
     (N - 1) * dt.  When a layout with VERTICAL_CHANNEL is supplied,
     the vertically weighted RMS column is filled.  Robustness scores and
     cluster labels stay None; a leave-one-out analysis attaches them.
+    conj_partner is result.partner, 1-based.
     """
-    partner = pair_conjugates(result.mu)
+    partner = result.partner
     sel = None
     if layout is not None:
         try:

@@ -114,6 +114,13 @@ def reference_dmd_from_pair(x1: np.ndarray, x2: np.ndarray, fit_data: np.ndarray
         b = fit_coefficients_multi(modes, mu, fit_data, idx)
 
     order = np.lexsort((np.angle(mu), -np.abs(mu), -np.abs(b)))
+    # eig of a real operator lists a pair's positive imaginary part first,
+    # its exact conjugate right after
+    first = np.flatnonzero(mu.imag > 0)
+    at = np.argsort(order)
+    partner = [None] * mu.size
+    for i, j in zip(at[first].tolist(), at[first + 1].tolist()):
+        partner[i], partner[j] = j, i
     return DmdResult(
         modes=modes[:, order],
         mu=mu[order],
@@ -121,6 +128,7 @@ def reference_dmd_from_pair(x1: np.ndarray, x2: np.ndarray, fit_data: np.ndarray
         b=b[order],
         singular_values=sigma_full,
         residuals=residuals[order],
+        partner=tuple(partner),
         options=opts,
         dt=dt,
         t0=t0,

@@ -110,9 +110,13 @@ def test_every_public_name_has_a_caller():
     assert set(names_without_caller(PACKAGE, CALLERS)) == NO_CALLER_NEEDED
 
 
-def test_cli_import_leaves_out_scipy_ndimage():
-    """Only clustering labels with scipy.ndimage, so `run` and `slice`
-    never pay for importing it."""
+def test_cli_import_leaves_out_scipy_ndimage(tmp_path):
+    """Only loo's clustering labels with scipy.ndimage, so `run`, `slice`
+    and `rom` never pay for importing it, also when a robustness box
+    makes rom run leave-one-out."""
+    from koopmode.fileio import write_snapshots
+    from koopmode.oracle import generate, tidal_spec
+
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(PACKAGE.parent), env.get("PYTHONPATH")) if p)
@@ -120,6 +124,17 @@ def test_cli_import_leaves_out_scipy_ndimage():
             "assert 'koopmode.ranking' in sys.modules\n"
             "assert 'scipy.ndimage' not in sys.modules")
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+    write_snapshots(tmp_path / "toy.dmds", generate(tidal_spec(d=60, n=48, seed=1))[0])
+    cfg = tmp_path / "rom.cfg"
+    cfg.write_text(f"input = {tmp_path / 'toy.dmds'}\nout = {tmp_path / 'rom'}\n"
+                   "rank = 17\nloo_trials = 5\nrom.robust.robustness_min = 1000\n")
+    code = ("import sys\nfrom koopmode.cli import main\n"
+            "assert main(['rom', '--config', sys.argv[1]]) == 0\n"
+            "assert 'scipy.ndimage' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code, str(cfg)], env=env, check=True,
+                   timeout=120)
+    assert (tmp_path / "rom" / "rom_robust_errors.csv").is_file()
 
 
 def test_readme_quick_start_runs(capsys):

@@ -1,15 +1,14 @@
-"""Spectrum post-processing: periods, conjugate pairing, polar form, tidal ellipses, wave speeds, and the mode-table CSV."""
+"""Spectrum post-processing: periods, polar form, tidal ellipses, wave speeds, and the mode-table CSV."""
 import csv
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koopmode.modes import (MODE_TABLE_COLUMNS, ConjugatePairingError,
-                            EllipseParams, ModeInfo, format_mode_table,
-                            half_doubling_time, pair_conjugates, period,
+from koopmode.modes import (MODE_TABLE_COLUMNS, EllipseParams, ModeInfo,
+                            format_mode_table, half_doubling_time, period,
                             polar_mode, tidal_ellipse, two_layer_wave_speed,
                             write_mode_table)
 
@@ -28,64 +27,6 @@ def test_period_and_half_doubling():
 def test_semidiurnal_like_period():
     omega = 2 * np.pi / 12.421
     assert period(1j * omega) == pytest.approx(12.421, abs=1e-12)
-
-
-# --------------------------------------------------------------- pairing
-
-def test_pairing_clean_pairs():
-    mus = np.array([0.9 + 0.1j, 0.5, 0.9 - 0.1j, 0.2 + 0.7j, 0.2 - 0.7j])
-    partner = pair_conjugates(mus)
-    assert partner == [2, None, 0, 4, 3]
-
-
-def test_pairing_near_real_tolerance():
-    mus = np.array([1.0 + 5e-10j, 1.0 - 5e-10j])
-    assert pair_conjugates(mus, tol=1e-9) == [None, None]
-
-
-def test_pairing_missing_partner():
-    with pytest.raises(ConjugatePairingError, match="no conjugate"):
-        pair_conjugates(np.array([0.5 + 0.5j, 0.9 + 0j]))
-
-
-def test_pairing_self_conjugate_not_allowed():
-    # i and i: each needs -i, neither provides it
-    with pytest.raises(ConjugatePairingError, match="no conjugate"):
-        pair_conjugates(np.array([1j, 1j]))
-
-
-def test_pairing_ambiguous():
-    eps = 1e-12
-    mus = np.array([0.5 + 0.5j, 0.5 - 0.5j, 0.5 - 0.5j + eps])
-    with pytest.raises(ConjugatePairingError, match="ambiguous"):
-        pair_conjugates(mus, tol=1e-9)
-
-
-@given(st.lists(st.complex_numbers(max_magnitude=2, allow_nan=False,
-                                   allow_infinity=False),
-                min_size=0, max_size=6))
-@settings(max_examples=60, deadline=None)
-def test_pairing_closure_property(base):
-    """Closing a multiset without duplicate partners makes pairing
-    succeed, and the partner map is a proper involution."""
-    mus = []
-    for z in base:
-        if abs(z.imag) <= 1e-9:
-            mus.append(complex(z.real, 0.0))
-        else:
-            mus.extend([z, z.conjugate()])
-    mus = np.array(mus, dtype=complex)
-    nonreal = mus[np.abs(mus.imag) > 1e-9]
-    for zi in nonreal:
-        close = np.abs(nonreal - zi.conjugate()) <= 1e-9
-        assume(close.sum() <= 1)
-    partner = pair_conjugates(mus)
-    for k, p in enumerate(partner):
-        if p is None:
-            assert abs(mus[k].imag) <= 1e-9
-        else:
-            assert partner[p] == k
-            assert mus[p] == mus[k].conjugate()
 
 
 # ------------------------------------------------------------ polar form

@@ -72,6 +72,8 @@ def check_against_reference(seed, wide, remove_mean, b_fit, use_tlsq, normalize,
     res = exact_dmd(snap, opts)
 
     match = assert_spectra_match(res.mu, ref.mu)
+    m = match.tolist()
+    assert [None if p is None else m[p] for p in res.partner] == [ref.partner[i] for i in m]
     mode_err = np.abs(res.modes - ref.modes[:, match]).max(axis=0)
     assert np.all(mode_err <= mode_tolerance(snap, opts, ref.mu)[match])
     # a noise-level amplitude moves with the 1e-10 mode differences above,

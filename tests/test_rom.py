@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koopmode.dmd import DmdOptions, exact_dmd, mode_time_sum, modified_options
-from koopmode.modes import pair_conjugates
 from koopmode.oracle import generate, tidal_spec
 from koopmode.ranking import build_mode_table
 from koopmode.rom import (RomSelection, build_rom, error_curve,
@@ -30,7 +29,7 @@ def fitted(seed=3, d=6, n=40, r=6, **kw):
 
 def test_select_explicit_pulls_partner():
     _, res, table = fitted()
-    partner = pair_conjugates(res.mu)
+    partner = res.partner
     k = next(i for i, p in enumerate(partner) if p is not None)
     got = select_modes(table, RomSelection(indices=(k + 1,)))
     assert got == tuple(sorted((k + 1, partner[k] + 1)))
@@ -90,7 +89,7 @@ def test_select_persistent_only():
 
 def test_build_rejects_open_selection():
     _, res, _ = fitted()
-    partner = pair_conjugates(res.mu)
+    partner = res.partner
     k = next(i for i, p in enumerate(partner) if p is not None)
     with pytest.raises(ValueError, match="not conjugate-closed"):
         build_rom(res, [k + 1])
@@ -108,7 +107,7 @@ def test_build_rejects_empty_and_out_of_range():
 
 def test_build_extracts_requested_columns():
     _, res, _ = fitted()
-    partner = pair_conjugates(res.mu)
+    partner = res.partner
     k = next(i for i, p in enumerate(partner) if p is not None)
     pair = sorted((k, partner[k]))
     rom = build_rom(res, [p + 1 for p in pair])
@@ -158,14 +157,20 @@ def test_conjugate_partners_are_adjacent_negative_imaginary_first(
         seed, wide, rank, remove_mean, use_tlsq, normalize, b_fit, svd_mode):
     """A pair's two |b| differ by round-off, so the result order must not
     depend on them: partners sit next to each other, the one with the
-    negative imaginary part first, under every option."""
+    negative imaginary part first, under every option.  The partner map
+    is an involution between bitwise conjugates, and a mode has no
+    partner exactly when its eigenvalue is real."""
     snap, _ = generate(tidal_spec(d=120 if wide else 25, n=40, noise_sigma=1e-3,
                                   seed=seed))
     res = exact_dmd(snap, DmdOptions(r=rank, use_tlsq=use_tlsq, normalize_columns=normalize,
                                      remove_mean=remove_mean, b_fit=b_fit,
                                      svd_mode=svd_mode))
-    for k, j in enumerate(pair_conjugates(res.mu)):
+    assert len(res.partner) == res.r
+    for k, j in enumerate(res.partner):
+        assert (j is None) == (res.mu[k].imag == 0.0), (k, j)
         if j is not None:
+            assert res.partner[j] == k
+            assert res.mu[j] == np.conj(res.mu[k])
             assert abs(j - k) == 1, (k, j)
             assert res.mu[min(j, k)].imag < 0 < res.mu[max(j, k)].imag
 
@@ -213,7 +218,7 @@ def test_nested_roms_monotone_error():
     """Growing this ROM by whole pairs in amplitude order shrinks the
     residual step by step and ends at the full reconstruction."""
     snap, res, table = fitted(seed=12)
-    partner = pair_conjugates(res.mu)
+    partner = res.partner
     groups = []
     seen = set()
     for k in range(res.r):  # result order is descending |b|
