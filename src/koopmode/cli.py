@@ -7,8 +7,10 @@ Subcommands:
   rom     build reduced-order models and their error curves
   slice   export amplitude/phase (and ellipse) slices of selected modes
 
-Settings come from a flat key=value config file plus a few overriding
-flags.  All outputs are deterministic: rerunning a command with the same
+Settings come from a flat key=value config file; a few keys can also be
+given as flags, which override the file.  Config lines, flags and ROM
+blocks are parsed by one table, and each key's rule is checked as it is
+read.  All outputs are deterministic: rerunning a command with the same
 config and seed rewrites byte-identical files.  Exit codes: 0 success,
 2 configuration error, 3 numerical failure, 4 I/O error.
 """
@@ -32,12 +34,10 @@ from .grids import SnapshotMatrix, SurfaceSlice, VerticalSection, extract_slice
 from .modes import (ModeInfo, format_mode_table, period, polar_mode,
                     tidal_ellipse, write_mode_table)
 from .oracle import generate, tidal_spec
-from .ranking import (build_mode_table, kde_grid, KdeDensity, label_clusters,
+from .ranking import (CLUSTER_BANDWIDTH, CLUSTER_LEVEL_FRACTION, ROBUSTNESS_BANDWIDTH,
+                      build_mode_table, kde_grid, KdeDensity, label_clusters,
                       leave_one_out, LeaveOneOutResult, robustness_scores)
 from .rom import RomSelection, factor_error_curve, select_modes
-
-_ROM_FIELDS = ("indices", "rms_min", "rms_max", "robustness_min",
-               "robustness_max", "persistent_only")
 
 
 @dataclass
@@ -55,9 +55,9 @@ class RunConfig:
     bfit: str = "multi:10"
     svd_mode: str = "high_accuracy"
     loo_trials: int = 30
-    h_robust: float = 2e-3
-    h_cluster: float = 2.5e-2
-    cluster_level: float = 0.1
+    h_robust: float = ROBUSTNESS_BANDWIDTH
+    h_cluster: float = CLUSTER_BANDWIDTH
+    cluster_level: float = CLUSTER_LEVEL_FRACTION
     persistence_t: float | None = None
     persistence_factor: float = 0.1
     synth_preset: str = "tidal"
@@ -83,15 +83,47 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"expected on/off, got {s!r}")
 
 
+def _parse_indices(s: str) -> tuple[int, ...] | str:
+    """A comma list of 1-based mode indices, repeats dropped in first-seen
+    order; "all" stays the string "all" until the rank is known."""
+    if s.strip().lower() == "all":
+        return "all"
+    return tuple(dict.fromkeys(int(t) for t in s.split(",") if t.strip()))
+
+
 def _optional(parse):
     return lambda s: None if s.strip() == "" else parse(s)
 
 
-# One parser per RunConfig field, chosen by its annotation.
+# One parser per field of RunConfig and of a rom.<name> block, chosen by
+# its annotation.
 _TYPE_PARSERS = {str: str, int: int, float: float, bool: _parse_bool,
-                 int | None: _optional(int), float | None: _optional(float)}
+                 int | None: _optional(int), float | None: _optional(float),
+                 tuple[int, ...] | None: _parse_indices}
 _PARSERS = {name: _TYPE_PARSERS[hint]
             for name, hint in typing.get_type_hints(RunConfig).items() if name != "roms"}
+_ROM_PARSERS = {name: _TYPE_PARSERS[hint]
+                for name, hint in typing.get_type_hints(RomSelection).items()
+                if not name.startswith("persistence_")}
+
+# The rule a set (not None) value of a key must meet, and its wording.
+_POSITIVE = (lambda v: 0.0 < v < math.inf, "positive and finite")
+_FRACTION = (lambda v: 0.0 < v < 1.0, "in (0, 1)")
+_RULES = {"loo_trials": (lambda v: v >= 1, ">= 1"), "h_robust": _POSITIVE,
+          "h_cluster": _POSITIVE, "cluster_level": _FRACTION,
+          "persistence_t": _POSITIVE, "persistence_factor": _FRACTION}
+
+
+def _set(cfg: RunConfig, key: str, text: str, where: str) -> None:
+    """Parse text as the value of key, check the key's rule and assign it."""
+    try:
+        value = _PARSERS[key](text)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: bad value for {key}: {exc}") from exc
+    ok, rule = _RULES.get(key, (lambda v: True, ""))
+    if value is not None and not ok(value):
+        raise ConfigError(f"{key} must be {rule}, got {value}")
+    setattr(cfg, key, value)
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -109,64 +141,33 @@ def load_config(path: str | Path) -> RunConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key.startswith("rom."):
             parts = key.split(".")
-            if len(parts) != 3 or parts[2] not in _ROM_FIELDS:
+            if len(parts) != 3 or parts[2] not in _ROM_PARSERS:
                 raise ConfigError(f"{path}:{lineno}: bad ROM key {key!r}")
-            _, name, fld = parts
-            cfg.roms.setdefault(name, {})[fld] = value
-            continue
-        if key not in _PARSERS:
+            cfg.roms.setdefault(parts[1], {})[parts[2]] = value
+        elif key in _PARSERS:
+            _set(cfg, key, value, f"{path}:{lineno}")
+        else:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        try:
-            setattr(cfg, key, _PARSERS[key](value))
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return cfg
 
 
 def _config_echo(cfg: RunConfig) -> str:
-    lines = []
-    for f in dataclasses.fields(cfg):
-        if f.name == "roms":
-            continue
-        v = getattr(cfg, f.name)
-        lines.append(f"{f.name} = {'' if v is None else v}")
-    for name in sorted(cfg.roms):
-        for fld in _ROM_FIELDS:
-            if fld in cfg.roms[name]:
-                lines.append(f"rom.{name}.{fld} = {cfg.roms[name][fld]}")
+    values = {key: getattr(cfg, key) for key in _PARSERS}
+    lines = [f"{key} = {'' if v is None else v}" for key, v in values.items()]
+    lines += (f"rom.{name}.{fld} = {text}"
+              for name, fields in cfg.roms.items() for fld, text in fields.items())
     return "\n".join(sorted(lines)) + "\n"
 
 
-def _rom_fields(name: str, fields: dict) -> dict:
-    """The RomSelection keywords of one rom.<name> block; indices = all
-    stays the string "all" until the rank is known."""
-    kw = {}
-    try:
-        if "indices" in fields:
-            txt = fields["indices"].strip()
-            if txt.lower() == "all":
-                kw["indices"] = "all"
-            else:
-                kw["indices"] = tuple(int(t) for t in txt.split(",") if t.strip())
-        for fld in ("rms_min", "rms_max", "robustness_min", "robustness_max"):
-            if fld in fields:
-                kw[fld] = float(fields[fld])
-        if "persistent_only" in fields:
-            kw["persistent_only"] = _parse_bool(fields["persistent_only"])
-    except ValueError as exc:
-        raise ConfigError(f"rom.{name}: {exc}") from exc
-    return kw
-
-
-def _slice_request(cfg: RunConfig) -> tuple[list[int], SurfaceSlice | VerticalSection]:
+def _slice_request(cfg: RunConfig) -> tuple[tuple[int, ...], SurfaceSlice | VerticalSection]:
     """The 1-based mode indices and the slice geometry of cfg.  The
     geometry's channel is left empty: it needs the layout of the input."""
     try:
-        modes_idx = [int(t) for t in cfg.slice_modes.split(",") if t.strip()]
+        modes_idx = _parse_indices(cfg.slice_modes)
     except ValueError as exc:
         raise ConfigError(f"bad slice_modes: {exc}") from exc
-    if not modes_idx:
-        raise ConfigError("slice_modes selects no modes")
+    if not modes_idx or modes_idx == "all":
+        raise ConfigError(f"slice_modes must list mode indices, got {cfg.slice_modes!r}")
     if cfg.slice_kind == "surface":
         return modes_idx, SurfaceSlice(channel="", k=cfg.slice_k)
     if cfg.slice_kind != "section":
@@ -229,23 +230,6 @@ def _resolve_options(cfg: RunConfig) -> DmdOptions:
         raise ConfigError(str(exc)) from exc
 
 
-def _check_settings(cfg: RunConfig) -> None:
-    """Reject bad window, robustness and clustering settings before any
-    data is read or decomposed."""
-    checks = (
-        ("loo_trials", cfg.loo_trials >= 1, ">= 1"),
-        ("h_robust", 0.0 < cfg.h_robust < math.inf, "positive and finite"),
-        ("h_cluster", 0.0 < cfg.h_cluster < math.inf, "positive and finite"),
-        ("cluster_level", 0.0 < cfg.cluster_level < 1.0, "in (0, 1)"),
-        ("persistence_t", cfg.persistence_t is None or 0.0 < cfg.persistence_t < math.inf,
-         "positive and finite"),
-        ("persistence_factor", 0.0 < cfg.persistence_factor < 1.0, "in (0, 1)"),
-    )
-    for key, ok, rule in checks:
-        if not ok:
-            raise ConfigError(f"{key} must be {rule}, got {getattr(cfg, key)}")
-
-
 @dataclass(frozen=True)
 class _Analysis:
     """The input, decomposition and mode table of one command; after
@@ -264,7 +248,6 @@ def _analyse(cfg: RunConfig, robust: bool) -> _Analysis:
     leave-one-out and fills the robustness column."""
     if not cfg.input:
         raise ConfigError("no input dataset configured (key: input)")
-    _check_settings(cfg)
     opts = _resolve_options(cfg)
     try:
         snap = fileio.open_source(cfg.input)
@@ -389,12 +372,16 @@ def cmd_loo(cfg: RunConfig) -> int:
 def cmd_rom(cfg: RunConfig) -> int:
     if not cfg.roms:
         raise ConfigError("no ROM selections configured (keys: rom.<name>.<field>)")
-    selections = {name: _rom_fields(name, cfg.roms[name]) for name in sorted(cfg.roms)}
-    a = _analyse(cfg, robust=any(
-        "robustness_min" in f or "robustness_max" in f for f in cfg.roms.values()))
-    data_rank = a.result.data_rank
-    out = _OutputDir(cfg.out, "rom")
-    summary = {}
+    selections = {}
+    for name in sorted(cfg.roms):
+        try:
+            selections[name] = {fld: _ROM_PARSERS[fld](text)
+                                for fld, text in cfg.roms[name].items()}
+        except ValueError as exc:
+            raise ConfigError(f"rom.{name}: {exc}") from exc
+    a = _analyse(cfg, robust=any(kw.get(f) is not None for kw in selections.values()
+                                 for f in ("robustness_min", "robustness_max")))
+    curves = {}  # every selection resolves before the output directory exists
     for name, kw in selections.items():
         if kw.get("indices") == "all":
             kw["indices"] = tuple(range(1, a.result.r + 1))
@@ -402,9 +389,13 @@ def cmd_rom(cfg: RunConfig) -> int:
                            persistence_factor=cfg.persistence_factor, **kw)
         try:
             indices = select_modes(a.infos, sel)
-            curve = factor_error_curve(a.result, indices)
+            curves[name] = indices, factor_error_curve(a.result, indices)
         except ValueError as exc:
             raise ConfigError(f"rom.{name}: {exc}") from exc
+    data_rank = a.result.data_rank
+    out = _OutputDir(cfg.out, "rom")
+    summary = {}
+    for name, (indices, curve) in curves.items():
         fileio.write_csv(
             out.path(f"rom_{name}_errors.csv"), ("n", "t_hours", "rom_norm", "rel_error"),
             "%d,%.17g,%.17g,%.17g",
@@ -452,14 +443,16 @@ def cmd_slice(cfg: RunConfig) -> int:
     for m in modes_idx:
         if not 1 <= m <= result.r:
             raise ConfigError(f"slice mode index {m} outside 1..{result.r}")
+    if cfg.slice_kind == "surface" and not 0 <= cfg.slice_k < layout.nz:
+        raise ConfigError(f"layer k={cfg.slice_k} outside 0..{layout.nz - 1}")
+    for j, i in getattr(spec, "path", ()):
+        if not (0 <= j < layout.ny and 0 <= i < layout.nx):
+            raise ConfigError(f"polyline vertex ({j}, {i}) outside grid")
     spec = dataclasses.replace(spec, channel=channel)
     out = _OutputDir(cfg.out, "slice")
     for m in modes_idx:
         phi, b = result.mode(m - 1), result.b[m - 1]
-        try:
-            sl = extract_slice(phi, layout, spec)
-        except (IndexError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+        sl = extract_slice(phi, layout, spec)
         for tag, grid in zip(("amplitude", "phase"), polar_mode(sl, b)):
             fileio.write_csv(
                 out.path(f"slice_mode{m}_{tag}.csv"), ("row", "col", "value"), "%d,%d,%.17g",
@@ -479,7 +472,7 @@ def cmd_slice(cfg: RunConfig) -> int:
                 "%d,%d,%.17g,%.17g,%.17g,%s", _ellipse_rows(gu, gv),
             )
     out.finish(cfg)
-    print(f"slice: wrote {cfg.slice_kind} slices of modes {modes_idx} -> {out.dir}")
+    print(f"slice: wrote {cfg.slice_kind} slices of modes {list(modes_idx)} -> {out.dir}")
     return 0
 
 
@@ -492,6 +485,10 @@ _COMMANDS = {
 }
 
 
+# The config keys that a flag can also set: --out, ..., --mean-removal.
+_FLAGS = ("out", "seed", "rank", "tlsq", "mean_removal", "bfit")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="koopmode",
@@ -501,39 +498,25 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--out", help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, help="random seed (overrides config)")
-        p.add_argument("--rank", type=int, help="truncation rank (overrides config)")
-        p.add_argument("--tlsq", choices=("on", "off"),
-                       help="total-least-squares projection (overrides config)")
-        p.add_argument("--mean-removal", choices=("on", "off"), dest="mean_removal",
-                       help="temporal mean removal (overrides config)")
-        p.add_argument("--bfit", help="amplitude fit: first or multi:<count>")
+        for key in _FLAGS:
+            p.add_argument("--" + key.replace("_", "-"), dest=key,
+                           help=f"config key {key} (overrides the config file)")
     return parser
 
 
-def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    if args.out is not None:
-        cfg.out = args.out
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.rank is not None:
-        cfg.rank = args.rank
-    if args.tlsq is not None:
-        cfg.tlsq = args.tlsq == "on"
-    if args.mean_removal is not None:
-        cfg.mean_removal = args.mean_removal == "on"
-    if args.bfit is not None:
-        cfg.bfit = args.bfit
+def _config(args: argparse.Namespace) -> RunConfig:
+    """The config file's settings, then each given flag set over its key."""
+    cfg = load_config(args.config) if args.config else RunConfig()
+    for key in _FLAGS:
+        if getattr(args, key) is not None:
+            _set(cfg, key, getattr(args, key), "--" + key.replace("_", "-"))
     return cfg
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config) if args.config else RunConfig()
-        cfg = _apply_overrides(cfg, args)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command](_config(args))
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -5,9 +5,13 @@ import dataclasses
 import hashlib
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koopmode import cli
 from koopmode.cli import main, load_config, RunConfig
@@ -121,6 +125,50 @@ def test_config_echo_round_trips(tmp_path):
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_config(tmp_path / "none.cfg")
+
+
+def _switch():
+    return st.sampled_from(["on", "off", "true", "False", "YES", "no", "1", "0"])
+
+
+@given(out=st.text("abc_/.0123456789", min_size=1, max_size=12),
+       seed=st.integers(-10**6, 10**6), rank=st.one_of(st.just(""), st.integers(1, 500)),
+       tlsq=_switch(), mean_removal=_switch(),
+       bfit=st.one_of(st.just("first"), st.integers(2, 40).map("multi:{}".format)))
+@settings(max_examples=60, deadline=None)
+def test_flags_set_what_config_lines_set(out, seed, rank, tlsq, mean_removal, bfit):
+    """The six flags are config keys: given as flags or as config lines,
+    the same values give the same RunConfig."""
+    values = dict(out=out, seed=seed, rank=rank, tlsq=tlsq,
+                  mean_removal=mean_removal, bfit=bfit)
+    flags = [arg for key, v in values.items()
+             for arg in ("--" + key.replace("_", "-"), str(v))]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_cfg(Path(tmp), **values)
+        from_lines = cli._config(cli.build_parser().parse_args(["run", "--config", path]))
+    from_flags = cli._config(cli.build_parser().parse_args(["run", *flags]))
+    assert from_flags == from_lines
+    assert from_flags.rank == (rank or None) and from_flags.seed == seed
+
+
+@pytest.mark.parametrize("flag,value", [("--tlsq", "maybe"), ("--rank", "x"),
+                                        ("--seed", "x")])
+def test_bad_flag_value_is_a_config_error(tmp_path, capsys, flag, value):
+    """A flag's value is parsed as the config key's: a bad one returns 2
+    from main, as a bad config line does, instead of an argparse exit."""
+    assert main(["run", flag, value, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: {flag}: bad value for {flag[2:]}: ")
+    assert not (tmp_path / "o").exists()
+
+
+def test_settings_are_checked_for_every_command(tmp_path, capsys):
+    """A key's rule holds whichever command reads it: synth, which never
+    runs leave-one-out, still rejects loo_trials = 0."""
+    cfg = write_cfg(tmp_path, "synth.cfg", out=tmp_path / "synth", loo_trials=0)
+    assert main(["synth", "--config", cfg]) == 2
+    assert "config error: loo_trials must be >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "synth").exists()
 
 
 # ----------------------------------------------------------------- synth
@@ -418,19 +466,42 @@ def test_rom_robustness_box_runs_loo(tmp_path):
     assert summary["roms"]["rob"]["n_modes"] == 17
 
 
+def test_rom_empty_value_is_unset(tmp_path, monkeypatch):
+    """An empty rom.<name>.* value leaves the field unset, as for any
+    key: an empty robustness bound runs no leave-one-out."""
+    def never(*args, **kwargs):
+        raise AssertionError("an unset robustness bound ran leave-one-out")
+
+    data = synth_dataset(tmp_path)
+    monkeypatch.setattr(cli, "leave_one_out", never)
+    out = tmp_path / "rom"
+    path = tmp_path / "rom.cfg"
+    path.write_text(f"input = {data}\nout = {out}\nrank = 17\n"
+                    "rom.a.rms_min =\nrom.a.robustness_min =\n")
+    assert main(["rom", "--config", str(path)]) == 0
+    assert json.loads((out / "rom_summary.json").read_text())["roms"]["a"]["n_modes"] == 17
+
+
 def test_rom_requires_selections(tmp_path):
     data = synth_dataset(tmp_path)
     cfg = write_cfg(tmp_path, "rom.cfg", input=data, out=tmp_path / "rom")
     assert main(["rom", "--config", cfg]) == 2
 
 
-def test_rom_empty_selection_is_config_error(tmp_path):
+def test_rom_empty_selection_is_config_error(tmp_path, capsys):
+    """Every selection resolves before any output: a later empty one
+    leaves no output directory and prints no rom line."""
     data = synth_dataset(tmp_path)
+    capsys.readouterr()
     out = tmp_path / "rom"
     path = tmp_path / "rom.cfg"
     path.write_text(f"input = {data}\nout = {out}\nrank = 17\n"
-                    "rom.none.rms_min = 1e12\n")
+                    "rom.all.indices = all\nrom.none.rms_min = 1e12\n")
     assert main(["rom", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "config error: rom.none: selection matches no modes" in captured.err
+    assert "rom " not in captured.out
+    assert not out.exists()
 
 
 # ----------------------------------------------------------------- slice
@@ -564,6 +635,28 @@ def test_slice_bad_requests(tmp_path):
     assert main(["slice", "--config", cfg]) == 2
     cfg = write_cfg(tmp_path, "s4.cfg", slice_channel="vorticity", **base)
     assert main(["slice", "--config", cfg]) == 2
+    cfg = write_cfg(tmp_path, "s5.cfg", slice_k=5, **base)  # nz = 2
+    assert main(["slice", "--config", cfg]) == 2
+    cfg = write_cfg(tmp_path, "s6.cfg", slice_kind="section",
+                    slice_path="0,0;3,1", **base)  # ny = 3
+    assert main(["slice", "--config", cfg]) == 2
+    cfg = write_cfg(tmp_path, "s7.cfg", slice_modes="all", **base)
+    assert main(["slice", "--config", cfg]) == 2
+    # the geometry is checked against the layout before any output
+    assert not (tmp_path / "s").exists()
+
+
+def test_slice_repeated_modes_are_written_once(tmp_path, capsys):
+    data, _ = rotating_velocity_snapshots(tmp_path)
+    out = tmp_path / "s"
+    cfg = write_cfg(tmp_path, "s.cfg", input=data, out=out, rank=3, tlsq="off",
+                    slice_modes="1,1,2")
+    assert main(["slice", "--config", cfg]) == 0
+    assert f"slices of modes [1, 2] -> {out}" in capsys.readouterr().out
+    files = json.loads((out / "manifest.json").read_text())["files"]
+    assert len(files) == len(set(files))
+    assert {f"slice_mode{m}_{tag}.csv" for m in (1, 2)
+            for tag in ("amplitude", "phase")} <= set(files)
 
 
 # ------------------------------------------------------------ exit codes
