@@ -109,9 +109,10 @@ _ROM_PARSERS = {name: _TYPE_PARSERS[hint]
 # The rule a set (not None) value of a key must meet, and its wording.
 _POSITIVE = (lambda v: 0.0 < v < math.inf, "positive and finite")
 _FRACTION = (lambda v: 0.0 < v < 1.0, "in (0, 1)")
-_RULES = {"loo_trials": (lambda v: v >= 1, ">= 1"), "h_robust": _POSITIVE,
-          "h_cluster": _POSITIVE, "cluster_level": _FRACTION,
-          "persistence_t": _POSITIVE, "persistence_factor": _FRACTION}
+_RULES = {"loo_trials": (lambda v: v >= 1, ">= 1"), "seed": (lambda v: v >= 0, ">= 0"),
+          "h_robust": _POSITIVE, "h_cluster": _POSITIVE, "cluster_level": _FRACTION,
+          "persistence_t": _POSITIVE, "persistence_factor": _FRACTION, "synth_dt": _POSITIVE,
+          "synth_noise": (lambda v: 0.0 <= v < math.inf, "finite and >= 0")}
 
 
 def _set(cfg: RunConfig, key: str, text: str, where: str) -> None:
@@ -257,8 +258,8 @@ def _analyse(cfg: RunConfig, robust: bool) -> _Analysis:
         raise DataFormatError(f"{cfg.input}: leave-one-out needs N >= 3 snapshots, "
                               f"the input has N = {snap.n}")
     t_window = cfg.persistence_t if cfg.persistence_t is not None else (snap.n - 1) * snap.dt
-    loo = leave_one_out(snap, opts, trials=cfg.loo_trials, seed=cfg.seed) if robust else None
-    result = loo.base if robust else exact_dmd(snap, opts)
+    result = exact_dmd(snap, opts)
+    loo = leave_one_out(result, trials=cfg.loo_trials, seed=cfg.seed) if robust else None
     infos = build_mode_table(result, t_window, layout=snap.layout)
     if robust:
         scores = robustness_scores(result.mu, loo, h=cfg.h_robust)
@@ -489,8 +490,13 @@ _COMMANDS = {
 _FLAGS = ("out", "seed", "rank", "tlsq", "mean_removal", "bfit")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # main returns 2, not SystemExit(2); subparsers inherit it
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="koopmode",
         description="Koopman-mode decomposition toolkit for gridded snapshot data",
     )
@@ -514,8 +520,8 @@ def _config(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](_config(args))
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

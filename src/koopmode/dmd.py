@@ -48,8 +48,9 @@ rows of the modes to a file (fileio.ModeFile) and keeps each mode's
 running lead entry; one sweep over the file in blocks then applies the
 phase convention.  This continues the row-block streaming of Sayadi &
 Schmid to the D x r modes, which are never held in memory either.
-Column-deletion trials (deletion_spectra) delete columns of the R pair
-and compute eigenvalues only: no modes, residuals or amplitude fit.
+A column-deletion trial (deletion_spectrum) deletes a column of a
+result's R pair and computes eigenvalues only: no modes, residuals or
+amplitude fit.
 Memory holds one block, its r lifted columns and O(N^2) numbers.
 
 Rank.  The data rank is counted on R[:, :-1], whose singular values are
@@ -669,37 +670,23 @@ def rom_norms(result: DmdResult, indices: Sequence[int]
     return fac.norms, column_norms(xhat), err
 
 
-def deletion_spectra(snap: SnapshotMatrix, opts: DmdOptions, omitted: Sequence[int]
-                     ) -> tuple[DmdResult, list[np.ndarray | NumericalError]]:
-    """The decomposition of snap, then the spectrum of one rerun per entry
-    of omitted, with that column of the regression pair deleted.
+def deletion_spectrum(result: DmdResult, column: int) -> np.ndarray:
+    """The eigenvalues of result's decomposition rerun with one column of
+    its regression pair deleted, sorted by descending |mu| then
+    ascending arg(mu).
 
-    snap is any source exact_dmd takes.  The snapshots are factored
-    once; a rerun deletes a column of the R pair and never forms a D-row
-    array.  Its truncation rank (and TLSQ rank) are capped at the
-    reduced column count.  A rerun computes its eigenvalues only, sorted
-    by descending |mu| then ascending arg(mu); it forms no modes and
-    fits no amplitudes, so it cannot fail on the amplitude fit.  A rerun
-    that raises NumericalError (rank loss, a defective eigenvector
-    matrix or a zero eigenvalue) yields the error in place of its
-    spectrum.
+    result comes from exact_dmd: the rerun deletes the column from the R
+    pair in result.factor and never forms a D-row array.  Its truncation
+    rank (and TLSQ rank) are capped at the reduced column count.  It
+    computes eigenvalues only: it forms no modes and fits no amplitudes,
+    so it cannot fail on the amplitude fit.  Raises NumericalError on
+    rank loss, a defective eigenvector matrix or a zero eigenvalue.
     """
-    n = snap.n
-    base = exact_dmd(snap, opts)
-    r = base.factor.r[:min(snap.d, n), :n]
-    r1, r2 = r[:, :-1], r[:, 1:]
-    opts, cols = base.options, r1.shape[1]
-    if cols < 2:
-        raise ValueError("cannot delete a column from a single-column pair")
-    trial_opts = replace(opts, r=min(opts.r, cols - 1),
-                         tlsq_rank=min(opts.tlsq_rank or opts.r, cols - 1))
-    spectra = []
-    for i in omitted:
-        try:
-            mu = _spectrum(np.delete(r1, i, axis=1), np.delete(r2, i, axis=1),
-                           snap.d, trial_opts).mu
-        except NumericalError as exc:
-            spectra.append(exc)
-            continue
-        spectra.append(mu[np.lexsort((np.angle(mu), -np.abs(mu)))])
-    return base, spectra
+    fac, opts = result.factor, result.options
+    n = fac.norms.size
+    r = fac.r[:fac.modes.shape[0], :n]
+    cap = n - 2  # the pair columns left after the deletion
+    opts = replace(opts, r=min(opts.r, cap), tlsq_rank=min(opts.tlsq_rank or opts.r, cap))
+    mu = _spectrum(np.delete(r[:, :-1], column, axis=1), np.delete(r[:, 1:], column, axis=1),
+                   result.modes.shape[0], opts).mu
+    return mu[np.lexsort((np.angle(mu), -np.abs(mu)))]

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dmd import DmdOptions, DmdResult, deletion_spectra
+from .dmd import DmdResult, deletion_spectrum
 from .errors import NumericalError
-from .grids import GridLayout, SnapshotMatrix
+from .grids import GridLayout
 from .modes import ModeInfo, half_doubling_time, period
 
 ROBUSTNESS_BANDWIDTH = 2e-3
@@ -205,9 +205,7 @@ class LooFailure:
 
 @dataclass(frozen=True)
 class LeaveOneOutResult:
-    base: DmdResult
     trials: tuple[LooTrial, ...]
-    seed: int
     failures: tuple[LooFailure, ...] = ()
 
     def pooled(self) -> np.ndarray:
@@ -223,37 +221,30 @@ def _draw_omitted(cols: int, trials: int, rng: np.random.Generator) -> np.ndarra
     return np.concatenate([rng.permutation(cols), extra])
 
 
-def leave_one_out(snap: SnapshotMatrix, opts: DmdOptions,
-                  trials: int = 30, seed: int = 0) -> LeaveOneOutResult:
-    """Rerun the decomposition with one random pair column deleted per trial.
+def leave_one_out(result: DmdResult, trials: int = 30, seed: int = 0) -> LeaveOneOutResult:
+    """Rerun result, a decomposition of dmd.exact_dmd, with one random pair
+    column deleted per trial (dmd.deletion_spectrum), eigenvalues only.
 
     Column draws come from a single generator seeded with seed, so trial
-    order is deterministic; trials are mutually independent.  The
-    truncation rank (and TLSQ rank) are capped at the reduced column
-    count when the deletion makes them infeasible.  snap is any source
-    dmd.exact_dmd takes, a SnapshotMatrix or a fileio.SnapshotFile.  The
-    snapshots are factored once (dmd.deletion_spectra), so a trial never
-    forms a D-row array, and a trial computes its eigenvalues only.  A
-    trial that raises NumericalError is recorded in failures and skipped;
-    NumericalError is raised only when every trial fails.
+    order is deterministic.  A trial that raises NumericalError is
+    recorded in failures and skipped; NumericalError is raised only when
+    every trial fails.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    omitted = _draw_omitted(snap.n - 1, trials, np.random.default_rng(seed)).tolist()
-    base, spectra = deletion_spectra(snap, opts, omitted)
+    cols = result.factor.norms.size - 1
     out, failed = [], []
-    for i, mu in zip(omitted, spectra):
-        if isinstance(mu, NumericalError):
-            failed.append(LooFailure(omitted_column=i, message=str(mu)))
-        else:
-            out.append(LooTrial(omitted_column=i, mu=mu))
+    for i in _draw_omitted(cols, trials, np.random.default_rng(seed)).tolist():
+        try:
+            out.append(LooTrial(omitted_column=i, mu=deletion_spectrum(result, i)))
+        except NumericalError as exc:
+            failed.append(LooFailure(omitted_column=i, message=str(exc)))
     if not out:
         raise NumericalError(
             f"all {len(failed)} leave-one-out trials failed; the first, omitting "
             f"column {failed[0].omitted_column}: {failed[0].message}"
         )
-    return LeaveOneOutResult(base=base, trials=tuple(out), seed=seed,
-                             failures=tuple(failed))
+    return LeaveOneOutResult(trials=tuple(out), failures=tuple(failed))
 
 
 def robustness_scores(base_mus: np.ndarray, loo: LeaveOneOutResult,

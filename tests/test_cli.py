@@ -132,7 +132,7 @@ def _switch():
 
 
 @given(out=st.text("abc_/.0123456789", min_size=1, max_size=12),
-       seed=st.integers(-10**6, 10**6), rank=st.one_of(st.just(""), st.integers(1, 500)),
+       seed=st.integers(0, 10**6), rank=st.one_of(st.just(""), st.integers(1, 500)),
        tlsq=_switch(), mean_removal=_switch(),
        bfit=st.one_of(st.just("first"), st.integers(2, 40).map("multi:{}".format)))
 @settings(max_examples=60, deadline=None)
@@ -159,6 +159,36 @@ def test_bad_flag_value_is_a_config_error(tmp_path, capsys, flag, value):
     assert main(["run", flag, value, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith(
         f"config error: {flag}: bad value for {flag[2:]}: ")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [["run", "--rank"], ["run", "--colour", "x"], [], ["bogus"]],
+                         ids=["no-value", "unknown-flag", "no-command", "unknown-command"])
+def test_argparse_errors_are_config_errors(capsys, argv):
+    """What argparse itself rejects returns 2 from main with a config
+    error, as a bad flag value does, instead of raising SystemExit."""
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    assert "--mean-removal" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command,key,value", [
+    ("synth", "synth_noise", "nan"), ("synth", "synth_noise", -1e-3),
+    ("synth", "synth_dt", "nan"), ("synth", "synth_dt", "inf"), ("synth", "synth_dt", 0),
+    ("synth", "seed", -1), ("run", "seed", -1),
+])
+def test_synthesis_and_seed_keys_are_checked_when_read(tmp_path, capsys, command, key, value):
+    """synth_noise (finite, >= 0), synth_dt (positive, finite) and seed
+    (>= 0) fail as the config is read, naming the key, and write nothing."""
+    cfg = write_cfg(tmp_path, "c.cfg", out=tmp_path / "o", **{key: value})
+    assert main([command, "--config", cfg]) == 2
+    assert f"config error: {key} must be " in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

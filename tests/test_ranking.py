@@ -218,22 +218,22 @@ def loo_setup(seed=7, d=6, n=24, r=6):
 
 def test_loo_deterministic():
     snap, opts = loo_setup()
-    a = leave_one_out(snap, opts, trials=10, seed=3)
-    b = leave_one_out(snap, opts, trials=10, seed=3)
+    a = leave_one_out(exact_dmd(snap, opts), trials=10, seed=3)
+    b = leave_one_out(exact_dmd(snap, opts), trials=10, seed=3)
     assert [t.omitted_column for t in a.trials] == [t.omitted_column for t in b.trials]
     assert np.array_equal(a.pooled(), b.pooled())
-    c = leave_one_out(snap, opts, trials=10, seed=4)
+    c = leave_one_out(exact_dmd(snap, opts), trials=10, seed=4)
     assert [t.omitted_column for t in a.trials] != [t.omitted_column for t in c.trials]
 
 
 def test_loo_unique_columns_within_budget():
     snap, opts = loo_setup(n=24)
     cols = snap.n - 1
-    res = leave_one_out(snap, opts, trials=cols, seed=0)
+    res = leave_one_out(exact_dmd(snap, opts), trials=cols, seed=0)
     omitted = [t.omitted_column for t in res.trials]
     assert sorted(omitted) == list(range(cols))
     # beyond the budget every column appears at least once
-    res2 = leave_one_out(snap, opts, trials=cols + 5, seed=0)
+    res2 = leave_one_out(exact_dmd(snap, opts), trials=cols + 5, seed=0)
     omitted2 = [t.omitted_column for t in res2.trials]
     assert set(omitted2) == set(range(cols))
     assert len(omitted2) == cols + 5
@@ -243,8 +243,9 @@ def test_loo_caps_rank_to_reduced_columns():
     rng = make_rng(2)
     x, _ = linear_trajectory(rng, 4, 5)  # pair has 4 columns
     snap = snapshots_from_array(x)
-    res = leave_one_out(snap, DmdOptions(r=4), trials=3, seed=0)
-    assert res.base.r == 4
+    base = exact_dmd(snap, DmdOptions(r=4))
+    res = leave_one_out(base, trials=3, seed=0)
+    assert base.r == 4
     assert all(t.mu.size == 3 for t in res.trials)
 
 
@@ -252,24 +253,25 @@ def test_loo_pooled_closed_and_scores_flat():
     """Noiseless trials reproduce the spectrum exactly, so every base
     eigenvalue collects the same pooled density."""
     snap, opts = loo_setup(seed=11, d=6, n=30)
-    res = leave_one_out(snap, opts, trials=12, seed=1)
+    base = exact_dmd(snap, opts)
+    res = leave_one_out(base, trials=12, seed=1)
     for t in res.trials:  # each trial spectrum is closed under conjugation
         assert np.array_equal(np.sort(t.mu), np.sort(t.mu.conj()))
-    scores = robustness_scores(res.base.mu, res)
-    assert scores.shape == (res.base.r,)
+    scores = robustness_scores(base.mu, res)
+    assert scores.shape == (base.r,)
     assert scores.max() <= scores.min() * 1.01
 
 
 def test_loo_rejects_bad_budget():
     snap, opts = loo_setup()
     with pytest.raises(ValueError, match="trial"):
-        leave_one_out(snap, opts, trials=0)
+        leave_one_out(exact_dmd(snap, opts), trials=0)
 
 
 def test_loo_records_failed_trial_and_goes_on():
     snap = rank_critical_snapshots()
     cols = snap.n - 1
-    res = leave_one_out(snap, DmdOptions(r=3), trials=cols, seed=0)
+    res = leave_one_out(exact_dmd(snap, DmdOptions(r=3)), trials=cols, seed=0)
     assert [f.omitted_column for f in res.failures] == [0]
     assert "rank deficiency" in res.failures[0].message
     assert sorted(t.omitted_column for t in res.trials) == list(range(1, cols))
@@ -280,7 +282,7 @@ def test_loo_raises_when_every_trial_fails():
     snap = rank_critical_snapshots()
     # seed 23 draws pair column 0 for a single trial
     with pytest.raises(NumericalError, match="all 1 leave-one-out trials failed.*column 0"):
-        leave_one_out(snap, DmdOptions(r=3), trials=1, seed=23)
+        leave_one_out(exact_dmd(snap, DmdOptions(r=3)), trials=1, seed=23)
 
 
 # ------------------------------------------------------------- clustering

@@ -24,6 +24,7 @@ from koopmode.dmd import DmdOptions, exact_dmd, modified_options
 from koopmode.fileio import open_snapshots, write_mode_matrix, write_snapshots
 from koopmode.grids import SnapshotMatrix, scalar_layout
 from koopmode.oracle import generate, tidal_spec
+from koopmode.ranking import leave_one_out
 from koopmode.rom import build_rom, error_curve, factor_error_curve
 
 from dspace_reference import reference_exact_dmd
@@ -197,6 +198,26 @@ def test_rom_curves_need_a_snapshot_factor():
     result = replace(exact_dmd(snap, DmdOptions(r=17)), factor=None)
     with pytest.raises(ValueError, match="factor"):
         factor_error_curve(result, range(1, 18))
+
+
+@pytest.mark.parametrize("mean_removal", [False, True])
+def test_leave_one_out_reads_the_result_not_the_file(tmp_path, mean_removal):
+    """Trials run on the R factor of the decomposition: once the DMDS
+    file it came from is deleted, leave-one-out on the result gives the
+    same trials as before."""
+    snap, _ = generate(tidal_spec(d=120, n=40, noise_sigma=1e-3, seed=5))
+    path = tmp_path / "snap.dmds"
+    write_snapshots(path, snap)
+    result = exact_dmd(open_snapshots(path), replace(modified_options(16),
+                                                     remove_mean=mean_removal))
+    before = leave_one_out(result, trials=10, seed=2)
+    path.unlink()
+    after = leave_one_out(result, trials=10, seed=2)
+    assert len(after.trials) == len(before.trials) == 10
+    for a, b in zip(after.trials, before.trials):
+        assert a.omitted_column == b.omitted_column
+        assert np.array_equal(a.mu, b.mu)
+    assert after.failures == before.failures
 
 
 def read_csv_columns(path: Path) -> np.ndarray:
