@@ -109,10 +109,14 @@ _ROM_PARSERS = {name: _TYPE_PARSERS[hint]
 # The rule a set (not None) value of a key must meet, and its wording.
 _POSITIVE = (lambda v: 0.0 < v < math.inf, "positive and finite")
 _FRACTION = (lambda v: 0.0 < v < 1.0, "in (0, 1)")
+_BANDWIDTH = (lambda v: v > 0.0 and sys.float_info.min <= v * v < math.inf,
+              "positive with a finite normal square")
 _RULES = {"loo_trials": (lambda v: v >= 1, ">= 1"), "seed": (lambda v: v >= 0, ">= 0"),
-          "h_robust": _POSITIVE, "h_cluster": _POSITIVE, "cluster_level": _FRACTION,
+          "h_robust": _BANDWIDTH, "h_cluster": _BANDWIDTH, "cluster_level": _FRACTION,
           "persistence_t": _POSITIVE, "persistence_factor": _FRACTION, "synth_dt": _POSITIVE,
-          "synth_noise": (lambda v: 0.0 <= v < math.inf, "finite and >= 0")}
+          "synth_noise": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
+          "synth_preset": (lambda v: v == "tidal", "tidal"),
+          "slice_kind": (lambda v: v in ("surface", "section"), "surface or section")}
 
 
 def _set(cfg: RunConfig, key: str, text: str, where: str) -> None:
@@ -171,8 +175,6 @@ def _slice_request(cfg: RunConfig) -> tuple[tuple[int, ...], SurfaceSlice | Vert
         raise ConfigError(f"slice_modes must list mode indices, got {cfg.slice_modes!r}")
     if cfg.slice_kind == "surface":
         return modes_idx, SurfaceSlice(channel="", k=cfg.slice_k)
-    if cfg.slice_kind != "section":
-        raise ConfigError(f"unknown slice_kind {cfg.slice_kind!r}")
     try:
         verts = tuple(
             tuple(int(c) for c in vert.split(","))
@@ -186,15 +188,17 @@ def _slice_request(cfg: RunConfig) -> tuple[tuple[int, ...], SurfaceSlice | Vert
 
 
 class _OutputDir:
-    """Collects written files so the manifest can list them."""
+    """Collects written files so the manifest can list them; the directory
+    appears with the first file, so a command that fails before it leaves none."""
 
     def __init__(self, out: str, command: str):
         self.dir = Path(out)
-        self.dir.mkdir(parents=True, exist_ok=True)
         self.command = command
         self.files: list[str] = []
 
     def path(self, name: str) -> Path:
+        if not self.files:
+            self.dir.mkdir(parents=True, exist_ok=True)
         self.files.append(name)
         return self.dir / name
 
@@ -223,12 +227,9 @@ def _complex_pairs(arr: np.ndarray) -> list[list[float]]:
 def _resolve_options(cfg: RunConfig) -> DmdOptions:
     """Decomposition options from the config; an unset rank stays None,
     which the decomposition resolves to its default rank."""
-    try:
-        return DmdOptions(r=cfg.rank, use_tlsq=cfg.tlsq, tlsq_rank=cfg.tlsq_rank,
-                          normalize_columns=cfg.normalize, remove_mean=cfg.mean_removal,
-                          b_fit=cfg.bfit, svd_mode=cfg.svd_mode)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return DmdOptions(r=cfg.rank, use_tlsq=cfg.tlsq, tlsq_rank=cfg.tlsq_rank,
+                      normalize_columns=cfg.normalize, remove_mean=cfg.mean_removal,
+                      b_fit=cfg.bfit, svd_mode=cfg.svd_mode)
 
 
 @dataclass(frozen=True)
@@ -250,10 +251,7 @@ def _analyse(cfg: RunConfig, robust: bool) -> _Analysis:
     if not cfg.input:
         raise ConfigError("no input dataset configured (key: input)")
     opts = _resolve_options(cfg)
-    try:
-        snap = fileio.open_source(cfg.input)
-    except ValueError as exc:
-        raise DataFormatError(str(exc)) from exc
+    snap = fileio.open_source(cfg.input)
     if robust and snap.n < 3:  # a trial deletes one of the N - 1 pair columns
         raise DataFormatError(f"{cfg.input}: leave-one-out needs N >= 3 snapshots, "
                               f"the input has N = {snap.n}")
@@ -291,15 +289,9 @@ def _write_result_files(out: _OutputDir, a: _Analysis) -> None:
 
 
 def cmd_synth(cfg: RunConfig) -> int:
-    if cfg.synth_preset != "tidal":
-        raise ConfigError(f"unknown synth preset {cfg.synth_preset!r}")
-    try:
-        spec = tidal_spec(d=cfg.synth_d, n=cfg.synth_n, dt=cfg.synth_dt,
-                          noise_sigma=cfg.synth_noise, seed=cfg.seed,
-                          profile=cfg.synth_profile)
-        snap, truth = generate(spec)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    spec = tidal_spec(d=cfg.synth_d, n=cfg.synth_n, dt=cfg.synth_dt,
+                      noise_sigma=cfg.synth_noise, seed=cfg.seed, profile=cfg.synth_profile)
+    snap, truth = generate(spec)
     out = _OutputDir(cfg.out, "synth")
     fileio.write_snapshots(out.path("oracle.dmds"), snap)
     out.files.append("oracle.dmds.grid.json")
@@ -340,11 +332,9 @@ def cmd_loo(cfg: RunConfig) -> int:
     pooled = a.loo.pooled()
     density = KdeDensity(points=pooled, weights=np.ones(pooled.size),
                          bandwidth=cfg.h_cluster)
-    raster = kde_grid(density, extra_points=a.result.mu, normalized=False)
+    re_axis, im_axis, values = raster = kde_grid(density, extra_points=a.result.mu)
     clusters = label_clusters(density, raster, a.result.mu, cfg.cluster_level,
                               weights=np.array([info.rms for info in a.infos]))
-    re_axis, im_axis, values = raster
-    values /= density.normalization  # in place, as kde_grid(normalized=True)
     a = dataclasses.replace(a, infos=[dataclasses.replace(info, cluster=c)
                                       for info, c in zip(a.infos, clusters)])
     out = _OutputDir(cfg.out, "loo")
@@ -380,9 +370,12 @@ def cmd_rom(cfg: RunConfig) -> int:
                                 for fld, text in cfg.roms[name].items()}
         except ValueError as exc:
             raise ConfigError(f"rom.{name}: {exc}") from exc
+        for fld, value in selections[name].items():
+            if isinstance(value, float) and math.isnan(value):
+                raise ConfigError(f"rom.{name}.{fld} must be a number, got nan")
     a = _analyse(cfg, robust=any(kw.get(f) is not None for kw in selections.values()
                                  for f in ("robustness_min", "robustness_max")))
-    curves = {}  # every selection resolves before the output directory exists
+    curves = {}  # every selection resolves before the first file is written
     for name, kw in selections.items():
         if kw.get("indices") == "all":
             kw["indices"] = tuple(range(1, a.result.r + 1))
@@ -444,11 +437,6 @@ def cmd_slice(cfg: RunConfig) -> int:
     for m in modes_idx:
         if not 1 <= m <= result.r:
             raise ConfigError(f"slice mode index {m} outside 1..{result.r}")
-    if cfg.slice_kind == "surface" and not 0 <= cfg.slice_k < layout.nz:
-        raise ConfigError(f"layer k={cfg.slice_k} outside 0..{layout.nz - 1}")
-    for j, i in getattr(spec, "path", ()):
-        if not (0 <= j < layout.ny and 0 <= i < layout.nx):
-            raise ConfigError(f"polyline vertex ({j}, {i}) outside grid")
     spec = dataclasses.replace(spec, channel=channel)
     out = _OutputDir(cfg.out, "slice")
     for m in modes_idx:
@@ -523,12 +511,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](_config(args))
+    except (NumericalError, ArithmeticError, np.linalg.LinAlgError) as exc:  # before ValueError
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, ArithmeticError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
     except (DataFormatError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4

@@ -148,40 +148,40 @@ def open_snapshots(path: str | Path) -> SnapshotFile:
 
 
 def read_snapshots_csv(path: str | Path) -> SnapshotMatrix:
-    """Read snapshots from CSV with a "t=<hours>" header per column, as
-    the columns of a flat single-channel layout."""
+    """Read snapshots from CSV with a "t=<hours>" header per column into a flat
+    single-channel layout; a file it cannot use raises DataFormatError."""
     path = Path(path)
-    with open(path, "r") as fh:
-        header = fh.readline().strip()
-        if not header:
-            raise DataFormatError(f"{path}: empty file")
-        cells = [c.strip() for c in header.split(",")]
-        times = []
-        for c in cells:
-            if not c.startswith("t="):
-                raise DataFormatError(f"{path}: header cell {c!r} is not of the form t=<hours>")
-            try:
-                times.append(float(c[2:]))
-            except ValueError as exc:
-                raise DataFormatError(f"{path}: cannot parse time from {c!r}") from exc
-        try:
+    try:
+        with open(path, "r") as fh:
+            header = fh.readline().strip()
+            if not header:
+                raise DataFormatError(f"{path}: empty file")
+            cells = [c.strip() for c in header.split(",")]
+            times = []
+            for c in cells:
+                if not c.startswith("t="):
+                    raise DataFormatError(f"{path}: header cell {c!r} is not of the form t=<hours>")
+                try:
+                    times.append(float(c[2:]))
+                except ValueError as exc:
+                    raise DataFormatError(f"{path}: cannot parse time from {c!r}") from exc
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise DataFormatError(f"{path}: cannot parse numeric payload: {exc}") from exc
-    times_arr = np.asarray(times)
-    if times_arr.size < 2:
-        raise DataFormatError(f"{path}: need at least two snapshot columns")
-    if data.shape[1] != times_arr.size:
-        raise DataFormatError(
-            f"{path}: {data.shape[1]} data columns but {times_arr.size} header times"
-        )
-    steps = np.diff(times_arr)
-    dt = steps[0]
-    if dt <= 0 or not np.allclose(steps, dt, rtol=1e-9, atol=0.0):
-        raise DataFormatError(f"{path}: snapshot times are not uniformly spaced")
-    data.flags.writeable = False  # handed over: SnapshotMatrix adopts it uncopied
-    return SnapshotMatrix(data, dt=float(dt), t0=float(times_arr[0]),
-                          layout=scalar_layout(data.shape[0]))
+        times_arr = np.asarray(times)
+        if times_arr.size < 2:
+            raise DataFormatError(f"{path}: need at least two snapshot columns")
+        if data.shape[1] != times_arr.size:
+            raise DataFormatError(
+                f"{path}: {data.shape[1]} data columns but {times_arr.size} header times"
+            )
+        steps = np.diff(times_arr)
+        dt = steps[0]
+        if dt <= 0 or not np.allclose(steps, dt, rtol=1e-9, atol=0.0):
+            raise DataFormatError(f"{path}: snapshot times are not uniformly spaced")
+        data.flags.writeable = False  # handed over: SnapshotMatrix adopts it uncopied
+        return SnapshotMatrix(data, dt=float(dt), t0=float(times_arr[0]),
+                              layout=scalar_layout(data.shape[0]))
+    except ValueError as exc:  # a cell that does not parse or is not finite, bad bytes
+        raise DataFormatError(f"{path}: {exc}") from exc
 
 
 def open_source(path: str | Path) -> SnapshotFile | SnapshotMatrix:

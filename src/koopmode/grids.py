@@ -283,7 +283,7 @@ def _rasterize_path(path: Sequence[tuple[int, int]], ny: int, nx: int) -> tuple[
         raise ValueError("polyline needs at least one vertex")
     for j, i in path:
         if not (0 <= j < ny and 0 <= i < nx):
-            raise IndexError(f"polyline vertex ({j}, {i}) outside grid")
+            raise ValueError(f"polyline vertex ({j}, {i}) outside grid")
     jj: list[int] = [int(path[0][0])]
     ii: list[int] = [int(path[0][1])]
     for (j0, i0), (j1, i1) in zip(path[:-1], path[1:]):
@@ -303,11 +303,12 @@ def extract_slice(vec: np.ndarray, layout: GridLayout, spec) -> np.ndarray:
 
     Supports surface layers (ny x nx) and vertical sections along
     polylines (nz x path length).  Masked cells are NaN in the result.
+    A layer or polyline vertex outside the grid raises ValueError.
     """
     grid = layout.grid_from_stacked(vec, spec.channel)
     if isinstance(spec, SurfaceSlice):
         if not 0 <= spec.k < layout.nz:
-            raise IndexError(f"layer k={spec.k} outside 0..{layout.nz - 1}")
+            raise ValueError(f"layer k={spec.k} outside 0..{layout.nz - 1}")
         return grid[spec.k].copy()
     if isinstance(spec, VerticalSection):
         jj, ii = _rasterize_path(spec.path, layout.ny, layout.nx)

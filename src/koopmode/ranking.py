@@ -131,9 +131,9 @@ def kde_eval(density: KdeDensity, z: complex | np.ndarray, normalized: bool = Tr
 
 
 def kde_grid(density: KdeDensity, *, margin: float | None = None,
-             extra_points: np.ndarray | None = None,
-             normalized: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rasterize the density on a regular grid covering all points.
+             extra_points: np.ndarray | None = None
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rasterize the normalized density on a regular grid covering all points.
 
     Returns (re_axis, im_axis, values) with values[i_re, i_im].  The box
     covers the density's points (and extra_points if given) with a
@@ -178,8 +178,7 @@ def kde_grid(density: KdeDensity, *, margin: float | None = None,
         values[i0:i1, j0:j1] += w * np.exp(
             -(dre[:, None] ** 2 + dim[None, :] ** 2) * inv_h2
         )
-    if normalized:
-        values /= density.normalization
+    values /= density.normalization
     return re_axis, im_axis, values
 
 
@@ -275,7 +274,7 @@ def cluster_eigenvalues(base_mus: np.ndarray, pooled_mus: np.ndarray | None = No
         return []
     pooled = base if pooled_mus is None else np.asarray(pooled_mus, dtype=complex).ravel()
     density = KdeDensity(points=pooled, weights=np.ones(pooled.size), bandwidth=h)
-    raster = kde_grid(density, extra_points=base, normalized=False)
+    raster = kde_grid(density, extra_points=base)
     return label_clusters(density, raster, base, level_fraction, weights)
 
 
@@ -286,9 +285,10 @@ def label_clusters(density: KdeDensity,
                    weights: np.ndarray | None = None) -> list[int | None]:
     """The labelling step of cluster_eigenvalues, on a raster in hand.
 
-    raster is kde_grid(density, extra_points=base_mus, normalized=False)
-    at its default margin; labels and their numbering follow
-    cluster_eigenvalues.
+    raster is kde_grid(density, extra_points=base_mus) at its default
+    margin; labels and their numbering follow cluster_eigenvalues.  The
+    threshold is a fraction of the raster's own maximum, so a positive
+    scale of the values moves no label.
     """
     import scipy.ndimage  # imported here so that run and slice never load it
 

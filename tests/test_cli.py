@@ -102,21 +102,21 @@ def test_load_config_rejects_bare_line(tmp_path):
 
 def test_config_echo_round_trips(tmp_path):
     """load_config reads back what config_echo.cfg writes: every field,
-    each set away from its default, and the ROM blocks.  A field without
-    a parser reads as an unknown key."""
+    each set away from its default where its rule allows another value,
+    and the ROM blocks.  A field without a parser reads as an unknown key."""
     cfg = RunConfig(
         input="data.dmds", out="elsewhere", seed=5, rank=17, tlsq=False,
         tlsq_rank=20, normalize=False, mean_removal=True, bfit="first",
         svd_mode="standard", loo_trials=7, h_robust=0.004, h_cluster=0.05,
         cluster_level=0.2, persistence_t=143.5, persistence_factor=0.3,
-        synth_preset="other", synth_d=60, synth_n=48, synth_dt=0.5,
+        synth_preset="tidal", synth_d=60, synth_n=48, synth_dt=0.5,
         synth_noise=1e-3, synth_profile="phase_ramp", slice_kind="section",
         slice_channel="uz", slice_k=2, slice_path="0,0;2,3", slice_modes="1,2",
         roms={"all": {"indices": "all"},
               "band": {"rms_min": "0.5", "persistent_only": "on"}})
     for f in dataclasses.fields(RunConfig):
         default = f.default_factory() if f.default is dataclasses.MISSING else f.default
-        assert getattr(cfg, f.name) != default, f.name
+        assert getattr(cfg, f.name) != default or f.name == "synth_preset", f.name
     path = tmp_path / "echo.cfg"
     path.write_text(cli._config_echo(cfg))
     assert load_config(path) == cfg
@@ -199,6 +199,18 @@ def test_settings_are_checked_for_every_command(tmp_path, capsys):
     assert main(["synth", "--config", cfg]) == 2
     assert "config error: loo_trials must be >= 1, got 0" in capsys.readouterr().err
     assert not (tmp_path / "synth").exists()
+
+
+def test_slice_kind_is_checked_for_run(tmp_path, capsys):
+    """run never slices, yet a slice_kind other than surface or section
+    in its config fails as the config is read."""
+    data = synth_dataset(tmp_path)
+    out = tmp_path / "run"
+    cfg = write_cfg(tmp_path, input=data, out=out, rank=17, slice_kind="bogus")
+    assert main(["run", "--config", cfg]) == 2
+    assert ("config error: slice_kind must be surface or section, got bogus"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 # ----------------------------------------------------------------- synth
@@ -391,6 +403,8 @@ def test_loo_goes_on_past_failed_trials(tmp_path, capsys):
     ("loo_trials", 0), ("h_robust", 0), ("h_robust", "nan"), ("h_cluster", -0.1),
     ("h_cluster", "inf"), ("cluster_level", 1), ("persistence_t", 0),
     ("persistence_factor", 1.5),
+    # a bandwidth whose square underflows or overflows
+    ("h_robust", "1e-300"), ("h_robust", "1e200"), ("h_cluster", "1e200"),
 ])
 def test_loo_exits_2_on_bad_settings_before_reading_data(tmp_path, monkeypatch, capsys,
                                                           key, value):
@@ -634,7 +648,9 @@ def test_slice_section(tmp_path):
     ("rom", "rom.a.rms_min", "abc", "rom.a: could not convert"),
     ("rom", "rom.a.indices", "1,x", "rom.a: invalid literal"),
     ("rom", "rom.a.persistent_only", "maybe", "rom.a: expected on/off"),
-    ("slice", "slice_kind", "bogus", "unknown slice_kind"),
+    ("rom", "rom.a.rms_min", "nan", "rom.a.rms_min must be a number, got nan"),
+    ("rom", "rom.a.robustness_max", "nan", "rom.a.robustness_max must be a number, got nan"),
+    ("slice", "slice_kind", "bogus", "slice_kind must be surface or section, got bogus"),
     ("slice", "slice_modes", "a", "bad slice_modes"),
     ("slice", "slice_path", "1;2", "slice_path must be"),
 ])
@@ -651,6 +667,7 @@ def test_rom_and_slice_exit_2_on_bad_settings_before_reading_data(
                     out=tmp_path / command, rank=17, **extra, **{key: value})
     assert main([command, "--config", cfg]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / command).exists()
 
 
 def test_slice_bad_requests(tmp_path):
@@ -698,7 +715,7 @@ def test_exit_code_config_errors(tmp_path):
     assert main(["run"]) == 2  # no input configured
 
 
-def test_exit_code_io_errors(tmp_path):
+def test_exit_code_io_errors(tmp_path, capsys):
     cfg = write_cfg(tmp_path, input=tmp_path / "missing.dmds",
                     out=tmp_path / "o")
     assert main(["run", "--config", cfg]) == 4
@@ -706,6 +723,13 @@ def test_exit_code_io_errors(tmp_path):
     corrupt.write_bytes(b"NOPE" + bytes(36))
     cfg2 = write_cfg(tmp_path, "c2.cfg", input=corrupt, out=tmp_path / "o")
     assert main(["run", "--config", cfg2]) == 4
+    nan_cell = tmp_path / "nan.csv"
+    nan_cell.write_text("t=0,t=1,t=2\n1,nan,3\n4,5,6\n")
+    cfg3 = write_cfg(tmp_path, "c3.cfg", input=nan_cell, out=tmp_path / "o")
+    capsys.readouterr()
+    assert main(["run", "--config", cfg3]) == 4
+    assert capsys.readouterr().err.startswith("i/o error:")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command, extra", [
@@ -734,6 +758,19 @@ def test_exit_code_numerical_error(tmp_path):
     cfg = write_cfg(tmp_path, input=path, out=tmp_path / "o")
     code = main(["run", "--config", cfg, "--rank", "2", "--tlsq", "off"])
     assert code == 3
+
+
+def test_lapack_failure_is_a_numerical_failure(tmp_path, capsys):
+    """Noise of 1e308 on a 50 x 20 record leaves finite data whose QR
+    factor overflows, so an SVD does not converge: numpy's LinAlgError, a
+    ValueError, exits 3 as a numerical failure and writes nothing."""
+    data = synth_dataset(tmp_path, d=50, n=20, noise=1e308)
+    out = tmp_path / "run"
+    cfg = write_cfg(tmp_path, input=data, out=out, rank=5)
+    capsys.readouterr()
+    assert main(["run", "--config", cfg]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure:")
+    assert not out.exists()
 
 
 def test_exit_code_arithmetic_error(tmp_path, monkeypatch):

@@ -191,7 +191,7 @@ def test_surface_slice_masked_cells_are_nan():
 def test_surface_slice_bounds_error():
     layout = scalar_layout(4, 2, 2)
     vec = np.arange(16.0)
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError, match=r"layer k=5 outside 0\.\.1"):
         extract_slice(vec, layout, SurfaceSlice(channel="state", k=5))
 
 
@@ -203,7 +203,7 @@ def test_vertical_section_follows_polyline():
     assert sl.shape == (2, 4)
     grid = layout.grid_from_stacked(vec, "state")
     assert np.allclose(sl, grid[:, 0, 0:4])
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError, match=r"polyline vertex \(9, 0\) outside grid"):
         extract_slice(vec, layout,
                       VerticalSection(channel="state", path=((0, 0), (9, 0))))
 
