@@ -53,14 +53,12 @@ class RunConfig:
     normalize: bool = True
     mean_removal: bool = False
     bfit: str = "multi:10"
-    svd_mode: str = "high_accuracy"
     loo_trials: int = 30
     h_robust: float = ROBUSTNESS_BANDWIDTH
     h_cluster: float = CLUSTER_BANDWIDTH
     cluster_level: float = CLUSTER_LEVEL_FRACTION
     persistence_t: float | None = None
     persistence_factor: float = 0.1
-    synth_preset: str = "tidal"
     synth_d: int = 500
     synth_n: int = 144
     synth_dt: float = 1.0
@@ -115,7 +113,6 @@ _RULES = {"loo_trials": (lambda v: v >= 1, ">= 1"), "seed": (lambda v: v >= 0, "
           "h_robust": _BANDWIDTH, "h_cluster": _BANDWIDTH, "cluster_level": _FRACTION,
           "persistence_t": _POSITIVE, "persistence_factor": _FRACTION, "synth_dt": _POSITIVE,
           "synth_noise": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
-          "synth_preset": (lambda v: v == "tidal", "tidal"),
           "slice_kind": (lambda v: v in ("surface", "section"), "surface or section")}
 
 
@@ -229,7 +226,7 @@ def _resolve_options(cfg: RunConfig) -> DmdOptions:
     which the decomposition resolves to its default rank."""
     return DmdOptions(r=cfg.rank, use_tlsq=cfg.tlsq, tlsq_rank=cfg.tlsq_rank,
                       normalize_columns=cfg.normalize, remove_mean=cfg.mean_removal,
-                      b_fit=cfg.bfit, svd_mode=cfg.svd_mode)
+                      b_fit=cfg.bfit)
 
 
 @dataclass(frozen=True)
@@ -373,6 +370,9 @@ def cmd_rom(cfg: RunConfig) -> int:
         for fld, value in selections[name].items():
             if isinstance(value, float) and math.isnan(value):
                 raise ConfigError(f"rom.{name}.{fld} must be a number, got nan")
+        given = [f for f, v in selections[name].items() if v is not None and v is not False]
+        if "indices" in given and len(given) > 1:
+            raise ConfigError(f"rom.{name}: either indices or box bounds, got {', '.join(given)}")
     a = _analyse(cfg, robust=any(kw.get(f) is not None for kw in selections.values()
                                  for f in ("robustness_min", "robustness_max")))
     curves = {}  # every selection resolves before the first file is written

@@ -172,10 +172,11 @@ def factor_error_curve(result: DmdResult, indices: Sequence[int]) -> ErrorCurve:
     QR and of the lift.  rel_error is thus accurate to a multiple of
     N eps, not of itself: for a ROM of nearly every mode, whose relative
     error is small, it can differ from error_curve's by far more than
-    1e-12 of it.  Against a long-double evaluation of the same ROM it
-    stays within 16 N eps, or 64 N eps under remove_mean, whose R factor
-    carries the removed mean as one more column (8 and 42 N eps seen on
-    badly scaled 25 x 40 records)."""
+    1e-12 of it.  The R-coordinate modes are R2 @ lift, as the D-row
+    modes are X2 @ lift.  Against a long-double evaluation of the same
+    ROM the curve stays within 16 N eps, or 64 N eps under remove_mean,
+    whose R factor carries the removed mean as one more column (10.6
+    and 54.7 N eps at worst on 800 badly scaled 25 x 40 records each)."""
     data_norm, rom_norm, err = rom_norms(result, indices)
     if (data_norm == 0.0).any():
         raise ValueError("relative error undefined: a data column has zero norm")

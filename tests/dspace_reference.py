@@ -57,7 +57,7 @@ def _reduced_operator(x1: np.ndarray, x2: np.ndarray, opts: DmdOptions):
         rank = opts.tlsq_rank if opts.tlsq_rank is not None else opts.r
         if rank < opts.r:
             raise ValueError(f"tlsq_rank {rank} is below the truncation rank {opts.r}")
-        v = _tlsq_basis(x1, x2, rank, opts.svd_mode)
+        v = _tlsq_basis(x1, x2, rank)
         x1, x2 = x1 @ v, x2 @ v
         cols = rank
     if not 1 <= opts.r <= min(d, cols):
@@ -65,7 +65,7 @@ def _reduced_operator(x1: np.ndarray, x2: np.ndarray, opts: DmdOptions):
             f"truncation rank r={opts.r} infeasible for a {d}x{cols} matrix"
         )
 
-    svd = truncated_svd(x1, opts.r, opts.svd_mode)
+    svd = truncated_svd(x1, opts.r)
     if svd.sigma[-1] <= _RANK_RTOL * svd.sigma[0]:
         raise NumericalError(
             f"rank deficiency below r={opts.r}: sigma_r/sigma_1 = "

@@ -72,9 +72,12 @@ def test_load_config_parses_values(tmp_path):
                         "band": {"rms_min": "0.5", "rms_max": "2.0"}}
 
 
-def test_load_config_rejects_unknown_key(tmp_path):
+@pytest.mark.parametrize("line", ["wavelets = on", "svd_mode = high_accuracy",
+                                  "synth_preset = tidal"])
+def test_load_config_rejects_unknown_key(tmp_path, line):
+    """An unknown key, or one that older versions read, is an error."""
     path = tmp_path / "a.cfg"
-    path.write_text("wavelets = on\n")
+    path.write_text(line + "\n")
     with pytest.raises(ConfigError, match="unknown key"):
         load_config(path)
 
@@ -107,16 +110,16 @@ def test_config_echo_round_trips(tmp_path):
     cfg = RunConfig(
         input="data.dmds", out="elsewhere", seed=5, rank=17, tlsq=False,
         tlsq_rank=20, normalize=False, mean_removal=True, bfit="first",
-        svd_mode="standard", loo_trials=7, h_robust=0.004, h_cluster=0.05,
+        loo_trials=7, h_robust=0.004, h_cluster=0.05,
         cluster_level=0.2, persistence_t=143.5, persistence_factor=0.3,
-        synth_preset="tidal", synth_d=60, synth_n=48, synth_dt=0.5,
+        synth_d=60, synth_n=48, synth_dt=0.5,
         synth_noise=1e-3, synth_profile="phase_ramp", slice_kind="section",
         slice_channel="uz", slice_k=2, slice_path="0,0;2,3", slice_modes="1,2",
         roms={"all": {"indices": "all"},
               "band": {"rms_min": "0.5", "persistent_only": "on"}})
     for f in dataclasses.fields(RunConfig):
         default = f.default_factory() if f.default is dataclasses.MISSING else f.default
-        assert getattr(cfg, f.name) != default or f.name == "synth_preset", f.name
+        assert getattr(cfg, f.name) != default, f.name
     path = tmp_path / "echo.cfg"
     path.write_text(cli._config_echo(cfg))
     assert load_config(path) == cfg
@@ -230,9 +233,12 @@ def test_synth_outputs(tmp_path, capsys):
     assert "synth: wrote" in capsys.readouterr().out
 
 
-def test_synth_bad_preset(tmp_path):
+def test_synth_bad_preset(tmp_path, capsys):
+    """synth_preset is no longer a key: the one preset is the tidal one."""
     cfg = write_cfg(tmp_path, out=tmp_path / "o", synth_preset="storm")
     assert main(["synth", "--config", cfg]) == 2
+    assert "unknown key 'synth_preset'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 # ------------------------------------------------------------------- run
@@ -650,6 +656,9 @@ def test_slice_section(tmp_path):
     ("rom", "rom.a.persistent_only", "maybe", "rom.a: expected on/off"),
     ("rom", "rom.a.rms_min", "nan", "rom.a.rms_min must be a number, got nan"),
     ("rom", "rom.a.robustness_max", "nan", "rom.a.robustness_max must be a number, got nan"),
+    ("rom", "rom.b.rms_min", "1e9", "rom.b: either indices or box bounds, got indices, rms_min"),
+    ("rom", "rom.b.robustness_min", "1e9", "rom.b: either indices or box bounds"),
+    ("rom", "rom.b.persistent_only", "on", "rom.b: either indices or box bounds"),
     ("slice", "slice_kind", "bogus", "slice_kind must be surface or section, got bogus"),
     ("slice", "slice_modes", "a", "bad slice_modes"),
     ("slice", "slice_path", "1;2", "slice_path must be"),
@@ -657,12 +666,15 @@ def test_slice_section(tmp_path):
 def test_rom_and_slice_exit_2_on_bad_settings_before_reading_data(
         tmp_path, monkeypatch, capsys, command, key, value, message):
     """A malformed ROM selection or slice request ends rom or slice with
-    exit 2 before the input is read."""
+    exit 2 before the input is read.  A ROM block that sets indices takes
+    no box bound."""
     def never(*args, **kwargs):
         raise AssertionError("called before the settings were checked")
 
     monkeypatch.setattr(cli.fileio, "open_source", never)
-    extra = {"slice_kind": "section"} if key == "slice_path" else {}
+    extra = {"slice_path": {"slice_kind": "section"}, "rom.b.rms_min": {"rom.b.indices": "1,2"},
+             "rom.b.robustness_min": {"rom.b.indices": "1"},
+             "rom.b.persistent_only": {"rom.b.indices": "1"}}.get(key, {})
     cfg = write_cfg(tmp_path, f"{command}.cfg", input=tmp_path / "absent.dmds",
                     out=tmp_path / command, rank=17, **extra, **{key: value})
     assert main([command, "--config", cfg]) == 2

@@ -28,12 +28,10 @@ def multiset(mu: np.ndarray) -> np.ndarray:
        rank=st.sampled_from([None, 17]),
        b_fit=st.sampled_from(["first", "multi:2", "multi:10"]),
        use_tlsq=st.booleans(),
-       normalize=st.booleans(),
-       svd_mode=st.sampled_from(["standard", "high_accuracy"]))
+       normalize=st.booleans())
 @settings(max_examples=30, deadline=None)
 def test_trial_spectrum_is_the_reduced_decomposition_spectrum(seed, wide, rank, b_fit,
-                                                              use_tlsq, normalize,
-                                                              svd_mode):
+                                                              use_tlsq, normalize):
     """Every pair column of a tidal oracle deleted once: each trial
     spectrum equals, as a multiset and bitwise, the eigenvalues of
     _reduced_dmd on the same deleted R pair, and a trial fails exactly
@@ -42,7 +40,7 @@ def test_trial_spectrum_is_the_reduced_decomposition_spectrum(seed, wide, rank, 
     snap, _ = generate(tidal_spec(d=3 * n if wide else 25, n=n, noise_sigma=1e-3,
                                   seed=seed))
     opts = DmdOptions(r=rank, use_tlsq=use_tlsq, normalize_columns=normalize,
-                      b_fit=b_fit, svd_mode=svd_mode)
+                      b_fit=b_fit)
     base = exact_dmd(snap, opts)
 
     r = base.factor.r

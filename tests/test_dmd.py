@@ -28,8 +28,6 @@ def test_options_fit_count_parsing():
         DmdOptions(r=3, b_fit="multi:1")
     with pytest.raises(ValueError, match="b_fit"):
         DmdOptions(r=3, b_fit="last")
-    with pytest.raises(ValueError, match="svd_mode"):
-        DmdOptions(r=3, svd_mode="fast")
     with pytest.raises(ValueError, match="rank"):
         DmdOptions(r=0)
 
@@ -37,7 +35,6 @@ def test_options_fit_count_parsing():
 def test_modified_options_flags():
     opts = modified_options(17, fit_count=10)
     assert opts.use_tlsq and opts.normalize_columns
-    assert opts.svd_mode == "high_accuracy"
     assert opts.fit_count() == 10
     assert opts.tlsq_rank is None  # defaults to r at run time
 
@@ -78,7 +75,7 @@ def test_tlsq_energy_identity(rng):
     z = np.vstack([x1, x2])
     s = np.linalg.svd(z, compute_uv=False)
     for rank in (3, 7, 12):
-        v = dmd._tlsq_basis(x1, x2, rank, "standard")
+        v = dmd._tlsq_basis(x1, x2, rank)
         p1, p2 = x1 @ v, x2 @ v
         kept = np.linalg.norm(p1) ** 2 + np.linalg.norm(p2) ** 2
         assert kept == pytest.approx(np.sum(s[:rank] ** 2), rel=1e-12)
@@ -87,11 +84,11 @@ def test_tlsq_energy_identity(rng):
 def test_tlsq_rank_bounds(rng):
     x1 = rng.standard_normal((4, 6))
     with pytest.raises(ValueError, match="rank"):
-        dmd._tlsq_basis(x1, x1, 0, "standard")
+        dmd._tlsq_basis(x1, x1, 0)
     with pytest.raises(ValueError, match="rank"):
-        dmd._tlsq_basis(x1, x1, 7, "standard")
+        dmd._tlsq_basis(x1, x1, 7)
     with pytest.raises(ValueError, match="shape"):
-        dmd._tlsq_basis(x1, x1[:, :-1], 2, "standard")
+        dmd._tlsq_basis(x1, x1[:, :-1], 2)
 
 
 # -------------------------------------------------------------------- svd
@@ -108,14 +105,14 @@ def test_truncated_svd_orthonormal_and_tail(rng):
     assert err == pytest.approx(svd.sigma_tail[0], rel=1e-10)
 
 
-def test_truncated_svd_graded_high_accuracy(rng):
-    """A severely graded spectrum must come back with small relative error
-    under the QR-based driver."""
+def test_truncated_svd_graded(rng):
+    """A spectrum graded over 1e-12..1 comes back with every singular
+    value to 1e-4 relative."""
     q1, _ = np.linalg.qr(rng.standard_normal((20, 20)))
     q2, _ = np.linalg.qr(rng.standard_normal((20, 20)))
     sig = np.logspace(0, -12, 20)
     a = (q1 * sig) @ q2.T
-    svd = truncated_svd(a, 20, svd_mode="high_accuracy")
+    svd = truncated_svd(a, 20)
     assert np.allclose(svd.sigma, sig, rtol=1e-4)
 
 

@@ -60,14 +60,13 @@ def parallel_groups(modes: np.ndarray, cos: float = 0.99) -> list[np.ndarray]:
     return [np.flatnonzero(labels == g) for g in np.unique(labels)]
 
 
-def check_against_reference(seed, wide, remove_mean, b_fit, use_tlsq, normalize,
-                            svd_mode):
+def check_against_reference(seed, wide, remove_mean, b_fit, use_tlsq, normalize):
     """The body of test_qr_path_matches_dspace_reference."""
     n = 40
     d = 3 * n if wide else 25
     snap, _ = generate(tidal_spec(d=d, n=n, noise_sigma=1e-3, seed=seed))
     opts = DmdOptions(r=16 if remove_mean else 17, use_tlsq=use_tlsq, normalize_columns=normalize,
-                      remove_mean=remove_mean, b_fit=b_fit, svd_mode=svd_mode)
+                      remove_mean=remove_mean, b_fit=b_fit)
     ref = reference_exact_dmd(snap, opts)
     res = exact_dmd(snap, opts)
 
@@ -110,33 +109,32 @@ def check_against_reference(seed, wide, remove_mean, b_fit, use_tlsq, normalize,
        remove_mean=st.booleans(),
        b_fit=st.sampled_from(["first", "multi:2", "multi:5", "multi:10"]),
        use_tlsq=st.booleans(),
-       normalize=st.booleans(),
-       svd_mode=st.sampled_from(["standard", "high_accuracy"]))
+       normalize=st.booleans())
 @example(seed=7406, wide=True, remove_mean=True, b_fit="multi:2", use_tlsq=False,
-         normalize=True, svd_mode="standard")
+         normalize=True)
 @example(seed=1963, wide=False, remove_mean=False, b_fit="first", use_tlsq=True,
-         normalize=False, svd_mode="standard")
+         normalize=False)
 # Beyond a fixed 1e-10 mode bound: a fast eigenvalue (|mu| = 0.0016) of a
 # non-normal reduced operator (324), and two more with ||K||_2 / gap
 # near 5e3 (5410, 710).
 @example(seed=324, wide=False, remove_mean=True, b_fit="multi:5", use_tlsq=True,
-         normalize=True, svd_mode="high_accuracy")
+         normalize=True)
 @example(seed=5410, wide=False, remove_mean=True, b_fit="first", use_tlsq=True,
-         normalize=True, svd_mode="standard")
+         normalize=True)
 @example(seed=710, wide=False, remove_mean=True, b_fit="first", use_tlsq=True,
-         normalize=False, svd_mode="high_accuracy")
+         normalize=False)
 # Two modes with |<phi_1, phi_2>| = 0.99974: their amplitudes are
 # ill-conditioned, their superposition is not.
 @example(seed=4473, wide=True, remove_mean=False, b_fit="multi:10", use_tlsq=False,
-         normalize=True, svd_mode="high_accuracy")
+         normalize=True)
 # A trial (omitting pair column 18) whose conjugate pair -0.698 +- 1.8e-4i
 # is about to collide: a one-ulp change of the centered data moves it by
 # ~5e-10, so the factor must round as the centered data's own QR does.
 @example(seed=1924, wide=False, remove_mean=True, b_fit="first", use_tlsq=True,
-         normalize=False, svd_mode="standard")
+         normalize=False)
 @settings(max_examples=40, deadline=None)
 def test_qr_path_matches_dspace_reference(seed, wide, remove_mean, b_fit, use_tlsq,
-                                          normalize, svd_mode):
+                                          normalize):
     """D > N (wide) and D < N tidal oracles, every option switch, at the
     rank of the signal: the oracle's 17 modes, 16 once centering has
     removed the constant one.  A rank that cuts through the signal, or
@@ -145,7 +143,7 @@ def test_qr_path_matches_dspace_reference(seed, wide, remove_mean, b_fit, use_tl
     included.  The mode bound grows with each eigenvector's sensitivity
     (mode_tolerance), and nearly parallel modes are compared by their
     superposition (parallel_groups)."""
-    check_against_reference(seed, wide, remove_mean, b_fit, use_tlsq, normalize, svd_mode)
+    check_against_reference(seed, wide, remove_mean, b_fit, use_tlsq, normalize)
 
 
 @given(seed=st.integers(0, 10_000),
@@ -182,15 +180,14 @@ def test_data_rank_tolerance_keeps_the_d_row_dimension():
     assert exact_dmd(snap, DmdOptions(r=1)).data_rank == n - 2
 
 
-@pytest.mark.parametrize("svd_mode", ["standard", "high_accuracy"])
-def test_fast_spurious_mode_leaves_two_snapshot_fit_full_rank(svd_mode):
+def test_fast_spurious_mode_leaves_two_snapshot_fit_full_rank():
     """A spurious mode growing as mu**n inflates the largest singular
     value of the stacked multi:2 amplitude system.  The fit scales its
     columns first, so the trial omitting pair column 37 no longer reads
     as rank deficient (13 < 16) and matches the reference trial."""
     snap, _ = generate(tidal_spec(d=25, n=40, noise_sigma=1e-3, seed=1767))
     opts = DmdOptions(r=16, use_tlsq=True, normalize_columns=True, remove_mean=True,
-                      b_fit="multi:2", svd_mode=svd_mode)
+                      b_fit="multi:2")
     loo = leave_one_out(exact_dmd(snap, opts), trials=39)  # every pair column once
     assert loo.failures == ()
     trial = next(t for t in loo.trials if t.omitted_column == 37)
@@ -198,15 +195,15 @@ def test_fast_spurious_mode_leaves_two_snapshot_fit_full_rank(svd_mode):
 
 
 def test_graded_columns_keep_relative_accuracy_on_r():
-    """Columns scaled over 1e-12..1: under the QR-based SVD driver the
-    small singular values of the R-factor pair keep their relative
-    accuracy, so they agree with the D-row pipeline entry by entry."""
+    """Columns scaled over 1e-12..1: the singular values of the R-factor
+    pair agree with those of the D-row pipeline entry by entry, the
+    small ones to 1e-10 relative."""
     rng = make_rng(5)
     d, n = 300, 24
     basis, _ = np.linalg.qr(rng.standard_normal((d, n)))
     data = (basis @ rng.standard_normal((n, n))) * np.logspace(0, -12, n)[None, :]
     snap = SnapshotMatrix(data, dt=1.0, t0=0.0, layout=scalar_layout(d))
-    opts = DmdOptions(r=n - 1, svd_mode="high_accuracy")
+    opts = DmdOptions(r=n - 1)
     ref = reference_exact_dmd(snap, opts)
     res = exact_dmd(snap, opts)
     assert res.singular_values[-1] < 1e-11 * res.singular_values[0]

@@ -35,8 +35,7 @@ from test_qr_equivalence import assert_spectra_match, mode_tolerance
 BLOCK_ROWS = st.sampled_from([1, 2, 3, 5, 8, 39, 40, 41, 4096])
 OPTION_SETS = dict(remove_mean=st.booleans(), use_tlsq=st.booleans(),
                    normalize=st.booleans(),
-                   b_fit=st.sampled_from(["first", "multi:2", "multi:10"]),
-                   svd_mode=st.sampled_from(["standard", "high_accuracy"]))
+                   b_fit=st.sampled_from(["first", "multi:2", "multi:10"]))
 
 
 def write_file(snap: SnapshotMatrix, folder: str):
@@ -49,14 +48,14 @@ def write_file(snap: SnapshotMatrix, folder: str):
        block_rows=BLOCK_ROWS, **OPTION_SETS)
 @settings(max_examples=40, deadline=None)
 def test_streamed_file_matches_dspace_reference(seed, d, block_rows, remove_mean,
-                                                use_tlsq, normalize, b_fit, svd_mode):
+                                                use_tlsq, normalize, b_fit):
     """D below and above N = 40, every option: the streamed file gives
     the eigenvalues and modes of the D-row reference within 1e-10 (more
     for a sensitive eigenvector, as in test_qr_equivalence), and exactly
     the result of the in-memory snapshots under the same block size."""
     snap, _ = generate(tidal_spec(d=d, n=40, noise_sigma=1e-3, seed=seed))
     opts = DmdOptions(r=16 if remove_mean else 17, use_tlsq=use_tlsq, normalize_columns=normalize,
-                      remove_mean=remove_mean, b_fit=b_fit, svd_mode=svd_mode)
+                      remove_mean=remove_mean, b_fit=b_fit)
     with tempfile.TemporaryDirectory() as folder, \
             mock.patch.object(dmd, "_BLOCK_ROWS", block_rows):
         res = exact_dmd(write_file(snap, folder), opts)
@@ -166,7 +165,7 @@ def extended_rel_error(snap: SnapshotMatrix, result, indices) -> np.ndarray:
 @pytest.mark.parametrize("seed, centered, keep", [
     *(pytest.param(2448, False, keep, id=str(keep)) for keep in (1, 3, 7, 17)),
     *(pytest.param(seed, True, keep, id=f"centered-{seed}-{keep}")
-      for seed in (8, 77) for keep in (1, 3, 7, 16)),
+      for seed in (8, 77, 133) for keep in (1, 3, 7, 16)),
 ])
 def test_rom_curves_against_an_extended_precision_reference(seed, centered, keep):
     """A 25 x 40 tidal oracle in 3-row blocks, whose row 0 is scaled 10x
@@ -174,8 +173,10 @@ def test_rom_curves_against_an_extended_precision_reference(seed, centered, keep
     mean removed.  Both curves' relative errors lie within 16 N eps of a
     long-double evaluation of the same ROM, or 64 N eps when centered:
     absolute bounds, as factor_error_curve states.  Seen on x86-64, the
-    R-coordinate curve departs from it by up to 8 N eps (42 N eps
-    centered), the D-row curve by 0.2 N eps (0.9 N eps centered)."""
+    R-coordinate curve departs from it by up to 7.3 N eps (55 N eps
+    centered), the D-row curve by 0.3 N eps (1.3 N eps centered).
+    Centered seed 133 at keep 1 reached 77 N eps with modes formed as
+    R2 V Sigma^-1 w, where the D-row modes are X2 @ lift."""
     data = generate(tidal_spec(d=25, n=40, noise_sigma=1e-3, seed=seed))[0].data.copy()
     data[0] *= 10.0
     data[3] = -data[0]
