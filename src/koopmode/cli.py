@@ -342,11 +342,11 @@ def cmd_loo(cfg: RunConfig) -> int:
         ((t, trial.omitted_column, z.real, z.imag)
          for t, trial in enumerate(a.loo.trials) for z in trial.mu.tolist()),
     )
-    im_list = im_axis.tolist()
+    im_text = ["%.17g" % im for im in im_axis.tolist()]  # each axis value formatted once
     fileio.write_csv(
-        out.path("kde_grid.csv"), ("re", "im", "density"), "%.17g,%.17g,%.17g",
-        ((re, im, v) for re, row in zip(re_axis.tolist(), values)
-         for im, v in zip(im_list, row.tolist())),
+        out.path("kde_grid.csv"), ("re", "im", "density"), "%s,%s,%.17g",
+        ((re, im, v) for re, row in zip(("%.17g" % re for re in re_axis.tolist()), values)
+         for im, v in zip(im_text, row.tolist())),
     )
     out.finish(cfg)
     n_clustered = sum(1 for info in a.infos if info.cluster is not None)

@@ -97,6 +97,10 @@ class DmdOptions:
 
     r is the truncation rank; None takes the default rank
     max(1, min(data rank, N - 4)) of the data decomposed.
+    tlsq_rank, the rank of the TLSQ projection, defaults to r and may not
+    lie below it.  With TLSQ on and both ranks set, that is checked here,
+    before any data is read; with r None, when exact_dmd sets the
+    resolved rank.
     b_fit is "first" (the joint amplitude fit over snapshot 0 alone) or
     "multi:<count>" (over count snapshots evenly spread over the record,
     endpoints included)."""
@@ -113,6 +117,8 @@ class DmdOptions:
             raise ValueError(f"truncation rank r must be >= 1, got {self.r}")
         if self.tlsq_rank is not None and self.tlsq_rank < 1:
             raise ValueError(f"tlsq_rank must be >= 1, got {self.tlsq_rank}")
+        if self.use_tlsq and None not in (self.r, self.tlsq_rank) and self.tlsq_rank < self.r:
+            raise ValueError(f"tlsq_rank {self.tlsq_rank} is below the truncation rank {self.r}")
         self.fit_count()  # validates b_fit syntax
 
     def fit_count(self) -> int | None:
@@ -357,8 +363,6 @@ def _spectrum(r1: np.ndarray, r2: np.ndarray, d: int, opts: DmdOptions) -> _Spec
         r1, r2, scales = column_normalize(r1, r2)
     if opts.use_tlsq:
         rank = opts.tlsq_rank if opts.tlsq_rank is not None else opts.r
-        if rank < opts.r:
-            raise ValueError(f"tlsq_rank {rank} is below the truncation rank {opts.r}")
         basis = _tlsq_basis(r1, r2, rank)
         r1, r2 = r1 @ basis, r2 @ basis
         cols = rank

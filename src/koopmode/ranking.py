@@ -18,7 +18,10 @@ eigenvalue of the full run:
 
 Stable eigenvalues accumulate tight stacks of perturbed copies and score
 high; spurious ones scatter.  Clusters are 4-connected components of a
-rasterized superlevel set of the same density at a wider bandwidth.
+rasterized superlevel set of the same density at a wider bandwidth.  The
+raster adds each kernel as the outer product of two 1-D factors on a
+square window, in chunks of bounded memory, and the components come from
+this module's own run-length labeller, so no command imports scipy.ndimage.
 """
 from __future__ import annotations
 
@@ -37,6 +40,8 @@ CLUSTER_BANDWIDTH = 2.5e-2
 CLUSTER_LEVEL_FRACTION = 0.1
 # Largest KDE raster kde_grid allocates: 2**25 float64 cells are 256 MiB.
 KDE_MAX_CELLS = 2 ** 25
+# Points whose per-axis kernel factors kde_grid forms at once.
+_KDE_CHUNK = 256
 # Channel whose share of each mode fills the vertically weighted RMS column.
 VERTICAL_CHANNEL = "uz"
 
@@ -137,22 +142,26 @@ def kde_grid(density: KdeDensity, *, margin: float | None = None,
 
     Returns (re_axis, im_axis, values) with values[i_re, i_im].  The box
     covers the density's points (and extra_points if given) with a
-    margin, default 3h, at a step of h/4.  Kernels are accumulated on
-    local patches; contributions beyond 7.5 bandwidths (< 4e-25 of the
-    peak) are dropped.  A box of more than KDE_MAX_CELLS cells raises
-    NumericalError before anything is allocated.
+    margin, default 3h, at a step of h/4.  A kernel covers the square
+    window of nodes within 7.5 bandwidths of its nearest node (farther
+    contributions are < 4e-25 of the peak).  The Gaussian is separable,
+    so each patch is the outer product of two 1-D factors, formed for
+    _KDE_CHUNK points at a time: beyond the raster, memory is bounded by
+    the chunk times the window, whatever the number of points.  A box of
+    more than KDE_MAX_CELLS cells raises NumericalError before anything
+    is allocated.
     """
     h = density.bandwidth
     step = h / 4.0
     if margin is None:
         margin = 3.0 * h
-    pts = density.points
+    boxed = [density.points]
     if extra_points is not None and np.asarray(extra_points).size:
-        pts = np.concatenate([pts, np.asarray(extra_points, dtype=complex).ravel()])
-    re0 = pts.real.min() - margin
-    re1 = pts.real.max() + margin
-    im0 = pts.imag.min() - margin
-    im1 = pts.imag.max() + margin
+        boxed.append(np.asarray(extra_points, dtype=complex).ravel())
+    re0 = min(p.real.min() for p in boxed) - margin
+    re1 = max(p.real.max() for p in boxed) + margin
+    im0 = min(p.imag.min() for p in boxed) - margin
+    im1 = max(p.imag.max() for p in boxed) + margin
     n_re = int(math.ceil((re1 - re0) / step)) + 1
     n_im = int(math.ceil((im1 - im0) / step)) + 1
     if n_re * n_im > KDE_MAX_CELLS:
@@ -163,23 +172,34 @@ def kde_grid(density: KdeDensity, *, margin: float | None = None,
     re_axis = re0 + step * np.arange(n_re)
     im_axis = im0 + step * np.arange(n_im)
     values = np.zeros((n_re, n_im))
-    cut = 7.5 * h
-    reach = int(math.ceil(cut / step))
-    inv_h2 = 1.0 / h ** 2
-    for p, w in zip(density.points, density.weights):
-        ci = int(round((p.real - re0) / step))
-        cj = int(round((p.imag - im0) / step))
-        i0, i1 = max(0, ci - reach), min(n_re, ci + reach + 1)
-        j0, j1 = max(0, cj - reach), min(n_im, cj + reach + 1)
-        if i0 >= i1 or j0 >= j1:
-            continue
-        dre = re_axis[i0:i1] - p.real
-        dim = im_axis[j0:j1] - p.imag
-        values[i0:i1, j0:j1] += w * np.exp(
-            -(dre[:, None] ** 2 + dim[None, :] ** 2) * inv_h2
-        )
+    reach = int(math.ceil(7.5 * h / step))
+    for k in range(0, density.points.size, _KDE_CHUNK):
+        pts = density.points[k:k + _KDE_CHUNK]
+        f_re, *rows = _window_factors(pts.real, re_axis, step, reach, h)
+        f_im, *cols = _window_factors(pts.imag, im_axis, step, reach, h)
+        f_re *= density.weights[k:k + _KDE_CHUNK, None]
+        for p, (i0, i1, a, j0, j1, b) in enumerate(zip(*rows, *cols)):
+            if i0 < i1 and j0 < j1:
+                values[i0:i1, j0:j1] += np.multiply.outer(f_re[p, a:a + i1 - i0],
+                                                          f_im[p, b:b + j1 - j0])
     values /= density.normalization
     return re_axis, im_axis, values
+
+
+def _window_factors(x: np.ndarray, axis: np.ndarray, step: float, reach: int, h: float):
+    """kde_grid's kernel factors exp(-(node - x)^2 / h^2) along one axis,
+    on the 2 reach + 1 nodes around each coordinate's nearest node, and
+    as lists the raster slice [lo, hi) each window covers and the window
+    index at lo."""
+    near = np.rint((x - axis[0]) / step).astype(np.int64)
+    f = axis[0] + step * (near[:, None] + np.arange(-reach, reach + 1))  # nodes past the ends too
+    f -= x[:, None]
+    f *= f
+    f *= -1.0 / h ** 2
+    np.exp(f, out=f)
+    lo = np.maximum(near - reach, 0)
+    hi = np.minimum(near + reach + 1, axis.size)
+    return f, lo.tolist(), hi.tolist(), (lo - near + reach).tolist()
 
 
 @dataclass(frozen=True)
@@ -290,23 +310,16 @@ def label_clusters(density: KdeDensity,
     threshold is a fraction of the raster's own maximum, so a positive
     scale of the values moves no label.
     """
-    import scipy.ndimage  # imported here so that run and slice never load it
-
     if not 0.0 < level_fraction < 1.0:
         raise ValueError("level_fraction must lie in (0, 1)")
     base = np.asarray(base_mus, dtype=complex).ravel()
     step = density.bandwidth / 4.0  # the raster step of kde_grid
     re_axis, im_axis, values = raster
     mask = values >= level_fraction * values.max()
-    labels, _ = scipy.ndimage.label(mask)  # default structure: 4-connected
-    raw = []
-    for z in base:
-        i = int(round((z.real - re_axis[0]) / step))
-        j = int(round((z.imag - im_axis[0]) / step))
-        i = min(max(i, 0), re_axis.size - 1)
-        j = min(max(j, 0), im_axis.size - 1)
-        lab = int(labels[i, j])
-        raw.append(lab if lab > 0 else None)
+    labels = _label_components(mask)
+    i = np.clip(np.rint((base.real - re_axis[0]) / step), 0, re_axis.size - 1).astype(np.int64)
+    j = np.clip(np.rint((base.imag - im_axis[0]) / step), 0, im_axis.size - 1).astype(np.int64)
+    raw = [lab or None for lab in labels[i, j].tolist()]
     w = np.ones(base.size) if weights is None else np.asarray(weights, dtype=float)
     if w.shape != base.shape:
         raise ValueError("weights must align with base eigenvalues")
@@ -320,6 +333,34 @@ def label_clusters(density: KdeDensity,
     order = sorted(totals, key=lambda lab: (-totals[lab], first[lab]))
     renumber = {lab: i + 1 for i, lab in enumerate(order)}
     return [None if lab is None else renumber[lab] for lab in raw]
+
+
+def _label_components(mask: np.ndarray) -> np.ndarray:
+    """4-connected components of a 2-D boolean mask: 0 off the mask and
+    one positive id per component (not consecutive).  Runs of True along
+    the rows are joined, where runs of adjacent rows share a column, by
+    a union-find that hooks the larger root under the smaller and then
+    pointer-jumps, until every joined pair has one root."""
+    width = mask.shape[1] + 2  # each row padded with False at both ends
+    padded = np.zeros((mask.shape[0], width), dtype=np.int8)
+    padded[:, 1:-1] = mask
+    edge = np.diff(padded.ravel())
+    start = np.flatnonzero(edge == 1) + 1  # row * width + column in padded
+    stop = np.flatnonzero(edge == -1) + 1
+    # The runs of the row above that overlap a run are consecutive: lo..hi-1.
+    lo = np.searchsorted(stop, start - width, side="right")
+    count = np.maximum(np.searchsorted(start, stop - width, side="left") - lo, 0)
+    below = np.repeat(np.arange(start.size), count)
+    above = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(below.size)
+    root = np.arange(start.size)
+    while not np.array_equal(root[above], root[below]):
+        ra, rb = root[above], root[below]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while not np.array_equal(root[root], root):
+            root = root[root]
+    labels = np.zeros(mask.shape, dtype=np.int64)
+    labels[mask] = np.repeat(root + 1, stop - start)
+    return labels
 
 
 def build_mode_table(result: DmdResult, t_window: float,

@@ -427,6 +427,25 @@ def test_loo_exits_2_on_bad_settings_before_reading_data(tmp_path, monkeypatch, 
     assert f"config error: {key} must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "loo"])
+def test_tlsq_rank_below_rank_exits_2_before_reading_data(tmp_path, monkeypatch, capsys,
+                                                          command):
+    """An explicit tlsq_rank below an explicit rank is refused with the
+    options, before pass 1 reads a row of the input."""
+    data = synth_dataset(tmp_path)
+
+    def never(*args, **kwargs):
+        raise AssertionError("read before the settings were checked")
+
+    monkeypatch.setattr(cli.fileio.SnapshotFile, "read_rows", never)
+    cfg = write_cfg(tmp_path, f"{command}.cfg", input=data, out=tmp_path / command,
+                    rank=17, tlsq_rank=5)
+    assert main([command, "--config", cfg]) == 2
+    assert ("config error: tlsq_rank 5 is below the truncation rank 17"
+            in capsys.readouterr().err)
+    assert not (tmp_path / command).exists()
+
+
 def test_loo_exits_3_on_a_kde_raster_beyond_the_cell_bound(tmp_path, capsys):
     """A cluster bandwidth of 1e-6 would raster the unit circle at
     2.5e-7 steps, ~6e13 cells: loo exits 3 and names the box."""
@@ -452,6 +471,24 @@ def test_loo_kde_grid_is_the_pooled_density(tmp_path):
     assert np.array_equal(grid[:, 0], np.repeat(re_axis, im_axis.size))
     assert np.array_equal(grid[:, 1], np.tile(im_axis, re_axis.size))
     assert np.array_equal(grid[:, 2], values.ravel())
+
+
+def test_loo_kde_grid_csv_is_the_raster_at_17_digits(tmp_path):
+    """kde_grid.csv is, byte for byte, each node of kde_grid's raster
+    rendered as "%.17g,%.17g,%.17g" in row-major order."""
+    out = loo_out(tmp_path)
+    with open(out / "pooled_eigenvalues.csv") as fh:
+        pooled = np.array([complex(float(r[2]), float(r[3]))
+                           for r in list(csv.reader(fh))[1:]])
+    base_mu = np.array([complex(re, im) for re, im in
+                        json.loads((out / "result.json").read_text())["eigenvalues"]])
+    re_axis, im_axis, values = kde_grid(
+        KdeDensity(points=pooled, weights=np.ones(pooled.size), bandwidth=2.5e-2),
+        extra_points=base_mu)
+    lines = ["re,im,density"] + [
+        "%.17g,%.17g,%.17g" % (re, im, values[i, j])
+        for i, re in enumerate(re_axis) for j, im in enumerate(im_axis)]
+    assert (out / "kde_grid.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_loo_determinism_same_dir(tmp_path):

@@ -331,9 +331,13 @@ def test_infeasible_rank_rejected(rng):
 
 
 def test_tlsq_rank_below_truncation_rejected(rng):
+    with pytest.raises(ValueError, match="tlsq_rank 3 is below the truncation rank 4"):
+        DmdOptions(r=4, use_tlsq=True, tlsq_rank=3)
+    DmdOptions(r=4, use_tlsq=False, tlsq_rank=3)  # no projection, nothing to check
+    # the default rank (min(data rank, N - 4) = 6 here) is checked once resolved
     x = rng.standard_normal((6, 12))
-    with pytest.raises(ValueError, match="below the truncation"):
-        exact_dmd(snapshots_from_array(x), DmdOptions(r=4, use_tlsq=True, tlsq_rank=3))
+    with pytest.raises(ValueError, match="tlsq_rank 3 is below the truncation rank 6"):
+        exact_dmd(snapshots_from_array(x), DmdOptions(use_tlsq=True, tlsq_rank=3))
 
 
 # ----------------------------------------------------------- invariance

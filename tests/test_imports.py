@@ -110,10 +110,10 @@ def test_every_public_name_has_a_caller():
     assert set(names_without_caller(PACKAGE, CALLERS)) == NO_CALLER_NEEDED
 
 
-def test_cli_import_leaves_out_scipy_ndimage(tmp_path):
-    """Only loo's clustering labels with scipy.ndimage, so `run`, `slice`
-    and `rom` never pay for importing it, also when a robustness box
-    makes rom run leave-one-out."""
+def test_no_command_imports_scipy_ndimage(tmp_path):
+    """loo labels its clusters with ranking's own labeller, so no command
+    pays for importing scipy.ndimage: not loo, and not rom when a
+    robustness box makes it run leave-one-out."""
     from koopmode.fileio import write_snapshots
     from koopmode.oracle import generate, tidal_spec
 
@@ -126,14 +126,17 @@ def test_cli_import_leaves_out_scipy_ndimage(tmp_path):
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
     write_snapshots(tmp_path / "toy.dmds", generate(tidal_spec(d=60, n=48, seed=1))[0])
-    cfg = tmp_path / "rom.cfg"
-    cfg.write_text(f"input = {tmp_path / 'toy.dmds'}\nout = {tmp_path / 'rom'}\n"
+    cfg = tmp_path / "toy.cfg"
+    cfg.write_text(f"input = {tmp_path / 'toy.dmds'}\n"
                    "rank = 17\nloo_trials = 5\nrom.robust.robustness_min = 1000\n")
     code = ("import sys\nfrom koopmode.cli import main\n"
-            "assert main(['rom', '--config', sys.argv[1]]) == 0\n"
+            "for command in ('loo', 'rom'):\n"
+            "    out = sys.argv[2] + '/' + command\n"
+            "    assert main([command, '--config', sys.argv[1], '--out', out]) == 0\n"
             "assert 'scipy.ndimage' not in sys.modules")
-    subprocess.run([sys.executable, "-c", code, str(cfg)], env=env, check=True,
-                   timeout=120)
+    subprocess.run([sys.executable, "-c", code, str(cfg), str(tmp_path)], env=env,
+                   check=True, timeout=120)
+    assert (tmp_path / "loo" / "kde_grid.csv").is_file()
     assert (tmp_path / "rom" / "rom_robust_errors.csv").is_file()
 
 

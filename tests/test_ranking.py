@@ -1,11 +1,14 @@
 """Mode ranking: windowed RMS weights, persistence cuts, spectral kernel
 densities, leave-one-out robustness, and density clustering."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
+from scipy import ndimage
 
 from koopmode.dmd import DmdOptions, exact_dmd
 from koopmode.errors import NumericalError
@@ -205,6 +208,144 @@ def test_kde_grid_cell_bound_is_inclusive(monkeypatch):
     monkeypatch.setattr(ranking, "KDE_MAX_CELLS", cells - 1)
     with pytest.raises(NumericalError, match="h=0.1 exceeds"):
         kde_grid(d)
+
+
+def brute_kde_grid(density, re_axis, im_axis):
+    """kde_grid's raster cell by cell: each point adds
+    w exp(-(dre^2 + dim^2) / h^2) to the cells of the square window of
+    30 steps (7.5 h) around its nearest node."""
+    h = density.bandwidth
+    step = h / 4.0
+    reach = 30
+    i = np.arange(re_axis.size)[:, None]
+    j = np.arange(im_axis.size)[None, :]
+    values = np.zeros((re_axis.size, im_axis.size))
+    for p, w in zip(density.points.tolist(), density.weights.tolist()):
+        ci = round((p.real - re_axis[0]) / step)
+        cj = round((p.imag - im_axis[0]) / step)
+        inside = (abs(i - ci) <= reach) & (abs(j - cj) <= reach)
+        d2 = (re_axis[:, None] - p.real) ** 2 + (im_axis[None, :] - p.imag) ** 2
+        values += np.where(inside, w * np.exp(-d2 / h ** 2), 0.0)
+    return values / density.normalization
+
+
+@pytest.mark.parametrize("chunk", [1, 4, ranking._KDE_CHUNK])
+@pytest.mark.parametrize("case", ["weighted", "clipped", "extra"])
+def test_kde_grid_matches_a_brute_force_raster(monkeypatch, chunk, case):
+    """The separable, chunked raster is the per-cell sum over each
+    point's square window, to 1e-14 of its maximum, and cells that no
+    window reaches hold exactly 0."""
+    monkeypatch.setattr(ranking, "_KDE_CHUNK", chunk)
+    rng = make_rng(5)
+    h = CLUSTER_BANDWIDTH
+    pts = 0.9 * np.exp(1j * rng.uniform(-3, 3, 9)) * rng.uniform(0.8, 1.0, 9)
+    kwargs = {}
+    if case == "clipped":  # windows cut by every edge of the raster
+        kwargs["margin"] = 0.5 * h
+    elif case == "extra":  # a far base eigenvalue leaves cells out of every window
+        kwargs["extra_points"] = np.array([1.6 + 1.2j])
+    d = KdeDensity(points=pts, weights=rng.uniform(0.1, 3.0, pts.size), bandwidth=h)
+    re_axis, im_axis, values = kde_grid(d, **kwargs)
+    boxed = np.concatenate([pts, kwargs.get("extra_points", [])])
+    margin = kwargs.get("margin", 3 * h)
+    assert np.array_equal(re_axis, boxed.real.min() - margin + h / 4 * np.arange(re_axis.size))
+    assert np.array_equal(im_axis, boxed.imag.min() - margin + h / 4 * np.arange(im_axis.size))
+    ref = brute_kde_grid(d, re_axis, im_axis)
+    assert np.abs(values - ref).max() <= 1e-14 * ref.max()
+    assert np.array_equal(values == 0, ref == 0)
+    if case == "extra":
+        assert (ref == 0).any()
+
+
+def test_kde_grid_working_memory_does_not_grow_with_the_points():
+    """100,000 points (and base eigenvalues) on a 345 x 345 raster: the
+    peak traced allocation stays below two rasters plus one chunk of
+    per-axis factors, so neither the box nor the kernels copy the points."""
+    h = CLUSTER_BANDWIDTH
+    rng = make_rng(11)
+    pts = rng.uniform(0.0, 2.0, 100_000) + 1j * rng.uniform(0.0, 2.0, 100_000)
+    d = KdeDensity(points=pts, weights=np.ones(pts.size), bandwidth=h)
+    tracemalloc.start()
+    try:
+        values = kde_grid(d, extra_points=np.array([0.5 + 0.5j, 1.5 + 1j]))[2]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (345, 345)
+    chunk = ranking._KDE_CHUNK * 61 * values.itemsize  # one axis's factors
+    assert peak < 2 * values.nbytes + chunk
+
+
+# ------------------------------------------------------- component labels
+
+def same_partition(labels, reference):
+    """Equal supports, and the two labelings pair their ids one to one."""
+    if not np.array_equal(labels > 0, reference > 0):
+        return False
+    on = reference > 0
+    pairs = set(zip(labels[on].tolist(), reference[on].tolist()))
+    return len(pairs) == np.unique(labels[on]).size == np.unique(reference[on]).size
+
+
+@given(mask=arrays(np.bool_, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=40)))
+@example(mask=np.zeros((1, 1), dtype=bool))
+@example(mask=np.ones((1, 1), dtype=bool))
+@example(mask=np.zeros((40, 40), dtype=bool))
+@example(mask=np.ones((40, 40), dtype=bool))
+@example(mask=np.ones((7, 40), dtype=bool))
+@example(mask=make_rng(45).random((40, 40)) < 0.45)
+@example(mask=make_rng(60).random((40, 40)) < 0.6)  # near the percolation threshold
+@example(mask=make_rng(80).random((13, 29)) < 0.8)
+@settings(max_examples=200, deadline=None)
+def test_component_labels_are_the_ndimage_partition(mask):
+    assert same_partition(ranking._label_components(mask), ndimage.label(mask)[0])
+
+
+def spiral(n):
+    """A one-cell-wide square spiral on an n x n raster, inward from the
+    top-left corner."""
+    mask = np.zeros((n, n), dtype=bool)
+    i = j = 0
+    di, dj = 0, 1
+    mask[0, 0] = True
+    for length in range(n - 1, 0, -2):
+        for _ in range(2):
+            for _ in range(length):
+                i, j = i + di, j + dj
+                mask[i, j] = True
+            di, dj = dj, -di
+        i, j = i + di, j + dj
+        if not (0 <= i < n and 0 <= j < n) or length <= 2:
+            break
+        mask[i, j] = True
+        length -= 1
+    return mask
+
+
+@pytest.mark.parametrize("name", ["single cells", "comb", "nested Us", "spiral", "stairs"])
+def test_component_labels_join_runs_through_later_rows(name):
+    """Runs whose only link is a row further down, or a diagonal touch,
+    which 4-connectivity does not join."""
+    if name == "single cells":
+        mask = np.zeros((9, 9), dtype=bool)
+        mask[::2, ::2] = True
+    elif name == "comb":  # six teeth that meet only in the last row
+        mask = np.zeros((8, 11), dtype=bool)
+        mask[:, ::2] = True
+        mask[-1] = True
+    elif name == "nested Us":  # three U shapes, one inside the other, apart
+        mask = np.zeros((12, 23), dtype=bool)
+        for k in range(0, 6, 2):
+            mask[:12 - k, k] = mask[:12 - k, 22 - k] = True
+            mask[11 - k, k:23 - k] = True
+    elif name == "spiral":
+        mask = spiral(25)
+    else:  # cells that touch only at corners stay apart
+        mask = np.eye(10, dtype=bool) | np.eye(10, k=2, dtype=bool)
+    labels = ranking._label_components(mask)
+    reference, count = ndimage.label(mask)
+    assert same_partition(labels, reference)
+    assert np.unique(labels[mask]).size == count
 
 
 # ----------------------------------------------------------- leave-one-out
