@@ -33,7 +33,7 @@ from .errors import ConfigError, DataFormatError, NumericalError
 from .grids import SnapshotMatrix, SurfaceSlice, VerticalSection, extract_slice
 from .modes import (ModeInfo, format_mode_table, period, polar_mode,
                     tidal_ellipse, write_mode_table)
-from .oracle import generate, tidal_spec
+from .oracle import generate, tidal_preset, tidal_spec
 from .ranking import (CLUSTER_BANDWIDTH, CLUSTER_LEVEL_FRACTION, ROBUSTNESS_BANDWIDTH,
                       build_mode_table, kde_grid, KdeDensity, label_clusters,
                       leave_one_out, LeaveOneOutResult, robustness_scores)
@@ -109,9 +109,26 @@ _POSITIVE = (lambda v: 0.0 < v < math.inf, "positive and finite")
 _FRACTION = (lambda v: 0.0 < v < 1.0, "in (0, 1)")
 _BANDWIDTH = (lambda v: v > 0.0 and sys.float_info.min <= v * v < math.inf,
               "positive with a finite normal square")
+
+
+def _resolves_preset(dt: float) -> bool:
+    """True when no two eigenvalues exp(gamma dt) of the tidal preset (its
+    conjugates included) lie within one float64 step of each other at
+    their size.  Closer eigenvalues cannot be told apart: at dt = 1e-320
+    all of them round to 1, and the record has rank 1."""
+    gammas = np.array(tidal_preset())
+    mu = np.exp(np.concatenate([gammas, gammas[gammas.imag != 0].conj()]) * dt)
+    gaps = np.abs(np.subtract.outer(mu, mu))
+    np.fill_diagonal(gaps, math.inf)
+    return bool(gaps.min() > np.finfo(float).eps * np.abs(mu).max())
+
+
 _RULES = {"loo_trials": (lambda v: v >= 1, ">= 1"), "seed": (lambda v: v >= 0, ">= 0"),
           "h_robust": _BANDWIDTH, "h_cluster": _BANDWIDTH, "cluster_level": _FRACTION,
-          "persistence_t": _POSITIVE, "persistence_factor": _FRACTION, "synth_dt": _POSITIVE,
+          "persistence_t": _POSITIVE, "persistence_factor": _FRACTION,
+          "synth_dt": (lambda v: _POSITIVE[0](v) and _resolves_preset(v),
+                       "positive and finite, with the tidal preset's eigenvalues "
+                       "exp(gamma dt) pairwise distinct in float64"),
           "synth_noise": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
           "slice_kind": (lambda v: v in ("surface", "section"), "surface or section")}
 
@@ -342,12 +359,8 @@ def cmd_loo(cfg: RunConfig) -> int:
         ((t, trial.omitted_column, z.real, z.imag)
          for t, trial in enumerate(a.loo.trials) for z in trial.mu.tolist()),
     )
-    im_text = ["%.17g" % im for im in im_axis.tolist()]  # each axis value formatted once
-    fileio.write_csv(
-        out.path("kde_grid.csv"), ("re", "im", "density"), "%s,%s,%.17g",
-        ((re, im, v) for re, row in zip(("%.17g" % re for re in re_axis.tolist()), values)
-         for im, v in zip(im_text, row.tolist())),
-    )
+    fileio.write_raster_csv(out.path("kde_grid.csv"), ("re", "im", "density"),
+                            re_axis, im_axis, values)
     out.finish(cfg)
     n_clustered = sum(1 for info in a.infos if info.cluster is not None)
     failed = f", {len(a.loo.failures)} failed" if a.loo.failures else ""

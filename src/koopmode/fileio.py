@@ -273,8 +273,29 @@ def write_csv(path: str | Path, header: Sequence[str], fmt: str,
     consumed lazily, so a large table never sits in memory as text.
     """
     line = fmt + "\n"
+    _write_lines(path, header, ((line % row).replace("nan", "") for row in rows))
+
+
+def write_raster_csv(path: str | Path, header: Sequence[str], x_axis: np.ndarray,
+                     y_axis: np.ndarray, values: np.ndarray) -> None:
+    """Write values[i, j] of a raster as rows x_i,y_j,values[i, j] in
+    row-major order, as write_csv would with fmt "%.17g,%.17g,%.17g".
+
+    Each axis value is formatted once, and NaN is looked for once in the
+    arrays rather than in every line, so a raster without NaN (a density,
+    say) skips write_csv's per-line scan.
+    """
+    y_text = ["%.17g" % y for y in y_axis.tolist()]
+    rows = ((x, y, v) for x, row in zip(("%.17g" % x for x in x_axis.tolist()), values)
+            for y, v in zip(y_text, row.tolist()))
+    if np.isnan(x_axis).any() or np.isnan(y_axis).any() or np.isnan(values).any():
+        write_csv(path, header, "%s,%s,%.17g", rows)
+    else:
+        _write_lines(path, header, ("%s,%s,%.17g\n" % row for row in rows))
+
+
+def _write_lines(path: str | Path, header: Sequence[str], lines: Iterable[str]) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write((line % row).replace("nan", ""))
+        fh.writelines(lines)
 

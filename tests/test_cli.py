@@ -184,11 +184,13 @@ def test_help_exits_0(capsys):
 @pytest.mark.parametrize("command,key,value", [
     ("synth", "synth_noise", "nan"), ("synth", "synth_noise", -1e-3),
     ("synth", "synth_dt", "nan"), ("synth", "synth_dt", "inf"), ("synth", "synth_dt", 0),
+    ("synth", "synth_dt", 1e-320), ("synth", "synth_dt", 1e-14),
     ("synth", "seed", -1), ("run", "seed", -1),
 ])
 def test_synthesis_and_seed_keys_are_checked_when_read(tmp_path, capsys, command, key, value):
-    """synth_noise (finite, >= 0), synth_dt (positive, finite) and seed
-    (>= 0) fail as the config is read, naming the key, and write nothing."""
+    """synth_noise (finite, >= 0), synth_dt (positive, finite, and resolving
+    the tidal preset's eigenvalues) and seed (>= 0) fail as the config is
+    read, naming the key, and write nothing."""
     cfg = write_cfg(tmp_path, "c.cfg", out=tmp_path / "o", **{key: value})
     assert main([command, "--config", cfg]) == 2
     assert f"config error: {key} must be " in capsys.readouterr().err

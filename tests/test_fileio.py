@@ -9,7 +9,7 @@ import pytest
 from koopmode.errors import DataFormatError
 from koopmode.fileio import (SnapshotFile, open_snapshots, open_source,
                              read_mode_matrix, read_snapshots_csv, write_csv,
-                             write_mode_matrix, write_snapshots)
+                             write_mode_matrix, write_raster_csv, write_snapshots)
 from koopmode.grids import SnapshotMatrix, scalar_layout, velocity_layout
 
 from conftest import make_rng, random_mask
@@ -199,6 +199,23 @@ def test_write_csv_rows_nan_and_line_endings(tmp_path):
     write_csv(path, ("k", "x", "tag"), "%d,%.17g,%s", rows)
     assert path.read_bytes() == b"k,x,tag\n1,0.10000000000000001,cw\n2,,\n"
     assert float(path.read_text().splitlines()[1].split(",")[1]) == 0.1
+
+
+@pytest.mark.parametrize("nan_at", [None, "values", "x", "y"])
+def test_write_raster_csv_is_write_csv_of_the_nodes(tmp_path, nan_at):
+    """With or without NaN, in the values or on an axis, the raster table
+    is the one write_csv makes of its nodes at 17 digits."""
+    rng = make_rng(5)
+    x, y, values = rng.standard_normal(4), rng.standard_normal(3), rng.random((4, 3))
+    if nan_at is not None:
+        {"values": values[1], "x": x, "y": y}[nan_at][2] = np.nan
+    write_raster_csv(tmp_path / "raster.csv", ("re", "im", "v"), x, y, values)
+    write_csv(tmp_path / "rows.csv", ("re", "im", "v"), "%.17g,%.17g,%.17g",
+              ((x[i], y[j], values[i, j]) for i in range(4) for j in range(3)))
+    text = (tmp_path / "raster.csv").read_text()
+    assert text == (tmp_path / "rows.csv").read_text()
+    empty = sum(cell == "" for line in text.splitlines() for cell in line.split(","))
+    assert empty == {None: 0, "values": 1, "x": 3, "y": 4}[nan_at]
 
 
 def legacy_payload(values: np.ndarray) -> bytes:

@@ -1,7 +1,13 @@
 """Mode ranking: windowed RMS weights, persistence cuts, spectral kernel
 densities, leave-one-out robustness, and density clustering."""
 import math
+import os
+import signal
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from scipy import ndimage
 
+from koopmode.cli import main
 from koopmode.dmd import DmdOptions, exact_dmd
 from koopmode.errors import NumericalError
 from koopmode.grids import velocity_layout
@@ -424,6 +431,204 @@ def test_loo_raises_when_every_trial_fails():
     # seed 23 draws pair column 0 for a single trial
     with pytest.raises(NumericalError, match="all 1 leave-one-out trials failed.*column 0"):
         leave_one_out(exact_dmd(snap, DmdOptions(r=3)), trials=1, seed=23)
+
+
+# ------------------------------------------------ leave-one-out on many CPUs
+
+# The tests below fork from the test process, whose BLAS may run a thread
+# pool, which leave_one_out itself never forks from; Python >= 3.12 warns
+# on such a fork.
+forks_beside_threads = pytest.mark.filterwarnings(
+    "ignore:This process .* is multi-threaded:DeprecationWarning")
+
+
+def on_cpus(monkeypatch, count):
+    """Make leave_one_out see an affinity set of count CPUs and no other
+    thread, and count its forks."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    monkeypatch.setattr(ranking, "_threads", lambda: 1)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def loo_records(res):
+    """The trials and failures of a leave-one-out result, comparable bit for bit."""
+    return ([(t.omitted_column, t.mu.dtype, t.mu.tobytes()) for t in res.trials],
+            [(f.omitted_column, f.message) for f in res.failures])
+
+
+@forks_beside_threads
+@pytest.mark.parametrize("case", ["linear", "rank-critical"])
+def test_loo_on_1_2_and_3_cpus_gives_the_serial_records(monkeypatch, case):
+    """The same trials, failures, messages and order on any CPU count; one
+    CPU forks nothing, w CPUs fork w - 1 workers."""
+    if case == "linear":
+        snap, opts = loo_setup()
+    else:  # the trial omitting pair column 0 fails
+        snap, opts = rank_critical_snapshots(), DmdOptions(r=3)
+    base = exact_dmd(snap, opts)
+    got = {}
+    for cpus in (1, 2, 3):
+        forks = on_cpus(monkeypatch, cpus)
+        got[cpus] = loo_records(leave_one_out(base, trials=snap.n - 1, seed=5))
+        assert len(forks) == cpus - 1
+        assert_no_child_left()
+    assert got[1] == got[2] == got[3]
+    assert len(got[1][0]) + len(got[1][1]) == snap.n - 1
+    assert bool(got[1][1]) == (case == "rank-critical")
+
+
+@forks_beside_threads
+def test_loo_on_many_cpus_raises_the_serial_error_when_every_trial_fails(monkeypatch):
+    snap, opts = loo_setup()
+    base = exact_dmd(snap, opts)
+
+    def fail(result, column):
+        raise NumericalError(f"no spectrum without column {column}")
+    monkeypatch.setattr(ranking, "deletion_spectrum", fail)
+    messages = set()
+    for cpus in (1, 2, 3):
+        on_cpus(monkeypatch, cpus)
+        with pytest.raises(NumericalError, match="all 10 leave-one-out trials failed"
+                           ) as exc:
+            leave_one_out(base, trials=10, seed=3)
+        messages.add(str(exc.value))
+        assert_no_child_left()
+    assert len(messages) == 1
+
+
+@forks_beside_threads
+def test_loo_raises_the_first_other_error_in_draw_order(monkeypatch):
+    """Draw 1 (a worker's on 2 or 3 CPUs) and draw 2 (the parent's on 2)
+    raise ValueError: every CPU count raises draw 1's, as a serial run does."""
+    snap, opts = loo_setup()
+    base = exact_dmd(snap, opts)
+    drawn = ranking._draw_omitted(snap.n - 1, 10, np.random.default_rng(3)).tolist()
+    spectrum = ranking.deletion_spectrum
+
+    def flaky(result, column):
+        if column in drawn[1:3]:
+            raise ValueError(f"bad column {column}")
+        return spectrum(result, column)
+    monkeypatch.setattr(ranking, "deletion_spectrum", flaky)
+    for cpus in (1, 2, 3):
+        on_cpus(monkeypatch, cpus)
+        with pytest.raises(ValueError, match=f"^bad column {drawn[1]}$"):
+            leave_one_out(base, trials=10, seed=3)
+        assert_no_child_left()
+
+
+@forks_beside_threads
+def test_loo_recomputes_the_stride_of_a_killed_worker(monkeypatch):
+    snap, opts = loo_setup()
+    base = exact_dmd(snap, opts)
+    on_cpus(monkeypatch, 1)
+    serial = loo_records(leave_one_out(base, trials=10, seed=3))
+    parent = os.getpid()
+    spectrum = ranking.deletion_spectrum
+
+    def killed_in_a_worker(result, column):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return spectrum(result, column)
+    monkeypatch.setattr(ranking, "deletion_spectrum", killed_in_a_worker)
+    for cpus in (2, 3):
+        forks = on_cpus(monkeypatch, cpus)
+        assert loo_records(leave_one_out(base, trials=10, seed=3)) == serial
+        assert len(forks) == cpus - 1
+        assert_no_child_left()
+
+
+@forks_beside_threads
+def test_loo_ends_its_workers_when_the_parent_is_interrupted(monkeypatch):
+    snap, opts = loo_setup()
+    base = exact_dmd(snap, opts)
+    parent = os.getpid()
+    spectrum = ranking.deletion_spectrum
+
+    def interrupted_in_the_parent(result, column):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return spectrum(result, column)
+    monkeypatch.setattr(ranking, "deletion_spectrum", interrupted_in_the_parent)
+    forks = on_cpus(monkeypatch, 3)
+    with pytest.raises(KeyboardInterrupt):
+        leave_one_out(base, trials=10, seed=3)
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+def test_loo_runs_serially_when_no_worker_can_start(monkeypatch):
+    snap, opts = loo_setup()
+    base = exact_dmd(snap, opts)
+    on_cpus(monkeypatch, 1)
+    serial = loo_records(leave_one_out(base, trials=10, seed=3))
+
+    def no_fork():
+        raise BlockingIOError("fork refused")
+    on_cpus(monkeypatch, 3)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert loo_records(leave_one_out(base, trials=10, seed=3)) == serial
+    assert_no_child_left()
+
+
+def test_loo_forks_nothing_beside_another_thread(monkeypatch):
+    """A second thread, a Python one here or a BLAS pool, keeps every
+    trial in the calling process."""
+    snap, opts = loo_setup()
+    base = exact_dmd(snap, opts)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked beside a thread"))
+    before = ranking._threads()
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert ranking._threads() == before + 1
+        assert ranking._cpus() == 1
+        res = leave_one_out(base, trials=10, seed=3)
+    finally:
+        release.set()
+        thread.join()
+    assert len(res.trials) == 10
+
+
+def test_loo_with_workers_prints_its_line_once_into_a_pipe(tmp_path):
+    """A worker ends with os._exit: it neither flushes the parent's
+    buffered stdout nor goes on to run the rest of the command."""
+    data = tmp_path / "synth"
+    synth = tmp_path / "synth.cfg"
+    synth.write_text(f"out = {data}\nsynth_d = 60\nsynth_n = 48\n")
+    assert main(["synth", "--config", str(synth)]) == 0
+    cfg = tmp_path / "loo.cfg"
+    cfg.write_text(f"input = {data / 'oracle.dmds'}\nrank = 17\nloo_trials = 5\n"
+                   f"out = {tmp_path / 'loo'}\n")
+    code = ("import os, sys\n"
+            "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
+            "fork, forks = os.fork, []\n"
+            "os.fork = lambda: forks.append(1) or fork()\n"
+            "from koopmode.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(len(forks), 'forks', file=sys.stderr)\n"
+            "sys.exit(code)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code, "loo", "--config", str(cfg)],
+                          env=env, capture_output=True, timeout=120, check=True)
+    assert proc.stderr.decode() == "2 forks\n"
+    loo_lines = [line for line in proc.stdout.decode().splitlines()
+                 if line.startswith("loo:")]
+    assert len(loo_lines) == 1
+    assert loo_lines[0].startswith("loo: 5 trials, 85 pooled eigenvalues, ")
 
 
 # ------------------------------------------------------------- clustering
