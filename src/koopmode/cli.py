@@ -9,10 +9,12 @@ Subcommands:
 
 Settings come from a flat key=value config file; a few keys can also be
 given as flags, which override the file.  Config lines, flags and ROM
-blocks are parsed by one table, and each key's rule is checked as it is
-read.  All outputs are deterministic: rerunning a command with the same
-config and seed rewrites byte-identical files.  Exit codes: 0 success,
-2 configuration error, 3 numerical failure, 4 I/O error.
+blocks are parsed by one table into typed values, and each key's rule is
+checked as it is read; the decomposition options are built once the
+last flag is set.  All outputs are deterministic: rerunning a command
+with the same config and seed rewrites byte-identical files.  Exit
+codes: 0 success, 2 configuration error, 3 numerical failure, 4 I/O
+error.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ from .errors import ConfigError, DataFormatError, NumericalError
 from .grids import SnapshotMatrix, SurfaceSlice, VerticalSection, extract_slice
 from .modes import (ModeInfo, format_mode_table, period, polar_mode,
                     tidal_ellipse, write_mode_table)
-from .oracle import generate, tidal_preset, tidal_spec
+from .oracle import generate, tidal_spec
 from .ranking import (CLUSTER_BANDWIDTH, CLUSTER_LEVEL_FRACTION, ROBUSTNESS_BANDWIDTH,
                       build_mode_table, kde_grid, KdeDensity, label_clusters,
                       leave_one_out, LeaveOneOutResult, robustness_scores)
@@ -42,14 +44,14 @@ from .rom import RomSelection, factor_error_curve, select_modes
 
 @dataclass
 class RunConfig:
-    """Flat configuration shared by every subcommand."""
+    """Flat configuration shared by every subcommand.  roms maps each
+    rom.<name> block to its given fields, typed as RomSelection's."""
 
     input: str = ""
     out: str = "out"
     seed: int = 0
     rank: int | None = None
     tlsq: bool = True
-    tlsq_rank: int | None = None
     normalize: bool = True
     mean_removal: bool = False
     bfit: str = "multi:10"
@@ -67,8 +69,8 @@ class RunConfig:
     slice_kind: str = "surface"
     slice_channel: str = ""
     slice_k: int = 0
-    slice_path: str = ""
-    slice_modes: str = "1"
+    slice_path: tuple[tuple[int, ...], ...] = ()
+    slice_modes: tuple[int, ...] = (1,)
     roms: dict = field(default_factory=dict)
 
 
@@ -89,6 +91,21 @@ def _parse_indices(s: str) -> tuple[int, ...] | str:
     return tuple(dict.fromkeys(int(t) for t in s.split(",") if t.strip()))
 
 
+def _parse_path(s: str) -> tuple[tuple[int, ...], ...]:
+    """A ;-separated list of comma lists of ints: j0,i0;j1,i1;..."""
+    return tuple(tuple(int(c) for c in vert.split(",")) for vert in s.split(";") if vert.strip())
+
+
+def _text(value) -> str:
+    """value spelled as its parser reads it back: None as nothing, (1, 2)
+    as 1,2 and ((0, 0), (2, 3)) as 0,0;2,3."""
+    if value is None:
+        return ""
+    if isinstance(value, tuple):
+        return (";" if value and isinstance(value[0], tuple) else ",").join(map(_text, value))
+    return str(value)
+
+
 def _optional(parse):
     return lambda s: None if s.strip() == "" else parse(s)
 
@@ -97,7 +114,8 @@ def _optional(parse):
 # its annotation.
 _TYPE_PARSERS = {str: str, int: int, float: float, bool: _parse_bool,
                  int | None: _optional(int), float | None: _optional(float),
-                 tuple[int, ...] | None: _parse_indices}
+                 tuple[int, ...]: _parse_indices, tuple[int, ...] | None: _optional(_parse_indices),
+                 tuple[tuple[int, ...], ...]: _parse_path}
 _PARSERS = {name: _TYPE_PARSERS[hint]
             for name, hint in typing.get_type_hints(RunConfig).items() if name != "roms"}
 _ROM_PARSERS = {name: _TYPE_PARSERS[hint]
@@ -109,44 +127,40 @@ _POSITIVE = (lambda v: 0.0 < v < math.inf, "positive and finite")
 _FRACTION = (lambda v: 0.0 < v < 1.0, "in (0, 1)")
 _BANDWIDTH = (lambda v: v > 0.0 and sys.float_info.min <= v * v < math.inf,
               "positive with a finite normal square")
-
-
-def _resolves_preset(dt: float) -> bool:
-    """True when no two eigenvalues exp(gamma dt) of the tidal preset (its
-    conjugates included) lie within one float64 step of each other at
-    their size.  Closer eigenvalues cannot be told apart: at dt = 1e-320
-    all of them round to 1, and the record has rank 1."""
-    gammas = np.array(tidal_preset())
-    mu = np.exp(np.concatenate([gammas, gammas[gammas.imag != 0].conj()]) * dt)
-    gaps = np.abs(np.subtract.outer(mu, mu))
-    np.fill_diagonal(gaps, math.inf)
-    return bool(gaps.min() > np.finfo(float).eps * np.abs(mu).max())
-
-
+_NUMBER = (lambda v: not math.isnan(v), "a number")
 _RULES = {"loo_trials": (lambda v: v >= 1, ">= 1"), "seed": (lambda v: v >= 0, ">= 0"),
           "h_robust": _BANDWIDTH, "h_cluster": _BANDWIDTH, "cluster_level": _FRACTION,
           "persistence_t": _POSITIVE, "persistence_factor": _FRACTION,
-          "synth_dt": (lambda v: _POSITIVE[0](v) and _resolves_preset(v),
-                       "positive and finite, with the tidal preset's eigenvalues "
-                       "exp(gamma dt) pairwise distinct in float64"),
+          "synth_dt": _POSITIVE,  # OracleSpec rejects a step that aliases the preset
           "synth_noise": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
-          "slice_kind": (lambda v: v in ("surface", "section"), "surface or section")}
+          "slice_kind": (lambda v: v in ("surface", "section"), "surface or section"),
+          "slice_modes": (lambda v: v != "all" and len(v) > 0, "a non-empty list of mode indices"),
+          "slice_path": (lambda v: all(len(vert) == 2 for vert in v), "j,i pairs: j0,i0;j1,i1;..."),
+          # rom.<name>.<field>: a NaN bound compares false, so it would bound nothing
+          "rms_min": _NUMBER, "rms_max": _NUMBER,
+          "robustness_min": _NUMBER, "robustness_max": _NUMBER}
 
 
 def _set(cfg: RunConfig, key: str, text: str, where: str) -> None:
-    """Parse text as the value of key, check the key's rule and assign it."""
+    """Parse text as the value of key, a RunConfig field or
+    rom.<name>.<field>, check the field's rule and assign it."""
+    *block, fld = key.split(".")  # block is [] or ["rom", name]
     try:
-        value = _PARSERS[key](text)
+        value = (_ROM_PARSERS if block else _PARSERS)[fld](text)
     except ValueError as exc:
         raise ConfigError(f"{where}: bad value for {key}: {exc}") from exc
-    ok, rule = _RULES.get(key, (lambda v: True, ""))
+    ok, rule = _RULES.get(fld, (lambda v: True, ""))
     if value is not None and not ok(value):
-        raise ConfigError(f"{key} must be {rule}, got {value}")
-    setattr(cfg, key, value)
+        raise ConfigError(f"{key} must be {rule}, got {_text(value)}")
+    if block:
+        cfg.roms.setdefault(block[1], {})[fld] = value
+    else:
+        setattr(cfg, key, value)
 
 
 def load_config(path: str | Path) -> RunConfig:
-    """Parse a flat key=value config file; unknown keys are errors."""
+    """Parse a flat key=value config file; unknown keys are errors, and so
+    is a ROM block that sets indices together with a box bound."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -162,43 +176,21 @@ def load_config(path: str | Path) -> RunConfig:
             parts = key.split(".")
             if len(parts) != 3 or parts[2] not in _ROM_PARSERS:
                 raise ConfigError(f"{path}:{lineno}: bad ROM key {key!r}")
-            cfg.roms.setdefault(parts[1], {})[parts[2]] = value
-        elif key in _PARSERS:
-            _set(cfg, key, value, f"{path}:{lineno}")
-        else:
+        elif key not in _PARSERS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        _set(cfg, key, value, f"{path}:{lineno}")
+    for name, fields in cfg.roms.items():
+        given = [f for f, v in fields.items() if v is not None and v is not False]
+        if "indices" in given and len(given) > 1:
+            raise ConfigError(f"rom.{name}: either indices or box bounds, got {', '.join(given)}")
     return cfg
 
 
 def _config_echo(cfg: RunConfig) -> str:
-    values = {key: getattr(cfg, key) for key in _PARSERS}
-    lines = [f"{key} = {'' if v is None else v}" for key, v in values.items()]
-    lines += (f"rom.{name}.{fld} = {text}"
-              for name, fields in cfg.roms.items() for fld, text in fields.items())
+    lines = [f"{key} = {_text(getattr(cfg, key))}" for key in _PARSERS]
+    lines += (f"rom.{name}.{fld} = {_text(value)}"
+              for name, fields in cfg.roms.items() for fld, value in fields.items())
     return "\n".join(sorted(lines)) + "\n"
-
-
-def _slice_request(cfg: RunConfig) -> tuple[tuple[int, ...], SurfaceSlice | VerticalSection]:
-    """The 1-based mode indices and the slice geometry of cfg.  The
-    geometry's channel is left empty: it needs the layout of the input."""
-    try:
-        modes_idx = _parse_indices(cfg.slice_modes)
-    except ValueError as exc:
-        raise ConfigError(f"bad slice_modes: {exc}") from exc
-    if not modes_idx or modes_idx == "all":
-        raise ConfigError(f"slice_modes must list mode indices, got {cfg.slice_modes!r}")
-    if cfg.slice_kind == "surface":
-        return modes_idx, SurfaceSlice(channel="", k=cfg.slice_k)
-    try:
-        verts = tuple(
-            tuple(int(c) for c in vert.split(","))
-            for vert in cfg.slice_path.split(";") if vert.strip()
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad slice_path: {exc}") from exc
-    if not verts or any(len(v) != 2 for v in verts):
-        raise ConfigError("slice_path must be j0,i0;j1,i1;...")
-    return modes_idx, VerticalSection(channel="", path=verts)
 
 
 class _OutputDir:
@@ -241,9 +233,8 @@ def _complex_pairs(arr: np.ndarray) -> list[list[float]]:
 def _resolve_options(cfg: RunConfig) -> DmdOptions:
     """Decomposition options from the config; an unset rank stays None,
     which the decomposition resolves to its default rank."""
-    return DmdOptions(r=cfg.rank, use_tlsq=cfg.tlsq, tlsq_rank=cfg.tlsq_rank,
-                      normalize_columns=cfg.normalize, remove_mean=cfg.mean_removal,
-                      b_fit=cfg.bfit)
+    return DmdOptions(r=cfg.rank, use_tlsq=cfg.tlsq, normalize_columns=cfg.normalize,
+                      remove_mean=cfg.mean_removal, b_fit=cfg.bfit)
 
 
 @dataclass(frozen=True)
@@ -259,12 +250,11 @@ class _Analysis:
     loo: LeaveOneOutResult | None
 
 
-def _analyse(cfg: RunConfig, robust: bool) -> _Analysis:
-    """Load, resolve options, decompose and tabulate the modes; robust runs
-    leave-one-out and fills the robustness column."""
+def _analyse(cfg: RunConfig, opts: DmdOptions, robust: bool) -> _Analysis:
+    """Load, decompose and tabulate the modes; robust runs leave-one-out
+    and fills the robustness column."""
     if not cfg.input:
         raise ConfigError("no input dataset configured (key: input)")
-    opts = _resolve_options(cfg)
     snap = fileio.open_source(cfg.input)
     if robust and snap.n < 3:  # a trial deletes one of the N - 1 pair columns
         raise DataFormatError(f"{cfg.input}: leave-one-out needs N >= 3 snapshots, "
@@ -302,7 +292,7 @@ def _write_result_files(out: _OutputDir, a: _Analysis) -> None:
     write_mode_table(a.infos, out.path("modes_table.csv"))
 
 
-def cmd_synth(cfg: RunConfig) -> int:
+def cmd_synth(cfg: RunConfig, opts: DmdOptions) -> int:
     spec = tidal_spec(d=cfg.synth_d, n=cfg.synth_n, dt=cfg.synth_dt,
                       noise_sigma=cfg.synth_noise, seed=cfg.seed, profile=cfg.synth_profile)
     snap, truth = generate(spec)
@@ -331,8 +321,8 @@ def cmd_synth(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_run(cfg: RunConfig) -> int:
-    a = _analyse(cfg, robust=False)
+def cmd_run(cfg: RunConfig, opts: DmdOptions) -> int:
+    a = _analyse(cfg, opts, robust=False)
     out = _OutputDir(cfg.out, "run")
     _write_result_files(out, a)
     out.finish(cfg)
@@ -341,8 +331,8 @@ def cmd_run(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_loo(cfg: RunConfig) -> int:
-    a = _analyse(cfg, robust=True)
+def cmd_loo(cfg: RunConfig, opts: DmdOptions) -> int:
+    a = _analyse(cfg, opts, robust=True)
     pooled = a.loo.pooled()
     density = KdeDensity(points=pooled, weights=np.ones(pooled.size),
                          bandwidth=cfg.h_cluster)
@@ -359,8 +349,12 @@ def cmd_loo(cfg: RunConfig) -> int:
         ((t, trial.omitted_column, z.real, z.imag)
          for t, trial in enumerate(a.loo.trials) for z in trial.mu.tolist()),
     )
-    fileio.write_raster_csv(out.path("kde_grid.csv"), ("re", "im", "density"),
-                            re_axis, im_axis, values)
+    im_text = ["%.17g" % im for im in im_axis.tolist()]  # each axis value formatted once
+    fileio.write_csv(
+        out.path("kde_grid.csv"), ("re", "im", "density"), "%s,%s,%.17g",
+        ((re, im, v) for re, row in zip(("%.17g" % re for re in re_axis.tolist()), values)
+         for im, v in zip(im_text, row.tolist())),
+    )
     out.finish(cfg)
     n_clustered = sum(1 for info in a.infos if info.cluster is not None)
     failed = f", {len(a.loo.failures)} failed" if a.loo.failures else ""
@@ -370,28 +364,16 @@ def cmd_loo(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_rom(cfg: RunConfig) -> int:
+def cmd_rom(cfg: RunConfig, opts: DmdOptions) -> int:
     if not cfg.roms:
         raise ConfigError("no ROM selections configured (keys: rom.<name>.<field>)")
-    selections = {}
-    for name in sorted(cfg.roms):
-        try:
-            selections[name] = {fld: _ROM_PARSERS[fld](text)
-                                for fld, text in cfg.roms[name].items()}
-        except ValueError as exc:
-            raise ConfigError(f"rom.{name}: {exc}") from exc
-        for fld, value in selections[name].items():
-            if isinstance(value, float) and math.isnan(value):
-                raise ConfigError(f"rom.{name}.{fld} must be a number, got nan")
-        given = [f for f, v in selections[name].items() if v is not None and v is not False]
-        if "indices" in given and len(given) > 1:
-            raise ConfigError(f"rom.{name}: either indices or box bounds, got {', '.join(given)}")
-    a = _analyse(cfg, robust=any(kw.get(f) is not None for kw in selections.values()
-                                 for f in ("robustness_min", "robustness_max")))
+    a = _analyse(cfg, opts, robust=any(kw.get(f) is not None for kw in cfg.roms.values()
+                                       for f in ("robustness_min", "robustness_max")))
     curves = {}  # every selection resolves before the first file is written
-    for name, kw in selections.items():
+    for name in sorted(cfg.roms):
+        kw = cfg.roms[name]
         if kw.get("indices") == "all":
-            kw["indices"] = tuple(range(1, a.result.r + 1))
+            kw = dict(kw, indices=tuple(range(1, a.result.r + 1)))
         sel = RomSelection(persistence_t=a.t_window,
                            persistence_factor=cfg.persistence_factor, **kw)
         try:
@@ -438,21 +420,23 @@ def _ellipse_rows(gu: np.ndarray, gv: np.ndarray):
                ell.rotation_sense)
 
 
-def cmd_slice(cfg: RunConfig) -> int:
-    modes_idx, spec = _slice_request(cfg)
-    a = _analyse(cfg, robust=False)
+def cmd_slice(cfg: RunConfig, opts: DmdOptions) -> int:
+    if cfg.slice_kind == "section" and not cfg.slice_path:
+        raise ConfigError("slice_path must be set for a section: j0,i0;j1,i1;...")
+    a = _analyse(cfg, opts, robust=False)
     result, layout = a.result, a.snap.layout
     channel = cfg.slice_channel or layout.channels[0].name
     names = {c.name for c in layout.channels}
     if channel not in names:
         raise ConfigError(f"layout has no channel named {channel!r}; "
                           f"available: {', '.join(sorted(names))}")
-    for m in modes_idx:
+    for m in cfg.slice_modes:
         if not 1 <= m <= result.r:
             raise ConfigError(f"slice mode index {m} outside 1..{result.r}")
-    spec = dataclasses.replace(spec, channel=channel)
+    spec = (SurfaceSlice(channel, cfg.slice_k) if cfg.slice_kind == "surface"
+            else VerticalSection(channel, cfg.slice_path))
     out = _OutputDir(cfg.out, "slice")
-    for m in modes_idx:
+    for m in cfg.slice_modes:
         phi, b = result.mode(m - 1), result.b[m - 1]
         sl = extract_slice(phi, layout, spec)
         for tag, grid in zip(("amplitude", "phase"), polar_mode(sl, b)):
@@ -474,7 +458,7 @@ def cmd_slice(cfg: RunConfig) -> int:
                 "%d,%d,%.17g,%.17g,%.17g,%s", _ellipse_rows(gu, gv),
             )
     out.finish(cfg)
-    print(f"slice: wrote {cfg.slice_kind} slices of modes {list(modes_idx)} -> {out.dir}")
+    print(f"slice: wrote {cfg.slice_kind} slices of modes {list(cfg.slice_modes)} -> {out.dir}")
     return 0
 
 
@@ -511,19 +495,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    """The config file's settings, then each given flag set over its key."""
+def _config(args: argparse.Namespace) -> tuple[RunConfig, DmdOptions]:
+    """The config file's settings, then each given flag set over its key,
+    and the decomposition options they resolve to: DmdOptions checks rank
+    and bfit, for every command."""
     cfg = load_config(args.config) if args.config else RunConfig()
     for key in _FLAGS:
         if getattr(args, key) is not None:
             _set(cfg, key, getattr(args, key), "--" + key.replace("_", "-"))
-    return cfg
+    return cfg, _resolve_options(cfg)
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return _COMMANDS[args.command](_config(args))
+        return _COMMANDS[args.command](*_config(args))
     except (NumericalError, ArithmeticError, np.linalg.LinAlgError) as exc:  # before ValueError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

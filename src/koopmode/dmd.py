@@ -96,18 +96,15 @@ class DmdOptions:
     """Settings for one decomposition run.
 
     r is the truncation rank; None takes the default rank
-    max(1, min(data rank, N - 4)) of the data decomposed.
-    tlsq_rank, the rank of the TLSQ projection, defaults to r and may not
-    lie below it.  With TLSQ on and both ranks set, that is checked here,
-    before any data is read; with r None, when exact_dmd sets the
-    resolved rank.
+    max(1, min(data rank, N - 4)) of the data decomposed.  With use_tlsq
+    the pair is projected at rank r too.
     b_fit is "first" (the joint amplitude fit over snapshot 0 alone) or
     "multi:<count>" (over count snapshots evenly spread over the record,
-    endpoints included)."""
+    endpoints included).  Both are checked on construction, before any
+    data is read; the CLI builds its options as the config is read."""
 
     r: int | None = None
     use_tlsq: bool = False
-    tlsq_rank: int | None = None
     normalize_columns: bool = False
     remove_mean: bool = False
     b_fit: str = "first"
@@ -115,10 +112,6 @@ class DmdOptions:
     def __post_init__(self):
         if self.r is not None and self.r < 1:
             raise ValueError(f"truncation rank r must be >= 1, got {self.r}")
-        if self.tlsq_rank is not None and self.tlsq_rank < 1:
-            raise ValueError(f"tlsq_rank must be >= 1, got {self.tlsq_rank}")
-        if self.use_tlsq and None not in (self.r, self.tlsq_rank) and self.tlsq_rank < self.r:
-            raise ValueError(f"tlsq_rank {self.tlsq_rank} is below the truncation rank {self.r}")
         self.fit_count()  # validates b_fit syntax
 
     def fit_count(self) -> int | None:
@@ -362,10 +355,9 @@ def _spectrum(r1: np.ndarray, r2: np.ndarray, d: int, opts: DmdOptions) -> _Spec
     if opts.normalize_columns:
         r1, r2, scales = column_normalize(r1, r2)
     if opts.use_tlsq:
-        rank = opts.tlsq_rank if opts.tlsq_rank is not None else opts.r
-        basis = _tlsq_basis(r1, r2, rank)
+        basis = _tlsq_basis(r1, r2, opts.r)
         r1, r2 = r1 @ basis, r2 @ basis
-        cols = rank
+        cols = opts.r
     if not 1 <= opts.r <= min(d, cols):
         raise ValueError(
             f"truncation rank r={opts.r} infeasible for a {d}x{cols} matrix"
@@ -672,7 +664,7 @@ def deletion_spectrum(result: DmdResult, column: int) -> np.ndarray:
 
     result comes from exact_dmd: the rerun deletes the column from the R
     pair in result.factor and never forms a D-row array.  Its truncation
-    rank (and TLSQ rank) are capped at the reduced column count.  It
+    rank is capped at the reduced column count.  It
     computes eigenvalues only: it forms no modes and fits no amplitudes,
     so it cannot fail on the amplitude fit.  Raises NumericalError on
     rank loss, a defective eigenvector matrix or a zero eigenvalue.
@@ -681,7 +673,7 @@ def deletion_spectrum(result: DmdResult, column: int) -> np.ndarray:
     n = fac.norms.size
     r = fac.r[:fac.modes.shape[0], :n]
     cap = n - 2  # the pair columns left after the deletion
-    opts = replace(opts, r=min(opts.r, cap), tlsq_rank=min(opts.tlsq_rank or opts.r, cap))
+    opts = replace(opts, r=min(opts.r, cap))
     mu = _spectrum(np.delete(r[:, :-1], column, axis=1), np.delete(r[:, 1:], column, axis=1),
                    result.modes.shape[0], opts).mu
     return mu[np.lexsort((np.angle(mu), -np.abs(mu)))]

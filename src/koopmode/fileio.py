@@ -34,6 +34,7 @@ import struct
 import tempfile
 import weakref
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -46,6 +47,7 @@ _HEADER = struct.Struct("<4sIQQdd")
 SNAPSHOT_MAGIC = b"DMDS"
 MODES_MAGIC = b"DMDM"
 FORMAT_VERSION = 1
+_CSV_CHUNK = 1024  # lines write_csv formats and writes at a time
 
 
 def _sidecar_path(path: Path) -> Path:
@@ -265,37 +267,18 @@ def read_mode_matrix(path: str | Path) -> tuple[np.ndarray, float, float]:
 
 def write_csv(path: str | Path, header: Sequence[str], fmt: str,
               rows: Iterable[tuple]) -> None:
-    """Write a CSV table row by row, with LF line endings.
+    """Write a CSV table, with LF line endings.
 
     Each row is formatted with one `%` against fmt, e.g. "%d,%.17g"
     (17 significant digits round-trip a float).  NaN cells are written
     empty: every table encodes undefined values that way.  rows is
-    consumed lazily, so a large table never sits in memory as text.
+    consumed lazily, _CSV_CHUNK lines at a time, so a large table never
+    sits in memory as text; "nan" is blanked once per chunk, which
+    blanks what it would line by line, as no match spans a newline.
     """
     line = fmt + "\n"
-    _write_lines(path, header, ((line % row).replace("nan", "") for row in rows))
-
-
-def write_raster_csv(path: str | Path, header: Sequence[str], x_axis: np.ndarray,
-                     y_axis: np.ndarray, values: np.ndarray) -> None:
-    """Write values[i, j] of a raster as rows x_i,y_j,values[i, j] in
-    row-major order, as write_csv would with fmt "%.17g,%.17g,%.17g".
-
-    Each axis value is formatted once, and NaN is looked for once in the
-    arrays rather than in every line, so a raster without NaN (a density,
-    say) skips write_csv's per-line scan.
-    """
-    y_text = ["%.17g" % y for y in y_axis.tolist()]
-    rows = ((x, y, v) for x, row in zip(("%.17g" % x for x in x_axis.tolist()), values)
-            for y, v in zip(y_text, row.tolist()))
-    if np.isnan(x_axis).any() or np.isnan(y_axis).any() or np.isnan(values).any():
-        write_csv(path, header, "%s,%s,%.17g", rows)
-    else:
-        _write_lines(path, header, ("%s,%s,%.17g\n" % row for row in rows))
-
-
-def _write_lines(path: str | Path, header: Sequence[str], lines: Iterable[str]) -> None:
+    rows = iter(rows)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(lines)
-
+        while chunk := "".join([line % row for row in islice(rows, _CSV_CHUNK)]):
+            fh.write(chunk.replace("nan", ""))

@@ -60,6 +60,12 @@ class ModeSpec:
 
 @dataclass(frozen=True)
 class OracleSpec:
+    """A synthetic record: d rows, n snapshots dt hours apart, the modes
+    and the noise.  Two closed-set eigenvalues mu = exp(gamma dt) within
+    n * eps * max|mu| of each other are rejected: a step that aliases
+    two frequencies (dt = 12 h takes S2's exp(2 pi i) onto the constant
+    mode's 1) or rounds them together leaves them indistinguishable."""
+
     d: int
     n: int
     dt: float
@@ -75,6 +81,14 @@ class OracleSpec:
             raise ValueError("dt must be positive")
         if not self.modes:
             raise ValueError("need at least one mode")
+        gammas = np.array([complex(m.gamma) for m in self.modes])
+        mu = np.exp(np.concatenate([gammas, gammas[gammas.imag != 0].conj()]) * self.dt)
+        gaps = np.abs(np.subtract.outer(mu, mu))
+        np.fill_diagonal(gaps, math.inf)
+        bound = self.n * np.finfo(float).eps * np.abs(mu).max()
+        if not gaps.min() > bound:
+            raise ValueError(f"dt = {self.dt} h puts two closed-set eigenvalues exp(gamma dt) "
+                             f"within N eps max|mu| = {bound:.2e} of each other (N = {self.n})")
         if self.noise_sigma < 0:
             raise ValueError("noise level must be non-negative")
         if self.layout is not None and self.layout.dim != self.d:

@@ -54,12 +54,9 @@ def _reduced_operator(x1: np.ndarray, x2: np.ndarray, opts: DmdOptions):
     if opts.normalize_columns:
         x1, x2, _ = column_normalize(x1, x2)
     if opts.use_tlsq:
-        rank = opts.tlsq_rank if opts.tlsq_rank is not None else opts.r
-        if rank < opts.r:
-            raise ValueError(f"tlsq_rank {rank} is below the truncation rank {opts.r}")
-        v = _tlsq_basis(x1, x2, rank)
+        v = _tlsq_basis(x1, x2, opts.r)
         x1, x2 = x1 @ v, x2 @ v
-        cols = rank
+        cols = opts.r
     if not 1 <= opts.r <= min(d, cols):
         raise ValueError(
             f"truncation rank r={opts.r} infeasible for a {d}x{cols} matrix"
@@ -164,14 +161,9 @@ def reference_operator_norm(snap, opts: DmdOptions) -> float:
 
 def reference_trial_mu(snap, opts: DmdOptions, omitted: int) -> np.ndarray:
     """Spectrum of the leave-one-out trial that deletes pair column omitted,
-    with the ranks capped as leave_one_out caps them."""
+    with the rank capped as leave_one_out caps it."""
     x1, x2, fit_data, mean_mode = regression_pair(snap, opts)
-    cols = x1.shape[1]
-    tlsq_cap = None
-    if opts.use_tlsq:
-        tlsq_cap = min(opts.tlsq_rank if opts.tlsq_rank is not None else opts.r,
-                       cols - 1)
-    trial_opts = replace(opts, r=min(opts.r, cols - 1), tlsq_rank=tlsq_cap)
+    trial_opts = replace(opts, r=min(opts.r, x1.shape[1] - 1))
     res = reference_dmd_from_pair(np.delete(x1, omitted, axis=1),
                                   np.delete(x2, omitted, axis=1),
                                   fit_data, snap.dt, trial_opts, mean_mode, snap.t0)

@@ -57,23 +57,28 @@ def test_load_config_parses_values(tmp_path):
         "input = data.dmds   # trailing comment\n"
         "rank = 17\n"
         "tlsq = off\n"
-        "tlsq_rank =\n"
         "persistence_t = 143.0\n"
+        "slice_path = 0,1; 2,3\n"
+        "slice_modes = 3,1,3\n"
         "rom.big.indices = all\n"
         "rom.band.rms_min = 0.5\n"
         "rom.band.rms_max = 2.0\n"
+        "rom.band.persistent_only = on\n"
+        "rom.band.robustness_min =\n"
         "\n"
     )
     cfg = load_config(path)
     assert cfg.input == "data.dmds"
-    assert cfg.rank == 17 and cfg.tlsq is False and cfg.tlsq_rank is None
+    assert cfg.rank == 17 and cfg.tlsq is False
     assert cfg.persistence_t == 143.0
+    assert cfg.slice_path == ((0, 1), (2, 3)) and cfg.slice_modes == (3, 1)
     assert cfg.roms == {"big": {"indices": "all"},
-                        "band": {"rms_min": "0.5", "rms_max": "2.0"}}
+                        "band": {"rms_min": 0.5, "rms_max": 2.0, "persistent_only": True,
+                                 "robustness_min": None}}
 
 
 @pytest.mark.parametrize("line", ["wavelets = on", "svd_mode = high_accuracy",
-                                  "synth_preset = tidal"])
+                                  "synth_preset = tidal", "tlsq_rank = 5"])
 def test_load_config_rejects_unknown_key(tmp_path, line):
     """An unknown key, or one that older versions read, is an error."""
     path = tmp_path / "a.cfg"
@@ -109,20 +114,46 @@ def test_config_echo_round_trips(tmp_path):
     and the ROM blocks.  A field without a parser reads as an unknown key."""
     cfg = RunConfig(
         input="data.dmds", out="elsewhere", seed=5, rank=17, tlsq=False,
-        tlsq_rank=20, normalize=False, mean_removal=True, bfit="first",
+        normalize=False, mean_removal=True, bfit="first",
         loo_trials=7, h_robust=0.004, h_cluster=0.05,
         cluster_level=0.2, persistence_t=143.5, persistence_factor=0.3,
         synth_d=60, synth_n=48, synth_dt=0.5,
         synth_noise=1e-3, synth_profile="phase_ramp", slice_kind="section",
-        slice_channel="uz", slice_k=2, slice_path="0,0;2,3", slice_modes="1,2",
-        roms={"all": {"indices": "all"},
-              "band": {"rms_min": "0.5", "persistent_only": "on"}})
+        slice_channel="uz", slice_k=2, slice_path=((0, 0), (2, 3)), slice_modes=(1, 2),
+        roms={"all": {"indices": "all"}, "some": {"indices": (3, 1)},
+              "band": {"rms_min": 0.5, "rms_max": None, "persistent_only": True}})
     for f in dataclasses.fields(RunConfig):
         default = f.default_factory() if f.default is dataclasses.MISSING else f.default
         assert getattr(cfg, f.name) != default, f.name
     path = tmp_path / "echo.cfg"
     path.write_text(cli._config_echo(cfg))
     assert load_config(path) == cfg
+    echo = path.read_text()
+    assert "slice_path = 0,0;2,3\n" in echo and "rom.band.persistent_only = True\n" in echo
+
+
+_INDICES = st.lists(st.integers(0, 10**6), min_size=1, max_size=6, unique=True).map(tuple)
+_BOUND = st.one_of(st.none(), st.floats(allow_nan=False))
+_ROM_BLOCK = st.one_of(
+    st.fixed_dictionaries({"indices": st.one_of(st.just("all"), _INDICES)}),
+    st.fixed_dictionaries({}, optional={"indices": st.none(), "rms_min": _BOUND,
+                                        "rms_max": _BOUND, "robustness_min": _BOUND,
+                                        "robustness_max": _BOUND,
+                                        "persistent_only": st.booleans()}).filter(bool))
+
+
+@given(modes=_INDICES,
+       path=st.lists(st.tuples(st.integers(-9, 99), st.integers(-9, 99)), max_size=5).map(tuple),
+       roms=st.dictionaries(st.text("abz_019", min_size=1, max_size=5), _ROM_BLOCK, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_config_echo_round_trips_typed_slice_and_rom_values(modes, path, roms):
+    """Whatever typed slice and ROM values a config holds, load_config
+    reads back from config_echo.cfg the same values."""
+    cfg = RunConfig(slice_modes=modes, slice_path=path, roms=roms)
+    with tempfile.TemporaryDirectory() as tmp:
+        echo = Path(tmp) / "echo.cfg"
+        echo.write_text(cli._config_echo(cfg))
+        assert load_config(echo) == cfg
 
 
 def test_load_config_missing_file(tmp_path):
@@ -150,8 +181,9 @@ def test_flags_set_what_config_lines_set(out, seed, rank, tlsq, mean_removal, bf
         path = write_cfg(Path(tmp), **values)
         from_lines = cli._config(cli.build_parser().parse_args(["run", "--config", path]))
     from_flags = cli._config(cli.build_parser().parse_args(["run", *flags]))
-    assert from_flags == from_lines
-    assert from_flags.rank == (rank or None) and from_flags.seed == seed
+    assert from_flags == from_lines  # the config and the options it resolves to
+    assert from_flags[0].rank == (rank or None) and from_flags[0].seed == seed
+    assert from_flags[1].r == from_flags[0].rank and from_flags[1].b_fit == bfit
 
 
 @pytest.mark.parametrize("flag,value", [("--tlsq", "maybe"), ("--rank", "x"),
@@ -185,15 +217,21 @@ def test_help_exits_0(capsys):
     ("synth", "synth_noise", "nan"), ("synth", "synth_noise", -1e-3),
     ("synth", "synth_dt", "nan"), ("synth", "synth_dt", "inf"), ("synth", "synth_dt", 0),
     ("synth", "synth_dt", 1e-320), ("synth", "synth_dt", 1e-14),
+    ("synth", "synth_dt", 12), ("synth", "synth_dt", 24),
     ("synth", "seed", -1), ("run", "seed", -1),
 ])
 def test_synthesis_and_seed_keys_are_checked_when_read(tmp_path, capsys, command, key, value):
-    """synth_noise (finite, >= 0), synth_dt (positive, finite, and resolving
-    the tidal preset's eigenvalues) and seed (>= 0) fail as the config is
-    read, naming the key, and write nothing."""
+    """synth_noise (finite, >= 0), synth_dt (positive and finite) and seed
+    (>= 0) fail as the config is read, naming the key, and write nothing.
+    A positive synth_dt that puts two of the preset's eigenvalues within
+    N eps of each other (12 h and 24 h take S2 onto the constant mode's 1)
+    is refused by OracleSpec, also before anything is written."""
     cfg = write_cfg(tmp_path, "c.cfg", out=tmp_path / "o", **{key: value})
     assert main([command, "--config", cfg]) == 2
-    assert f"config error: {key} must be " in capsys.readouterr().err
+    owner = key == "synth_dt" and 0 < float(value) < math.inf
+    expected = (f"dt = {float(value)} h puts two closed-set eigenvalues" if owner
+                else f"{key} must be ")
+    assert f"config error: {expected}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -204,6 +242,33 @@ def test_settings_are_checked_for_every_command(tmp_path, capsys):
     assert main(["synth", "--config", cfg]) == 2
     assert "config error: loo_trials must be >= 1, got 0" in capsys.readouterr().err
     assert not (tmp_path / "synth").exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "run"])
+@pytest.mark.parametrize("key,value,message", [
+    ("bfit", "bogus", "unknown b_fit 'bogus'"),
+    ("rank", "0", "truncation rank r must be >= 1, got 0"),
+    ("rom.a.rms_min", "abc", "bad value for rom.a.rms_min: could not convert"),
+    ("rom.a.indices", "1,x", "bad value for rom.a.indices: invalid literal"),
+    ("slice_modes", "x", "bad value for slice_modes: invalid literal"),
+    ("slice_modes", "all", "slice_modes must be a non-empty list of mode indices, got all"),
+    ("slice_path", "1;2", "slice_path must be j,i pairs: j0,i0;j1,i1;..., got 1;2"),
+])
+def test_every_command_rejects_what_another_command_reads(tmp_path, capsys, command, key,
+                                                          value, message):
+    """A ROM, slice or decomposition setting is parsed and checked as the
+    config is read, by the one setter or by DmdOptions, so synth and run,
+    which use none of the ROM and slice keys, exit 2 on a bad one and
+    write nothing."""
+    data = synth_dataset(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / f"{command}-out"
+    cfg = write_cfg(tmp_path, f"{command}.cfg", input=data, out=out, synth_d=40, synth_n=32,
+                    **{key: value})
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err, err
+    assert not out.exists()
 
 
 def test_slice_kind_is_checked_for_run(tmp_path, capsys):
@@ -427,25 +492,6 @@ def test_loo_exits_2_on_bad_settings_before_reading_data(tmp_path, monkeypatch, 
                     out=tmp_path / "loo", rank=17, **{key: value})
     assert main(["loo", "--config", cfg]) == 2
     assert f"config error: {key} must be" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", ["run", "loo"])
-def test_tlsq_rank_below_rank_exits_2_before_reading_data(tmp_path, monkeypatch, capsys,
-                                                          command):
-    """An explicit tlsq_rank below an explicit rank is refused with the
-    options, before pass 1 reads a row of the input."""
-    data = synth_dataset(tmp_path)
-
-    def never(*args, **kwargs):
-        raise AssertionError("read before the settings were checked")
-
-    monkeypatch.setattr(cli.fileio.SnapshotFile, "read_rows", never)
-    cfg = write_cfg(tmp_path, f"{command}.cfg", input=data, out=tmp_path / command,
-                    rank=17, tlsq_rank=5)
-    assert main([command, "--config", cfg]) == 2
-    assert ("config error: tlsq_rank 5 is below the truncation rank 17"
-            in capsys.readouterr().err)
-    assert not (tmp_path / command).exists()
 
 
 def test_loo_exits_3_on_a_kde_raster_beyond_the_cell_bound(tmp_path, capsys):
@@ -690,17 +736,19 @@ def test_slice_section(tmp_path):
 
 
 @pytest.mark.parametrize("command,key,value,message", [
-    ("rom", "rom.a.rms_min", "abc", "rom.a: could not convert"),
-    ("rom", "rom.a.indices", "1,x", "rom.a: invalid literal"),
-    ("rom", "rom.a.persistent_only", "maybe", "rom.a: expected on/off"),
+    ("rom", "rom.a.rms_min", "abc", "bad value for rom.a.rms_min: could not convert"),
+    ("rom", "rom.a.indices", "1,x", "bad value for rom.a.indices: invalid literal"),
+    ("rom", "rom.a.persistent_only", "maybe",
+     "bad value for rom.a.persistent_only: expected on/off"),
     ("rom", "rom.a.rms_min", "nan", "rom.a.rms_min must be a number, got nan"),
     ("rom", "rom.a.robustness_max", "nan", "rom.a.robustness_max must be a number, got nan"),
     ("rom", "rom.b.rms_min", "1e9", "rom.b: either indices or box bounds, got indices, rms_min"),
     ("rom", "rom.b.robustness_min", "1e9", "rom.b: either indices or box bounds"),
     ("rom", "rom.b.persistent_only", "on", "rom.b: either indices or box bounds"),
     ("slice", "slice_kind", "bogus", "slice_kind must be surface or section, got bogus"),
-    ("slice", "slice_modes", "a", "bad slice_modes"),
+    ("slice", "slice_modes", "a", "bad value for slice_modes"),
     ("slice", "slice_path", "1;2", "slice_path must be"),
+    ("slice", "slice_kind", "section", "slice_path must be set for a section"),
 ])
 def test_rom_and_slice_exit_2_on_bad_settings_before_reading_data(
         tmp_path, monkeypatch, capsys, command, key, value, message):
@@ -717,7 +765,8 @@ def test_rom_and_slice_exit_2_on_bad_settings_before_reading_data(
     cfg = write_cfg(tmp_path, f"{command}.cfg", input=tmp_path / "absent.dmds",
                     out=tmp_path / command, rank=17, **extra, **{key: value})
     assert main([command, "--config", cfg]) == 2
-    assert f"config error: {message}" in capsys.readouterr().err
+    err = capsys.readouterr().err  # a value that does not parse is reported with its line
+    assert err.startswith("config error: ") and message in err, err
     assert not (tmp_path / command).exists()
 
 

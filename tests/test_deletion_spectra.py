@@ -46,8 +46,7 @@ def test_trial_spectrum_is_the_reduced_decomposition_spectrum(seed, wide, rank, 
     r = base.factor.r
     r1, r2 = r[:, :-1], r[:, 1:]
     cap = r1.shape[1] - 1
-    trial_opts = replace(base.options, r=min(base.options.r, cap),
-                         tlsq_rank=min(base.options.tlsq_rank or base.options.r, cap))
+    trial_opts = replace(base.options, r=min(base.options.r, cap))
     for i in range(n - 1):
         try:
             ref = dmd._reduced_dmd(np.delete(r1, i, axis=1), np.delete(r2, i, axis=1),

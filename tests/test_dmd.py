@@ -36,7 +36,6 @@ def test_modified_options_flags():
     opts = modified_options(17, fit_count=10)
     assert opts.use_tlsq and opts.normalize_columns
     assert opts.fit_count() == 10
-    assert opts.tlsq_rank is None  # defaults to r at run time
 
 
 # ---------------------------------------------------------- preprocessing
@@ -55,17 +54,6 @@ def test_column_normalize_zero_column(rng):
     x1[:, 2] = 0.0
     with pytest.raises(NumericalError, match="column 2"):
         column_normalize(x1, rng.standard_normal((4, 5)))
-
-
-def test_tlsq_full_rank_preserves_spectrum(rng):
-    """Projection at full column rank is an orthogonal change of basis:
-    the recovered eigenvalues must match the unprojected run."""
-    x, _ = linear_trajectory(rng, 5, 9)
-    snap = snapshots_from_array(x)
-    plain = exact_dmd(snap, DmdOptions(r=5))
-    proj = exact_dmd(snap, DmdOptions(r=5, use_tlsq=True, tlsq_rank=x.shape[1] - 1))
-    assert np.allclose(np.sort_complex(plain.mu), np.sort_complex(proj.mu),
-                       atol=1e-10)
 
 
 def test_tlsq_energy_identity(rng):
@@ -328,16 +316,6 @@ def test_infeasible_rank_rejected(rng):
     x = rng.standard_normal((3, 10))
     with pytest.raises(ValueError, match="infeasible"):
         exact_dmd(snapshots_from_array(x), DmdOptions(r=4))
-
-
-def test_tlsq_rank_below_truncation_rejected(rng):
-    with pytest.raises(ValueError, match="tlsq_rank 3 is below the truncation rank 4"):
-        DmdOptions(r=4, use_tlsq=True, tlsq_rank=3)
-    DmdOptions(r=4, use_tlsq=False, tlsq_rank=3)  # no projection, nothing to check
-    # the default rank (min(data rank, N - 4) = 6 here) is checked once resolved
-    x = rng.standard_normal((6, 12))
-    with pytest.raises(ValueError, match="tlsq_rank 3 is below the truncation rank 6"):
-        exact_dmd(snapshots_from_array(x), DmdOptions(use_tlsq=True, tlsq_rank=3))
 
 
 # ----------------------------------------------------------- invariance

@@ -6,10 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from koopmode import fileio
 from koopmode.errors import DataFormatError
 from koopmode.fileio import (SnapshotFile, open_snapshots, open_source,
                              read_mode_matrix, read_snapshots_csv, write_csv,
-                             write_mode_matrix, write_raster_csv, write_snapshots)
+                             write_mode_matrix, write_snapshots)
 from koopmode.grids import SnapshotMatrix, scalar_layout, velocity_layout
 
 from conftest import make_rng, random_mask
@@ -203,19 +204,27 @@ def test_write_csv_rows_nan_and_line_endings(tmp_path):
 
 @pytest.mark.parametrize("nan_at", [None, "values", "x", "y"])
 def test_write_raster_csv_is_write_csv_of_the_nodes(tmp_path, nan_at):
-    """With or without NaN, in the values or on an axis, the raster table
-    is the one write_csv makes of its nodes at 17 digits."""
+    """A raster table written as loo writes kde_grid.csv, each axis value
+    formatted once and fmt "%s,%s,%.17g", is byte for byte the table of
+    its nodes at 17 digits with NaN blanked line by line: with or without
+    NaN, in the values or on an axis, at row counts just below, at and
+    just above write_csv's chunk of lines."""
     rng = make_rng(5)
-    x, y, values = rng.standard_normal(4), rng.standard_normal(3), rng.random((4, 3))
-    if nan_at is not None:
-        {"values": values[1], "x": x, "y": y}[nan_at][2] = np.nan
-    write_raster_csv(tmp_path / "raster.csv", ("re", "im", "v"), x, y, values)
-    write_csv(tmp_path / "rows.csv", ("re", "im", "v"), "%.17g,%.17g,%.17g",
-              ((x[i], y[j], values[i, j]) for i in range(4) for j in range(3)))
-    text = (tmp_path / "raster.csv").read_text()
-    assert text == (tmp_path / "rows.csv").read_text()
-    empty = sum(cell == "" for line in text.splitlines() for cell in line.split(","))
-    assert empty == {None: 0, "values": 1, "x": 3, "y": 4}[nan_at]
+    chunk = fileio._CSV_CHUNK
+    for nx, ny in ((chunk - 1, 1), (chunk // 4, 4), (chunk + 1, 1), (3, chunk // 3 + 1)):
+        x, y, values = rng.standard_normal(nx), rng.standard_normal(ny), rng.random((nx, ny))
+        if nan_at is not None:
+            {"values": values[-1], "x": x, "y": y}[nan_at][-1] = np.nan
+        y_text = ["%.17g" % v for v in y.tolist()]
+        write_csv(tmp_path / "raster.csv", ("re", "im", "v"), "%s,%s,%.17g",
+                  ((xt, yt, v) for xt, row in zip(("%.17g" % v for v in x.tolist()), values)
+                   for yt, v in zip(y_text, row.tolist())))
+        lines = (("%.17g,%.17g,%.17g\n" % (x[i], y[j], values[i, j])).replace("nan", "")
+                 for i in range(nx) for j in range(ny))
+        text = (tmp_path / "raster.csv").read_text()
+        assert text == "re,im,v\n" + "".join(lines)
+        empty = sum(cell == "" for line in text.splitlines() for cell in line.split(","))
+        assert empty == {None: 0, "values": 1, "x": ny, "y": nx}[nan_at]
 
 
 def legacy_payload(values: np.ndarray) -> bytes:

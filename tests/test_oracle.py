@@ -145,6 +145,24 @@ def test_spec_validation():
         OracleSpec(d=4, n=4, dt=1.0, modes=())
 
 
+@pytest.mark.parametrize("dt", [6.0, 11.967, 12.0, 24.0, 1e-14, 1e-320, math.nan])
+def test_spec_rejects_a_step_that_merges_two_eigenvalues(dt):
+    """At these steps two closed-set eigenvalues of the tidal preset lie
+    within N eps max|mu| of each other at N = 48: 12 h and 24 h take S2
+    onto the constant mode's 1, 11.967 h takes K2 there, 6 h puts S2 and
+    its conjugate together at -1, and a tiny step rounds them all to 1."""
+    with pytest.raises(ValueError, match="puts two closed-set eigenvalues"):
+        tidal_spec(d=60, n=48, dt=dt)
+
+
+@pytest.mark.parametrize("dt", [0.5, 1.0, 2.0, 3.0])
+def test_spec_accepts_steps_that_keep_the_eigenvalues_apart(dt):
+    spec = tidal_spec(d=60, n=48, dt=dt)
+    mu = generate(spec)[1].mu
+    gaps = np.abs(np.subtract.outer(mu, mu))[~np.eye(mu.size, dtype=bool)]
+    assert gaps.min() > 1e-4
+
+
 # ---------------------------------------------------------- tidal preset
 
 def test_tidal_preset_contents():
