@@ -134,9 +134,11 @@ _RULES = {"loo_trials": (lambda v: v >= 1, ">= 1"), "seed": (lambda v: v >= 0, "
           "synth_dt": _POSITIVE,  # OracleSpec rejects a step that aliases the preset
           "synth_noise": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
           "slice_kind": (lambda v: v in ("surface", "section"), "surface or section"),
-          "slice_modes": (lambda v: v != "all" and len(v) > 0, "a non-empty list of mode indices"),
+          "slice_modes": (lambda v: v != "all" and len(v) > 0 and min(v) >= 1,
+                          "a non-empty list of mode indices >= 1"),
           "slice_path": (lambda v: all(len(vert) == 2 for vert in v), "j,i pairs: j0,i0;j1,i1;..."),
           # rom.<name>.<field>: a NaN bound compares false, so it would bound nothing
+          "indices": (lambda v: v == "all" or all(i >= 1 for i in v), "all or mode indices >= 1"),
           "rms_min": _NUMBER, "rms_max": _NUMBER,
           "robustness_min": _NUMBER, "robustness_max": _NUMBER}
 
@@ -149,6 +151,8 @@ def _set(cfg: RunConfig, key: str, text: str, where: str) -> None:
         value = (_ROM_PARSERS if block else _PARSERS)[fld](text)
     except ValueError as exc:
         raise ConfigError(f"{where}: bad value for {key}: {exc}") from exc
+    if isinstance(value, str) and "#" in value:  # config_echo.cfg could not read it back
+        raise ConfigError(f"{key} must not contain '#', which ends a config line, got {value}")
     ok, rule = _RULES.get(fld, (lambda v: True, ""))
     if value is not None and not ok(value):
         raise ConfigError(f"{key} must be {rule}, got {_text(value)}")
@@ -327,7 +331,7 @@ def cmd_run(cfg: RunConfig, opts: DmdOptions) -> int:
     _write_result_files(out, a)
     out.finish(cfg)
     print(f"run: r={a.result.r} modes from {a.snap.d}x{a.snap.n} snapshots -> {out.dir}")
-    print(format_mode_table(a.infos, max_rows=20), end="")
+    print(format_mode_table(a.infos), end="")
     return 0
 
 
@@ -360,7 +364,7 @@ def cmd_loo(cfg: RunConfig, opts: DmdOptions) -> int:
     failed = f", {len(a.loo.failures)} failed" if a.loo.failures else ""
     print(f"loo: {len(a.loo.trials)} trials{failed}, {pooled.size} pooled eigenvalues, "
           f"{n_clustered}/{a.result.r} modes in clusters -> {out.dir}")
-    print(format_mode_table(a.infos, max_rows=20), end="")
+    print(format_mode_table(a.infos), end="")
     return 0
 
 

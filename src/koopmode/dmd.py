@@ -132,10 +132,10 @@ class DmdOptions:
         return asdict(self)
 
 
-def modified_options(r: int | None, fit_count: int = 10) -> DmdOptions:
+def modified_options(r: int | None) -> DmdOptions:
     """Options for the debiased variant: normalization, TLSQ at rank r
-    and a joint amplitude fit."""
-    return DmdOptions(r=r, use_tlsq=True, normalize_columns=True, b_fit=f"multi:{fit_count}")
+    and a joint amplitude fit over 10 snapshots."""
+    return DmdOptions(r=r, use_tlsq=True, normalize_columns=True, b_fit="multi:10")
 
 
 @dataclass(frozen=True)
@@ -167,14 +167,15 @@ class DmdResult:
     closure and slice's ellipses read it; nothing else decides which
     modes pair.  gamma holds the continuous-time exponents log(mu)/dt on
     the principal branch.
-    mean_mode is the removed temporal mean when the option was on.
-    data_rank is the numerical rank of the (centered) regression matrix,
-    and options.r the truncation rank in force.  exact_dmd builds every
-    result; factor holds its snapshots and modes in R-factor coordinates
-    for rom_norms, and only functions of this module read it.  Its modes
-    are a read-only np.memmap of modes_file, a DMDM file in an unlinked
-    temporary in TMPDIR: a page is read from disk when touched, and
-    mode(k) reads one column without touching the map.
+    mean_mode is the removed temporal mean when the option was on, None
+    without centering.  data_rank is the numerical rank of the (centered)
+    regression matrix, and options.r the truncation rank in force.
+    exact_dmd builds every result and sets every field.  factor holds its
+    snapshots and modes in R-factor coordinates for rom_norms, and only
+    functions of this module read it.  Its modes are a read-only
+    np.memmap of modes_file, a DMDM file in an unlinked temporary in
+    TMPDIR: a page is read from disk when touched, and mode(k) reads one
+    column without touching the map.
     """
 
     modes: np.ndarray
@@ -186,11 +187,11 @@ class DmdResult:
     partner: tuple[int | None, ...]
     options: DmdOptions
     dt: float
-    t0: float = 0.0
+    t0: float
+    data_rank: int
+    factor: "_Factor" = field(repr=False, compare=False)
+    modes_file: ModeFile = field(repr=False, compare=False)
     mean_mode: np.ndarray | None = None
-    data_rank: int | None = None
-    factor: "_Factor | None" = field(default=None, repr=False, compare=False)
-    modes_file: ModeFile | None = field(default=None, repr=False, compare=False)
 
     @property
     def r(self) -> int:
@@ -198,10 +199,8 @@ class DmdResult:
 
     def mode(self, k: int, rows: slice = slice(None)) -> np.ndarray:
         """Mode k (0-based), or a contiguous run of its rows, in a new
-        array.  A result of exact_dmd reads it from modes_file, so no page
-        of the mapped modes enters memory."""
-        if self.modes_file is None:
-            return np.array(self.modes[rows, k])
+        array, read from modes_file: no page of the mapped modes enters
+        memory."""
         start, stop, _ = rows.indices(self.modes.shape[0])
         out = np.empty(max(stop - start, 0), dtype=complex)
         self.modes_file.read_rows(k, start, out)
@@ -643,8 +642,6 @@ def rom_norms(result: DmdResult, indices: Sequence[int]
     most N + 1 rows; ||x_n|| comes from pass 1.
     """
     fac = result.factor
-    if fac is None:
-        raise ValueError("the result carries no snapshot factor (not from exact_dmd)")
     pos = np.asarray(indices, dtype=int) - 1
     n = fac.norms.size
     k = fac.modes.shape[0]

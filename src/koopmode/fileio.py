@@ -196,12 +196,13 @@ def open_source(path: str | Path) -> SnapshotFile | SnapshotMatrix:
     return open_snapshots(path)
 
 
-def write_mode_matrix(path: str | Path, modes: np.ndarray, dt: float, t0: float = 0.0) -> None:
-    """Write a complex matrix as interleaved re/im float64, column-major."""
+def write_mode_matrix(path: str | Path, modes: np.ndarray, dt: float) -> None:
+    """Write a complex matrix as interleaved re/im float64, column-major,
+    with t0 = 0 in its header (a ModeFile writes its result's own t0)."""
     modes = np.asarray(modes, dtype=complex)
     if modes.ndim != 2:
         raise ValueError("mode matrix must be 2-D")
-    _write_payload(Path(path), MODES_MAGIC, modes, "<c16", dt, t0)
+    _write_payload(Path(path), MODES_MAGIC, modes, "<c16", dt, 0.0)
 
 
 class ModeFile:

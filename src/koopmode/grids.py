@@ -137,13 +137,11 @@ def velocity_layout(nx: int, ny: int, nz: int, mask: np.ndarray | None = None) -
     return GridLayout(nx=nx, ny=ny, nz=nz, mask=mask, channels=channels)
 
 
-def scalar_layout(nx: int, ny: int = 1, nz: int = 1,
-                  mask: np.ndarray | None = None, name: str = "state") -> GridLayout:
-    """Single-channel layout for abstract state vectors."""
-    if mask is None:
-        mask = np.ones((nz, ny, nx), dtype=bool)
-    return GridLayout(nx=nx, ny=ny, nz=nz, mask=mask,
-                      channels=(ChannelSpec(name, 1.0),))
+def scalar_layout(d: int) -> GridLayout:
+    """Flat single-channel layout, named "state", for abstract state
+    vectors of length d: a 1 x 1 x d grid with every cell unmasked."""
+    return GridLayout(nx=d, ny=1, nz=1, mask=np.ones((1, 1, d), dtype=bool),
+                      channels=(ChannelSpec("state", 1.0),))
 
 
 @dataclass(frozen=True)

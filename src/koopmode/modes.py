@@ -122,6 +122,7 @@ class ModeInfo:
 
 
 MODE_TABLE_COLUMNS = ("idx", "Cluster", "PT", "HLT", "L2RMS", "L2wRMS", "KSnarrow")
+_PRINTED_ROWS = 20
 
 
 def _listed(infos: Sequence[ModeInfo]) -> list[ModeInfo]:
@@ -155,8 +156,9 @@ def write_mode_table(infos: Sequence[ModeInfo], path: str | Path) -> None:
         for info in _listed(infos)))
 
 
-def format_mode_table(infos: Sequence[ModeInfo], max_rows: int | None = None) -> str:
-    """Human-readable table, values rounded to two decimals."""
+def format_mode_table(infos: Sequence[ModeInfo]) -> str:
+    """Human-readable table of the first _PRINTED_ROWS rows write_mode_table
+    writes, values rounded to two decimals."""
     out = io.StringIO()
     header = f"{'idx':>4} {'Cluster':>7} {'PT':>10} {'HLT':>10} {'L2RMS':>10} {'L2wRMS':>10} {'KSnarrow':>10}"
     print(header, file=out)
@@ -166,7 +168,7 @@ def format_mode_table(infos: Sequence[ModeInfo], max_rows: int | None = None) ->
         if abs(x) >= 1e6:
             return f"{x:.2e}"
         return f"{x:.2f}"
-    for info in _listed(infos)[:max_rows]:
+    for info in _listed(infos)[:_PRINTED_ROWS]:
         print(
             f"{info.index:>4} {_cluster_label(info):>7} {fmt(info.period_hours):>10} "
             f"{fmt(info.half_double_hours):>10} {fmt(info.rms):>10} "

@@ -16,7 +16,7 @@ Profile policies:
     pair, one per real mode), making time-summed mode energies exactly
     additive, sum_n ||X[:, n]||^2 = sum_k sum_n |b_k|^2 |mu_k|^(2n)
     over the closed mode set;
-  * "phase_ramp": entries exp(i * slope * position) / sqrt(D), a linear
+  * "phase_ramp": entries exp(2 pi i * position / D) / sqrt(D), a linear
     spatial phase ramp for slice and phase-export checks.
 """
 from __future__ import annotations
@@ -46,12 +46,14 @@ PROFILE_POLICIES = ("random_unit", "orthogonalized", "phase_ramp")
 
 @dataclass(frozen=True)
 class ModeSpec:
-    """One generator mode; oscillatory ones stand for a conjugate pair."""
+    """One generator mode; oscillatory ones stand for a conjugate pair.
+
+    profile is one of PROFILE_POLICIES; a phase_ramp profile advances
+    its phase by 2 pi / D per entry, one turn over the D entries."""
 
     gamma: complex
     b: complex
     profile: str = "orthogonalized"
-    phase_slope: float | None = None
 
     def __post_init__(self):
         if self.profile not in PROFILE_POLICIES:
@@ -163,14 +165,11 @@ def _profiles(spec: OracleSpec, rng: np.random.Generator) -> list[np.ndarray]:
             phi = g / np.linalg.norm(g)
             phi = phi.astype(complex)
         else:  # phase_ramp
-            slope = s.phase_slope if s.phase_slope is not None else 2.0 * math.pi / d
+            slope = 2.0 * math.pi / d
             pos = np.arange(d)
-            if real_mode:
+            if real_mode:  # cos(0) = 1, so the norm is at least 1
                 phi = np.cos(slope * pos).astype(complex)
-                nrm = np.linalg.norm(phi)
-                if nrm == 0.0:
-                    raise ValueError("degenerate real phase-ramp profile")
-                phi = phi / nrm
+                phi = phi / np.linalg.norm(phi)
             else:
                 phi = np.exp(1j * slope * pos) / math.sqrt(d)
         out.append(phi)

@@ -407,28 +407,20 @@ def robustness_scores(base_mus: np.ndarray, loo: LeaveOneOutResult,
     return kde_eval(density, np.asarray(base_mus, dtype=complex))
 
 
-def cluster_eigenvalues(base_mus: np.ndarray, pooled_mus: np.ndarray | None = None,
-                        h: float = CLUSTER_BANDWIDTH,
-                        level_fraction: float = CLUSTER_LEVEL_FRACTION,
-                        weights: np.ndarray | None = None) -> list[int | None]:
-    """Group eigenvalues by connected superlevel sets of the pooled density.
+def cluster_eigenvalues(base_mus: np.ndarray) -> list[int | None]:
+    """Group eigenvalues by connected superlevel sets of their own density.
 
-    The density of pooled_mus (default: the base eigenvalues themselves)
-    is rasterized at step h/4 with margin 3h, thresholded at
-    level_fraction of its maximum, and split into 4-connected
-    components.  Each base eigenvalue takes the label of the component
-    its nearest grid node falls in, or None outside all of them.
-    Cluster numbers are 1-based, ordered by descending total member
-    weight (weights default to 1, i.e. by member count), ties broken by
-    smallest member index.
+    label_clusters on kde_grid's raster of the unit-weight density of
+    base_mus at bandwidth CLUSTER_BANDWIDTH, thresholded at
+    CLUSTER_LEVEL_FRACTION of its maximum: clusters are numbered by
+    descending member count.  loo clusters the pooled trial spectra, with
+    its own bandwidth, level and weights, through those two functions.
     """
     base = np.asarray(base_mus, dtype=complex).ravel()
     if base.size == 0:
         return []
-    pooled = base if pooled_mus is None else np.asarray(pooled_mus, dtype=complex).ravel()
-    density = KdeDensity(points=pooled, weights=np.ones(pooled.size), bandwidth=h)
-    raster = kde_grid(density, extra_points=base)
-    return label_clusters(density, raster, base, level_fraction, weights)
+    density = KdeDensity(points=base, weights=np.ones(base.size), bandwidth=CLUSTER_BANDWIDTH)
+    return label_clusters(density, kde_grid(density), base)
 
 
 def label_clusters(density: KdeDensity,
@@ -436,12 +428,16 @@ def label_clusters(density: KdeDensity,
                    base_mus: np.ndarray,
                    level_fraction: float = CLUSTER_LEVEL_FRACTION,
                    weights: np.ndarray | None = None) -> list[int | None]:
-    """The labelling step of cluster_eigenvalues, on a raster in hand.
+    """Label each base eigenvalue with its cluster of density.
 
     raster is kde_grid(density, extra_points=base_mus) at its default
-    margin; labels and their numbering follow cluster_eigenvalues.  The
-    threshold is a fraction of the raster's own maximum, so a positive
-    scale of the values moves no label.
+    margin: step h/4 and margin 3h.  It is thresholded at level_fraction
+    of its own maximum, so a positive scale of the values moves no label,
+    and split into 4-connected components.  Each base eigenvalue takes
+    the label of the component its nearest grid node falls in, or None
+    outside all of them.  Cluster numbers are 1-based, ordered by
+    descending total member weight (weights default to 1, i.e. by member
+    count), ties broken by smallest member index.
     """
     if not 0.0 < level_fraction < 1.0:
         raise ValueError("level_fraction must lie in (0, 1)")

@@ -7,10 +7,11 @@ equivalence tests hold the library to it.
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
-from koopmode.dmd import (DmdOptions, DmdResult, _tlsq_basis, column_normalize,
+from koopmode.dmd import (DmdOptions, _tlsq_basis, column_normalize,
                           column_norms, default_fit_indices,
                           fit_coefficients_multi, truncated_svd)
 from koopmode.errors import NumericalError
@@ -18,6 +19,24 @@ from koopmode.grids import SnapshotMatrix
 
 _DEFECTIVE_COND = 1e12
 _RANK_RTOL = 1e-13
+
+
+class ReferenceResult(NamedTuple):
+    """The fields of a dmd.DmdResult that the reference computes: all but
+    the data rank, the R factor and the mode file, which only exact_dmd
+    has."""
+
+    modes: np.ndarray
+    mu: np.ndarray
+    gamma: np.ndarray
+    b: np.ndarray
+    singular_values: np.ndarray
+    residuals: np.ndarray
+    partner: tuple
+    options: DmdOptions
+    dt: float
+    t0: float
+    mean_mode: np.ndarray | None
 
 
 def _solve_amplitudes(m: np.ndarray, y: np.ndarray, r: int) -> np.ndarray:
@@ -76,7 +95,7 @@ def _reduced_operator(x1: np.ndarray, x2: np.ndarray, opts: DmdOptions):
 def reference_dmd_from_pair(x1: np.ndarray, x2: np.ndarray, fit_data: np.ndarray,
                             dt: float, opts: DmdOptions,
                             mean_mode: np.ndarray | None = None,
-                            t0: float = 0.0) -> DmdResult:
+                            t0: float = 0.0) -> ReferenceResult:
     svd, x2_v_sinv, k_reduced = _reduced_operator(x1, x2, opts)
     sigma_full = svd.singular_values
     mu, w = np.linalg.eig(k_reduced)
@@ -118,7 +137,7 @@ def reference_dmd_from_pair(x1: np.ndarray, x2: np.ndarray, fit_data: np.ndarray
     partner = [None] * mu.size
     for i, j in zip(at[first].tolist(), at[first + 1].tolist()):
         partner[i], partner[j] = j, i
-    return DmdResult(
+    return ReferenceResult(
         modes=modes[:, order],
         mu=mu[order],
         gamma=gamma[order],
@@ -148,7 +167,7 @@ def regression_pair(snap, opts: DmdOptions):
     return work.data[:, :-1], work.data[:, 1:], work.data, mean_mode
 
 
-def reference_exact_dmd(snap, opts: DmdOptions) -> DmdResult:
+def reference_exact_dmd(snap, opts: DmdOptions) -> ReferenceResult:
     x1, x2, fit_data, mean_mode = regression_pair(snap, opts)
     return reference_dmd_from_pair(x1, x2, fit_data, snap.dt, opts, mean_mode, snap.t0)
 

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import struct
 import tempfile
 from pathlib import Path
 
@@ -132,7 +133,7 @@ def test_config_echo_round_trips(tmp_path):
     assert "slice_path = 0,0;2,3\n" in echo and "rom.band.persistent_only = True\n" in echo
 
 
-_INDICES = st.lists(st.integers(0, 10**6), min_size=1, max_size=6, unique=True).map(tuple)
+_INDICES = st.lists(st.integers(1, 10**6), min_size=1, max_size=6, unique=True).map(tuple)
 _BOUND = st.one_of(st.none(), st.floats(allow_nan=False))
 _ROM_BLOCK = st.one_of(
     st.fixed_dictionaries({"indices": st.one_of(st.just("all"), _INDICES)}),
@@ -244,23 +245,31 @@ def test_settings_are_checked_for_every_command(tmp_path, capsys):
     assert not (tmp_path / "synth").exists()
 
 
-@pytest.mark.parametrize("command", ["synth", "run"])
+@pytest.mark.parametrize("command", ["synth", "run", "rom", "slice"])
 @pytest.mark.parametrize("key,value,message", [
     ("bfit", "bogus", "unknown b_fit 'bogus'"),
     ("rank", "0", "truncation rank r must be >= 1, got 0"),
     ("rom.a.rms_min", "abc", "bad value for rom.a.rms_min: could not convert"),
     ("rom.a.indices", "1,x", "bad value for rom.a.indices: invalid literal"),
+    ("rom.a.indices", "0", "rom.a.indices must be all or mode indices >= 1, got 0"),
+    ("rom.a.indices", "-1,2", "rom.a.indices must be all or mode indices >= 1, got -1,2"),
     ("slice_modes", "x", "bad value for slice_modes: invalid literal"),
-    ("slice_modes", "all", "slice_modes must be a non-empty list of mode indices, got all"),
+    ("slice_modes", "all", "slice_modes must be a non-empty list of mode indices >= 1, got all"),
+    ("slice_modes", "0", "slice_modes must be a non-empty list of mode indices >= 1, got 0"),
+    ("slice_modes", "-2", "slice_modes must be a non-empty list of mode indices >= 1, got -2"),
     ("slice_path", "1;2", "slice_path must be j,i pairs: j0,i0;j1,i1;..., got 1;2"),
 ])
-def test_every_command_rejects_what_another_command_reads(tmp_path, capsys, command, key,
-                                                          value, message):
+def test_every_command_rejects_what_another_command_reads(tmp_path, monkeypatch, capsys,
+                                                          command, key, value, message):
     """A ROM, slice or decomposition setting is parsed and checked as the
-    config is read, by the one setter or by DmdOptions, so synth and run,
-    which use none of the ROM and slice keys, exit 2 on a bad one and
-    write nothing."""
+    config is read, by the one setter or by DmdOptions, so every command,
+    synth and run too, which use none of the ROM and slice keys, exits 2
+    on a bad one before it reads its input, and writes nothing."""
+    def never(*args, **kwargs):
+        raise AssertionError("called before the settings were checked")
+
     data = synth_dataset(tmp_path)
+    monkeypatch.setattr(cli.fileio, "open_source", never)
     capsys.readouterr()
     out = tmp_path / f"{command}-out"
     cfg = write_cfg(tmp_path, f"{command}.cfg", input=data, out=out, synth_d=40, synth_n=32,
@@ -269,6 +278,20 @@ def test_every_command_rejects_what_another_command_reads(tmp_path, capsys, comm
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "run", "rom", "slice"])
+@pytest.mark.parametrize("flag,value", [("--out", "runs#1"), ("--bfit", "multi:10#2")])
+def test_a_flag_value_holding_a_hash_is_rejected(tmp_path, monkeypatch, capsys, command,
+                                                 flag, value):
+    """A '#' ends a config line, so config_echo.cfg could not hold the
+    value: a flag that sets one exits 2 as it is read, and writes nothing."""
+    monkeypatch.chdir(tmp_path)
+    assert main([command, flag, value]) == 2
+    key = flag[2:]
+    assert capsys.readouterr().err == (f"config error: {key} must not contain '#', "
+                                       f"which ends a config line, got {value}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_slice_kind_is_checked_for_run(tmp_path, capsys):
@@ -830,6 +853,41 @@ def test_exit_code_io_errors(tmp_path, capsys):
     assert main(["run", "--config", cfg3]) == 4
     assert capsys.readouterr().err.startswith("i/o error:")
     assert not (tmp_path / "o").exists()
+
+
+def dmds_header(d, n, dt=1.0, t0=0.0):
+    return struct.pack("<4sIQQdd", b"DMDS", 1, d, n, dt, t0)
+
+
+@pytest.mark.parametrize("name,content,sidecar,message", [
+    ("short.dmds", dmds_header(2, 3)[:20], None, "truncated header"),
+    ("no-rows.dmds", dmds_header(0, 3), None,
+     "need D >= 1 rows and N >= 2 snapshots, header gives 0x3"),
+    ("one-snapshot.dmds", dmds_header(2, 1) + bytes(16), None,
+     "need D >= 1 rows and N >= 2 snapshots, header gives 2x1"),
+    ("nan-dt.dmds", dmds_header(1, 2, dt=math.nan) + bytes(16), None,
+     "dt nan and t0 0.0 must be finite, dt positive"),
+    ("inf-t0.dmds", dmds_header(1, 2, t0=math.inf) + bytes(16), None,
+     "dt 1.0 and t0 inf must be finite, dt positive"),
+    ("sidecar.dmds", dmds_header(1, 2) + bytes(16), "{", "bad grid layout: JSONDecodeError"),
+    ("empty.csv", b"", None, "empty file"),
+    ("bad-time.csv", b"t=0,t=x\n1,2\n", None, "cannot parse time from 't=x'"),
+    ("one-column.csv", b"t=0\n1\n2\n", None, "need at least two snapshot columns"),
+])
+def test_a_malformed_input_file_exits_4(tmp_path, capsys, name, content, sidecar, message):
+    """Each check of a snapshot file's header, time axis, sidecar and CSV
+    layout ends run with exit 4, naming the file, before it writes."""
+    path = tmp_path / name
+    path.write_bytes(content)
+    if sidecar is not None:
+        (tmp_path / (name + ".grid.json")).write_text(sidecar)
+        path = tmp_path / (name + ".grid.json")
+    out = tmp_path / "o"
+    cfg = write_cfg(tmp_path, input=tmp_path / name, out=out)
+    assert main(["run", "--config", cfg]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"i/o error: {path}: {message}"), err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, extra", [

@@ -33,7 +33,7 @@ def test_options_fit_count_parsing():
 
 
 def test_modified_options_flags():
-    opts = modified_options(17, fit_count=10)
+    opts = modified_options(17)
     assert opts.use_tlsq and opts.normalize_columns
     assert opts.fit_count() == 10
 

@@ -179,10 +179,10 @@ def test_ingest_dispatches_on_extension(tmp_path, rng):
 def test_mode_matrix_roundtrip(tmp_path, rng):
     modes = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
     path = tmp_path / "modes.dmdm"
-    write_mode_matrix(path, modes, dt=2.0, t0=1.0)
+    write_mode_matrix(path, modes, dt=2.0)
     back, dt, t0 = read_mode_matrix(path)
     assert back.tobytes() == modes.astype(complex).tobytes()
-    assert dt == 2.0 and t0 == 1.0
+    assert dt == 2.0 and t0 == 0.0
     assert path.read_bytes()[:4] == b"DMDM"
 
 

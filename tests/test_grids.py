@@ -188,15 +188,21 @@ def test_surface_slice_masked_cells_are_nan():
     assert np.isfinite(sl[0, 0])
 
 
+def state_layout(nx, ny, nz):
+    """A single-channel layout on an unmasked 3-D grid."""
+    return GridLayout(nx=nx, ny=ny, nz=nz, mask=np.ones((nz, ny, nx), dtype=bool),
+                      channels=(ChannelSpec("state", 1.0),))
+
+
 def test_surface_slice_bounds_error():
-    layout = scalar_layout(4, 2, 2)
+    layout = state_layout(4, 2, 2)
     vec = np.arange(16.0)
     with pytest.raises(ValueError, match=r"layer k=5 outside 0\.\.1"):
         extract_slice(vec, layout, SurfaceSlice(channel="state", k=5))
 
 
 def test_vertical_section_follows_polyline():
-    layout = scalar_layout(4, 3, 2)
+    layout = state_layout(4, 3, 2)
     vec = np.arange(layout.dim, dtype=float)
     sl = extract_slice(vec, layout,
                        VerticalSection(channel="state", path=((0, 0), (0, 3))))

@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, every
-public name it defines has a caller, the command-line module loads no
-more than its commands need, and README's library quick start runs.
+public name it defines has a caller, every defaulted parameter of a
+public function has a caller that sets it, the command-line module loads
+no more than its commands need, and README's library quick start runs.
 
 The unused-import and caller checks read the sources with the stdlib ast
 module, so they need no linter.  __init__.py is exempt (its imports are
@@ -45,8 +46,8 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-# Where a public name may be called from: the package, the scripts, the
-# benchmark and the acceptance tests, but no unit test.
+# Where a public name may be called, or a default set, from: the package,
+# the scripts, the benchmark and the acceptance tests, but no unit test.
 CALLERS = (sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
            + sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"])
 # Kept without a caller: the DMDM reader the tests check modes.dmdm with.
@@ -79,9 +80,13 @@ def referenced_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
     return names
 
 
+def caller_trees(callers) -> dict[Path, ast.Module]:
+    return {path: ast.parse(path.read_text()) for path in callers
+            if path.name != "__init__.py"}
+
+
 def names_without_caller(package: Path, callers) -> list[str]:
-    trees = {path: ast.parse(path.read_text()) for path in callers
-             if path.name != "__init__.py"}
+    trees = caller_trees(callers)
     found = []
     for path in sorted(package.glob("*.py")):
         if path.name == "__init__.py":
@@ -108,6 +113,69 @@ def test_every_public_name_has_a_caller():
     """A public function, class or method that only unit tests call is a
     second way of doing a job the program does one way: delete it."""
     assert set(names_without_caller(PACKAGE, CALLERS)) == NO_CALLER_NEEDED
+
+
+def defaulted_parameters(node: ast.FunctionDef, method: bool):
+    """(name, position) of each parameter of node with a default, position
+    counting the caller's positional arguments (a method's self or cls
+    not among them) and None for a keyword-only parameter."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    skip = method and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                              for d in node.decorator_list)
+    first = len(positional) - len(args.defaults)
+    yield from ((a.arg, i - skip) for i, a in enumerate(positional) if i >= first)
+    yield from ((a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                if d is not None)
+
+
+def sets(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether call passes the parameter, by keyword, by position or
+    through *args or **kwargs."""
+    return (any(k.arg in (None, name) for k in call.keywords)
+            or any(isinstance(a, ast.Starred) for a in call.args)
+            or position is not None and len(call.args) > position)
+
+
+def parameters_without_caller(package: Path, callers) -> list[str]:
+    trees = caller_trees(callers)
+    calls = [n for tree in trees.values() for n in ast.walk(tree) if isinstance(n, ast.Call)]
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for qualified, name, node in public_definitions(trees[path], path.stem):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            inside = {id(n) for n in ast.walk(node)}
+            its = [c for c in calls if id(c) not in inside and name in (
+                getattr(c.func, "id", None), getattr(c.func, "attr", None))]
+            method = qualified.count(".") == 2
+            found += [f"{qualified}({param})" for param, position in
+                      defaulted_parameters(node, method)
+                      if not any(sets(c, param, position) for c in its)]
+    return found
+
+
+def test_parameter_check_flags_a_default_no_caller_sets(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def f(a, b=1, c=2, *, d=3, e=4):\n    return f(a, 1, 2, d=3, e=4)\n"
+        "def g(x=0, y=0):\n    return x + y\n"
+        "class Box:\n    def put(self, item=None, size=1):\n        return item\n"
+        "    @staticmethod\n    def make(kind=None):\n        return Box()\n")
+    (tmp_path / "user.py").write_text(
+        "import mod\nmod.f(0, 1, e=5)\nargs = (1, 2)\nmod.g(*args)\n"
+        "mod.Box.make().put(1)\n")
+    assert parameters_without_caller(tmp_path, sorted(tmp_path.glob("*.py"))) == [
+        "mod.f(c)", "mod.f(d)", "mod.Box.put(size)", "mod.Box.make(kind)"]
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    """A default that no program caller overrides is a setting only unit
+    tests change: a second configuration to test that the program never
+    runs.  Make it a constant.  A needed exemption is listed here with a
+    one-line reason, as NO_CALLER_NEEDED lists names."""
+    assert parameters_without_caller(PACKAGE, CALLERS) == []
 
 
 def test_no_command_imports_scipy_ndimage(tmp_path):

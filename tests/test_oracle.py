@@ -94,10 +94,9 @@ def test_pair_contribution_norm_exact():
 
 
 def test_phase_ramp_profile_slope():
-    slope = 0.3
+    slope = 2.0 * math.pi / 50  # one turn over the D entries
     spec = OracleSpec(d=50, n=8, dt=1.0, modes=(
-        ModeSpec(gamma=complex(0.0, 1.0), b=1.0, profile="phase_ramp",
-                 phase_slope=slope),
+        ModeSpec(gamma=complex(0.0, 1.0), b=1.0, profile="phase_ramp"),
     ), seed=0)
     _, truth = generate(spec)
     phi = truth.modes[:, 0]

@@ -24,8 +24,9 @@ from koopmode import ranking
 from koopmode.ranking import (CLUSTER_BANDWIDTH, KDE_MAX_CELLS, KdeDensity,
                               build_mode_table, cluster_eigenvalues,
                               component_rms, half_life_cutoff, kde_eval,
-                              kde_grid, leave_one_out, persistence_filter,
-                              rms_contribution, robustness_scores)
+                              kde_grid, label_clusters, leave_one_out,
+                              persistence_filter, rms_contribution,
+                              robustness_scores)
 
 from conftest import (linear_trajectory, make_rng, rank_critical_snapshots,
                       snapshots_from_array)
@@ -651,10 +652,17 @@ def test_two_groups_two_clusters():
     assert labels[3:] == [2, 2]
 
 
+def cluster_density(points):
+    """A unit-weight density at the clustering bandwidth, as
+    cluster_eigenvalues forms."""
+    return KdeDensity(points=points, weights=np.ones(points.size), bandwidth=CLUSTER_BANDWIDTH)
+
+
 def test_cluster_weights_override_counts():
     mus = two_group_spectrum()
+    density = cluster_density(mus)
     w = np.array([1.0, 1.0, 1.0, 10.0, 10.0])
-    labels = cluster_eigenvalues(mus, weights=w)
+    labels = label_clusters(density, kde_grid(density), mus, weights=w)
     assert labels[:3] == [2, 2, 2]
     assert labels[3:] == [1, 1]
 
@@ -662,7 +670,8 @@ def test_cluster_weights_override_counts():
 def test_unclustered_point_gets_none():
     pooled = np.repeat(two_group_spectrum()[:3], 20)
     base = np.concatenate([two_group_spectrum()[:3], [0.2 + 0.1j]])
-    labels = cluster_eigenvalues(base, pooled)
+    density = cluster_density(pooled)
+    labels = label_clusters(density, kde_grid(density, extra_points=base), base)
     assert labels[:3] == [1, 1, 1]
     assert labels[3] is None
 
@@ -672,8 +681,10 @@ def test_cluster_empty_input():
 
 
 def test_cluster_level_validation():
+    mus = two_group_spectrum()
+    density = cluster_density(mus)
     with pytest.raises(ValueError, match="level_fraction"):
-        cluster_eigenvalues(two_group_spectrum(), level_fraction=0.0)
+        label_clusters(density, kde_grid(density), mus, 0.0)
 
 
 # ------------------------------------------------------------ mode table

@@ -70,6 +70,20 @@ def test_select_robustness_box_requires_scores():
         select_modes(table, RomSelection(robustness_min=0.0))
 
 
+def test_select_robustness_box_inclusive_bounds():
+    _, _, table = fitted()
+    scored = [replace(info, robustness=float(info.index)) for info in table]
+    for box in (RomSelection(robustness_min=2.0, robustness_max=4.0),
+                RomSelection(robustness_max=3.0)):
+        lo = box.robustness_min if box.robustness_min is not None else -np.inf
+        in_box = {info.index for info in scored if lo <= info.robustness <= box.robustness_max}
+        partners = {scored[i - 1].conj_partner for i in in_box} - {None}
+        assert set(select_modes(scored, box)) == in_box | partners
+    with pytest.raises(ValueError, match="no modes"):
+        # robustness is None everywhere, so an upper bound excludes all too
+        select_modes(table, RomSelection(robustness_max=np.inf))
+
+
 def test_select_persistent_only():
     snap, res, table = fitted(seed=9)
     t_window = (snap.n - 1) * snap.dt

@@ -194,13 +194,6 @@ def test_rom_curves_against_an_extended_precision_reference(seed, centered, keep
     assert np.all(np.abs(error_curve(snap, model).rel_error - want) <= bound)
 
 
-def test_rom_curves_need_a_snapshot_factor():
-    snap = generate(tidal_spec(d=30, n=40, seed=1))[0]
-    result = replace(exact_dmd(snap, DmdOptions(r=17)), factor=None)
-    with pytest.raises(ValueError, match="factor"):
-        factor_error_curve(result, range(1, 18))
-
-
 @pytest.mark.parametrize("mean_removal", [False, True])
 def test_leave_one_out_reads_the_result_not_the_file(tmp_path, mean_removal):
     """Trials run on the R factor of the decomposition: once the DMDS
@@ -254,7 +247,7 @@ def test_streamed_mode_file(seed, d, block_rows, mean_removal):
         assert main(["rom", "--config", str(cfg), "--out", str(folder / "rom")]) == 0
         result = exact_dmd(src, _resolve_options(load_config(cfg)))
         modes = np.asarray(result.modes)
-        write_mode_matrix(folder / "want.dmdm", modes, result.dt, result.t0)
+        write_mode_matrix(folder / "want.dmdm", modes, result.dt)
         assert (folder / "run" / "modes.dmdm").read_bytes() == (folder / "want.dmdm").read_bytes()
         summary = json.loads((folder / "rom" / "rom_summary.json").read_text())
         curves = {name: read_csv_columns(folder / "rom" / f"rom_{name}_errors.csv")
