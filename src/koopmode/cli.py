@@ -138,7 +138,8 @@ _RULES = {"loo_trials": (lambda v: v >= 1, ">= 1"), "seed": (lambda v: v >= 0, "
                           "a non-empty list of mode indices >= 1"),
           "slice_path": (lambda v: all(len(vert) == 2 for vert in v), "j,i pairs: j0,i0;j1,i1;..."),
           # rom.<name>.<field>: a NaN bound compares false, so it would bound nothing
-          "indices": (lambda v: v == "all" or all(i >= 1 for i in v), "all or mode indices >= 1"),
+          "indices": (lambda v: v == "all" or len(v) > 0 and min(v) >= 1,
+                      "all or a non-empty list of mode indices >= 1"),
           "rms_min": _NUMBER, "rms_max": _NUMBER,
           "robustness_min": _NUMBER, "robustness_max": _NUMBER}
 

@@ -18,6 +18,10 @@ Every SVD calls LAPACK's divide-and-conquer gesdd: QR-iteration gesvd was
 no more accurate on graded matrices (7.1e-7 for both without column
 normalization, which removes the grading) and 3.2x slower at N = 144.
 
+LAPACK is reached through _lapack, which loads scipy's compiled wrappers
+without scipy.linalg's package init (half of a command's start-up) and
+calls them as scipy.linalg does, to the bit.
+
 Amplitudes are always fitted against the original, unscaled snapshots
 by one joint least-squares fit over a set of snapshot indices: {0} for
 the first-snapshot fit, or a small set spread across the record.
@@ -65,8 +69,8 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg
 
+from . import _lapack
 from .errors import NumericalError
 from .fileio import ModeFile
 from .grids import SnapshotMatrix
@@ -241,7 +245,7 @@ def column_normalize(x1: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     try:
-        return scipy.linalg.svd(a, full_matrices=False)
+        return _lapack.svd(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
 
@@ -523,18 +527,16 @@ def _factor(src, center: bool, buf: np.ndarray | None = None) -> _Factor:
             block -= m[:, None]
         c = np.r_[m_r, m][:, None] if center else None
         if fold:
-            r, v, t, info = scipy.linalg.lapack.dtpqrt(0, min(_FOLD_NB, n), r, block,
-                                                       overwrite_a=1, overwrite_b=1)
+            r, v, t, info = _lapack.dtpqrt(0, min(_FOLD_NB, n), r, block,
+                                           overwrite_a=1, overwrite_b=1)
             if center and info == 0:
-                c[:n], c[n:], info = scipy.linalg.lapack.dtpmqrt(0, v, t, c[:n], c[n:],
-                                                                 trans="T")
+                c[:n], c[n:], info = _lapack.dtpmqrt(0, v, t, c[:n], c[n:], trans="T")
         else:
             stack[:k] = r
-            (h, tau), r = scipy.linalg.qr(stack, mode="raw", overwrite_a=True,
-                                          check_finite=False)
-            info = 0
-            if center:
-                c, _, info = scipy.linalg.lapack.dormqr("L", "T", h[:, :tau.size], tau, c, 1)
+            h, tau, info = _lapack.geqrf(stack)
+            r = np.triu(h[:n])
+            if center and info == 0:
+                c, _, info = _lapack.dormqr("L", "T", h[:, :tau.size], tau, c, 1)
         if info != 0:
             raise NumericalError(f"LAPACK fold of rows {start}..{stop - 1} failed, info {info}")
         if center:

@@ -178,6 +178,27 @@ def reference_operator_norm(snap, opts: DmdOptions) -> float:
     return float(np.linalg.norm(_reduced_operator(x1, x2, opts)[2], 2))
 
 
+def reference_trial_gap(snap, opts: DmdOptions, omitted: int) -> float:
+    """The smallest relative gap (sigma_r - sigma_{r+1}) / sigma_1 at a
+    truncation the leave-one-out trial deleting pair column omitted makes:
+    the TLSQ stack's under use_tlsq and the (projected) first matrix's,
+    where it has more than r columns.  inf where no truncation is made."""
+    x1, x2, _, _ = regression_pair(snap, opts)
+    x1, x2 = np.delete(x1, omitted, axis=1), np.delete(x2, omitted, axis=1)
+    r = min(opts.r, x1.shape[1])
+    if opts.normalize_columns:
+        x1, x2, _ = column_normalize(x1, x2)
+    gaps = [np.inf]
+    if opts.use_tlsq:
+        s = np.linalg.svd(np.vstack([x1, x2]), compute_uv=False)
+        gaps.append((s[r - 1] - s[r]) / s[0] if r < s.size else np.inf)
+        v = _tlsq_basis(x1, x2, r)
+        x1 = x1 @ v
+    s = np.linalg.svd(x1, compute_uv=False)
+    gaps.append((s[r - 1] - s[r]) / s[0] if r < s.size else np.inf)
+    return min(gaps)
+
+
 def reference_trial_mu(snap, opts: DmdOptions, omitted: int) -> np.ndarray:
     """Spectrum of the leave-one-out trial that deletes pair column omitted,
     with the rank capped as leave_one_out caps it."""

@@ -251,8 +251,12 @@ def test_settings_are_checked_for_every_command(tmp_path, capsys):
     ("rank", "0", "truncation rank r must be >= 1, got 0"),
     ("rom.a.rms_min", "abc", "bad value for rom.a.rms_min: could not convert"),
     ("rom.a.indices", "1,x", "bad value for rom.a.indices: invalid literal"),
-    ("rom.a.indices", "0", "rom.a.indices must be all or mode indices >= 1, got 0"),
-    ("rom.a.indices", "-1,2", "rom.a.indices must be all or mode indices >= 1, got -1,2"),
+    ("rom.a.indices", "0", "rom.a.indices must be all or a non-empty list of mode indices >= 1, "
+                           "got 0"),
+    ("rom.a.indices", "-1,2", "rom.a.indices must be all or a non-empty list of mode indices "
+                              ">= 1, got -1,2"),
+    ("rom.a.indices", ",", "rom.a.indices must be all or a non-empty list of mode indices >= 1, "
+                           "got \n"),
     ("slice_modes", "x", "bad value for slice_modes: invalid literal"),
     ("slice_modes", "all", "slice_modes must be a non-empty list of mode indices >= 1, got all"),
     ("slice_modes", "0", "slice_modes must be a non-empty list of mode indices >= 1, got 0"),

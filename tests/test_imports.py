@@ -1,19 +1,29 @@
 """Every name a package module imports is used in that module, every
 public name it defines has a caller, every defaulted parameter of a
 public function has a caller that sets it, the command-line module loads
-no more than its commands need, and README's library quick start runs.
+no more than its commands need (no scipy module at all: _lapack's
+routines are scipy.linalg's, to the bit), and README's library quick
+start runs.
 
 The unused-import and caller checks read the sources with the stdlib ast
 module, so they need no linter.  __init__.py is exempt (its imports are
 re-exports), and so are `from __future__` imports.
 """
 import ast
+import importlib.machinery
+import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from koopmode import _lapack
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "koopmode"
@@ -178,34 +188,83 @@ def test_every_defaulted_parameter_has_a_caller():
     assert parameters_without_caller(PACKAGE, CALLERS) == []
 
 
-def test_no_command_imports_scipy_ndimage(tmp_path):
-    """loo labels its clusters with ranking's own labeller, so no command
-    pays for importing scipy.ndimage: not loo, and not rom when a
-    robustness box makes it run leave-one-out."""
-    from koopmode.fileio import write_snapshots
-    from koopmode.oracle import generate, tidal_spec
-
+def test_no_command_imports_scipy(tmp_path):
+    """koopmode calls LAPACK through _lapack, which loads scipy's compiled
+    wrappers from their file, and loo labels its clusters with ranking's
+    own labeller, so neither the import nor any command pays for a scipy
+    package's init: not scipy.linalg's, and not scipy.ndimage's in loo or
+    in a rom whose robustness box runs leave-one-out."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(PACKAGE.parent), env.get("PYTHONPATH")) if p)
+    cfg = tmp_path / "toy.cfg"
+    cfg.write_text(f"input = {tmp_path / 'synth' / 'oracle.dmds'}\nsynth_d = 60\nsynth_n = 48\n"
+                   "rank = 17\nloo_trials = 5\nrom.robust.robustness_min = 1000\n"
+                   "slice_modes = 1,2\n")
     code = ("import sys, koopmode.cli\n"
             "assert 'koopmode.ranking' in sys.modules\n"
-            "assert 'scipy.ndimage' not in sys.modules")
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
-
-    write_snapshots(tmp_path / "toy.dmds", generate(tidal_spec(d=60, n=48, seed=1))[0])
-    cfg = tmp_path / "toy.cfg"
-    cfg.write_text(f"input = {tmp_path / 'toy.dmds'}\n"
-                   "rank = 17\nloo_trials = 5\nrom.robust.robustness_min = 1000\n")
-    code = ("import sys\nfrom koopmode.cli import main\n"
-            "for command in ('loo', 'rom'):\n"
+            "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "for command in ('synth', 'run', 'loo', 'rom', 'slice'):\n"
             "    out = sys.argv[2] + '/' + command\n"
-            "    assert main([command, '--config', sys.argv[1], '--out', out]) == 0\n"
-            "assert 'scipy.ndimage' not in sys.modules")
-    subprocess.run([sys.executable, "-c", code, str(cfg), str(tmp_path)], env=env,
-                   check=True, timeout=120)
+            "    assert koopmode.cli.main([command, '--config', sys.argv[1], '--out', out]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code, str(cfg), str(tmp_path)], env=env,
+                          check=True, timeout=120, capture_output=True, text=True)
+    assert done.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "loo" / "kde_grid.csv").is_file()
     assert (tmp_path / "rom" / "rom_robust_errors.csv").is_file()
+    assert (tmp_path / "slice" / "slice_mode2_phase.csv").is_file()
+
+
+@st.composite
+def matrices(draw):
+    """Tall and wide float64 matrices, C- or F-ordered."""
+    m, n = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    a = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((m, n))
+    return np.asarray(a, order=draw(st.sampled_from("CF")))
+
+
+@given(a=matrices())
+@settings(max_examples=60, deadline=None)
+def test_lapack_matches_scipy_linalg_bitwise(a):
+    """The same compiled routines with the same arguments and workspace
+    sizes: the SVD and the raw QR are scipy.linalg's to the bit."""
+    import scipy.linalg
+
+    for got, want in zip(_lapack.svd(a), scipy.linalg.svd(a, full_matrices=False)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    (want_h, want_tau), want_r = scipy.linalg.qr(a, mode="raw")
+    h, tau, info = _lapack.geqrf(a.copy(order="K"))
+    assert info == 0
+    assert np.array_equal(h, want_h) and np.array_equal(tau, want_tau)
+    assert np.array_equal(np.triu(h[:a.shape[1]]), want_r)
+
+
+def test_lapack_svd_rejects_nan_as_scipy_does():
+    import scipy.linalg
+
+    a = np.array([[1.0, np.nan], [0.0, 1.0]])
+    with pytest.raises(Exception) as want:
+        scipy.linalg.svd(a, full_matrices=False)
+    with pytest.raises(Exception) as got:
+        _lapack.svd(a)
+    assert (got.type, str(got.value)) == (want.type, str(want.value))
+
+
+@pytest.mark.parametrize("name", ["dgesdd", "dgesdd_lwork", "dgeqrf", "dtpqrt", "dtpmqrt",
+                                  "dormqr"])
+def test_lapack_routines_are_scipys(name):
+    """Each routine _lapack loads has scipy.linalg.lapack's signature."""
+    import scipy.linalg.lapack
+
+    assert getattr(_lapack._FLAPACK, name).__doc__ == getattr(scipy.linalg.lapack, name).__doc__
+
+
+def test_missing_lapack_extension_names_the_folder(tmp_path, monkeypatch):
+    fake = importlib.machinery.ModuleSpec("scipy", None, origin=str(tmp_path / "__init__.py"))
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: fake)
+    with pytest.raises(ImportError, match=re.escape(f" in {tmp_path / 'linalg'}")):
+        _lapack._load_flapack()
 
 
 def test_readme_quick_start_runs(capsys):
