@@ -26,37 +26,62 @@ Amplitudes are always fitted against the original, unscaled snapshots
 by one joint least-squares fit over a set of snapshot indices: {0} for
 the first-snapshot fit, or a small set spread across the record.
 
-Cost model.  The snapshots are read in two sequential passes over
-fixed-size row blocks through one buffer, so no D-row matrix is ever
-held.  Pass 1 centers each block (under remove_mean; a row's mean is
-local to its block) and folds it into the R factor of everything read
-so far, R <- R factor of [R; block]: the tall-skinny QR of Demmel,
-Grigori, Hoemmen & Langou (SIAM J. Sci. Comput. 2012), as used for DMD
-by Sayadi & Schmid (Theor. Comput. Fluid Dyn. 2016).  Until R has N
-rows, a fold stacks R above the block and factors the stack with geqrf;
-from then on LAPACK's triangular-pentagonal tpqrt folds each block into
-the N x N triangle, at about half the cost of refactoring the stack,
-since it leaves R's zeros alone.  A single block (D up to 4096 rows)
-is thus factored by geqrf alone, and its R is bitwise that of
-scipy.linalg.qr of the whole matrix: geqrt on the stack is faster but
-rounds differently, enough to move a nearly colliding eigenvalue pair
-past 1e-10 of the D-row reference.  The snapshots are then X = Q R for
-an orthonormal Q that is never formed.  Every later
-step runs on R[:, :-1], R[:, 1:] and R, which have at most N rows:
-normalization, TLSQ, the truncated SVD, the reduced eig and the
-amplitude fit each cost O(N^3) or less.  Q preserves lengths, so column
-norms, singular values, eigenpairs and least-squares residuals are
-those of the original matrices.  Pass 2 lifts the modes as X2 (M w):
-M folds the column scaling, the TLSQ projection, V Sigma^-1 and the
-unit norm, so Q is never needed (Q R2 = X2).  It writes each block's
-rows of the modes to a file (fileio.ModeFile) and keeps each mode's
-running lead entry; one sweep over the file in blocks then applies the
-phase convention.  This continues the row-block streaming of Sayadi &
-Schmid to the D x r modes, which are never held in memory either.
+Cost model.  The snapshots are read in two passes over fixed-size row
+blocks, each block through one buffer, so no D-row matrix is ever held.
+Pass 1 is the tall-skinny QR of Demmel, Grigori, Hoemmen & Langou (SIAM
+J. Sci. Comput. 2012), run as a reduction tree, as Sayadi & Schmid run
+it for DMD (Theor. Comput. Fluid Dyn. 2016).  Its leaves are two blocks
+each, but the first takes as many as R needs to reach N rows.  A leaf
+centers each block (under remove_mean; a row's mean is local to its
+block) and folds it into the R factor of the leaf's rows so far,
+R <- R factor of [R; block].  In the first leaf, until R has N rows, a
+fold stacks R above the block and factors the stack with geqrf; from
+then on LAPACK's triangular-pentagonal tpqrt folds each block into the
+N x N triangle, at about half the cost of refactoring the stack (8
+against 17 ms per 4096 x 144 block), since it leaves R's zeros alone.
+Every later leaf folds its blocks into an N x N zero triangle the same
+way.  The leaves' triangles then merge pairwise, level by level, by
+tpqrt with l = N (0.3 ms at N = 144).  The tree's shape depends on D
+and N only, never on the CPU count.  An input of one leaf (D up to 8192
+rows while N is at most 8192) rounds as the sequential fold of every
+block into one R did: a single block is factored by geqrf alone, and
+its R is bitwise that of scipy.linalg.qr of the whole matrix (geqrt on
+the stack is faster but rounds differently, enough to move a nearly
+colliding eigenvalue pair past 1e-10 of the D-row reference).  A larger
+input rounds differently from that fold, and the same on any number of
+CPUs.  The snapshots are then X = Q R for an orthonormal Q that is
+never formed.  Every later step runs on R[:, :-1], R[:, 1:] and R,
+which have at most N rows: normalization, TLSQ, the truncated SVD, the
+reduced eig and the amplitude fit each cost O(N^3) or less.  Q
+preserves lengths, so column norms, singular values, eigenpairs and
+least-squares residuals are those of the original matrices.  Pass 2
+lifts the modes as X2 (M w): M folds the column scaling, the TLSQ
+projection, V Sigma^-1 and the unit norm, so Q is never needed
+(Q R2 = X2).  It writes each block's rows of the modes to a file
+(fileio.ModeFile) and keeps each mode's lead entry; one sweep over the
+file then applies the phase convention.  This continues the row-block
+streaming of Sayadi & Schmid to the D x r modes, which are never held
+in memory either.  Each row of the lifted modes comes from one
+_LIFT_ROWS product whatever rows surround it, and the leads merge in
+row order, so pass 2 and the sweep split the leaves by row range and
+write the serial file, bit for bit.
 A column-deletion trial (deletion_spectrum) deletes a column of a
 result's R pair and computes eigenvalues only: no modes, residuals or
 amplitude fit.
-Memory holds one block, its r lifted columns and O(N^2) numbers.
+
+CPUs.  Both passes run on every CPU of the affinity set, unless the
+process runs a second thread such as a BLAS pool (_workers._cpus): the
+leaves are split into one contiguous run per process, the parent's
+first.  Pass 1's workers return the roots of the complete subtrees in
+their runs, O(log leaves) triangles, and the parent merges them; pass
+2's write their rows of the mode file and return their leads.  Each
+process is pinned to its own CPU of the affinity set (_workers.in_order),
+since a forked process otherwise stays on its parent's CPU: on a
+74,960 x 144 file and 2 vCPUs, a two-process pass 1 took 214-274 ms
+unpinned, slower than the serial 199-243 ms, and 124-168 ms pinned (8
+alternating calls each).  An input of one leaf forks nothing.
+Memory holds one block per process, its r lifted columns and
+O(N^2 log(D / 8192)) numbers.
 
 Rank.  The data rank is counted on R[:, :-1], whose singular values are
 those of the D x (N-1) regression matrix: those above
@@ -71,6 +96,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import _lapack
+from ._workers import _cpus, in_order
 from .errors import NumericalError
 from .fileio import ModeFile
 from .grids import SnapshotMatrix
@@ -278,8 +304,10 @@ def default_fit_indices(n: int, count: int) -> np.ndarray:
     """count snapshot indices evenly spread over 0..n-1, endpoints included."""
     if count < 2:
         raise ValueError("need at least two fit snapshots")
-    count = min(count, n)
-    return np.unique(np.rint(np.linspace(0, n - 1, count)).astype(int))
+    idx = np.rint(np.linspace(0, n - 1, min(count, n))).astype(int)
+    # never decreasing, so dropping repeats of the previous index is
+    # np.unique, whose first call imports numpy.ma
+    return idx[np.r_[True, idx[1:] != idx[:-1]]]
 
 
 def fit_coefficients_multi(modes: np.ndarray, mu: np.ndarray, data: np.ndarray,
@@ -471,16 +499,67 @@ class _Factor(NamedTuple):
     modes: np.ndarray | None = None
 
 
-def _blocks(d: int):
-    for start in range(0, d, _BLOCK_ROWS):
-        yield start, min(start + _BLOCK_ROWS, d)
+class _Node(NamedTuple):
+    """A node of pass 1's tree, the R factor of its rows.
+
+    Its rows (centered under mean removal) are Q @ r for an orthonormal Q
+    that is never formed.  Under centering m_r holds the row means in the
+    same coordinates, m_out their length outside them and norms the
+    column norms of the uncentered rows; without it they stay zero.
+    """
+
+    r: np.ndarray
+    m_r: np.ndarray
+    m_out: float
+    norms: np.ndarray
+
+
+def _blocks(start: int, stop: int):
+    for lo in range(start, stop, _BLOCK_ROWS):
+        yield lo, min(lo + _BLOCK_ROWS, stop)
+
+
+def _leaves(d: int, n: int) -> list[tuple[int, int]]:
+    """The row ranges of pass 1's leaves, by which pass 2 splits its rows
+    too: two blocks each, but the first takes as many as R needs to
+    reach n rows."""
+    first = max(2, -(-n // _BLOCK_ROWS)) * _BLOCK_ROWS
+    bounds = [0, *range(first, d, 2 * _BLOCK_ROWS), d]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _runs(leaves: list[tuple[int, int]], cpus: int, head: int) -> list[range]:
+    """Contiguous runs of leaves, at most cpus of them, of near-equal
+    cost: a leaf costs its rows, and the first leaf head rows more.  A run
+    ends after the leaves whose middle comes before its share of the
+    cost."""
+    w = min(cpus, len(leaves))
+    rows = np.array([stop - start for start, stop in leaves])
+    rows[0] += head
+    mids = np.cumsum(rows) - rows / 2
+    cuts = [0, *np.searchsorted(mids, np.arange(1, w) * (rows.sum() / w)).tolist(), len(leaves)]
+    return [range(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
+
+
+def _subtrees(run: range, leaves: int) -> list[tuple[int, int]]:
+    """The largest nodes of the tree over leaves leaves that tile run, in
+    order, as (height, index): node j at height h covers leaves j 2^h ..
+    (j + 1) 2^h - 1, those of them that exist."""
+    out, a = [], run.start
+    while a < run.stop:
+        h = 0
+        while (1 << h) < leaves and a % (2 << h) == 0 and min(a + (2 << h), leaves) <= run.stop:
+            h += 1
+        out.append((h, a >> h))
+        a = min(a + (1 << h), leaves)
+    return out
 
 
 def _block_buffer(d: int, n: int) -> np.ndarray:
     """One flat buffer for the blocks of both passes.  Its largest use is
     a block of pass 1 stacked under R while R has fewer than n rows."""
     return np.empty(max(stop if start < n else stop - start
-                        for start, stop in _blocks(d)) * n)
+                        for start, stop in _blocks(0, d)) * n)
 
 
 def _rows(buf: np.ndarray, rows: int, n: int) -> np.ndarray:
@@ -488,28 +567,81 @@ def _rows(buf: np.ndarray, rows: int, n: int) -> np.ndarray:
     return buf[:rows * n].reshape((rows, n), order="F")
 
 
-def _factor(src, center: bool, buf: np.ndarray | None = None) -> _Factor:
-    """Pass 1: R <- R factor of [R; block] over the row blocks of src.
+def _factor(src, center: bool, buf: np.ndarray | None = None, cpus: int = 1) -> _Factor:
+    """Pass 1: the R factor of src by a reduction tree over its leaves.
 
-    Each block is read into the head of buf (_block_buffer's by
-    default), folded into R in place, and never held after its fold.
-    While R has fewer than N rows the buffer stacks R above the block and
-    geqrf factors the stack; once R is a full N x N triangle, tpqrt folds
-    the block into it.  Centering carries the row means m as one more
-    column, [X_c | m] = Q R, by applying each fold's reflectors to them,
-    so the data columns of R round as those of X_c alone.  The column
-    norms of the source are those of R's columns; under centering they
-    are accumulated over the row slices the means are taken from, since
-    R[:, j] + R[:, N] cancels when the mean dwarfs a snapshot.
+    Leaves (_leaves) are folded by _fold and merged pairwise, level by
+    level, by _merge: node j at height h merges nodes 2j and 2j + 1 at
+    height h - 1, or is node 2j where 2j + 1 does not exist.  The tree
+    depends on D and N only.  The leaves are split into one contiguous
+    run per process, at most cpus of them (_workers.in_order): each
+    reduces the complete subtrees inside its run and returns their roots
+    and rows of the mean, and the parent merges the roots into the tree's
+    root.  So the result is the same on any number of CPUs, and an input
+    of one leaf is factored as by _fold alone.  buf (_block_buffer's by
+    default) holds the block being read.
     """
     n = src.n
     if buf is None:
         buf = _block_buffer(src.d, n)
     mean = np.empty(src.d) if center else None
-    norms = np.zeros(n)  # of the source columns, accumulated under centering
-    r = np.empty((0, n))
-    m_r, m_out = np.empty(0), 0.0  # R coordinates of m, its norm outside them
-    for start, stop in _blocks(src.d):
+    leaves = _leaves(src.d, n)
+
+    def span(h: int, j: int) -> slice:
+        return slice(leaves[j << h][0], leaves[min((j + 1) << h, len(leaves)) - 1][1])
+
+    def node(h: int, j: int, known: dict) -> _Node:
+        if (h, j) in known:
+            return known.pop((h, j))
+        if h == 0:
+            return _fold(src, center, buf, mean, *leaves[j])
+        left = node(h - 1, 2 * j, known)
+        if (2 * j + 1) << (h - 1) >= len(leaves):
+            return left
+        return _merge(left, node(h - 1, 2 * j + 1, known), center)
+
+    def subtree(hj: tuple[int, int]):
+        return node(*hj, {}), None if mean is None else mean[span(*hj)]
+
+    # geqrf's start of the first leaf costs about one more block
+    shares = [_subtrees(run, len(leaves)) for run in _runs(leaves, cpus, _BLOCK_ROWS)]
+    known = {}
+    for hj, (value, rows) in zip([p for s in shares for p in s], in_order(shares, subtree)):
+        known[hj] = value
+        if mean is not None:
+            mean[span(*hj)] = rows
+    r, m_r, m_out, norms = node((len(leaves) - 1).bit_length(), 0, known)
+    if not center:
+        return _Factor(r, mean, column_norms(r))
+    r = np.c_[r, m_r]
+    if src.d > n:  # the part of m outside the span of X_c
+        r = np.r_[r, np.r_[np.zeros(n), m_out][None, :]]
+    return _Factor(r, mean, norms)
+
+
+def _fold(src, center: bool, buf: np.ndarray, mean: np.ndarray | None,
+          start: int, stop: int) -> _Node:
+    """A leaf of pass 1: R <- R factor of [R; block] over the blocks of
+    rows start..stop-1 of src, each read into the head of buf, folded into
+    R in place and never held after its fold.
+
+    The first leaf starts from an empty R: while R has fewer than N rows
+    the buffer stacks R above the block and geqrf factors the stack, so a
+    single block is factored by geqrf alone.  Once R is a full N x N
+    triangle, tpqrt folds the block into it; any other leaf starts from
+    an N x N zero triangle and folds each of its blocks so.  Centering
+    writes the row means m of the leaf into mean and carries them as one
+    more column, [X_c | m] = Q R, by applying each fold's reflectors to
+    them, so the data columns of R round as those of X_c alone.  The
+    column norms of the uncentered rows are accumulated over the row
+    slices the means are taken from, since R[:, j] + R[:, N] cancels when
+    the mean dwarfs a snapshot.
+    """
+    n = src.n
+    r = np.empty((0, n)) if start == 0 else np.zeros((n, n), order="F")
+    norms = np.zeros(n)
+    m_r, m_out = np.zeros(r.shape[0]), 0.0  # R coordinates of m, its norm outside them
+    for start, stop in _blocks(start, stop):
         fold = r.shape[0] == n
         k = 0 if fold else r.shape[0]  # rows of R stacked above the block
         stack = _rows(buf, k + stop - start, n)
@@ -542,27 +674,72 @@ def _factor(src, center: bool, buf: np.ndarray | None = None) -> _Factor:
         if center:
             m_r, rest = np.split(c[:, 0], [r.shape[0]])
             m_out = np.hypot(m_out, np.linalg.norm(rest))
-    if not center:
-        return _Factor(r, mean, column_norms(r))
-    r = np.c_[r, m_r]
-    if src.d > n:  # the part of m outside the span of X_c
-        r = np.r_[r, np.r_[np.zeros(n), m_out][None, :]]
-    return _Factor(r, mean, norms)
+    return _Node(r, m_r, m_out, norms)
+
+
+def _merge(a: _Node, b: _Node, center: bool) -> _Node:
+    """The node of a's rows above b's: tpqrt with l = N folds b's N x N
+    triangle into a's, and under centering the same reflectors carry the
+    row means; the lengths outside them and the column norms combine."""
+    n = a.r.shape[1]
+    r, v, t, info = _lapack.dtpqrt(n, min(_FOLD_NB, n), a.r, b.r, overwrite_a=1, overwrite_b=1)
+    m_r, m_out = a.m_r, 0.0
+    if center and info == 0:
+        c, rest, info = _lapack.dtpmqrt(n, v, t, a.m_r[:, None], b.m_r[:, None], trans="T")
+        m_r, m_out = c[:, 0], np.hypot(np.hypot(a.m_out, b.m_out), np.linalg.norm(rest))
+    if info != 0:
+        raise NumericalError(f"LAPACK merge of two R factors failed, info {info}")
+    return _Node(r, m_r, m_out, np.hypot(a.norms, b.norms))
 
 
 def _lift(src, mean: np.ndarray | None, coef: np.ndarray, buf: np.ndarray,
-          out: ModeFile) -> np.ndarray:
+          out: ModeFile, cpus: int) -> np.ndarray:
     """Pass 2: the D-row product of the (centered) snapshots 1..N-1 of
-    src with coef, block by block through the head of buf and _LIFT_ROWS
-    rows per product, written to out one column's rows at a time.
-    Returns each column's lead, its first entry of largest magnitude: the
-    entry np.argmax finds over the whole column."""
-    n, r = src.n, coef.shape[1]
+    src with coef, written to out and rotated there by the phase
+    convention.  Returns the phase factor of each column: the conjugate
+    direction of its lead, its first entry of largest magnitude (the
+    entry np.argmax finds over the whole column).
+
+    Pass 1's leaves are split into contiguous runs of near-equal rows, one
+    per process and at most cpus (_workers.in_order).  _lift_rows lifts
+    each leaf and returns its columns' top magnitudes and leads, which
+    merge in row order; then _rotate rotates each leaf's rows."""
     real = np.ascontiguousarray(coef).view(np.float64)
-    most = min(_LIFT_ROWS, src.d)
+    leaves = _leaves(src.d, src.n)
+    shares = [[leaves[j] for j in run] for run in _runs(leaves, cpus, 0)]
+    lead, top = np.zeros(coef.shape[1], dtype=complex), np.full(coef.shape[1], -1.0)
+    for got_top, got_lead in in_order(shares, lambda rows: _lift_rows(src, mean, real, buf,
+                                                                        out, *rows)):
+        take = ~(got_top <= top) & ~np.isnan(top)  # a NaN leads, as in argmax
+        top[take], lead[take] = got_top[take], got_lead[take]
+    phase = np.conj(lead) / np.abs(lead)
+    in_order(shares, lambda rows: _rotate(out, phase, buf, *rows))
+    return phase
+
+
+def _rotate(out: ModeFile, phase: np.ndarray, buf: np.ndarray, start: int, stop: int) -> None:
+    """Multiply rows start..stop-1 of each column k of out by phase[k], a
+    block at a time through the head of buf."""
+    col = buf[:2 * min(_BLOCK_ROWS, stop - start)].view(np.complex128)
+    for k in range(phase.size):
+        for lo, hi in _blocks(start, stop):
+            c = col[:hi - lo]
+            out.read_rows(k, lo, c)
+            c *= phase[k]
+            out.write_rows(k, lo, c)
+
+
+def _lift_rows(src, mean: np.ndarray | None, real: np.ndarray, buf: np.ndarray,
+               out: ModeFile, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pass 2 over rows start..stop-1: block by block through the head of
+    buf and _LIFT_ROWS rows per product, written to out one column's rows
+    at a time.  real is the coefficient matrix viewed as float64.  Returns
+    each column's top magnitude and lead over these rows."""
+    n, r = src.n, real.shape[1] // 2
+    most = min(_LIFT_ROWS, stop - start)
     prod, col, mag = np.empty((most, 2 * r)), np.empty(most, dtype=complex), np.empty(most)
     lead, top = np.zeros(r, dtype=complex), np.full(r, -1.0)
-    for start, stop in _blocks(src.d):
+    for start, stop in _blocks(start, stop):
         block = _rows(buf, stop - start, n)
         src.read_rows(start, block)
         if mean is not None:
@@ -578,7 +755,7 @@ def _lift(src, mean: np.ndarray | None, coef: np.ndarray, buf: np.ndarray,
                 if not m[j] <= top[k] and not np.isnan(top[k]):  # a NaN leads, as in argmax
                     top[k], lead[k] = m[j], c[j]
                 out.write_rows(k, start + i, c)
-    return lead
+    return top, lead
 
 
 def exact_dmd(snap: SnapshotMatrix, opts: DmdOptions) -> DmdResult:
@@ -598,7 +775,8 @@ def exact_dmd(snap: SnapshotMatrix, opts: DmdOptions) -> DmdResult:
     D x r array is held.
     """
     buf = _block_buffer(snap.d, snap.n)
-    fac = _factor(snap, opts.remove_mean, buf)
+    cpus = _cpus()
+    fac = _factor(snap, opts.remove_mean, buf, cpus)
     r = fac.r[:min(snap.d, snap.n), :snap.n]
     s = np.linalg.svd(r[:, :-1], compute_uv=False)
     data_rank = int((s > s[0] * max(snap.d, snap.n - 1) * np.finfo(float).eps).sum())
@@ -606,15 +784,7 @@ def exact_dmd(snap: SnapshotMatrix, opts: DmdOptions) -> DmdResult:
         opts = replace(opts, r=max(1, min(data_rank, snap.n - 4)))
     red = _reduced_dmd(r[:, :-1], r[:, 1:], r, snap.d, opts)
     mode_file = ModeFile(snap.d, red.mu.size, snap.dt, snap.t0)
-    lead = _lift(snap, fac.mean, red.lift, buf, mode_file)
-    phase = np.conj(lead) / np.abs(lead)
-    col = buf[:2 * min(_BLOCK_ROWS, snap.d)].view(np.complex128)
-    for k in range(red.mu.size):
-        for start, stop in _blocks(snap.d):
-            c = col[:stop - start]
-            mode_file.read_rows(k, start, c)
-            c *= phase[k]
-            mode_file.write_rows(k, start, c)
+    phase = _lift(snap, fac.mean, red.lift, buf, mode_file, cpus)
     return DmdResult(
         modes=mode_file.matrix(),
         mu=red.mu,

@@ -25,22 +25,19 @@ this module's own run-length labeller, so no command imports scipy.ndimage.
 
 The reruns are independent, so leave_one_out spreads them over every CPU
 of the process's affinity set, unless the process runs another thread
-(a BLAS pool, say): it forks one worker per extra CPU, each worker
-computes every w-th draw and pipes its spectra back, and the parent
-computes its own share and reassembles the trials in draw order.  The
+(a BLAS pool, say): it forks one worker per extra CPU, each pinned to its
+own CPU, computing one contiguous run of the draws and piping its
+spectra back, while the parent computes the first run (_workers).  The
 result is the serial one, bit for bit.
 """
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import signal
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _workers
 from .dmd import DmdResult, deletion_spectrum
 from .errors import NumericalError
 from .grids import GridLayout
@@ -57,6 +54,8 @@ _KDE_CHUNK = 256
 _KDE_EVAL_CELLS = 2 ** 16
 # Channel whose share of each mode fills the vertically weighted RMS column.
 VERTICAL_CHANNEL = "uz"
+# The rule by which leave_one_out forks, under the names it had here.
+_cpus, _threads = _workers._cpus, _workers._threads
 
 
 def rms_contribution(b: complex, gamma: complex, t_window: float) -> float:
@@ -271,53 +270,32 @@ def leave_one_out(result: DmdResult, trials: int = 30, seed: int = 0) -> LeaveOn
     recorded in failures and skipped; NumericalError is raised only when
     every trial fails.
 
-    The trials run on w = min(CPUs, trials) processes, CPUs being the
-    size of the process's affinity set: 1 without os.fork or
-    os.sched_getaffinity, and 1 while the process runs any other thread,
-    a BLAS thread pool included (pin BLAS to one thread, as with
-    OPENBLAS_NUM_THREADS=1, to let the trials use the CPUs).  Worker k of
-    the w - 1 forked ones computes draws k, k + w, ... and pipes back
-    their spectra or NumericalError messages; the parent computes draws
-    0, w, ... with the same function meanwhile.  On one CPU nothing is
-    forked.  A worker that could not start, exited non-zero or stopped
-    short leaves draws without a record, and the parent computes those
-    itself, in draw order, once every worker is reaped: the trials,
-    failures and messages are the serial ones, and so is the first
-    exception other than NumericalError, which propagates from the
-    parent's own rerun.  An exception or interrupt in the parent kills
-    and reaps the workers before it propagates.
+    The trials run on w = min(CPUs, trials) processes, CPUs being
+    _workers._cpus(): the size of the process's affinity set, but 1
+    without os.fork or os.sched_getaffinity, and 1 while the process runs
+    any other thread, a BLAS thread pool included (pin BLAS to one thread,
+    as with OPENBLAS_NUM_THREADS=1, to let the trials use the CPUs).  The
+    draws are split into w contiguous runs: the parent computes the first,
+    and each of w - 1 forked workers, pinned to its own CPU, another, and
+    pipes back its spectra or NumericalError messages
+    (_workers.in_order).  On one CPU nothing is forked.  Draws a worker
+    left without a record, because it could not start, exited non-zero or
+    stopped short, are computed by the parent, in draw order, once every
+    worker is reaped: the trials, failures and messages are the serial
+    ones, and so is the first exception other than NumericalError, which
+    propagates from the parent's own rerun.  An exception or interrupt in
+    the parent kills and reaps the workers before it propagates, and the
+    parent's affinity set is restored.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     cols = result.factor.norms.size - 1
     drawn = _draw_omitted(cols, trials, np.random.default_rng(seed)).tolist()
     w = min(_cpus(), len(drawn))
-    records: list = [None] * len(drawn)  # mu, a NumericalError message, or None
-    workers: dict[int, tuple[int, int]] = {}
-    try:
-        for k in range(1, w):
-            worker = _fork_worker(result, drawn[k::w])
-            if worker is not None:
-                workers[k] = worker
-        got = _records(result, drawn[0::w])
-        records[0:len(got) * w:w] = got
-        for k, (pid, fd) in list(workers.items()):
-            with open(fd, "rb", closefd=False) as pipe:
-                payload = pipe.read()  # to its end, before the worker is reaped
-            status = os.waitpid(pid, 0)[1]
-            del workers[k]
-            os.close(fd)
-            got = pickle.loads(payload) if status == 0 else []
-            records[k:k + len(got) * w:w] = got
-    finally:
-        for pid, fd in workers.values():  # left by an exception: end them
-            os.close(fd)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+    shares = [drawn[k * len(drawn) // w:(k + 1) * len(drawn) // w] for k in range(w)]
+    records = _workers.in_order(shares, lambda column: _record(result, column))
     out, failed = [], []
     for i, rec in zip(drawn, records):
-        if rec is None:
-            rec = _record(result, i)
         if isinstance(rec, str):
             failed.append(LooFailure(omitted_column=i, message=rec))
         else:
@@ -330,73 +308,12 @@ def leave_one_out(result: DmdResult, trials: int = 30, seed: int = 0) -> LeaveOn
     return LeaveOneOutResult(trials=tuple(out), failures=tuple(failed))
 
 
-def _cpus() -> int:
-    """How many processes leave_one_out may run its trials on: the size of
-    the affinity set, or 1 where the platform cannot fork or report it, or
-    where the process runs a second thread.  A fork would copy the locks
-    that thread holds, and a BLAS pool's threads would compete with the
-    workers' for the same CPUs: with two OpenBLAS threads on two CPUs,
-    forking made leave_one_out 3.6 times slower, not faster."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") or _threads() > 1:
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _threads() -> int:
-    """The process's threads, Python's and native ones such as a BLAS
-    pool; where /proc cannot tell, the Python threads."""
-    try:
-        return len(os.listdir("/proc/self/task"))
-    except OSError:
-        return threading.active_count()
-
-
 def _record(result: DmdResult, column: int) -> np.ndarray | str:
     """The spectrum of one trial, or the message of its NumericalError."""
     try:
         return deletion_spectrum(result, column)
     except NumericalError as exc:
         return str(exc)
-
-
-def _records(result: DmdResult, columns: list[int]) -> list:
-    """_record for each column in turn, up to the first trial that raises
-    anything else; leave_one_out reruns that one, and lets it raise."""
-    out = []
-    for i in columns:
-        try:
-            out.append(_record(result, i))
-        except Exception:
-            break
-    return out
-
-
-def _fork_worker(result: DmdResult, columns: list[int]) -> tuple[int, int] | None:
-    """Fork a worker that pipes back the pickled _records(result, columns)
-    and ends with os._exit, so the parent's buffered output, atexit hooks
-    and finalizers never run twice.  Returns (pid, read end of the pipe),
-    or None when no worker could be started."""
-    try:
-        fd, wfd = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(fd)
-        os.close(wfd)
-        return None
-    if pid == 0:
-        code = 1
-        try:
-            os.close(fd)
-            with open(wfd, "wb") as fh:
-                pickle.dump(_records(result, columns), fh, pickle.HIGHEST_PROTOCOL)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(wfd)
-    return pid, fd
 
 
 def robustness_scores(base_mus: np.ndarray, loo: LeaveOneOutResult,

@@ -1,6 +1,8 @@
 """Shared builders for the test suite."""
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,18 @@ def linear_trajectory(rng, d, n, spectral_radius=1.0):
 def snapshots_from_array(data, dt=1.0, t0=0.0):
     return SnapshotMatrix(np.asarray(data, dtype=float), dt=dt, t0=t0,
                           layout=scalar_layout(np.asarray(data).shape[0]))
+
+
+@pytest.fixture(autouse=True)
+def keep_affinity():
+    """Give the process back its affinity set after a test that made the
+    code under test see another one, which it restores on the way out."""
+    if not hasattr(os, "sched_getaffinity"):
+        yield
+        return
+    before = os.sched_getaffinity(0)
+    yield
+    os.sched_setaffinity(0, before)
 
 
 @pytest.fixture

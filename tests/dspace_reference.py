@@ -2,7 +2,9 @@
 
 A copy of the pipeline that ran every step on the full-dimension pair
 before the library moved to one QR and R-factor coordinates.  The
-equivalence tests hold the library to it.
+equivalence tests hold the library to it.  sequential_factor is a copy
+of pass 1 as it folded every block into one R, before the reduction
+tree: an input of one leaf must still factor to its bits.
 """
 from __future__ import annotations
 
@@ -11,6 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from koopmode import _lapack, dmd
 from koopmode.dmd import (DmdOptions, _tlsq_basis, column_normalize,
                           column_norms, default_fit_indices,
                           fit_coefficients_multi, truncated_svd)
@@ -208,3 +211,51 @@ def reference_trial_mu(snap, opts: DmdOptions, omitted: int) -> np.ndarray:
                                   np.delete(x2, omitted, axis=1),
                                   fit_data, snap.dt, trial_opts, mean_mode, snap.t0)
     return res.mu
+
+
+def sequential_factor(src, center: bool) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """R, the D-row mean (None without centering) and the column norms of
+    pass 1 as one sequential fold over the row blocks of src: geqrf on R
+    stacked above each block until R has N rows, then tpqrt, the row
+    means carried as one more column under centering."""
+    n, d, rows = src.n, src.d, dmd._BLOCK_ROWS
+    mean = np.empty(d) if center else None
+    norms = np.zeros(n)
+    r = np.empty((0, n))
+    m_r, m_out = np.empty(0), 0.0
+    for start in range(0, d, rows):
+        stop = min(start + rows, d)
+        fold = r.shape[0] == n
+        k = 0 if fold else r.shape[0]
+        stack = np.empty((k + stop - start, n), order="F")
+        block = stack[k:]
+        src.read_rows(start, block)
+        if center:
+            m = mean[start:stop]
+            for i in range(0, stop - start, dmd._MEAN_ROWS):
+                part = np.ascontiguousarray(block[i:i + dmd._MEAN_ROWS])
+                part.mean(axis=1, out=m[i:i + dmd._MEAN_ROWS])
+                norms = np.hypot(norms, column_norms(part))
+            block -= m[:, None]
+        c = np.r_[m_r, m][:, None] if center else None
+        if fold:
+            r, v, t, info = _lapack.dtpqrt(0, min(dmd._FOLD_NB, n), r, block,
+                                           overwrite_a=1, overwrite_b=1)
+            if center:
+                c[:n], c[n:], info = _lapack.dtpmqrt(0, v, t, c[:n], c[n:], trans="T")
+        else:
+            stack[:k] = r
+            h, tau, info = _lapack.geqrf(stack)
+            r = np.triu(h[:n])
+            if center:
+                c, _, info = _lapack.dormqr("L", "T", h[:, :tau.size], tau, c, 1)
+        assert info == 0
+        if center:
+            m_r, rest = np.split(c[:, 0], [r.shape[0]])
+            m_out = np.hypot(m_out, np.linalg.norm(rest))
+    if not center:
+        return r, mean, column_norms(r)
+    r = np.c_[r, m_r]
+    if d > n:
+        r = np.r_[r, np.r_[np.zeros(n), m_out][None, :]]
+    return r, mean, norms

@@ -193,7 +193,8 @@ def test_no_command_imports_scipy(tmp_path):
     wrappers from their file, and loo labels its clusters with ranking's
     own labeller, so neither the import nor any command pays for a scipy
     package's init: not scipy.linalg's, and not scipy.ndimage's in loo or
-    in a rom whose robustness box runs leave-one-out."""
+    in a rom whose robustness box runs leave-one-out.  Nor does any
+    command import numpy.ma, which np.unique's first call does."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(PACKAGE.parent), env.get("PYTHONPATH")) if p)
@@ -207,10 +208,11 @@ def test_no_command_imports_scipy(tmp_path):
             "for command in ('synth', 'run', 'loo', 'rom', 'slice'):\n"
             "    out = sys.argv[2] + '/' + command\n"
             "    assert koopmode.cli.main([command, '--config', sys.argv[1], '--out', out]) == 0\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))")
     done = subprocess.run([sys.executable, "-c", code, str(cfg), str(tmp_path)], env=env,
                           check=True, timeout=120, capture_output=True, text=True)
-    assert done.stdout.splitlines()[-1] == "[]"
+    assert done.stdout.splitlines()[-2:] == ["[]", "[]"]
     assert (tmp_path / "loo" / "kde_grid.csv").is_file()
     assert (tmp_path / "rom" / "rom_robust_errors.csv").is_file()
     assert (tmp_path / "slice" / "slice_mode2_phase.csv").is_file()

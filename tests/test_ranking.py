@@ -20,7 +20,7 @@ from koopmode.cli import main
 from koopmode.dmd import DmdOptions, exact_dmd
 from koopmode.errors import NumericalError
 from koopmode.grids import velocity_layout
-from koopmode import ranking
+from koopmode import _workers, ranking
 from koopmode.ranking import (CLUSTER_BANDWIDTH, KDE_MAX_CELLS, KdeDensity,
                               build_mode_table, cluster_eigenvalues,
                               component_rms, half_life_cutoff, kde_eval,
@@ -444,10 +444,10 @@ forks_beside_threads = pytest.mark.filterwarnings(
 
 
 def on_cpus(monkeypatch, count):
-    """Make leave_one_out see an affinity set of count CPUs and no other
-    thread, and count its forks."""
+    """Make leave_one_out and exact_dmd see an affinity set of count CPUs
+    and no other thread, and count their forks."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-    monkeypatch.setattr(ranking, "_threads", lambda: 1)
+    monkeypatch.setattr(_workers, "_threads", lambda: 1)
     forks = []
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
@@ -507,21 +507,22 @@ def test_loo_on_many_cpus_raises_the_serial_error_when_every_trial_fails(monkeyp
 
 @forks_beside_threads
 def test_loo_raises_the_first_other_error_in_draw_order(monkeypatch):
-    """Draw 1 (a worker's on 2 or 3 CPUs) and draw 2 (the parent's on 2)
-    raise ValueError: every CPU count raises draw 1's, as a serial run does."""
+    """Draws 4 and 7 raise ValueError: on 2 CPUs the parent's and the
+    worker's, on 3 CPUs those of two workers.  Every CPU count raises draw
+    4's, as a serial run does."""
     snap, opts = loo_setup()
     base = exact_dmd(snap, opts)
     drawn = ranking._draw_omitted(snap.n - 1, 10, np.random.default_rng(3)).tolist()
     spectrum = ranking.deletion_spectrum
 
     def flaky(result, column):
-        if column in drawn[1:3]:
+        if column in (drawn[4], drawn[7]):
             raise ValueError(f"bad column {column}")
         return spectrum(result, column)
     monkeypatch.setattr(ranking, "deletion_spectrum", flaky)
     for cpus in (1, 2, 3):
         on_cpus(monkeypatch, cpus)
-        with pytest.raises(ValueError, match=f"^bad column {drawn[1]}$"):
+        with pytest.raises(ValueError, match=f"^bad column {drawn[4]}$"):
             leave_one_out(base, trials=10, seed=3)
         assert_no_child_left()
 
