@@ -69,17 +69,17 @@ A column-deletion trial (deletion_spectrum) deletes a column of a
 result's R pair and computes eigenvalues only: no modes, residuals or
 amplitude fit.
 
-CPUs.  Both passes run on every CPU of the affinity set, unless the
-process runs a second thread such as a BLAS pool (_workers._cpus): the
-leaves are split into one contiguous run per process, the parent's
-first.  Pass 1's workers return the roots of the complete subtrees in
-their runs, O(log leaves) triangles, and the parent merges them; pass
-2's write their rows of the mode file and return their leads.  Each
-process is pinned to its own CPU of the affinity set (_workers.in_order),
-since a forked process otherwise stays on its parent's CPU: on a
-74,960 x 144 file and 2 vCPUs, a two-process pass 1 took 214-274 ms
-unpinned, slower than the serial 199-243 ms, and 124-168 ms pinned (8
-alternating calls each).  An input of one leaf forks nothing.
+CPUs.  Both passes state what each leaf costs, its rows, and
+_workers.in_order spreads the leaves over every CPU of the affinity set,
+unless the process runs a second thread such as a BLAS pool: one
+contiguous run per process, the parent's first.  Pass 1's workers return
+the roots of the complete subtrees in their runs, O(log leaves)
+triangles, and the parent merges them; pass 2's write their rows of the
+mode file and return their leads.  Each process is pinned to its own
+CPU of the set, since a forked process otherwise stays on its parent's
+CPU: on a 74,960 x 144 file and 2 vCPUs, a two-process pass 1 took
+214-274 ms unpinned, slower than the serial 199-243 ms, and 124-168 ms
+pinned (8 alternating calls each).  An input of one leaf forks nothing.
 Memory holds one block per process, its r lifted columns and
 O(N^2 log(D / 8192)) numbers.
 
@@ -95,8 +95,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import _lapack
-from ._workers import _cpus, in_order
+from . import _lapack, _workers
 from .errors import NumericalError
 from .fileio import ModeFile
 from .grids import SnapshotMatrix
@@ -528,19 +527,6 @@ def _leaves(d: int, n: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def _runs(leaves: list[tuple[int, int]], cpus: int, head: int) -> list[range]:
-    """Contiguous runs of leaves, at most cpus of them, of near-equal
-    cost: a leaf costs its rows, and the first leaf head rows more.  A run
-    ends after the leaves whose middle comes before its share of the
-    cost."""
-    w = min(cpus, len(leaves))
-    rows = np.array([stop - start for start, stop in leaves])
-    rows[0] += head
-    mids = np.cumsum(rows) - rows / 2
-    cuts = [0, *np.searchsorted(mids, np.arange(1, w) * (rows.sum() / w)).tolist(), len(leaves)]
-    return [range(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
-
-
 def _subtrees(run: range, leaves: int) -> list[tuple[int, int]]:
     """The largest nodes of the tree over leaves leaves that tile run, in
     order, as (height, index): node j at height h covers leaves j 2^h ..
@@ -567,19 +553,19 @@ def _rows(buf: np.ndarray, rows: int, n: int) -> np.ndarray:
     return buf[:rows * n].reshape((rows, n), order="F")
 
 
-def _factor(src, center: bool, buf: np.ndarray | None = None, cpus: int = 1) -> _Factor:
+def _factor(src, center: bool, buf: np.ndarray | None = None) -> _Factor:
     """Pass 1: the R factor of src by a reduction tree over its leaves.
 
     Leaves (_leaves) are folded by _fold and merged pairwise, level by
     level, by _merge: node j at height h merges nodes 2j and 2j + 1 at
     height h - 1, or is node 2j where 2j + 1 does not exist.  The tree
-    depends on D and N only.  The leaves are split into one contiguous
-    run per process, at most cpus of them (_workers.in_order): each
-    reduces the complete subtrees inside its run and returns their roots
-    and rows of the mean, and the parent merges the roots into the tree's
-    root.  So the result is the same on any number of CPUs, and an input
-    of one leaf is factored as by _fold alone.  buf (_block_buffer's by
-    default) holds the block being read.
+    depends on D and N only.  _workers.in_order cuts the leaves into
+    contiguous runs, one per process, by their rows: each process reduces
+    the complete subtrees inside its run and returns their roots and rows
+    of the mean, and the parent merges the roots into the tree's root.
+    So the result is the same on any number of CPUs, and an input of one
+    leaf is factored as by _fold alone.  buf (_block_buffer's by default)
+    holds the block being read.
     """
     n = src.n
     if buf is None:
@@ -600,13 +586,14 @@ def _factor(src, center: bool, buf: np.ndarray | None = None, cpus: int = 1) -> 
             return left
         return _merge(left, node(h - 1, 2 * j + 1, known), center)
 
-    def subtree(hj: tuple[int, int]):
-        return node(*hj, {}), None if mean is None else mean[span(*hj)]
+    def subtrees(run: range) -> list:
+        return [(hj, node(*hj, {}), None if mean is None else mean[span(*hj)])
+                for hj in _subtrees(run, len(leaves))]
 
-    # geqrf's start of the first leaf costs about one more block
-    shares = [_subtrees(run, len(leaves)) for run in _runs(leaves, cpus, _BLOCK_ROWS)]
+    costs = [stop - start for start, stop in leaves]
+    costs[0] += _BLOCK_ROWS  # geqrf's start of the first leaf
     known = {}
-    for hj, (value, rows) in zip([p for s in shares for p in s], in_order(shares, subtree)):
+    for hj, value, rows in _workers.in_order(costs, subtrees):
         known[hj] = value
         if mean is not None:
             mean[span(*hj)] = rows
@@ -657,23 +644,21 @@ def _fold(src, center: bool, buf: np.ndarray, mean: np.ndarray | None,
                 rows.mean(axis=1, out=m[i:i + _MEAN_ROWS])
                 norms = np.hypot(norms, column_norms(rows))
             block -= m[:, None]
-        c = np.r_[m_r, m][:, None] if center else None
+        what = f"fold of rows {start}..{stop - 1}"
         if fold:
-            r, v, t, info = _lapack.dtpqrt(0, min(_FOLD_NB, n), r, block,
-                                           overwrite_a=1, overwrite_b=1)
-            if center and info == 0:
-                c[:n], c[n:], info = _lapack.dtpmqrt(0, v, t, c[:n], c[n:], trans="T")
+            r, top, rest = _tpqrt(0, r, block, (m_r, m) if center else None, what)
         else:
             stack[:k] = r
             h, tau, info = _lapack.geqrf(stack)
             r = np.triu(h[:n])
             if center and info == 0:
-                c, _, info = _lapack.dormqr("L", "T", h[:, :tau.size], tau, c, 1)
-        if info != 0:
-            raise NumericalError(f"LAPACK fold of rows {start}..{stop - 1} failed, info {info}")
+                c, _, info = _lapack.dormqr("L", "T", h[:, :tau.size], tau,
+                                            np.r_[m_r, m][:, None], 1)
+                top, rest = c[:r.shape[0], 0], np.linalg.norm(c[r.shape[0]:, 0])
+            if info != 0:
+                raise NumericalError(f"LAPACK {what} failed, info {info}")
         if center:
-            m_r, rest = np.split(c[:, 0], [r.shape[0]])
-            m_out = np.hypot(m_out, np.linalg.norm(rest))
+            m_r, m_out = top, np.hypot(m_out, rest)
     return _Node(r, m_r, m_out, norms)
 
 
@@ -681,40 +666,61 @@ def _merge(a: _Node, b: _Node, center: bool) -> _Node:
     """The node of a's rows above b's: tpqrt with l = N folds b's N x N
     triangle into a's, and under centering the same reflectors carry the
     row means; the lengths outside them and the column norms combine."""
-    n = a.r.shape[1]
-    r, v, t, info = _lapack.dtpqrt(n, min(_FOLD_NB, n), a.r, b.r, overwrite_a=1, overwrite_b=1)
-    m_r, m_out = a.m_r, 0.0
-    if center and info == 0:
-        c, rest, info = _lapack.dtpmqrt(n, v, t, a.m_r[:, None], b.m_r[:, None], trans="T")
-        m_r, m_out = c[:, 0], np.hypot(np.hypot(a.m_out, b.m_out), np.linalg.norm(rest))
+    r, m_r, rest = _tpqrt(a.r.shape[1], a.r, b.r, (a.m_r, b.m_r) if center else None,
+                          "merge of two R factors")
+    return _Node(r, a.m_r if m_r is None else m_r, np.hypot(np.hypot(a.m_out, b.m_out), rest),
+                 np.hypot(a.norms, b.norms))
+
+
+def _tpqrt(l: int, a: np.ndarray, b: np.ndarray, carry: tuple[np.ndarray, np.ndarray] | None,
+           what: str) -> tuple[np.ndarray, np.ndarray | None, float]:
+    """One tpqrt step: the N x N triangle of [a; b], where a is N x N upper
+    triangular and b's first l rows are (l = 0 or N).  carry, a column
+    split into a's rows and b's, is carried by the same reflectors
+    (tpmqrt).  Returns the triangle, the carried top and the length of the
+    carried rest: None and 0 without carry.  Raises NumericalError, naming
+    what, when LAPACK fails."""
+    n = a.shape[1]
+    r, v, t, info = _lapack.dtpqrt(l, min(_FOLD_NB, n), a, b, overwrite_a=1, overwrite_b=1)
+    top, length = None, 0.0
+    if carry is not None and info == 0:
+        top, rest, info = _lapack.dtpmqrt(l, v, t, carry[0][:, None], carry[1][:, None], trans="T")
+        top, length = top[:, 0], np.linalg.norm(rest)
     if info != 0:
-        raise NumericalError(f"LAPACK merge of two R factors failed, info {info}")
-    return _Node(r, m_r, m_out, np.hypot(a.norms, b.norms))
+        raise NumericalError(f"LAPACK {what} failed, info {info}")
+    return r, top, length
 
 
 def _lift(src, mean: np.ndarray | None, coef: np.ndarray, buf: np.ndarray,
-          out: ModeFile, cpus: int) -> np.ndarray:
+          out: ModeFile) -> np.ndarray:
     """Pass 2: the D-row product of the (centered) snapshots 1..N-1 of
     src with coef, written to out and rotated there by the phase
     convention.  Returns the phase factor of each column: the conjugate
     direction of its lead, its first entry of largest magnitude (the
     entry np.argmax finds over the whole column).
 
-    Pass 1's leaves are split into contiguous runs of near-equal rows, one
-    per process and at most cpus (_workers.in_order).  _lift_rows lifts
-    each leaf and returns its columns' top magnitudes and leads, which
-    merge in row order; then _rotate rotates each leaf's rows."""
+    _workers.in_order cuts pass 1's leaves into contiguous runs, one per
+    process, by their rows.  _lift_rows lifts each leaf and returns its
+    columns' top magnitudes and leads, which merge in row order (_lead);
+    then _rotate rotates each leaf's rows."""
     real = np.ascontiguousarray(coef).view(np.float64)
     leaves = _leaves(src.d, src.n)
-    shares = [[leaves[j] for j in run] for run in _runs(leaves, cpus, 0)]
+    rows = [stop - start for start, stop in leaves]
     lead, top = np.zeros(coef.shape[1], dtype=complex), np.full(coef.shape[1], -1.0)
-    for got_top, got_lead in in_order(shares, lambda rows: _lift_rows(src, mean, real, buf,
-                                                                        out, *rows)):
-        take = ~(got_top <= top) & ~np.isnan(top)  # a NaN leads, as in argmax
-        top[take], lead[take] = got_top[take], got_lead[take]
+    for got in _workers.in_order(rows, lambda run: [_lift_rows(src, mean, real, buf, out,
+                                                               *leaves[j]) for j in run]):
+        _lead(top, lead, *got)
     phase = np.conj(lead) / np.abs(lead)
-    in_order(shares, lambda rows: _rotate(out, phase, buf, *rows))
+    _workers.in_order(rows, lambda run: [_rotate(out, phase, buf, *leaves[j]) for j in run])
     return phase
+
+
+def _lead(top: np.ndarray, lead: np.ndarray, got_top: np.ndarray, got_lead: np.ndarray) -> None:
+    """Merge the top magnitudes and leads of later rows into those of the
+    rows before them, in place: a larger magnitude takes over, and a NaN
+    leads, as in argmax."""
+    take = ~(got_top <= top) & ~np.isnan(top)
+    top[take], lead[take] = got_top[take], got_lead[take]
 
 
 def _rotate(out: ModeFile, phase: np.ndarray, buf: np.ndarray, start: int, stop: int) -> None:
@@ -739,6 +745,7 @@ def _lift_rows(src, mean: np.ndarray | None, real: np.ndarray, buf: np.ndarray,
     most = min(_LIFT_ROWS, stop - start)
     prod, col, mag = np.empty((most, 2 * r)), np.empty(most, dtype=complex), np.empty(most)
     lead, top = np.zeros(r, dtype=complex), np.full(r, -1.0)
+    got_lead, got_top = np.empty(r, dtype=complex), np.empty(r)
     for start, stop in _blocks(start, stop):
         block = _rows(buf, stop - start, n)
         src.read_rows(start, block)
@@ -748,13 +755,16 @@ def _lift_rows(src, mean: np.ndarray | None, real: np.ndarray, buf: np.ndarray,
             x2 = block[i:i + _LIFT_ROWS, 1:]
             rows = x2.shape[0]
             phi = np.matmul(x2, real, out=prod[:rows]).view(np.complex128)
+            # A column at a time: one abs and argmax(axis=0) over the product
+            # would hold its rows x r magnitudes (1.1 MB at r = 140), and
+            # argmax copies them again unless they are F-ordered.
             c, m = col[:rows], mag[:rows]
             for k in range(r):
                 np.copyto(c, phi[:, k])
-                j = int(np.abs(c, out=m).argmax())
-                if not m[j] <= top[k] and not np.isnan(top[k]):  # a NaN leads, as in argmax
-                    top[k], lead[k] = m[j], c[j]
+                j = np.abs(c, out=m).argmax()
+                got_top[k], got_lead[k] = m[j], c[j]
                 out.write_rows(k, start + i, c)
+            _lead(top, lead, got_top, got_lead)
     return top, lead
 
 
@@ -775,8 +785,7 @@ def exact_dmd(snap: SnapshotMatrix, opts: DmdOptions) -> DmdResult:
     D x r array is held.
     """
     buf = _block_buffer(snap.d, snap.n)
-    cpus = _cpus()
-    fac = _factor(snap, opts.remove_mean, buf, cpus)
+    fac = _factor(snap, opts.remove_mean, buf)
     r = fac.r[:min(snap.d, snap.n), :snap.n]
     s = np.linalg.svd(r[:, :-1], compute_uv=False)
     data_rank = int((s > s[0] * max(snap.d, snap.n - 1) * np.finfo(float).eps).sum())
@@ -784,7 +793,7 @@ def exact_dmd(snap: SnapshotMatrix, opts: DmdOptions) -> DmdResult:
         opts = replace(opts, r=max(1, min(data_rank, snap.n - 4)))
     red = _reduced_dmd(r[:, :-1], r[:, 1:], r, snap.d, opts)
     mode_file = ModeFile(snap.d, red.mu.size, snap.dt, snap.t0)
-    phase = _lift(snap, fac.mean, red.lift, buf, mode_file, cpus)
+    phase = _lift(snap, fac.mean, red.lift, buf, mode_file)
     return DmdResult(
         modes=mode_file.matrix(),
         mu=red.mu,

@@ -23,12 +23,9 @@ raster adds each kernel as the outer product of two 1-D factors on a
 square window, in chunks of bounded memory, and the components come from
 this module's own run-length labeller, so no command imports scipy.ndimage.
 
-The reruns are independent, so leave_one_out spreads them over every CPU
-of the process's affinity set, unless the process runs another thread
-(a BLAS pool, say): it forks one worker per extra CPU, each pinned to its
-own CPU, computing one contiguous run of the draws and piping its
-spectra back, while the parent computes the first run (_workers).  The
-result is the serial one, bit for bit.
+The reruns are independent, so leave_one_out spreads them over the CPUs
+through _workers.in_order, and the result is the serial one, bit for
+bit.
 """
 from __future__ import annotations
 
@@ -54,8 +51,6 @@ _KDE_CHUNK = 256
 _KDE_EVAL_CELLS = 2 ** 16
 # Channel whose share of each mode fills the vertically weighted RMS column.
 VERTICAL_CHANNEL = "uz"
-# The rule by which leave_one_out forks, under the names it had here.
-_cpus, _threads = _workers._cpus, _workers._threads
 
 
 def rms_contribution(b: complex, gamma: complex, t_window: float) -> float:
@@ -270,30 +265,19 @@ def leave_one_out(result: DmdResult, trials: int = 30, seed: int = 0) -> LeaveOn
     recorded in failures and skipped; NumericalError is raised only when
     every trial fails.
 
-    The trials run on w = min(CPUs, trials) processes, CPUs being
-    _workers._cpus(): the size of the process's affinity set, but 1
-    without os.fork or os.sched_getaffinity, and 1 while the process runs
-    any other thread, a BLAS thread pool included (pin BLAS to one thread,
-    as with OPENBLAS_NUM_THREADS=1, to let the trials use the CPUs).  The
-    draws are split into w contiguous runs: the parent computes the first,
-    and each of w - 1 forked workers, pinned to its own CPU, another, and
-    pipes back its spectra or NumericalError messages
-    (_workers.in_order).  On one CPU nothing is forked.  Draws a worker
-    left without a record, because it could not start, exited non-zero or
-    stopped short, are computed by the parent, in draw order, once every
-    worker is reaped: the trials, failures and messages are the serial
-    ones, and so is the first exception other than NumericalError, which
-    propagates from the parent's own rerun.  An exception or interrupt in
-    the parent kills and reaps the workers before it propagates, and the
-    parent's affinity set is restored.
+    The trials are independent parts of equal cost, which
+    _workers.in_order spreads over the CPUs: the records, failures,
+    messages and the first exception other than NumericalError are those
+    of a serial run.  While the process runs any other thread, a BLAS pool
+    included, every trial runs in it alone; pin BLAS to one thread (as
+    with OPENBLAS_NUM_THREADS=1) to let the trials use the CPUs.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     cols = result.factor.norms.size - 1
     drawn = _draw_omitted(cols, trials, np.random.default_rng(seed)).tolist()
-    w = min(_cpus(), len(drawn))
-    shares = [drawn[k * len(drawn) // w:(k + 1) * len(drawn) // w] for k in range(w)]
-    records = _workers.in_order(shares, lambda column: _record(result, column))
+    records = _workers.in_order([1] * len(drawn),
+                                lambda run: [_record(result, drawn[j]) for j in run])
     out, failed = [], []
     for i, rec in zip(drawn, records):
         if isinstance(rec, str):

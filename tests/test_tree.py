@@ -28,7 +28,7 @@ from koopmode.oracle import generate, tidal_spec
 from koopmode.ranking import leave_one_out
 
 from dspace_reference import sequential_factor
-from test_ranking import assert_no_child_left, forks_beside_threads, on_cpus
+from test_ranking import assert_no_child_left, forks_beside_threads, loo_records, on_cpus
 
 REAL_AFFINITY = os.sched_getaffinity
 
@@ -59,8 +59,7 @@ def fingerprint(result) -> tuple:
 
 @given(leaves=st.integers(1, 70), cpus=st.integers(1, 5))
 def test_each_run_is_tiled_by_its_subtrees_in_order(leaves, cpus):
-    rows = [(8 * j, 8 * j + 8) for j in range(leaves)]
-    runs = dmd._runs(rows, cpus, 8)
+    runs = _workers._runs([16] + [8] * (leaves - 1), cpus)
     assert [j for run in runs for j in run] == list(range(leaves))
     assert 1 <= len(runs) <= min(cpus, leaves)
     for run in runs:
@@ -204,15 +203,17 @@ def test_the_parents_affinity_set_is_restored(monkeypatch, call, event):
                   else leave_one_out(base, trials=10, seed=3).pooled().tobytes())
         monkeypatch.setattr(_workers, "_threads", lambda: 1)
         calls = pin_calls(monkeypatch)
-        computed = _workers._computed
+        in_order = _workers.in_order
 
-        def eventful(parts, compute):
-            if event == "worker killed" and os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL)
-            if event == "parent interrupted" and os.getpid() == parent:
-                raise KeyboardInterrupt
-            return computed(parts, compute)
-        monkeypatch.setattr(_workers, "_computed", eventful)
+        def eventful(costs, compute):
+            def run(parts):
+                if event == "worker killed" and os.getpid() != parent:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                if event == "parent interrupted" and os.getpid() == parent:
+                    raise KeyboardInterrupt
+                return compute(parts)
+            return in_order(costs, run)
+        monkeypatch.setattr(_workers, "in_order", eventful)
         try:
             got = (fingerprint(multi_leaf_result(folder)) if call == "exact_dmd"
                    else leave_one_out(base, trials=10, seed=3).pooled().tobytes())
@@ -226,6 +227,44 @@ def test_the_parents_affinity_set_is_restored(monkeypatch, call, event):
     assert_no_child_left()
 
 
+@forks_beside_threads
+@pytest.mark.parametrize("call", ["exact_dmd", "leave_one_out"])
+def test_an_affinity_set_that_shrinks_after_its_first_read_gives_the_serial_bits(
+        monkeypatch, call):
+    """The set reads as 3 CPUs once and as 1 CPU after that, as when an
+    outside taskset shrinks it while a command runs: the call that read 3
+    forks 2 workers and pins each to a CPU of that read, every later call
+    runs serially, and the bits are the serial ones."""
+    monkeypatch.setattr(dmd, "_BLOCK_ROWS", 8)
+    with tempfile.TemporaryDirectory() as folder:
+        on_cpus(monkeypatch, 1)
+        base = multi_leaf_result(folder)
+        serial = (fingerprint(base) if call == "exact_dmd"
+                  else loo_records(leave_one_out(base, trials=10, seed=3)))
+        forks, reads = on_cpus(monkeypatch, 3), []
+
+        def shrinking(pid):
+            reads.append(pid)
+            return {0, 1, 2} if len(reads) == 1 else {0}
+        monkeypatch.setattr(os, "sched_getaffinity", shrinking)
+        got = (fingerprint(multi_leaf_result(folder)) if call == "exact_dmd"
+               else loo_records(leave_one_out(base, trials=10, seed=3)))
+    assert got == serial
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+@forks_beside_threads
+def test_in_order_reads_the_affinity_set_once_per_call(monkeypatch):
+    forks, reads = on_cpus(monkeypatch, 3), []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: reads.append(pid) or {0, 1, 2})
+    squares = _workers.in_order([1] * 7, lambda run: [k * k for k in run])
+    assert squares == [k * k for k in range(7)]
+    assert len(reads) == 1
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
 def test_a_worker_whose_pin_fails_runs_unpinned(monkeypatch):
     """A CPU outside the real set cannot be pinned to: the worker given it
     keeps the set it was forked with, and its results are kept; every
@@ -234,8 +273,8 @@ def test_a_worker_whose_pin_fails_runs_unpinned(monkeypatch):
     cpus = sorted(real) + [4095]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
     monkeypatch.setattr(_workers, "_threads", lambda: 1)
-    got = _workers.in_order([[k] for k in range(len(cpus))],
-                            lambda part: (part, os.getpid(), REAL_AFFINITY(0)))
+    got = _workers.in_order([1] * len(cpus),
+                            lambda run: [(k, os.getpid(), REAL_AFFINITY(0)) for k in run])
     assert [g[0] for g in got] == list(range(len(cpus)))
     assert [g[2] for g in got] == [{cpu} for cpu in cpus[:-1]] + [real]
     assert got[0][1] == os.getpid()
