@@ -1,39 +1,80 @@
-"""The LAPACK routines dmd calls, from scipy/linalg/_flapack, the f2py
-extension behind scipy.linalg.lapack, loaded from its file: its init needs
-only numpy's C API, while scipy.linalg's package init (an array-API clone
-of numpy importing numpy.testing, numpy.f2py and more) is half of a
-command's start-up.  svd and geqrf pass scipy.linalg's arguments and
-workspace sizes, so they return its bits."""
-import importlib.machinery
-import importlib.util
-from pathlib import Path
+"""The LAPACK routines dmd calls, bound with ctypes in the OpenBLAS numpy
+itself links (scipy-openblas64 in numpy's wheels), so a process maps one
+OpenBLAS, with one thread pool, and no scipy object.  A lookup through
+the handle of numpy.linalg's extension also searches the libraries it
+links.  The routines have the wheels' ILP64 names, scipy_<name>_64_, and
+take 64-bit integers and Fortran's hidden string lengths.
+
+Each function takes the arguments of scipy.linalg.lapack's f2py wrapper
+of the same name and does what it does: inputs are copied to F order,
+unless the caller hands over an F-ordered float64 array to overwrite;
+outputs start zeroed; svd and geqrf query their workspace sizes as
+scipy.linalg does.  So on one BLAS thread every result is scipy's, to
+the bit.  (On two, scipy 1.17's OpenBLAS 0.3.30 rounds some tpqrt calls
+with nb > 16 apart from its own one-thread bits; numpy's 0.3.31 gave the
+one-thread bits on both.)  Without these routines in numpy's LAPACK, the
+import raises ImportError."""
+import ctypes
 
 import numpy as np
+import numpy.linalg._umath_linalg
+
+# Each routine's arguments, info included, all passed by reference, and
+# how many of them are one-letter strings, whose hidden lengths follow.
+_ROUTINES = {"dgesdd": (14, 1), "dgeqrf": (8, 0), "dormqr": (13, 2), "dtpqrt": (12, 0),
+             "dtpmqrt": (17, 2)}
 
 
-def _load_flapack():
-    spec = importlib.util.find_spec("scipy")
-    if spec is None or spec.origin is None:
-        raise ImportError("koopmode needs scipy's LAPACK wrappers: scipy is not installed")
-    folder = Path(spec.origin).parent / "linalg"
-    path = folder / f"_flapack{importlib.machinery.EXTENSION_SUFFIXES[0]}"
-    if not path.is_file():
-        raise ImportError(f"koopmode needs scipy's LAPACK wrappers: no {path.name} in {folder}")
-    loader = importlib.machinery.ExtensionFileLoader("koopmode._flapack", str(path))
-    module = loader.create_module(importlib.util.spec_from_loader(loader.name, loader))
-    loader.exec_module(module)
-    return module
+def _bind(path: str) -> dict:
+    """The routines from the library at path or one it links: ImportError
+    naming the routine and the file when one is missing."""
+    lib = ctypes.CDLL(path)
+    found = {}
+    for name, (args, strings) in _ROUTINES.items():
+        try:
+            found[name] = getattr(lib, f"scipy_{name}_64_")
+        except AttributeError:
+            raise ImportError(f"koopmode needs LAPACK's {name}, and {path} exports no "
+                              f"scipy_{name}_64_: numpy is not linked to scipy-openblas64") from None
+        found[name].argtypes = [ctypes.c_void_p] * args + [ctypes.c_size_t] * strings
+        found[name].restype = None
+    return found
 
 
-_FLAPACK = _load_flapack()
-dtpqrt, dtpmqrt, dormqr = _FLAPACK.dtpqrt, _FLAPACK.dtpmqrt, _FLAPACK.dormqr
+_LAPACK = _bind(numpy.linalg._umath_linalg.__file__)
+
+
+def _call(name: str, *args) -> int:
+    """LAPACK's name on args in Fortran's order, up to the info it returns:
+    an array goes by its data, a str as a one-letter Fortran string whose
+    hidden length follows the arguments, an integer by reference."""
+    info = ctypes.c_int64()
+    _LAPACK[name](*(a.ctypes.data if isinstance(a, np.ndarray) else a.encode()
+                    if isinstance(a, str) else ctypes.byref(ctypes.c_int64(a)) for a in args),
+                  ctypes.byref(info), *[1 for a in args if isinstance(a, str)])
+    return info.value
+
+
+def _fortran(a, overwrite: bool) -> np.ndarray:
+    """a as an F-ordered float64 array for LAPACK to overwrite: a itself when
+    overwrite is set and it already is one, else a copy."""
+    if overwrite:
+        return np.require(a, np.float64, "FAW")
+    return np.array(a, np.float64, order="F")
 
 
 def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """scipy.linalg.svd(a, full_matrices=False) of a real matrix: gesdd."""
-    a = np.asarray_chkfinite(a)
-    work, _ = _FLAPACK.dgesdd_lwork(*a.shape, compute_uv=1, full_matrices=0)
-    u, s, vt, info = _FLAPACK.dgesdd(a, compute_uv=1, full_matrices=0, lwork=int(work.real))
+    a = _fortran(np.asarray_chkfinite(a), False)
+    m, n = a.shape
+    k = min(m, n)
+    s, u, vt = np.zeros(k), np.zeros((m, k), order="F"), np.zeros((k, n), order="F")
+    iwork, query = np.zeros(8 * k, np.int64), np.zeros(1)
+    info = _call("dgesdd", "S", m, n, a, m, s, u, m, vt, k, query, -1, iwork)
+    if info != 0:
+        raise ValueError(f"Internal work array size computation failed: {info}")
+    lwork = int(query[0])
+    info = _call("dgesdd", "S", m, n, a, m, s, u, m, vt, k, np.zeros(max(lwork, 1)), lwork, iwork)
     if info > 0:
         raise np.linalg.LinAlgError("SVD did not converge")
     if info < 0:
@@ -44,6 +85,48 @@ def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def geqrf(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """scipy.linalg.qr(a, mode="raw", overwrite_a=True, check_finite=False)'s
     reflectors and scales, and geqrf's info: an F-ordered float64 a is overwritten."""
-    *_, work, _ = _FLAPACK.dgeqrf(a, lwork=-1, overwrite_a=1)
-    h, tau, _, info = _FLAPACK.dgeqrf(a, lwork=int(work[0]), overwrite_a=1)
-    return h, tau, info
+    a = _fortran(a, True)
+    m, n = a.shape
+    tau, query = np.zeros(min(m, n)), np.zeros(1)
+    _call("dgeqrf", m, n, a, m, tau, query, -1)
+    lwork = int(query[0])
+    return a, tau, _call("dgeqrf", m, n, a, m, tau, np.zeros(max(lwork, 1)), lwork)
+
+
+def dormqr(side: str, trans: str, a: np.ndarray, tau: np.ndarray, c: np.ndarray,
+           lwork: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """scipy.linalg.lapack.dormqr: c, a copy, multiplied by geqrf's Q or Q^T."""
+    a, tau, c = np.require(a, np.float64, "F"), np.require(tau, np.float64, "C"), _fortran(c, False)
+    (lda, k), (m, n) = a.shape, c.shape
+    if tau.shape != (k,):
+        raise ValueError(f"dormqr: {k} reflectors and {tau.size} scales")
+    work = np.zeros(max(lwork, 1))
+    return c, work, _call("dormqr", side, trans, m, n, k, a, lda, tau, c, m, work, lwork)
+
+
+def dtpqrt(l: int, nb: int, a: np.ndarray, b: np.ndarray, overwrite_a: int,
+           overwrite_b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """scipy.linalg.lapack.dtpqrt: the QR of [a; b], a n x n upper triangular
+    and b pentagonal with l trapezoidal rows; returns R, V, T and info."""
+    a, b = _fortran(a, overwrite_a), _fortran(b, overwrite_b)
+    m, n = b.shape
+    if a.shape != (n, n):
+        raise ValueError(f"dtpqrt: a {a.shape} is not square on b {b.shape}")
+    t = np.zeros((nb, n), order="F")
+    info = _call("dtpqrt", m, n, l, nb, a, max(1, n), b, max(1, m), t, max(1, nb),
+                 np.zeros(max(nb, 1) * n))
+    return a, b, t, info
+
+
+def dtpmqrt(l: int, v: np.ndarray, t: np.ndarray, a: np.ndarray, b: np.ndarray,
+            trans: str) -> tuple[np.ndarray, np.ndarray, int]:
+    """scipy.linalg.lapack.dtpmqrt from the left: copies of a and b, stacked,
+    multiplied by the Q of dtpqrt's V and T (trans "N") or by Q^T ("T")."""
+    v, t = np.require(v, np.float64, "F"), np.require(t, np.float64, "F")
+    a, b = _fortran(a, False), _fortran(b, False)
+    (nb, k), (m, n) = t.shape, b.shape
+    if v.shape != (m, k) or a.shape != (k, n):
+        raise ValueError(f"dtpmqrt: v {v.shape}, t {t.shape}, a {a.shape} and b {b.shape}")
+    info = _call("dtpmqrt", "L", trans, m, n, k, l, nb, v, max(1, m), t, max(1, nb), a, max(1, k),
+                 b, max(1, m), np.zeros(max(1, n * nb)))
+    return a, b, info

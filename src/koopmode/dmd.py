@@ -18,9 +18,9 @@ Every SVD calls LAPACK's divide-and-conquer gesdd: QR-iteration gesvd was
 no more accurate on graded matrices (7.1e-7 for both without column
 normalization, which removes the grading) and 3.2x slower at N = 144.
 
-LAPACK is reached through _lapack, which loads scipy's compiled wrappers
-without scipy.linalg's package init (half of a command's start-up) and
-calls them as scipy.linalg does, to the bit.
+LAPACK is reached through _lapack, which calls the OpenBLAS numpy links
+with scipy.linalg's arguments and workspace sizes, so a process maps one
+OpenBLAS and no scipy object; on one BLAS thread the bits are scipy's.
 
 Amplitudes are always fitted against the original, unscaled snapshots
 by one joint least-squares fit over a set of snapshot indices: {0} for

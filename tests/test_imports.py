@@ -1,17 +1,18 @@
 """Every name a package module imports is used in that module, every
 public name it defines has a caller, every defaulted parameter of a
 public function has a caller that sets it, the command-line module loads
-no more than its commands need (no scipy module at all: _lapack's
-routines are scipy.linalg's, to the bit), and README's library quick
-start runs.
+no more than its commands need (no scipy module or library at all, and
+one OpenBLAS: _lapack calls numpy's, and on one BLAS thread its routines
+are scipy.linalg.lapack's, to the bit), and README's library quick start
+runs.
 
 The unused-import and caller checks read the sources with the stdlib ast
 module, so they need no linter.  __init__.py is exempt (its imports are
 re-exports), and so are `from __future__` imports.
 """
 import ast
-import importlib.machinery
-import importlib.util
+import contextlib
+import ctypes
 import os
 import re
 import subprocess
@@ -189,12 +190,13 @@ def test_every_defaulted_parameter_has_a_caller():
 
 
 def test_no_command_imports_scipy(tmp_path):
-    """koopmode calls LAPACK through _lapack, which loads scipy's compiled
-    wrappers from their file, and loo labels its clusters with ranking's
-    own labeller, so neither the import nor any command pays for a scipy
-    package's init: not scipy.linalg's, and not scipy.ndimage's in loo or
-    in a rom whose robustness box runs leave-one-out.  Nor does any
-    command import numpy.ma, which np.unique's first call does."""
+    """koopmode calls LAPACK through _lapack, which binds the OpenBLAS numpy
+    links, and loo labels its clusters with ranking's own labeller, so
+    neither the import nor any command imports a scipy module (no scipy
+    package init: not scipy.linalg's, and not scipy.ndimage's in loo or in
+    a rom whose robustness box runs leave-one-out) or maps a scipy library,
+    and LAPACK and BLAS share one OpenBLAS.  Nor does any command import
+    numpy.ma, which np.unique's first call does."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(PACKAGE.parent), env.get("PYTHONPATH")) if p)
@@ -202,44 +204,136 @@ def test_no_command_imports_scipy(tmp_path):
     cfg.write_text(f"input = {tmp_path / 'synth' / 'oracle.dmds'}\nsynth_d = 60\nsynth_n = 48\n"
                    "rank = 17\nloo_trials = 5\nrom.robust.robustness_min = 1000\n"
                    "slice_modes = 1,2\n")
-    code = ("import sys, koopmode.cli\n"
+    code = ("import os, sys, koopmode.cli\n"
             "assert 'koopmode.ranking' in sys.modules\n"
             "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
             "for command in ('synth', 'run', 'loo', 'rom', 'slice'):\n"
             "    out = sys.argv[2] + '/' + command\n"
             "    assert koopmode.cli.main([command, '--config', sys.argv[1], '--out', out]) == 0\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))")
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n"
+            "if os.path.exists('/proc/self/maps'):\n"
+            "    with open('/proc/self/maps') as fh:\n"
+            "        sys.stderr.write(fh.read())")
     done = subprocess.run([sys.executable, "-c", code, str(cfg), str(tmp_path)], env=env,
                           check=True, timeout=120, capture_output=True, text=True)
     assert done.stdout.splitlines()[-2:] == ["[]", "[]"]
     assert (tmp_path / "loo" / "kde_grid.csv").is_file()
     assert (tmp_path / "rom" / "rom_robust_errors.csv").is_file()
     assert (tmp_path / "slice" / "slice_mode2_phase.csv").is_file()
+    fields = [line.split(None, 5) for line in done.stderr.splitlines()]
+    files = {Path(f[5]) for f in fields if len(f) == 6 and f[5].startswith("/")}
+    if not files:
+        pytest.skip("no /proc/self/maps to read the mapped files from")
+    assert [f for f in files if {"scipy", "scipy.libs"} & set(f.parts)] == []
+    assert len([f for f in files if f.name.startswith("libscipy_openblas")]) == 1, sorted(files)
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """numpy's OpenBLAS and scipy's on one thread inside the block, since
+    the bits the program promises are one BLAS thread's: on two, scipy
+    1.17's OpenBLAS 0.3.30 rounds some tpqrt calls with nb > 16 apart from
+    its own one-thread bits."""
+    import numpy.linalg._umath_linalg
+    import scipy.linalg.lapack
+
+    pools = [(ctypes.CDLL(numpy.linalg._umath_linalg.__file__), "64_")]
+    pools += [(ctypes.CDLL(str(path)), "") for path in
+              (Path(scipy.__file__).parents[1] / "scipy.libs").glob("libscipy_openblas*")]
+    calls = [(getattr(lib, f"scipy_openblas_get_num_threads{suffix}"),
+              getattr(lib, f"scipy_openblas_set_num_threads{suffix}")) for lib, suffix in pools]
+    before = [get() for get, _ in calls]
+    for _, set_threads in calls:
+        set_threads(1)
+    try:
+        yield scipy.linalg.lapack
+    finally:
+        for (_, set_threads), threads in zip(calls, before):
+            set_threads(threads)
+
+
+sizes = st.one_of(st.just(1), st.integers(1, 40))
 
 
 @st.composite
-def matrices(draw):
-    """Tall and wide float64 matrices, C- or F-ordered."""
-    m, n = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+def matrices(draw, rows=sizes, cols=sizes):
+    """Tall and wide float64 matrices, one-row and one-column ones
+    included, C- or F-ordered."""
+    m, n = draw(rows), draw(cols)
     a = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((m, n))
     return np.asarray(a, order=draw(st.sampled_from("CF")))
 
 
-@given(a=matrices())
-@settings(max_examples=60, deadline=None)
-def test_lapack_matches_scipy_linalg_bitwise(a):
-    """The same compiled routines with the same arguments and workspace
-    sizes: the SVD and the raw QR are scipy.linalg's to the bit."""
+def assert_matches_scipy(a: np.ndarray, c: np.ndarray) -> None:
+    """svd, geqrf and dormqr of a, the latter on c, against scipy's."""
     import scipy.linalg
 
-    for got, want in zip(_lapack.svd(a), scipy.linalg.svd(a, full_matrices=False)):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-    (want_h, want_tau), want_r = scipy.linalg.qr(a, mode="raw")
-    h, tau, info = _lapack.geqrf(a.copy(order="K"))
-    assert info == 0
-    assert np.array_equal(h, want_h) and np.array_equal(tau, want_tau)
-    assert np.array_equal(np.triu(h[:a.shape[1]]), want_r)
+    with one_blas_thread() as lapack:
+        for got, want in zip(_lapack.svd(a), scipy.linalg.svd(a, full_matrices=False)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        (want_h, want_tau), want_r = scipy.linalg.qr(a, mode="raw")
+        ours = a.copy(order="K")
+        h, tau, info = _lapack.geqrf(ours)
+        assert info == 0 and np.shares_memory(h, ours) == ours.flags.f_contiguous
+        assert np.array_equal(h, want_h) and np.array_equal(tau, want_tau)
+        assert np.array_equal(np.triu(h[:a.shape[1]]), want_r)
+        for trans in "NT":
+            got = _lapack.dormqr("L", trans, h[:, :tau.size], tau, c, c.shape[1])
+            want = lapack.dormqr("L", trans, h[:, :tau.size], tau, c, c.shape[1])
+            assert got[2] == want[2] == 0 and not np.shares_memory(got[0], c)
+            assert all(np.array_equal(x, y) for x, y in zip(got[:2], want[:2]))
+
+
+@given(a=matrices(), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_lapack_matches_scipy_linalg_bitwise(a, data):
+    """The same routines with the same arguments and workspace sizes: the
+    SVD and the raw QR are scipy.linalg's to the bit, geqrf overwrites an
+    F-ordered input, and dormqr on the least workspace (dmd's lwork = 1
+    for its one column) is scipy.linalg.lapack's."""
+    assert_matches_scipy(a, data.draw(matrices(rows=st.just(a.shape[0]), cols=st.integers(1, 3))))
+
+
+@pytest.mark.parametrize("shape", [(400, 144), (144, 300), (288, 144)])
+def test_lapack_blocked_paths_match_scipy_bitwise(shape):
+    """Past 128 columns geqrf blocks its reflectors, and gesdd takes the
+    paths the queried workspace allows, so the sizes the queries return
+    decide the bits."""
+    rng = np.random.default_rng(shape[0])
+    assert_matches_scipy(np.asfortranarray(rng.standard_normal(shape)),
+                         rng.standard_normal((shape[0], 1)))
+
+
+@given(data=st.data(), n=sizes, m=sizes, merge=st.booleans(),
+       orders=st.tuples(*[st.sampled_from("CF")] * 4))
+@settings(max_examples=60, deadline=None)
+def test_lapack_tpqrt_matches_scipy_bitwise(data, n, m, merge, orders):
+    """dtpqrt folds a block (l = 0) or a triangle (l = N, a merge) into an
+    N x N triangle, as pass 1 does, and dtpmqrt carries columns by its
+    reflectors with trans = "T": R, V, T and the carried columns are
+    scipy.linalg.lapack's to the bit, for every block size nb."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    m = n if merge else m
+    l = n if merge else 0
+    a = np.asarray(np.triu(rng.standard_normal((n, n))), order=orders[0])
+    b = rng.standard_normal((m, n))
+    b = np.asarray(np.triu(b) if merge else b, order=orders[1])
+    nb = data.draw(st.integers(1, n))
+    top = np.asarray(rng.standard_normal((n, data.draw(st.integers(1, 3)))), order=orders[2])
+    rest = np.asarray(rng.standard_normal((m, top.shape[1])), order=orders[3])
+    with one_blas_thread() as lapack:
+        ours = a.copy(order="K"), b.copy(order="K")
+        got = _lapack.dtpqrt(l, nb, *ours, overwrite_a=1, overwrite_b=1)
+        want = lapack.dtpqrt(l, nb, a, b)
+        assert got[3] == want[3] == 0
+        assert [np.shares_memory(x, y) for x, y in zip(got, ours)] == [
+            y.flags.f_contiguous for y in ours]
+        assert all(np.array_equal(x, y) for x, y in zip(got[:3], want[:3]))
+        carried = _lapack.dtpmqrt(l, got[1], got[2], top, rest, trans="T")
+        expected = lapack.dtpmqrt(l, want[1], want[2], top, rest, trans="T")
+    assert carried[2] == expected[2] == 0
+    assert all(np.array_equal(x, y) for x, y in zip(carried[:2], expected[:2]))
 
 
 def test_lapack_svd_rejects_nan_as_scipy_does():
@@ -253,20 +347,17 @@ def test_lapack_svd_rejects_nan_as_scipy_does():
     assert (got.type, str(got.value)) == (want.type, str(want.value))
 
 
-@pytest.mark.parametrize("name", ["dgesdd", "dgesdd_lwork", "dgeqrf", "dtpqrt", "dtpmqrt",
-                                  "dormqr"])
-def test_lapack_routines_are_scipys(name):
-    """Each routine _lapack loads has scipy.linalg.lapack's signature."""
-    import scipy.linalg.lapack
+def test_missing_lapack_routine_names_it_and_the_library():
+    """Bound against a library that links no LAPACK (Python's _ctypes
+    extension), the lookup fails on the first routine and says which, and
+    in which file it looked."""
+    import _ctypes
 
-    assert getattr(_lapack._FLAPACK, name).__doc__ == getattr(scipy.linalg.lapack, name).__doc__
-
-
-def test_missing_lapack_extension_names_the_folder(tmp_path, monkeypatch):
-    fake = importlib.machinery.ModuleSpec("scipy", None, origin=str(tmp_path / "__init__.py"))
-    monkeypatch.setattr(importlib.util, "find_spec", lambda name: fake)
-    with pytest.raises(ImportError, match=re.escape(f" in {tmp_path / 'linalg'}")):
-        _lapack._load_flapack()
+    path = getattr(_ctypes, "__file__", None)
+    if path is None:
+        pytest.skip("_ctypes is built into the interpreter")
+    with pytest.raises(ImportError, match=re.escape(f"LAPACK's dgesdd, and {path} exports no")):
+        _lapack._bind(path)
 
 
 def test_readme_quick_start_runs(capsys):
