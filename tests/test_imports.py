@@ -360,6 +360,32 @@ def test_missing_lapack_routine_names_it_and_the_library():
         _lapack._bind(path)
 
 
+@pytest.mark.parametrize("name", sorted(_lapack._ROUTINES))
+def test_lapack_routine_is_numpys_openblas(name):
+    """Each routine _lapack calls is the ILP64 one in the OpenBLAS numpy's
+    wheel ships, the library numpy.linalg's BLAS calls run in."""
+    libs = sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*"))
+    if not libs:
+        pytest.skip("numpy is not a wheel that ships scipy-openblas64")
+    address = ctypes.cast(getattr(ctypes.CDLL(str(libs[0])), f"scipy_{name}_64_"), ctypes.c_void_p)
+    assert len(libs) == 1
+    assert ctypes.cast(_lapack._LAPACK[name], ctypes.c_void_p).value == address.value
+
+
+@pytest.mark.parametrize("call", [
+    lambda: _lapack.dormqr("L", "T", np.ones((4, 2)), np.ones(3), np.ones((4, 1)), 1),
+    lambda: _lapack.dtpqrt(0, 1, np.eye(3), np.ones((5, 2)), overwrite_a=0, overwrite_b=0),
+    lambda: _lapack.dtpmqrt(0, np.ones((5, 2)), np.ones((1, 2)), np.ones((3, 1)),
+                            np.ones((5, 1)), trans="T"),
+], ids=["dormqr", "dtpqrt", "dtpmqrt"])
+def test_lapack_rejects_mismatched_shapes(call):
+    """LAPACK reads each array through its pointer by the sizes it is told,
+    so a shape that disagrees with the others is a ValueError before the
+    call, not a read past an array's end."""
+    with pytest.raises(ValueError, match="^d(ormqr|tpqrt|tpmqrt): "):
+        call()
+
+
 def test_readme_quick_start_runs(capsys):
     """The README's Python quick start, run as written: a public name it
     uses cannot disappear unnoticed."""
