@@ -1,28 +1,31 @@
-"""The LAPACK routines dmd calls, bound with ctypes in the OpenBLAS numpy
+"""The QR routines of LAPACK that dmd calls, bound with ctypes in the OpenBLAS numpy
 itself links (scipy-openblas64 in numpy's wheels), so a process maps one
-OpenBLAS, with one thread pool, and no scipy object.  A lookup through
-the handle of numpy.linalg's extension also searches the libraries it
-links.  The routines have the wheels' ILP64 names, scipy_<name>_64_, and
-take 64-bit integers and Fortran's hidden string lengths.
+OpenBLAS, with one thread pool, and no scipy object.  The library is
+opened by its file, which the wheels ship in numpy.libs (Linux and
+Windows) or numpy/.dylibs (macOS), since a lookup through the handle of
+numpy.linalg's extension reaches the libraries it links only where
+dlsym searches them; that handle is the fallback.  The routines have
+the wheels' ILP64 names, scipy_<name>_64_, and take 64-bit integers and
+Fortran's hidden string lengths.
 
 Each function takes the arguments of scipy.linalg.lapack's f2py wrapper
 of the same name and does what it does: inputs are copied to F order,
 unless the caller hands over an F-ordered float64 array to overwrite;
-outputs start zeroed; svd and geqrf query their workspace sizes as
-scipy.linalg does.  So on one BLAS thread every result is scipy's, to
+outputs start zeroed; geqrf queries its workspace size as scipy.linalg
+does.  So on one BLAS thread every result is scipy's, to
 the bit.  (On two, scipy 1.17's OpenBLAS 0.3.30 rounds some tpqrt calls
 with nb > 16 apart from its own one-thread bits; numpy's 0.3.31 gave the
 one-thread bits on both.)  Without these routines in numpy's LAPACK, the
 import raises ImportError."""
 import ctypes
+from pathlib import Path
 
 import numpy as np
 import numpy.linalg._umath_linalg
 
 # Each routine's arguments, info included, all passed by reference, and
 # how many of them are one-letter strings, whose hidden lengths follow.
-_ROUTINES = {"dgesdd": (14, 1), "dgeqrf": (8, 0), "dormqr": (13, 2), "dtpqrt": (12, 0),
-             "dtpmqrt": (17, 2)}
+_ROUTINES = {"dgeqrf": (8, 0), "dormqr": (13, 2), "dtpqrt": (12, 0), "dtpmqrt": (17, 2)}
 
 
 def _bind(path: str) -> dict:
@@ -41,7 +44,16 @@ def _bind(path: str) -> dict:
     return found
 
 
-_LAPACK = _bind(numpy.linalg._umath_linalg.__file__)
+def _openblas() -> str:
+    """The file of the OpenBLAS numpy's wheel ships, else that of
+    numpy.linalg's extension."""
+    package = Path(np.__file__).parent
+    found = [*(package.parent / "numpy.libs").glob("libscipy_openblas64_*"),
+             *(package / ".dylibs").glob("libscipy_openblas64_*")]
+    return str(min(found)) if found else numpy.linalg._umath_linalg.__file__
+
+
+_LAPACK = _bind(_openblas())
 
 
 def _call(name: str, *args) -> int:
@@ -61,25 +73,6 @@ def _fortran(a, overwrite: bool) -> np.ndarray:
     if overwrite:
         return np.require(a, np.float64, "FAW")
     return np.array(a, np.float64, order="F")
-
-
-def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """scipy.linalg.svd(a, full_matrices=False) of a real matrix: gesdd."""
-    a = _fortran(np.asarray_chkfinite(a), False)
-    m, n = a.shape
-    k = min(m, n)
-    s, u, vt = np.zeros(k), np.zeros((m, k), order="F"), np.zeros((k, n), order="F")
-    iwork, query = np.zeros(8 * k, np.int64), np.zeros(1)
-    info = _call("dgesdd", "S", m, n, a, m, s, u, m, vt, k, query, -1, iwork)
-    if info != 0:
-        raise ValueError(f"Internal work array size computation failed: {info}")
-    lwork = int(query[0])
-    info = _call("dgesdd", "S", m, n, a, m, s, u, m, vt, k, np.zeros(max(lwork, 1)), lwork, iwork)
-    if info > 0:
-        raise np.linalg.LinAlgError("SVD did not converge")
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}th argument of internal gesdd")
-    return u, s, vt
 
 
 def geqrf(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:

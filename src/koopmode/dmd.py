@@ -18,9 +18,10 @@ Every SVD calls LAPACK's divide-and-conquer gesdd: QR-iteration gesvd was
 no more accurate on graded matrices (7.1e-7 for both without column
 normalization, which removes the grading) and 3.2x slower at N = 144.
 
-LAPACK is reached through _lapack, which calls the OpenBLAS numpy links
-with scipy.linalg's arguments and workspace sizes, so a process maps one
-OpenBLAS and no scipy object; on one BLAS thread the bits are scipy's.
+The SVD is numpy.linalg.svd's gesdd; the QR routines are reached through
+_lapack, which calls them in the same OpenBLAS, the one numpy links, with
+scipy.linalg's arguments and workspace sizes.  So a process maps one
+OpenBLAS and no scipy object, and on one BLAS thread the bits are scipy's.
 
 Amplitudes are always fitted against the original, unscaled snapshots
 by one joint least-squares fit over a set of snapshot indices: {0} for
@@ -270,9 +271,12 @@ def column_normalize(x1: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     try:
-        return _lapack.svd(a)
+        u, s, vh = np.linalg.svd(np.asarray_chkfinite(a), full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
+    # F order, as scipy.linalg.svd returns them: the bits of the products
+    # taken of u and vh depend on their layout.
+    return np.asfortranarray(u), s, np.asfortranarray(vh)
 
 
 def truncated_svd(a: np.ndarray, r: int) -> TruncatedSvd:

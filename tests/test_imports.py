@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koopmode import _lapack
+from koopmode import _lapack, dmd
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "koopmode"
@@ -266,30 +266,33 @@ def matrices(draw, rows=sizes, cols=sizes):
 
 
 def assert_matches_scipy(a: np.ndarray, c: np.ndarray) -> None:
-    """svd, geqrf and dormqr of a, the latter on c, against scipy's."""
+    """dmd's SVD of a, and geqrf and dormqr of a, the latter on c, against
+    scipy's, the SVD's factors in scipy's F order too."""
     import scipy.linalg
+    import scipy.linalg.lapack
 
-    with one_blas_thread() as lapack:
-        for got, want in zip(_lapack.svd(a), scipy.linalg.svd(a, full_matrices=False)):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
-        (want_h, want_tau), want_r = scipy.linalg.qr(a, mode="raw")
-        ours = a.copy(order="K")
-        h, tau, info = _lapack.geqrf(ours)
-        assert info == 0 and np.shares_memory(h, ours) == ours.flags.f_contiguous
-        assert np.array_equal(h, want_h) and np.array_equal(tau, want_tau)
-        assert np.array_equal(np.triu(h[:a.shape[1]]), want_r)
-        for trans in "NT":
-            got = _lapack.dormqr("L", trans, h[:, :tau.size], tau, c, c.shape[1])
-            want = lapack.dormqr("L", trans, h[:, :tau.size], tau, c, c.shape[1])
-            assert got[2] == want[2] == 0 and not np.shares_memory(got[0], c)
-            assert all(np.array_equal(x, y) for x, y in zip(got[:2], want[:2]))
+    for got, want in zip(dmd._svd(a), scipy.linalg.svd(a, full_matrices=False)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert got.flags.f_contiguous == want.flags.f_contiguous
+    (want_h, want_tau), want_r = scipy.linalg.qr(a, mode="raw")
+    ours = a.copy(order="K")
+    h, tau, info = _lapack.geqrf(ours)
+    assert info == 0 and np.shares_memory(h, ours) == ours.flags.f_contiguous
+    assert np.array_equal(h, want_h) and np.array_equal(tau, want_tau)
+    assert np.array_equal(np.triu(h[:a.shape[1]]), want_r)
+    for trans in "NT":
+        got = _lapack.dormqr("L", trans, h[:, :tau.size], tau, c, c.shape[1])
+        want = scipy.linalg.lapack.dormqr("L", trans, h[:, :tau.size], tau, c, c.shape[1])
+        assert got[2] == want[2] == 0 and not np.shares_memory(got[0], c)
+        assert all(np.array_equal(x, y) for x, y in zip(got[:2], want[:2]))
 
 
 @given(a=matrices(), data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_lapack_matches_scipy_linalg_bitwise(a, data):
-    """The same routines with the same arguments and workspace sizes: the
-    SVD and the raw QR are scipy.linalg's to the bit, geqrf overwrites an
+    """The same routines with the same arguments and workspace sizes, at
+    the default BLAS threads: numpy.linalg's SVD, as dmd takes it, and the
+    raw QR are scipy.linalg's to the bit, geqrf overwrites an
     F-ordered input, and dormqr on the least workspace (dmd's lwork = 1
     for its one column) is scipy.linalg.lapack's."""
     assert_matches_scipy(a, data.draw(matrices(rows=st.just(a.shape[0]), cols=st.integers(1, 3))))
@@ -343,7 +346,7 @@ def test_lapack_svd_rejects_nan_as_scipy_does():
     with pytest.raises(Exception) as want:
         scipy.linalg.svd(a, full_matrices=False)
     with pytest.raises(Exception) as got:
-        _lapack.svd(a)
+        dmd._svd(a)
     assert (got.type, str(got.value)) == (want.type, str(want.value))
 
 
@@ -356,8 +359,25 @@ def test_missing_lapack_routine_names_it_and_the_library():
     path = getattr(_ctypes, "__file__", None)
     if path is None:
         pytest.skip("_ctypes is built into the interpreter")
-    with pytest.raises(ImportError, match=re.escape(f"LAPACK's dgesdd, and {path} exports no")):
+    with pytest.raises(ImportError, match=re.escape(f"LAPACK's dgeqrf, and {path} exports no")):
         _lapack._bind(path)
+
+
+@pytest.mark.parametrize("folder", ["numpy.libs", "numpy/.dylibs", None])
+def test_lapack_opens_the_openblas_file_else_the_extension(tmp_path, monkeypatch, folder):
+    """The OpenBLAS file in the folder a wheel ships it in (numpy.libs on
+    Linux and Windows, numpy/.dylibs on macOS) is opened by its path; with
+    none, numpy.linalg's extension is."""
+    import numpy.linalg._umath_linalg
+
+    (tmp_path / "numpy").mkdir()
+    monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+    if folder is None:
+        assert _lapack._openblas() == numpy.linalg._umath_linalg.__file__
+        return
+    (tmp_path / folder).mkdir()
+    (tmp_path / folder / "libscipy_openblas64_-0123abcd.dll").touch()
+    assert _lapack._openblas() == str(tmp_path / folder / "libscipy_openblas64_-0123abcd.dll")
 
 
 @pytest.mark.parametrize("name", sorted(_lapack._ROUTINES))
