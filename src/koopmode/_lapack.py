@@ -1,4 +1,4 @@
-"""The QR routines of LAPACK that dmd calls, bound with ctypes in the OpenBLAS numpy
+"""The LAPACK routines that dmd calls, bound with ctypes in the OpenBLAS numpy
 itself links (scipy-openblas64 in numpy's wheels), so a process maps one
 OpenBLAS, with one thread pool, and no scipy object.  The library is
 opened by its file, which the wheels ship in numpy.libs (Linux and
@@ -8,14 +8,16 @@ dlsym searches them; that handle is the fallback.  The routines have
 the wheels' ILP64 names, scipy_<name>_64_, and take 64-bit integers and
 Fortran's hidden string lengths.
 
-Each function takes the arguments of scipy.linalg.lapack's f2py wrapper
+Each QR function takes the arguments of scipy.linalg.lapack's f2py wrapper
 of the same name and does what it does: inputs are copied to F order,
 unless the caller hands over an F-ordered float64 array to overwrite;
 outputs start zeroed; geqrf queries its workspace size as scipy.linalg
 does.  So on one BLAS thread every result is scipy's, to
 the bit.  (On two, scipy 1.17's OpenBLAS 0.3.30 rounds some tpqrt calls
 with nb > 16 apart from its own one-thread bits; numpy's 0.3.31 gave the
-one-thread bits on both.)  Without these routines in numpy's LAPACK, the
+one-thread bits on both.)  zgelsd, the least-squares solver, is called
+as np.linalg.lstsq calls it, so its results are lstsq's, but on the
+caller's matrix in place.  Without these routines in numpy's LAPACK, the
 import raises ImportError."""
 import ctypes
 from pathlib import Path
@@ -25,7 +27,8 @@ import numpy.linalg._umath_linalg
 
 # Each routine's arguments, info included, all passed by reference, and
 # how many of them are one-letter strings, whose hidden lengths follow.
-_ROUTINES = {"dgeqrf": (8, 0), "dormqr": (13, 2), "dtpqrt": (12, 0), "dtpmqrt": (17, 2)}
+_ROUTINES = {"dgeqrf": (8, 0), "dormqr": (13, 2), "dtpqrt": (12, 0), "dtpmqrt": (17, 2),
+             "zgelsd": (15, 0)}
 
 
 def _bind(path: str) -> dict:
@@ -123,3 +126,25 @@ def dtpmqrt(l: int, v: np.ndarray, t: np.ndarray, a: np.ndarray, b: np.ndarray,
     info = _call("dtpmqrt", "L", trans, m, n, k, l, nb, v, max(1, m), t, max(1, nb), a, max(1, k),
                  b, max(1, m), np.zeros(max(1, n * nb)))
     return a, b, info
+
+
+def zgelsd(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int, np.ndarray, int]:
+    """np.linalg.lstsq(a, b, rcond=None)'s solution, rank and singular values
+    for one right-hand side, and gelsd's info, by numpy's call: rcond
+    eps max(M, N), b in a max(M, N)-row buffer, the queried workspace.  An
+    F-ordered complex128 a is overwritten, in place of numpy's copy."""
+    a = np.require(a, np.complex128, "FAW")
+    m, n = a.shape
+    if b.shape != (m,):
+        raise ValueError(f"zgelsd: a {a.shape} and b {b.shape}")
+    x = np.zeros(max(m, n), np.complex128)
+    x[:m] = b
+    s, rank = np.zeros(min(m, n)), np.zeros(1, np.int64)
+    head = (m, n, 1, a, max(1, m), x, max(1, m, n), s,
+            np.array([np.finfo(np.float64).eps * max(m, n)]), rank)
+    work, rwork, iwork = np.zeros(1, np.complex128), np.zeros(1), np.zeros(1, np.int64)
+    _call("zgelsd", *head, work, -1, rwork, iwork)
+    lwork = int(work[0].real)
+    info = _call("zgelsd", *head, np.zeros(max(lwork, 1), np.complex128), lwork,
+                 np.zeros(max(int(rwork[0]), 1)), np.zeros(max(int(iwork[0]), 1), np.int64))
+    return x[:n], int(rank[0]), s, info

@@ -22,6 +22,8 @@ The SVD is numpy.linalg.svd's gesdd; the QR routines are reached through
 _lapack, which calls them in the same OpenBLAS, the one numpy links, with
 scipy.linalg's arguments and workspace sizes.  So a process maps one
 OpenBLAS and no scipy object, and on one BLAS thread the bits are scipy's.
+The amplitude fit calls zgelsd through _lapack as np.linalg.lstsq does,
+but on its stacked system in place, which lstsq would copy.
 
 Amplitudes are always fitted against the original, unscaled snapshots
 by one joint least-squares fit over a set of snapshot indices: {0} for
@@ -113,6 +115,8 @@ _MEAN_ROWS = 256
 # Rows per BLAS product within a block of pass 2: a row of the product
 # comes out as in the whole block's product, whatever rows surround it.
 _LIFT_ROWS = 1024
+# Columns per C-ordered copy from which the amplitude fit takes its norms.
+_NORM_COLS = 8
 
 # Condition number of the reduced eigenvector matrix beyond which the
 # eigenproblem is reported as (numerically) defective.
@@ -237,14 +241,22 @@ class DmdResult:
         return out
 
 
-def column_norms(a: np.ndarray) -> np.ndarray:
+def column_norms(a: np.ndarray, c_order: bool = False) -> np.ndarray:
     """l2 norms of the columns of a, finite whenever they fit in a float.
 
     Squaring entries above ~1e154 overflows; a column whose norm came out
     infinite is divided by its largest magnitude and measured again.
+    With c_order they are, to the bit, those of a C-ordered copy of a,
+    taken from C-ordered copies of 2 to _NORM_COLS + 1 of its columns at
+    a time (of its one column when it has one), so no copy of a is held:
+    numpy sums each column of a C-ordered matrix of two columns or more
+    row by row, as in the whole matrix, and a one-column matrix pairwise.
     """
+    copy = np.ascontiguousarray if c_order else np.asarray
+    cuts = [0, *range(_NORM_COLS, a.shape[1] - 1, _NORM_COLS)] if c_order else [0]
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(a, axis=0)
+        norms = np.concatenate([np.linalg.norm(copy(a[:, i:j]), axis=0)
+                                for i, j in zip(cuts, [*cuts[1:], a.shape[1]])])
     cols = np.flatnonzero(np.isinf(norms))
     if cols.size:
         scale = np.abs(a[:, cols]).max(axis=0)
@@ -331,16 +343,19 @@ def fit_coefficients_multi(modes: np.ndarray, mu: np.ndarray, data: np.ndarray,
     if (idx < 0).any() or (idx >= data.shape[1]).any():
         raise ValueError("fit indices outside the snapshot range")
     rows = modes.shape[0]
-    m = np.empty((idx.size * rows, modes.shape[1]), dtype=np.result_type(modes, mu))
+    # F-ordered, for LAPACK to solve in place.
+    m = np.empty((idx.size * rows, modes.shape[1]), dtype=np.result_type(modes, mu), order="F")
     for i, n in enumerate(idx):
         np.multiply(modes, mu[None, :] ** int(n), out=m[i * rows:(i + 1) * rows])
     rhs = np.concatenate([data[:, int(n)] for n in idx])
     # Unit columns: a fast mode's mu**n column must not set the scale the
     # rank test measures every other column against.
-    scales = column_norms(m)
+    scales = column_norms(m, c_order=True)
     scales[scales == 0.0] = 1.0
     m /= scales
-    b, _, rank, sv = np.linalg.lstsq(m, rhs.astype(complex), rcond=None)
+    b, rank, sv, info = _lapack.zgelsd(m, rhs)
+    if info != 0:
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
     if rank < modes.shape[1]:
         raise NumericalError(
             f"amplitude fit is rank deficient ({rank} < {modes.shape[1]}); "

@@ -5,18 +5,20 @@ before the library moved to one QR and R-factor coordinates.  The
 equivalence tests hold the library to it.  sequential_factor is a copy
 of pass 1 as it folded every block into one R, before the reduction
 tree: an input of one leaf must still factor to its bits.
+fit_coefficients_multi is the amplitude fit as it was before it solved
+its stacked system in place: column norms of the whole C-ordered system
+and np.linalg.lstsq.
 """
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from koopmode import _lapack, dmd
 from koopmode.dmd import (DmdOptions, _tlsq_basis, column_normalize,
-                          column_norms, default_fit_indices,
-                          fit_coefficients_multi, truncated_svd)
+                          column_norms, default_fit_indices, truncated_svd)
 from koopmode.errors import NumericalError
 from koopmode.grids import SnapshotMatrix
 
@@ -51,6 +53,42 @@ def _solve_amplitudes(m: np.ndarray, y: np.ndarray, r: int) -> np.ndarray:
     if rank < r:
         raise NumericalError(
             f"amplitude fit is rank deficient ({rank} < {r}); "
+            f"smallest singular value {sv[-1]:.3e} of the column-scaled system"
+        )
+    return b / scales
+
+
+def fit_coefficients_multi(modes: np.ndarray, mu: np.ndarray, data: np.ndarray,
+                           indices: Sequence[int]) -> np.ndarray:
+    """Joint least-squares amplitudes over a set of snapshots.
+
+    Minimizes the stacked residual of data[:, n] - modes @ (mu**n * b)
+    over the given snapshot indices; indices [0] fit the first snapshot
+    alone.  Raises NumericalError when the stacked system is rank
+    deficient.
+    """
+    modes = np.asarray(modes)
+    mu = np.asarray(mu)
+    data = np.asarray(data)
+    idx = np.asarray(indices, dtype=int)
+    if idx.size < 1:
+        raise ValueError("need at least one fit snapshot")
+    if (idx < 0).any() or (idx >= data.shape[1]).any():
+        raise ValueError("fit indices outside the snapshot range")
+    rows = modes.shape[0]
+    m = np.empty((idx.size * rows, modes.shape[1]), dtype=np.result_type(modes, mu))
+    for i, n in enumerate(idx):
+        np.multiply(modes, mu[None, :] ** int(n), out=m[i * rows:(i + 1) * rows])
+    rhs = np.concatenate([data[:, int(n)] for n in idx])
+    # Unit columns: a fast mode's mu**n column must not set the scale the
+    # rank test measures every other column against.
+    scales = column_norms(m)
+    scales[scales == 0.0] = 1.0
+    m /= scales
+    b, _, rank, sv = np.linalg.lstsq(m, rhs.astype(complex), rcond=None)
+    if rank < modes.shape[1]:
+        raise NumericalError(
+            f"amplitude fit is rank deficient ({rank} < {modes.shape[1]}); "
             f"smallest singular value {sv[-1]:.3e} of the column-scaled system"
         )
     return b / scales

@@ -1,9 +1,10 @@
 """Every name a package module imports is used in that module, every
 public name it defines has a caller, every defaulted parameter of a
 public function has a caller that sets it, the command-line module loads
-no more than its commands need (no scipy module or library at all, and
-one OpenBLAS: _lapack calls numpy's, and on one BLAS thread its routines
-are scipy.linalg.lapack's, to the bit), and README's library quick start
+no more than its commands need (no scipy module or library at all, no
+numpy.random outside synth, and one OpenBLAS: _lapack calls numpy's, and
+on one BLAS thread its QR routines are scipy.linalg.lapack's and its
+zgelsd np.linalg.lstsq's, to the bit), and README's library quick start
 runs.
 
 The unused-import and caller checks read the sources with the stdlib ast
@@ -189,6 +190,39 @@ def test_every_defaulted_parameter_has_a_caller():
     assert parameters_without_caller(PACKAGE, CALLERS) == []
 
 
+def package_env() -> dict:
+    """The environment with this checkout's package first on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(PACKAGE.parent), env.get("PYTHONPATH")) if p)
+    return env
+
+
+def toy_config(folder: Path) -> Path:
+    """A config for every command on a 60 x 48 synth in folder/synth."""
+    cfg = folder / "toy.cfg"
+    cfg.write_text(f"input = {folder / 'synth' / 'oracle.dmds'}\nsynth_d = 60\nsynth_n = 48\n"
+                   "rank = 17\nloo_trials = 5\nrom.robust.robustness_min = 1000\n"
+                   "slice_modes = 1,2\n")
+    return cfg
+
+
+def assert_toy_outputs(folder: Path) -> None:
+    """loo, the robustness box of rom and slice wrote their files."""
+    assert (folder / "loo" / "kde_grid.csv").is_file()
+    assert (folder / "rom" / "rom_robust_errors.csv").is_file()
+    assert (folder / "slice" / "slice_mode2_phase.csv").is_file()
+
+
+def mapped_files(maps: str) -> set[Path]:
+    """The files in a /proc/self/maps listing; skips the test without one."""
+    fields = [line.split(None, 5) for line in maps.splitlines()]
+    files = {Path(f[5]) for f in fields if len(f) == 6 and f[5].startswith("/")}
+    if not files:
+        pytest.skip("no /proc/self/maps to read the mapped files from")
+    return files
+
+
 def test_no_command_imports_scipy(tmp_path):
     """koopmode calls LAPACK through _lapack, which binds the OpenBLAS numpy
     links, and loo labels its clusters with ranking's own labeller, so
@@ -197,13 +231,7 @@ def test_no_command_imports_scipy(tmp_path):
     a rom whose robustness box runs leave-one-out) or maps a scipy library,
     and LAPACK and BLAS share one OpenBLAS.  Nor does any command import
     numpy.ma, which np.unique's first call does."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(PACKAGE.parent), env.get("PYTHONPATH")) if p)
-    cfg = tmp_path / "toy.cfg"
-    cfg.write_text(f"input = {tmp_path / 'synth' / 'oracle.dmds'}\nsynth_d = 60\nsynth_n = 48\n"
-                   "rank = 17\nloo_trials = 5\nrom.robust.robustness_min = 1000\n"
-                   "slice_modes = 1,2\n")
+    env, cfg = package_env(), toy_config(tmp_path)
     code = ("import os, sys, koopmode.cli\n"
             "assert 'koopmode.ranking' in sys.modules\n"
             "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
@@ -218,15 +246,37 @@ def test_no_command_imports_scipy(tmp_path):
     done = subprocess.run([sys.executable, "-c", code, str(cfg), str(tmp_path)], env=env,
                           check=True, timeout=120, capture_output=True, text=True)
     assert done.stdout.splitlines()[-2:] == ["[]", "[]"]
-    assert (tmp_path / "loo" / "kde_grid.csv").is_file()
-    assert (tmp_path / "rom" / "rom_robust_errors.csv").is_file()
-    assert (tmp_path / "slice" / "slice_mode2_phase.csv").is_file()
-    fields = [line.split(None, 5) for line in done.stderr.splitlines()]
-    files = {Path(f[5]) for f in fields if len(f) == 6 and f[5].startswith("/")}
-    if not files:
-        pytest.skip("no /proc/self/maps to read the mapped files from")
+    assert_toy_outputs(tmp_path)
+    files = mapped_files(done.stderr)
     assert [f for f in files if {"scipy", "scipy.libs"} & set(f.parts)] == []
     assert len([f for f in files if f.name.startswith("libscipy_openblas")]) == 1, sorted(files)
+
+
+def test_analysis_commands_load_no_numpy_random(tmp_path):
+    """leave_one_out draws its columns with ranking's own generator, so in
+    a process that runs no synth (whose noise stays numpy's), run, loo, rom
+    with a robustness box and slice import no numpy.random, nor the
+    secrets, hmac and _hashlib modules its seeding imports, and map no
+    OpenSSL libcrypto."""
+    from koopmode.cli import main
+
+    cfg = toy_config(tmp_path)
+    assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "synth")]) == 0
+    code = ("import os, sys, koopmode.cli\n"
+            "for command in ('run', 'loo', 'rom', 'slice'):\n"
+            "    out = sys.argv[2] + '/' + command\n"
+            "    assert koopmode.cli.main([command, '--config', sys.argv[1], '--out', out]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'random']\n"
+            "             or m in ('secrets', 'hmac', '_hashlib')))\n"
+            "if os.path.exists('/proc/self/maps'):\n"
+            "    with open('/proc/self/maps') as fh:\n"
+            "        sys.stderr.write(fh.read())")
+    done = subprocess.run([sys.executable, "-c", code, str(cfg), str(tmp_path)], env=package_env(),
+                          check=True, timeout=120, capture_output=True, text=True)
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert_toy_outputs(tmp_path)
+    files = mapped_files(done.stderr)
+    assert [f for f in files if f.name.startswith("libcrypto")] == [], sorted(files)
 
 
 @contextlib.contextmanager
@@ -339,6 +389,23 @@ def test_lapack_tpqrt_matches_scipy_bitwise(data, n, m, merge, orders):
     assert all(np.array_equal(x, y) for x, y in zip(carried[:2], expected[:2]))
 
 
+@given(a=matrices(), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_lapack_zgelsd_is_numpys_lstsq_bitwise(a, data):
+    """zgelsd with numpy's rcond, B buffer and queried workspace returns
+    np.linalg.lstsq's solution, rank and singular values to the bit, on
+    tall, wide and rank-deficient complex systems."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    a = a + 1j * rng.standard_normal(a.shape)  # in a's order
+    if data.draw(st.booleans()):
+        a[:, -1] = a[:, 0]
+    b = rng.standard_normal(a.shape[0])
+    x, _, rank, s = np.linalg.lstsq(a, b.astype(complex), rcond=None)
+    got = _lapack.zgelsd(a.copy(order="K"), b)
+    assert got[3] == 0 and got[1] == rank
+    assert got[0].tobytes() == x.tobytes() and got[2].tobytes() == s.tobytes()
+
+
 def test_lapack_svd_rejects_nan_as_scipy_does():
     import scipy.linalg
 
@@ -397,12 +464,13 @@ def test_lapack_routine_is_numpys_openblas(name):
     lambda: _lapack.dtpqrt(0, 1, np.eye(3), np.ones((5, 2)), overwrite_a=0, overwrite_b=0),
     lambda: _lapack.dtpmqrt(0, np.ones((5, 2)), np.ones((1, 2)), np.ones((3, 1)),
                             np.ones((5, 1)), trans="T"),
-], ids=["dormqr", "dtpqrt", "dtpmqrt"])
+    lambda: _lapack.zgelsd(np.ones((4, 2), complex), np.ones(3)),
+], ids=["dormqr", "dtpqrt", "dtpmqrt", "zgelsd"])
 def test_lapack_rejects_mismatched_shapes(call):
     """LAPACK reads each array through its pointer by the sizes it is told,
     so a shape that disagrees with the others is a ValueError before the
     call, not a read past an array's end."""
-    with pytest.raises(ValueError, match="^d(ormqr|tpqrt|tpmqrt): "):
+    with pytest.raises(ValueError, match="^(dormqr|dtpqrt|dtpmqrt|zgelsd): "):
         call()
 
 

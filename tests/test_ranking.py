@@ -388,6 +388,32 @@ def test_loo_unique_columns_within_budget():
     assert len(omitted2) == cols + 5
 
 
+def numpy_draws(cols: int, trials: int, seed: int) -> list[int]:
+    """leave_one_out's column draws as they were taken from numpy.random."""
+    rng = np.random.default_rng(seed)
+    if trials <= cols:
+        return rng.choice(cols, size=trials, replace=False).tolist()
+    extra = rng.choice(cols, size=trials - cols, replace=True)
+    return np.concatenate([rng.permutation(cols), extra]).tolist()
+
+
+@given(cols=st.one_of(st.integers(1, 1100), st.integers(1, 30_000)),
+       trials=st.integers(1, 1100), seed=st.one_of(st.integers(0, 100), st.integers(0, 2**128)))
+@example(cols=10_001, trials=201, seed=3)  # numpy's tail shuffle from here on
+@example(cols=10_001, trials=200, seed=3)  # Floyd's sampling
+@example(cols=30_000, trials=1100, seed=2**128)
+@example(cols=20_000, trials=401, seed=0)
+@example(cols=1100, trials=1100, seed=0)  # a permutation drawn by Floyd and a shuffle
+@example(cols=1, trials=1100, seed=1)
+@settings(max_examples=300, deadline=None)
+def test_draws_are_numpys(cols, trials, seed):
+    """The in-module generator draws numpy.random.default_rng(seed)'s
+    columns: choice without replacement by Floyd's sampling and a shuffle,
+    or by numpy's tail shuffle past 10,000 columns; beyond the budget a
+    permutation after the draws with replacement."""
+    assert ranking._draw_omitted(cols, trials, seed) == numpy_draws(cols, trials, seed)
+
+
 def test_loo_caps_rank_to_reduced_columns():
     rng = make_rng(2)
     x, _ = linear_trajectory(rng, 4, 5)  # pair has 4 columns
@@ -415,6 +441,8 @@ def test_loo_rejects_bad_budget():
     snap, opts = loo_setup()
     with pytest.raises(ValueError, match="trial"):
         leave_one_out(exact_dmd(snap, opts), trials=0)
+    with pytest.raises(ValueError, match="seed"):  # as numpy.random.default_rng(-1)
+        leave_one_out(exact_dmd(snap, opts), seed=-1)
 
 
 def test_loo_records_failed_trial_and_goes_on():
@@ -512,7 +540,7 @@ def test_loo_raises_the_first_other_error_in_draw_order(monkeypatch):
     4's, as a serial run does."""
     snap, opts = loo_setup()
     base = exact_dmd(snap, opts)
-    drawn = ranking._draw_omitted(snap.n - 1, 10, np.random.default_rng(3)).tolist()
+    drawn = ranking._draw_omitted(snap.n - 1, 10, 3)
     spectrum = ranking.deletion_spectrum
 
     def flaky(result, column):
