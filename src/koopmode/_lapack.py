@@ -70,18 +70,10 @@ def _call(name: str, *args) -> int:
     return info.value
 
 
-def _fortran(a, overwrite: bool) -> np.ndarray:
-    """a as an F-ordered float64 array for LAPACK to overwrite: a itself when
-    overwrite is set and it already is one, else a copy."""
-    if overwrite:
-        return np.require(a, np.float64, "FAW")
-    return np.array(a, np.float64, order="F")
-
-
 def geqrf(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """scipy.linalg.qr(a, mode="raw", overwrite_a=True, check_finite=False)'s
     reflectors and scales, and geqrf's info: an F-ordered float64 a is overwritten."""
-    a = _fortran(a, True)
+    a = np.require(a, np.float64, "FAW")
     m, n = a.shape
     tau, query = np.zeros(min(m, n)), np.zeros(1)
     _call("dgeqrf", m, n, a, m, tau, query, -1)
@@ -89,22 +81,23 @@ def geqrf(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     return a, tau, _call("dgeqrf", m, n, a, m, tau, np.zeros(max(lwork, 1)), lwork)
 
 
-def dormqr(side: str, trans: str, a: np.ndarray, tau: np.ndarray, c: np.ndarray,
-           lwork: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """scipy.linalg.lapack.dormqr: c, a copy, multiplied by geqrf's Q or Q^T."""
-    a, tau, c = np.require(a, np.float64, "F"), np.require(tau, np.float64, "C"), _fortran(c, False)
+def dormqr(a: np.ndarray, tau: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, int]:
+    """scipy.linalg.lapack.dormqr("L", "T", a, tau, c, 1)'s c and info: a
+    copy of c, one column, multiplied by geqrf's Q^T."""
+    a, tau = np.require(a, np.float64, "F"), np.require(tau, np.float64, "C")
+    c = np.array(c, np.float64, order="F")
     (lda, k), (m, n) = a.shape, c.shape
     if tau.shape != (k,):
         raise ValueError(f"dormqr: {k} reflectors and {tau.size} scales")
-    work = np.zeros(max(lwork, 1))
-    return c, work, _call("dormqr", side, trans, m, n, k, a, lda, tau, c, m, work, lwork)
+    return c, _call("dormqr", "L", "T", m, n, k, a, lda, tau, c, m, np.zeros(1), 1)
 
 
-def dtpqrt(l: int, nb: int, a: np.ndarray, b: np.ndarray, overwrite_a: int,
-           overwrite_b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """scipy.linalg.lapack.dtpqrt: the QR of [a; b], a n x n upper triangular
-    and b pentagonal with l trapezoidal rows; returns R, V, T and info."""
-    a, b = _fortran(a, overwrite_a), _fortran(b, overwrite_b)
+def dtpqrt(l: int, nb: int, a: np.ndarray, b: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """scipy.linalg.lapack.dtpqrt(l, nb, a, b, overwrite_a=1, overwrite_b=1):
+    the QR of [a; b], a n x n upper triangular and b pentagonal with l
+    trapezoidal rows; returns R, V, T and info."""
+    a, b = np.require(a, np.float64, "FAW"), np.require(b, np.float64, "FAW")
     m, n = b.shape
     if a.shape != (n, n):
         raise ValueError(f"dtpqrt: a {a.shape} is not square on b {b.shape}")
@@ -114,16 +107,16 @@ def dtpqrt(l: int, nb: int, a: np.ndarray, b: np.ndarray, overwrite_a: int,
     return a, b, t, info
 
 
-def dtpmqrt(l: int, v: np.ndarray, t: np.ndarray, a: np.ndarray, b: np.ndarray,
-            trans: str) -> tuple[np.ndarray, np.ndarray, int]:
-    """scipy.linalg.lapack.dtpmqrt from the left: copies of a and b, stacked,
-    multiplied by the Q of dtpqrt's V and T (trans "N") or by Q^T ("T")."""
+def dtpmqrt(l: int, v: np.ndarray, t: np.ndarray, a: np.ndarray, b: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray, int]:
+    """scipy.linalg.lapack.dtpmqrt(l, v, t, a, b, trans="T"): copies of a
+    and b, stacked, multiplied from the left by Q^T of dtpqrt's V and T."""
     v, t = np.require(v, np.float64, "F"), np.require(t, np.float64, "F")
-    a, b = _fortran(a, False), _fortran(b, False)
+    a, b = np.array(a, np.float64, order="F"), np.array(b, np.float64, order="F")
     (nb, k), (m, n) = t.shape, b.shape
     if v.shape != (m, k) or a.shape != (k, n):
         raise ValueError(f"dtpmqrt: v {v.shape}, t {t.shape}, a {a.shape} and b {b.shape}")
-    info = _call("dtpmqrt", "L", trans, m, n, k, l, nb, v, max(1, m), t, max(1, nb), a, max(1, k),
+    info = _call("dtpmqrt", "L", "T", m, n, k, l, nb, v, max(1, m), t, max(1, nb), a, max(1, k),
                  b, max(1, m), np.zeros(max(1, n * nb)))
     return a, b, info
 

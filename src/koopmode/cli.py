@@ -19,9 +19,11 @@ error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
+import os
 import sys
 import typing
 from dataclasses import dataclass, field
@@ -199,19 +201,49 @@ def _config_echo(cfg: RunConfig) -> str:
 
 
 class _OutputDir:
-    """Collects written files so the manifest can list them; the directory
-    appears with the first file, so a command that fails before it leaves none."""
+    """A command's output directory, a context manager that collects the
+    written files for the manifest.  It appears with the first file, or
+    with the mode file written at modes_path(), which finish renames to
+    modes.dmdm.  An exception removes what the command made: that file,
+    the files in a directory it made, then each such directory left empty."""
 
     def __init__(self, out: str, command: str):
         self.dir = Path(out)
         self.command = command
         self.files: list[str] = []
+        self.partial: Path | None = None
+        self.made: list[Path] = []  # outermost first
+
+    def __enter__(self) -> _OutputDir:
+        return self
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if kind is None:
+            return
+        if self.partial is not None:
+            self.partial.unlink(missing_ok=True)
+        for name in self.files if self.dir in self.made else ():
+            (self.dir / name).unlink(missing_ok=True)
+        with contextlib.suppress(OSError):  # stops at one another process wrote into
+            for folder in reversed(self.made):
+                folder.rmdir()
+
+    def _mkdir(self) -> None:
+        for folder in reversed([p for p in (self.dir, *self.dir.parents) if not p.exists()]):
+            with contextlib.suppress(FileExistsError):  # else made meanwhile by another process
+                folder.mkdir()
+                self.made.append(folder)
 
     def path(self, name: str) -> Path:
         if not self.files:
-            self.dir.mkdir(parents=True, exist_ok=True)
+            self._mkdir()
         self.files.append(name)
         return self.dir / name
+
+    def modes_path(self) -> Path:
+        self._mkdir()
+        self.partial = self.dir / ".modes.dmdm.partial"
+        return self.partial
 
     def write_text(self, name: str, text: str) -> None:
         self.path(name).write_text(text)
@@ -220,6 +252,8 @@ class _OutputDir:
         self.write_text(name, json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
     def finish(self, cfg: RunConfig) -> None:
+        if self.partial is not None:
+            os.replace(self.partial, self.path("modes.dmdm"))
         self.write_text("config_echo.cfg", _config_echo(cfg))
         manifest = {
             "schema": "koopmode.manifest.v1",
@@ -255,17 +289,21 @@ class _Analysis:
     loo: LeaveOneOutResult | None
 
 
-def _analyse(cfg: RunConfig, opts: DmdOptions, robust: bool) -> _Analysis:
-    """Load, decompose and tabulate the modes; robust runs leave-one-out
-    and fills the robustness column."""
+def _source(cfg: RunConfig) -> fileio.SnapshotFile | SnapshotMatrix:
     if not cfg.input:
         raise ConfigError("no input dataset configured (key: input)")
-    snap = fileio.open_source(cfg.input)
+    return fileio.open_source(cfg.input)
+
+
+def _analyse(cfg: RunConfig, opts: DmdOptions, snap: fileio.SnapshotFile | SnapshotMatrix,
+             robust: bool, dest: Path | None = None) -> _Analysis:
+    """Decompose snap, writing the modes to dest (or a temporary), and
+    tabulate them; robust runs leave-one-out and fills robustness."""
     if robust and snap.n < 3:  # a trial deletes one of the N - 1 pair columns
         raise DataFormatError(f"{cfg.input}: leave-one-out needs N >= 3 snapshots, "
                               f"the input has N = {snap.n}")
     t_window = cfg.persistence_t if cfg.persistence_t is not None else (snap.n - 1) * snap.dt
-    result = exact_dmd(snap, opts)
+    result = exact_dmd(snap, opts, dest)
     loo = leave_one_out(result, trials=cfg.loo_trials, seed=cfg.seed) if robust else None
     infos = build_mode_table(result, t_window, layout=snap.layout)
     if robust:
@@ -277,7 +315,6 @@ def _analyse(cfg: RunConfig, opts: DmdOptions, robust: bool) -> _Analysis:
 
 def _write_result_files(out: _OutputDir, a: _Analysis) -> None:
     result = a.result
-    result.modes_file.copy_to(out.path("modes.dmdm"))  # never reads the mapped modes
     payload = {
         "schema": "koopmode.result.v1",
         "r": result.r,
@@ -297,11 +334,10 @@ def _write_result_files(out: _OutputDir, a: _Analysis) -> None:
     write_mode_table(a.infos, out.path("modes_table.csv"))
 
 
-def cmd_synth(cfg: RunConfig, opts: DmdOptions) -> int:
+def cmd_synth(cfg: RunConfig, opts: DmdOptions, out: _OutputDir) -> int:
     spec = tidal_spec(d=cfg.synth_d, n=cfg.synth_n, dt=cfg.synth_dt,
                       noise_sigma=cfg.synth_noise, seed=cfg.seed, profile=cfg.synth_profile)
     snap, truth = generate(spec)
-    out = _OutputDir(cfg.out, "synth")
     fileio.write_snapshots(out.path("oracle.dmds"), snap)
     out.files.append("oracle.dmds.grid.json")
     fileio.write_mode_matrix(out.path("ground_truth_modes.dmdm"), truth.modes, spec.dt)
@@ -326,9 +362,8 @@ def cmd_synth(cfg: RunConfig, opts: DmdOptions) -> int:
     return 0
 
 
-def cmd_run(cfg: RunConfig, opts: DmdOptions) -> int:
-    a = _analyse(cfg, opts, robust=False)
-    out = _OutputDir(cfg.out, "run")
+def cmd_run(cfg: RunConfig, opts: DmdOptions, out: _OutputDir) -> int:
+    a = _analyse(cfg, opts, _source(cfg), robust=False, dest=out.modes_path())
     _write_result_files(out, a)
     out.finish(cfg)
     print(f"run: r={a.result.r} modes from {a.snap.d}x{a.snap.n} snapshots -> {out.dir}")
@@ -336,8 +371,8 @@ def cmd_run(cfg: RunConfig, opts: DmdOptions) -> int:
     return 0
 
 
-def cmd_loo(cfg: RunConfig, opts: DmdOptions) -> int:
-    a = _analyse(cfg, opts, robust=True)
+def cmd_loo(cfg: RunConfig, opts: DmdOptions, out: _OutputDir) -> int:
+    a = _analyse(cfg, opts, _source(cfg), robust=True, dest=out.modes_path())
     pooled = a.loo.pooled()
     density = KdeDensity(points=pooled, weights=np.ones(pooled.size),
                          bandwidth=cfg.h_cluster)
@@ -346,7 +381,6 @@ def cmd_loo(cfg: RunConfig, opts: DmdOptions) -> int:
                               weights=np.array([info.rms for info in a.infos]))
     a = dataclasses.replace(a, infos=[dataclasses.replace(info, cluster=c)
                                       for info, c in zip(a.infos, clusters)])
-    out = _OutputDir(cfg.out, "loo")
     _write_result_files(out, a)
     fileio.write_csv(
         out.path("pooled_eigenvalues.csv"), ("trial", "omitted_column", "re", "im"),
@@ -369,11 +403,12 @@ def cmd_loo(cfg: RunConfig, opts: DmdOptions) -> int:
     return 0
 
 
-def cmd_rom(cfg: RunConfig, opts: DmdOptions) -> int:
+def cmd_rom(cfg: RunConfig, opts: DmdOptions, out: _OutputDir) -> int:
     if not cfg.roms:
         raise ConfigError("no ROM selections configured (keys: rom.<name>.<field>)")
-    a = _analyse(cfg, opts, robust=any(kw.get(f) is not None for kw in cfg.roms.values()
-                                       for f in ("robustness_min", "robustness_max")))
+    a = _analyse(cfg, opts, _source(cfg),
+                 robust=any(kw.get(f) is not None for kw in cfg.roms.values()
+                            for f in ("robustness_min", "robustness_max")))
     curves = {}  # every selection resolves before the first file is written
     for name in sorted(cfg.roms):
         kw = cfg.roms[name]
@@ -387,7 +422,6 @@ def cmd_rom(cfg: RunConfig, opts: DmdOptions) -> int:
         except ValueError as exc:
             raise ConfigError(f"rom.{name}: {exc}") from exc
     data_rank = a.result.data_rank
-    out = _OutputDir(cfg.out, "rom")
     summary = {}
     for name, (indices, curve) in curves.items():
         fileio.write_csv(
@@ -425,22 +459,19 @@ def _ellipse_rows(gu: np.ndarray, gv: np.ndarray):
                ell.rotation_sense)
 
 
-def cmd_slice(cfg: RunConfig, opts: DmdOptions) -> int:
+def cmd_slice(cfg: RunConfig, opts: DmdOptions, out: _OutputDir) -> int:
     if cfg.slice_kind == "section" and not cfg.slice_path:
         raise ConfigError("slice_path must be set for a section: j0,i0;j1,i1;...")
-    a = _analyse(cfg, opts, robust=False)
-    result, layout = a.result, a.snap.layout
+    snap = _source(cfg)
+    layout = snap.layout
     channel = cfg.slice_channel or layout.channels[0].name
-    names = {c.name for c in layout.channels}
-    if channel not in names:
-        raise ConfigError(f"layout has no channel named {channel!r}; "
-                          f"available: {', '.join(sorted(names))}")
+    spec = (SurfaceSlice(channel, cfg.slice_k) if cfg.slice_kind == "surface"
+            else VerticalSection(channel, cfg.slice_path))
+    extract_slice(np.zeros(layout.dim), layout, spec)  # checks the cut before any data is read
+    result = _analyse(cfg, opts, snap, robust=False).result
     for m in cfg.slice_modes:
         if not 1 <= m <= result.r:
             raise ConfigError(f"slice mode index {m} outside 1..{result.r}")
-    spec = (SurfaceSlice(channel, cfg.slice_k) if cfg.slice_kind == "surface"
-            else VerticalSection(channel, cfg.slice_path))
-    out = _OutputDir(cfg.out, "slice")
     for m in cfg.slice_modes:
         phi, b = result.mode(m - 1), result.b[m - 1]
         sl = extract_slice(phi, layout, spec)
@@ -450,12 +481,11 @@ def cmd_slice(cfg: RunConfig, opts: DmdOptions) -> int:
                 ((i, j, v) for i, row in enumerate(grid.tolist()) for j, v in enumerate(row)),
             )
         if (cfg.slice_kind == "surface" and result.partner[m - 1] is not None
-                and {"ux", "uy"} <= names):
+                and {"ux", "uy"} <= {c.name for c in layout.channels}):
             vec = phi * b
-            w_ux = layout.channels[layout.channel_index("ux")].weight
-            w_uy = layout.channels[layout.channel_index("uy")].weight
-            gu = layout.grid_from_stacked(vec, "ux")[cfg.slice_k] * (2.0 / w_ux)
-            gv = layout.grid_from_stacked(vec, "uy")[cfg.slice_k] * (2.0 / w_uy)
+            gu, gv = (layout.grid_from_stacked(vec, c)[cfg.slice_k]
+                      * (2.0 / layout.channels[layout.channel_index(c)].weight)
+                      for c in ("ux", "uy"))
             fileio.write_csv(
                 out.path(f"slice_mode{m}_ellipse.csv"),
                 ("row", "col", "semi_major", "semi_minor", "orientation_rad",
@@ -467,13 +497,8 @@ def cmd_slice(cfg: RunConfig, opts: DmdOptions) -> int:
     return 0
 
 
-_COMMANDS = {
-    "synth": cmd_synth,
-    "run": cmd_run,
-    "loo": cmd_loo,
-    "rom": cmd_rom,
-    "slice": cmd_slice,
-}
+_COMMANDS = {"synth": cmd_synth, "run": cmd_run, "loo": cmd_loo, "rom": cmd_rom,
+             "slice": cmd_slice}
 
 
 # The config keys that a flag can also set: --out, ..., --mean-removal.
@@ -514,7 +539,9 @@ def _config(args: argparse.Namespace) -> tuple[RunConfig, DmdOptions]:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return _COMMANDS[args.command](*_config(args))
+        cfg, opts = _config(args)
+        with _OutputDir(cfg.out, args.command) as out:
+            return _COMMANDS[args.command](cfg, opts, out)
     except (NumericalError, ArithmeticError, np.linalg.LinAlgError) as exc:  # before ValueError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

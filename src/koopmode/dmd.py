@@ -60,11 +60,11 @@ preserves lengths, so column norms, singular values, eigenpairs and
 least-squares residuals are those of the original matrices.  Pass 2
 lifts the modes as X2 (M w): M folds the column scaling, the TLSQ
 projection, V Sigma^-1 and the unit norm, so Q is never needed
-(Q R2 = X2).  It writes each block's rows of the modes to a file
-(fileio.ModeFile) and keeps each mode's lead entry; one sweep over the
-file then applies the phase convention.  This continues the row-block
-streaming of Sayadi & Schmid to the D x r modes, which are never held
-in memory either.  Each row of the lifted modes comes from one
+(Q R2 = X2).  It writes each block's rows of the modes to a DMDM file
+(a fileio.ColumnFile) and keeps each mode's lead entry; one sweep over
+the file then applies the phase convention in place.  This continues
+the row-block streaming of Sayadi & Schmid to the D x r modes, which
+are never held in memory either.  Each row of the lifted modes comes from one
 _LIFT_ROWS product whatever rows surround it, and the leads merge in
 row order, so pass 2 and the sweep split the leaves by row range and
 write the serial file, bit for bit.
@@ -94,13 +94,14 @@ DmdOptions(r=None) takes the default rank max(1, min(data rank, N - 4)).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
+from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import _lapack, _workers
 from .errors import NumericalError
-from .fileio import ModeFile
+from .fileio import MODES_MAGIC, ColumnFile
 from .grids import SnapshotMatrix
 
 # Rows per block of the two passes over the snapshots.  Fixed, so that a
@@ -207,9 +208,10 @@ class DmdResult:
     exact_dmd builds every result and sets every field.  factor holds its
     snapshots and modes in R-factor coordinates for rom_norms, and only
     functions of this module read it.  Its modes are a read-only
-    np.memmap of modes_file, a DMDM file in an unlinked temporary in
-    TMPDIR: a page is read from disk when touched, and mode(k) reads one
-    column without touching the map.
+    np.memmap of modes_file, the DMDM file exact_dmd wrote at the
+    destination its caller gave, or in an unlinked temporary in TMPDIR:
+    a page is read from disk when touched, and mode(k) reads one column
+    without touching the map.
     """
 
     modes: np.ndarray
@@ -224,7 +226,7 @@ class DmdResult:
     t0: float
     data_rank: int
     factor: "_Factor" = field(repr=False, compare=False)
-    modes_file: ModeFile = field(repr=False, compare=False)
+    modes_file: ColumnFile = field(repr=False, compare=False)
     mean_mode: np.ndarray | None = None
 
     @property
@@ -237,7 +239,7 @@ class DmdResult:
         memory."""
         start, stop, _ = rows.indices(self.modes.shape[0])
         out = np.empty(max(stop - start, 0), dtype=complex)
-        self.modes_file.read_rows(k, start, out)
+        self.modes_file.read_column(k, start, out)
         return out
 
 
@@ -671,8 +673,7 @@ def _fold(src, center: bool, buf: np.ndarray, mean: np.ndarray | None,
             h, tau, info = _lapack.geqrf(stack)
             r = np.triu(h[:n])
             if center and info == 0:
-                c, _, info = _lapack.dormqr("L", "T", h[:, :tau.size], tau,
-                                            np.r_[m_r, m][:, None], 1)
+                c, info = _lapack.dormqr(h[:, :tau.size], tau, np.r_[m_r, m][:, None])
                 top, rest = c[:r.shape[0], 0], np.linalg.norm(c[r.shape[0]:, 0])
             if info != 0:
                 raise NumericalError(f"LAPACK {what} failed, info {info}")
@@ -700,10 +701,10 @@ def _tpqrt(l: int, a: np.ndarray, b: np.ndarray, carry: tuple[np.ndarray, np.nda
     carried rest: None and 0 without carry.  Raises NumericalError, naming
     what, when LAPACK fails."""
     n = a.shape[1]
-    r, v, t, info = _lapack.dtpqrt(l, min(_FOLD_NB, n), a, b, overwrite_a=1, overwrite_b=1)
+    r, v, t, info = _lapack.dtpqrt(l, min(_FOLD_NB, n), a, b)
     top, length = None, 0.0
     if carry is not None and info == 0:
-        top, rest, info = _lapack.dtpmqrt(l, v, t, carry[0][:, None], carry[1][:, None], trans="T")
+        top, rest, info = _lapack.dtpmqrt(l, v, t, carry[0][:, None], carry[1][:, None])
         top, length = top[:, 0], np.linalg.norm(rest)
     if info != 0:
         raise NumericalError(f"LAPACK {what} failed, info {info}")
@@ -711,7 +712,7 @@ def _tpqrt(l: int, a: np.ndarray, b: np.ndarray, carry: tuple[np.ndarray, np.nda
 
 
 def _lift(src, mean: np.ndarray | None, coef: np.ndarray, buf: np.ndarray,
-          out: ModeFile) -> np.ndarray:
+          out: ColumnFile) -> np.ndarray:
     """Pass 2: the D-row product of the (centered) snapshots 1..N-1 of
     src with coef, written to out and rotated there by the phase
     convention.  Returns the phase factor of each column: the conjugate
@@ -742,20 +743,20 @@ def _lead(top: np.ndarray, lead: np.ndarray, got_top: np.ndarray, got_lead: np.n
     top[take], lead[take] = got_top[take], got_lead[take]
 
 
-def _rotate(out: ModeFile, phase: np.ndarray, buf: np.ndarray, start: int, stop: int) -> None:
+def _rotate(out: ColumnFile, phase: np.ndarray, buf: np.ndarray, start: int, stop: int) -> None:
     """Multiply rows start..stop-1 of each column k of out by phase[k], a
     block at a time through the head of buf."""
     col = buf[:2 * min(_BLOCK_ROWS, stop - start)].view(np.complex128)
     for k in range(phase.size):
         for lo, hi in _blocks(start, stop):
             c = col[:hi - lo]
-            out.read_rows(k, lo, c)
+            out.read_column(k, lo, c)
             c *= phase[k]
-            out.write_rows(k, lo, c)
+            out.write_column(k, lo, c)
 
 
 def _lift_rows(src, mean: np.ndarray | None, real: np.ndarray, buf: np.ndarray,
-               out: ModeFile, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+               out: ColumnFile, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
     """Pass 2 over rows start..stop-1: block by block through the head of
     buf and _LIFT_ROWS rows per product, written to out one column's rows
     at a time.  real is the coefficient matrix viewed as float64.  Returns
@@ -782,12 +783,12 @@ def _lift_rows(src, mean: np.ndarray | None, real: np.ndarray, buf: np.ndarray,
                 np.copyto(c, phi[:, k])
                 j = np.abs(c, out=m).argmax()
                 got_top[k], got_lead[k] = m[j], c[j]
-                out.write_rows(k, start + i, c)
+                out.write_column(k, start + i, c)
             _lead(top, lead, got_top, got_lead)
     return top, lead
 
 
-def exact_dmd(snap: SnapshotMatrix, opts: DmdOptions) -> DmdResult:
+def exact_dmd(snap: SnapshotMatrix, opts: DmdOptions, dest: Path | None = None) -> DmdResult:
     """The decomposition of snapshots: the one entry to this module's
     pipeline.
 
@@ -796,12 +797,12 @@ def exact_dmd(snap: SnapshotMatrix, opts: DmdOptions) -> DmdResult:
     two passes of row blocks and never held in memory.  Pass 1 factors
     the snapshots (centered under opts.remove_mean), X = Q R; the pair
     is R[:, :-1], R[:, 1:] and the amplitudes are fitted against R.  The
-    data rank is counted on R[:, :-1] and resolves a default rank.  Pass
-    2 lifts the modes into a fileio.ModeFile, an unlinked temporary file
-    in TMPDIR; a sweep over it then rotates each mode so its first
-    largest-magnitude entry is real and positive, and its amplitude is
-    counter-rotated.  The result's modes map that file read-only, and no
-    D x r array is held.
+    data rank is counted on R[:, :-1] and resolves a default rank.  Once
+    the reduced decomposition succeeds, pass 2 lifts the modes into a
+    DMDM fileio.ColumnFile at dest (an unlinked temporary in TMPDIR if
+    None); a sweep rotates each in place so its first largest-magnitude
+    entry is real and positive, counter-rotating its amplitude.  The
+    result's modes map that file read-only; no D x r array is held.
     """
     buf = _block_buffer(snap.d, snap.n)
     fac = _factor(snap, opts.remove_mean, buf)
@@ -811,7 +812,7 @@ def exact_dmd(snap: SnapshotMatrix, opts: DmdOptions) -> DmdResult:
     if opts.r is None:
         opts = replace(opts, r=max(1, min(data_rank, snap.n - 4)))
     red = _reduced_dmd(r[:, :-1], r[:, 1:], r, snap.d, opts)
-    mode_file = ModeFile(snap.d, red.mu.size, snap.dt, snap.t0)
+    mode_file = ColumnFile.create(dest, MODES_MAGIC, snap.d, red.mu.size, snap.dt, snap.t0)
     phase = _lift(snap, fac.mean, red.lift, buf, mode_file)
     return DmdResult(
         modes=mode_file.matrix(),

@@ -14,14 +14,14 @@ complex values as interleaved (re, im) float64 pairs, column-major.
 A JSON sidecar <file>.grid.json carries the grid layout for snapshot
 files; when it is absent a flat single-channel layout is assumed.
 
-A column-major array is written from, and read into, its own buffer:
-on a little-endian host an F-ordered float64 or complex128 array
-already holds the payload bytes.  open_snapshots validates a DMDS file
-without reading its payload; the decomposition then streams it in row
-blocks (SnapshotFile.read_rows), so the data is never held in memory.
-It writes its modes the same way, row block by row block, into a
-ModeFile: a DMDM file in an unlinked temporary that is mapped read-only
-once complete and copied to its destination inside the kernel.
+One type, ColumnFile, owns the container: it writes or checks the
+header and moves row ranges of one column at explicit offsets, at a
+path or in an unlinked temporary.  On a little-endian host an F-ordered
+float64 or complex128 array's columns already hold the payload bytes.
+open_snapshots checks a DMDS file without reading its payload and keeps
+its handle; the decomposition then streams it in row blocks
+(SnapshotFile.read_rows), never holding the data, and writes its modes
+block by block into a DMDM ColumnFile where the caller wants it.
 
 CSV snapshot ingestion reads one column per snapshot with a header row
 of "t=<hours>" cells; the time step is inferred and must be uniform.
@@ -33,7 +33,7 @@ import os
 import struct
 import tempfile
 import weakref
-from dataclasses import dataclass
+from contextlib import closing
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -47,6 +47,7 @@ _HEADER = struct.Struct("<4sIQQdd")
 SNAPSHOT_MAGIC = b"DMDS"
 MODES_MAGIC = b"DMDM"
 FORMAT_VERSION = 1
+_ITEMS = {SNAPSHOT_MAGIC: np.dtype("<f8"), MODES_MAGIC: np.dtype("<c16")}
 _CSV_CHUNK = 1024  # lines write_csv formats and writes at a time
 
 
@@ -54,71 +55,96 @@ def _sidecar_path(path: Path) -> Path:
     return path.with_name(path.name + ".grid.json")
 
 
-def _header(magic: bytes, d: int, n: int, dt: float, t0: float) -> bytes:
-    return _HEADER.pack(magic, FORMAT_VERSION, d, n, float(dt), float(t0))
+class ColumnFile:
+    """A DMDS or DMDM file at path, or in an unlinked temporary in TMPDIR
+    (path None): a header and d x n float64 or complex128 items, read and
+    written by row ranges of one column at explicit offsets through one
+    unbuffered handle, which forked workers share.  close() or collection
+    closes the handle; a mapping keeps its own."""
 
+    def __init__(self, fh, path: Path | None, magic: bytes, d: int, n: int,
+                 dt: float, t0: float):
+        self._fh, self.path, self.dtype = fh, path, _ITEMS[magic]
+        self.d, self.n, self.dt, self.t0 = d, n, dt, t0
+        self.close = weakref.finalize(self, fh.close)
 
-def _write_payload(path: Path, magic: bytes, payload: np.ndarray, dtype: str,
-                   dt: float, t0: float) -> None:
-    """Write a header and the columns of payload, each from its own memory
-    when it is contiguous in dtype (an F-ordered array's always are)."""
-    with open(path, "wb") as fh:
-        fh.write(_header(magic, *payload.shape, dt, t0))
-        for col in payload.T:
-            fh.write(np.ascontiguousarray(col, dtype=dtype))
+    @classmethod
+    def create(cls, path: Path | None, magic: bytes, d: int, n: int, dt: float,
+               t0: float) -> ColumnFile:
+        """A new file of zeros under a header, at path or in an unlinked temporary."""
+        fh = tempfile.TemporaryFile(buffering=0) if path is None else open(path, "w+b", buffering=0)
+        fh.write(_HEADER.pack(magic, FORMAT_VERSION, d, n, float(dt), float(t0)))
+        fh.truncate(_HEADER.size + _ITEMS[magic].itemsize * d * n)
+        return cls(fh, path, magic, d, n, float(dt), float(t0))
 
+    @classmethod
+    def open(cls, path: Path, magic: bytes) -> ColumnFile:
+        """The file at path, read-only; its header is checked, and its
+        payload must hold exactly D*N items."""
+        fh = open(path, "rb", buffering=0)
+        try:
+            raw = fh.read(_HEADER.size)
+            if len(raw) != _HEADER.size:
+                raise DataFormatError(f"{path}: truncated header")
+            got_magic, version, d, n, dt, t0 = _HEADER.unpack(raw)
+            if got_magic != magic:
+                raise DataFormatError(f"{path}: bad magic {got_magic!r}, expected {magic!r}")
+            if version != FORMAT_VERSION:
+                raise DataFormatError(f"{path}: unsupported version {version}")
+            size = os.fstat(fh.fileno()).st_size - _HEADER.size
+            if size != (want := d * n * _ITEMS[magic].itemsize):
+                raise DataFormatError(f"{path}: payload is {size} bytes, header implies {want}")
+        except BaseException:
+            fh.close()
+            raise
+        return cls(fh, path, magic, int(d), int(n), float(dt), float(t0))
 
-def _open_payload(fh, path: Path, magic: bytes, itemsize: int
-                  ) -> tuple[int, int, float, float]:
-    """Read and check the header; the file must hold exactly D*N items."""
-    raw = fh.read(_HEADER.size)
-    if len(raw) != _HEADER.size:
-        raise DataFormatError(f"{path}: truncated header")
-    got_magic, version, d, n, dt, t0 = _HEADER.unpack(raw)
-    if got_magic != magic:
-        raise DataFormatError(f"{path}: bad magic {got_magic!r}, expected {magic!r}")
-    if version != FORMAT_VERSION:
-        raise DataFormatError(f"{path}: unsupported version {version}")
-    size = os.fstat(fh.fileno()).st_size - _HEADER.size
-    if size != d * n * itemsize:
-        raise DataFormatError(
-            f"{path}: payload is {size} bytes, header implies {d * n * itemsize}"
-        )
-    return int(d), int(n), float(dt), float(t0)
+    def _at(self, k: int, start: int) -> int:
+        return _HEADER.size + self.dtype.itemsize * (k * self.d + start)
+
+    def write_column(self, k: int, start: int, rows: np.ndarray) -> None:
+        """Write a vector as rows start.. of column k, from its own memory
+        when it is contiguous and of the file's item type."""
+        rows = np.ascontiguousarray(rows, dtype=self.dtype)
+        if os.pwrite(self._fh.fileno(), rows, self._at(k, start)) != rows.nbytes:
+            raise OSError(f"{self.path or 'temporary file'}: short write, column {k}")
+
+    def read_column(self, k: int, start: int, out: np.ndarray) -> None:
+        """Read rows start.. of column k into a contiguous vector of the
+        file's item type; DataFormatError when the payload ends first."""
+        if os.preadv(self._fh.fileno(), [out], self._at(k, start)) != out.nbytes:
+            raise DataFormatError(f"{self.path or 'temporary file'}: payload ended early")
+        if not self.dtype.isnative:
+            out.byteswap(inplace=True)
+
+    def matrix(self) -> np.memmap:
+        """The payload as a read-only d x n map."""
+        return np.memmap(self._fh, dtype=self.dtype, mode="r", offset=_HEADER.size,
+                         shape=(self.d, self.n), order="F")
 
 
 def write_snapshots(path: str | Path, snap: SnapshotMatrix) -> None:
     """Write a snapshot matrix and its grid sidecar next to it."""
     path = Path(path)
-    _write_payload(path, SNAPSHOT_MAGIC, snap.data, "<f8", snap.dt, snap.t0)
+    with closing(ColumnFile.create(path, SNAPSHOT_MAGIC, snap.d, snap.n, snap.dt, snap.t0)) as out:
+        for k in range(snap.n):
+            out.write_column(k, 0, snap.data[:, k])
     sidecar = _sidecar_path(path)
     sidecar.write_text(json.dumps(snap.layout.to_json_dict(), sort_keys=True, indent=1) + "\n")
 
 
-@dataclass(frozen=True)
-class SnapshotFile:
-    """A DMDS file whose header and sidecar are checked and whose payload
-    stays on disk: a snapshot source that is read in row blocks."""
+class SnapshotFile(ColumnFile):
+    """A DMDS file whose header and sidecar are checked, with its grid
+    layout: a snapshot source read in row blocks, its payload left on disk."""
 
-    path: Path
-    d: int
-    n: int
-    dt: float
-    t0: float
     layout: GridLayout
 
     def read_rows(self, start: int, out: np.ndarray) -> None:
         """Read rows start .. start + len(out) - 1 into out, whose columns
         must each be contiguous; raise DataFormatError on a non-finite
         value or a payload cut short since the file was opened."""
-        rows = out.shape[0]
-        with open(self.path, "rb") as fh:
-            for j in range(out.shape[1]):
-                offset = _HEADER.size + 8 * (j * self.d + start)
-                if os.preadv(fh.fileno(), [out[:, j]], offset) != 8 * rows:
-                    raise DataFormatError(f"{self.path}: payload ended early")
-        if not np.dtype("<f8").isnative:
-            out.byteswap(inplace=True)
+        for j in range(out.shape[1]):
+            self.read_column(j, start, out[:, j])
         if not _all_finite(out):
             raise DataFormatError(f"{self.path}: non-finite values in snapshot payload")
 
@@ -127,26 +153,25 @@ def open_snapshots(path: str | Path) -> SnapshotFile:
     """Check a binary snapshot file's header, size, time axis and sidecar
     without reading its payload."""
     path = Path(path)
-    with open(path, "rb") as fh:
-        d, n, dt, t0 = _open_payload(fh, path, SNAPSHOT_MAGIC, 8)
-    if d < 1 or n < 2:
+    src = SnapshotFile.open(path, SNAPSHOT_MAGIC)
+    if src.d < 1 or src.n < 2:
         raise DataFormatError(f"{path}: need D >= 1 rows and N >= 2 snapshots, "
-                              f"header gives {d}x{n}")
-    if not (dt > 0 and np.isfinite(dt) and np.isfinite(t0)):
-        raise DataFormatError(f"{path}: dt {dt} and t0 {t0} must be finite, dt positive")
+                              f"header gives {src.d}x{src.n}")
+    if not (src.dt > 0 and np.isfinite(src.dt) and np.isfinite(src.t0)):
+        raise DataFormatError(f"{path}: dt {src.dt} and t0 {src.t0} must be finite, dt positive")
     sidecar = _sidecar_path(path)
     if sidecar.exists():
         try:
-            layout = GridLayout.from_json_dict(json.loads(sidecar.read_text()))
+            src.layout = GridLayout.from_json_dict(json.loads(sidecar.read_text()))
         except (ValueError, KeyError, TypeError) as exc:
             raise DataFormatError(f"{sidecar}: bad grid layout: {exc!r}") from exc
-        if layout.dim != d:
+        if src.layout.dim != src.d:
             raise DataFormatError(
-                f"{path}: sidecar layout dimension {layout.dim} != data rows {d}"
+                f"{path}: sidecar layout dimension {src.layout.dim} != data rows {src.d}"
             )
     else:
-        layout = scalar_layout(d)
-    return SnapshotFile(path, d, n, dt, t0, layout)
+        src.layout = scalar_layout(src.d)
+    return src
 
 
 def read_snapshots_csv(path: str | Path) -> SnapshotMatrix:
@@ -198,72 +223,22 @@ def open_source(path: str | Path) -> SnapshotFile | SnapshotMatrix:
 
 def write_mode_matrix(path: str | Path, modes: np.ndarray, dt: float) -> None:
     """Write a complex matrix as interleaved re/im float64, column-major,
-    with t0 = 0 in its header (a ModeFile writes its result's own t0)."""
+    with t0 = 0 in its header (exact_dmd's mode file holds its own t0)."""
     modes = np.asarray(modes, dtype=complex)
     if modes.ndim != 2:
         raise ValueError("mode matrix must be 2-D")
-    _write_payload(Path(path), MODES_MAGIC, modes, "<c16", dt, 0.0)
-
-
-class ModeFile:
-    """A D x r DMDM file (header and payload) in an unlinked temporary
-    file in TMPDIR, written and read by row ranges of one column at a
-    time.  matrix() maps the payload read-only; copy_to copies the whole
-    file inside the kernel, so none of its pages enter this process.
-    The file is closed when the ModeFile is collected; a mapping keeps
-    its own handle.
-    """
-
-    def __init__(self, d: int, r: int, dt: float, t0: float):
-        self.d, self.r = d, r
-        self._fh = tempfile.TemporaryFile()
-        weakref.finalize(self, self._fh.close)
-        self._fh.write(_header(MODES_MAGIC, d, r, dt, t0))
-        self._fh.truncate(_HEADER.size + 16 * d * r)  # flushes the header
-
-    def _at(self, k: int, start: int) -> int:
-        return _HEADER.size + 16 * (k * self.d + start)
-
-    def write_rows(self, k: int, start: int, rows: np.ndarray) -> None:
-        """Write a contiguous complex128 vector as rows start.. of column k."""
-        if os.pwrite(self._fh.fileno(), rows.astype("<c16", copy=False),
-                     self._at(k, start)) != rows.nbytes:
-            raise OSError(f"short write to the mode file, column {k}")
-
-    def read_rows(self, k: int, start: int, out: np.ndarray) -> None:
-        """Read rows start.. of column k into a contiguous complex128 vector."""
-        if os.preadv(self._fh.fileno(), [out], self._at(k, start)) != out.nbytes:
-            raise OSError(f"short read from the mode file, column {k}")
-        if not np.dtype("<c16").isnative:
-            out.byteswap(inplace=True)
-
-    def matrix(self) -> np.memmap:
-        """The payload as a read-only D x r complex128 map."""
-        return np.memmap(self._fh, dtype="<c16", mode="r", offset=_HEADER.size,
-                         shape=(self.d, self.r), order="F")
-
-    def copy_to(self, path: str | Path) -> None:
-        """Write the DMDM file to path: os.sendfile copies it page by page
-        inside the kernel."""
-        src, size = self._fh.fileno(), _HEADER.size + 16 * self.d * self.r
-        with open(path, "wb") as out:
-            done = 0
-            while done < size:
-                sent = os.sendfile(out.fileno(), src, done, size - done)
-                if sent == 0:
-                    raise OSError(f"{path}: the mode file ended early")
-                done += sent
+    with closing(ColumnFile.create(Path(path), MODES_MAGIC, *modes.shape, dt, 0.0)) as out:
+        for k in range(modes.shape[1]):
+            out.write_column(k, 0, modes[:, k])
 
 
 def read_mode_matrix(path: str | Path) -> tuple[np.ndarray, float, float]:
     """Read a complex mode matrix written by write_mode_matrix."""
-    path = Path(path)
-    with open(path, "rb") as fh:
-        d, n, dt, t0 = _open_payload(fh, path, MODES_MAGIC, 16)
-        modes = np.empty((n, d), dtype="<c16")
-        if fh.readinto(modes) != modes.nbytes:
-            raise DataFormatError(f"{path}: payload ended early")
-    return modes.T, dt, t0
+    with closing(ColumnFile.open(Path(path), MODES_MAGIC)) as src:
+        modes = np.empty((src.d, src.n), dtype=complex, order="F")
+        for k in range(src.n):
+            src.read_column(k, 0, modes[:, k])
+        return modes, src.dt, src.t0
 
 
 def write_csv(path: str | Path, header: Sequence[str], fmt: str,

@@ -81,10 +81,12 @@ class GridLayout:
         return self.n_channels * self.n_cells
 
     def channel_index(self, name: str) -> int:
-        for c, spec in enumerate(self.channels):
-            if spec.name == name:
-                return c
-        raise KeyError(f"layout has no channel named {name!r}")
+        """The position of the channel name; ValueError when there is none."""
+        names = [c.name for c in self.channels]
+        if name not in names:
+            raise ValueError(f"layout has no channel named {name!r}; "
+                             f"available: {', '.join(sorted(names))}")
+        return names.index(name)
 
     def channel_slice(self, name: str) -> slice:
         """Slice of the stacked vector holding the given channel."""
@@ -301,7 +303,8 @@ def extract_slice(vec: np.ndarray, layout: GridLayout, spec) -> np.ndarray:
 
     Supports surface layers (ny x nx) and vertical sections along
     polylines (nz x path length).  Masked cells are NaN in the result.
-    A layer or polyline vertex outside the grid raises ValueError.
+    A channel the layout lacks, or a layer or polyline vertex outside the
+    grid, raises ValueError.
     """
     grid = layout.grid_from_stacked(vec, spec.channel)
     if isinstance(spec, SurfaceSlice):

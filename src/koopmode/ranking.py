@@ -516,7 +516,7 @@ def build_mode_table(result: DmdResult, t_window: float,
     if layout is not None:
         try:
             sel = layout.channel_slice(VERTICAL_CHANNEL)
-        except KeyError:
+        except ValueError:
             sel = None
     infos = []
     for k in range(result.r):

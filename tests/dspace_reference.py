@@ -277,16 +277,15 @@ def sequential_factor(src, center: bool) -> tuple[np.ndarray, np.ndarray | None,
             block -= m[:, None]
         c = np.r_[m_r, m][:, None] if center else None
         if fold:
-            r, v, t, info = _lapack.dtpqrt(0, min(dmd._FOLD_NB, n), r, block,
-                                           overwrite_a=1, overwrite_b=1)
+            r, v, t, info = _lapack.dtpqrt(0, min(dmd._FOLD_NB, n), r, block)
             if center:
-                c[:n], c[n:], info = _lapack.dtpmqrt(0, v, t, c[:n], c[n:], trans="T")
+                c[:n], c[n:], info = _lapack.dtpmqrt(0, v, t, c[:n], c[n:])
         else:
             stack[:k] = r
             h, tau, info = _lapack.geqrf(stack)
             r = np.triu(h[:n])
             if center:
-                c, _, info = _lapack.dormqr("L", "T", h[:, :tau.size], tau, c, 1)
+                c, info = _lapack.dormqr(h[:, :tau.size], tau, c)
         assert info == 0
         if center:
             m_r, rest = np.split(c[:, 0], [r.shape[0]])

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import struct
 import tempfile
 from pathlib import Path
@@ -16,8 +17,9 @@ from hypothesis import strategies as st
 
 from koopmode import cli
 from koopmode.cli import main, load_config, RunConfig
+from koopmode.dmd import exact_dmd
 from koopmode.errors import ConfigError
-from koopmode.fileio import write_snapshots
+from koopmode.fileio import open_snapshots, write_mode_matrix, write_snapshots
 from koopmode.grids import (SnapshotMatrix, VelocityField, scalar_layout,
                             stack_observables, velocity_layout)
 from koopmode.oracle import TIDAL_PERIODS_HOURS
@@ -831,6 +833,128 @@ def test_slice_repeated_modes_are_written_once(tmp_path, capsys):
     assert len(files) == len(set(files))
     assert {f"slice_mode{m}_{tag}.csv" for m in (1, 2)
             for tag in ("amplitude", "phase")} <= set(files)
+
+
+@pytest.mark.parametrize("setting, message", [
+    ({"slice_channel": "uq"}, "layout has no channel named 'uq'; available: speed, ux, uy, uz"),
+    ({"slice_k": 2}, "layer k=2 outside 0..1"),
+    ({"slice_kind": "section", "slice_path": "0,0;3,1"}, "polyline vertex (3, 1) outside grid"),
+])
+def test_slice_checks_its_geometry_before_the_decomposition(tmp_path, monkeypatch, capsys,
+                                                            setting, message):
+    """A channel the layout lacks, a layer below the grid and a section
+    vertex outside it exit 2 before the decomposition reads the data."""
+    data, _ = rotating_velocity_snapshots(tmp_path)  # nz, ny, nx = 2, 3, 4
+    calls = []
+    monkeypatch.setattr(cli, "exact_dmd", lambda *args: calls.append(args))
+    out = tmp_path / "s"
+    cfg = write_cfg(tmp_path, input=data, out=out, rank=3, **setting)
+    assert main(["slice", "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert calls == [] and not out.exists()
+
+
+# ------------------------------------------------------- output directory
+
+def tree_digest(path):
+    """The SHA-256 of every file under path, hidden ones included."""
+    return {str(p.relative_to(path)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(path.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("command", ["run", "loo"])
+def test_run_and_loo_write_the_mode_file_where_it_lands(tmp_path, monkeypatch, command):
+    """run and loo write modes.dmdm in the output directory: with no
+    temporary file and no sendfile to be had, they write the same files,
+    and modes.dmdm holds the bytes write_mode_matrix writes for the
+    modes of the same decomposition."""
+    data = synth_dataset(tmp_path, noise=1e-3)
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, input=data, out=out, rank=17, loo_trials=5)
+    assert main([command, "--config", cfg]) == 0
+    before = tree_digest(out)
+    result = exact_dmd(open_snapshots(data), cli._resolve_options(load_config(cfg)))
+    write_mode_matrix(tmp_path / "want.dmdm", np.asarray(result.modes), result.dt)
+    del result
+
+    def refuse(*args, **kwargs):
+        raise OSError("no temporary file and no sendfile here")
+    monkeypatch.setattr(tempfile, "TemporaryFile", refuse)
+    monkeypatch.setattr(os, "sendfile", refuse, raising=False)
+    for p in out.iterdir():
+        p.unlink()
+    out.rmdir()
+    assert main([command, "--config", cfg]) == 0
+    assert tree_digest(out) == before
+    assert (out / "modes.dmdm").read_bytes() == (tmp_path / "want.dmdm").read_bytes()
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("rom", {"rom.all.indices": "all", "rom.robust.robustness_min": 1000}),
+    ("slice", {"slice_modes": "1,2"}),
+])
+def test_rom_and_slice_write_no_mode_file(tmp_path, command, extra):
+    """rom and slice leave the mode file's destination unset: their modes
+    go to an unlinked temporary, and no mode file lands in their output."""
+    data = synth_dataset(tmp_path)
+    out = tmp_path / command
+    cfg = write_cfg(tmp_path, input=data, out=out, rank=17, loo_trials=3, **extra)
+    assert main([command, "--config", cfg]) == 0
+    assert [p.name for p in out.iterdir() if "dmdm" in p.name] == []
+
+
+@pytest.mark.parametrize("command, extra, code, error", [
+    ("run", {"rank": 60}, 2, "config error:"),  # the TLSQ rank, before pass 2
+    ("loo", {"rank": 17, "loo_trials": 3, "h_cluster": 1e-7}, 3,
+     "numerical failure:"),  # the KDE raster, after pass 2
+])
+def test_a_failed_run_or_loo_leaves_no_trace(tmp_path, monkeypatch, capsys, command, extra,
+                                            code, error):
+    """A run that fails before pass 2 and a loo that fails after it leave
+    no directory at a fresh path, its missing parents included, and leave
+    the files of an existing directory as they were, with no partial mode
+    file."""
+    data = synth_dataset(tmp_path)
+    bad = write_cfg(tmp_path, "bad.cfg", input=data, **extra)
+    seen = []
+    kde_grid = cli.kde_grid
+
+    def spy(*args, **kwargs):  # what the output directory holds when loo fails
+        seen.append(sorted(p.name for p in out.iterdir()) if out.exists() else None)
+        return kde_grid(*args, **kwargs)
+    monkeypatch.setattr(cli, "kde_grid", spy)
+    out = tmp_path / "a" / "b"
+    assert main([command, "--config", bad, "--out", str(out)]) == code
+    assert not (tmp_path / "a").exists()
+    out = tmp_path / "out"
+    good = write_cfg(tmp_path, "good.cfg", input=data, rank=17, loo_trials=3)
+    assert main(["loo", "--config", good, "--out", str(out)]) == 0
+    before = tree_digest(out)
+    seen.clear()
+    capsys.readouterr()
+    assert main([command, "--config", bad, "--out", str(out)]) == code
+    assert capsys.readouterr().err.startswith(error)
+    assert tree_digest(out) == before and ".modes.dmdm.partial" not in before
+    if command == "loo":
+        assert seen == [sorted([*before, ".modes.dmdm.partial"])]
+
+
+def test_a_failed_loo_keeps_what_another_run_put_in_its_parent(tmp_path, monkeypatch):
+    """A loo that fails after making sweep/a removes sweep/a but not sweep,
+    which meanwhile gained a sibling run's finished file, nor that file."""
+    data = synth_dataset(tmp_path)
+    bad = write_cfg(tmp_path, "bad.cfg", input=data, rank=17, loo_trials=3, h_cluster=1e-7)
+    sibling = tmp_path / "sweep" / "b" / "manifest.json"
+    kde_grid = cli.kde_grid
+
+    def sibling_finishes(*args, **kwargs):
+        sibling.parent.mkdir()
+        sibling.write_text("{}\n")
+        return kde_grid(*args, **kwargs)
+    monkeypatch.setattr(cli, "kde_grid", sibling_finishes)
+    assert main(["loo", "--config", bad, "--out", str(tmp_path / "sweep" / "a")]) == 3
+    assert sorted(p.name for p in (tmp_path / "sweep").iterdir()) == ["b"]
+    assert sibling.read_text() == "{}\n"
 
 
 # ------------------------------------------------------------ exit codes

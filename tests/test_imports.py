@@ -317,7 +317,8 @@ def matrices(draw, rows=sizes, cols=sizes):
 
 def assert_matches_scipy(a: np.ndarray, c: np.ndarray) -> None:
     """dmd's SVD of a, and geqrf and dormqr of a, the latter on c, against
-    scipy's, the SVD's factors in scipy's F order too."""
+    scipy's, the SVD's factors in scipy's F order too.  dormqr applies
+    Q^T on a one-item workspace, as dmd calls it, so c has one column."""
     import scipy.linalg
     import scipy.linalg.lapack
 
@@ -330,11 +331,10 @@ def assert_matches_scipy(a: np.ndarray, c: np.ndarray) -> None:
     assert info == 0 and np.shares_memory(h, ours) == ours.flags.f_contiguous
     assert np.array_equal(h, want_h) and np.array_equal(tau, want_tau)
     assert np.array_equal(np.triu(h[:a.shape[1]]), want_r)
-    for trans in "NT":
-        got = _lapack.dormqr("L", trans, h[:, :tau.size], tau, c, c.shape[1])
-        want = scipy.linalg.lapack.dormqr("L", trans, h[:, :tau.size], tau, c, c.shape[1])
-        assert got[2] == want[2] == 0 and not np.shares_memory(got[0], c)
-        assert all(np.array_equal(x, y) for x, y in zip(got[:2], want[:2]))
+    got = _lapack.dormqr(h[:, :tau.size], tau, c)
+    want = scipy.linalg.lapack.dormqr("L", "T", h[:, :tau.size], tau, c, 1)
+    assert got[1] == want[2] == 0 and not np.shares_memory(got[0], c)
+    assert np.array_equal(got[0], want[0])
 
 
 @given(a=matrices(), data=st.data())
@@ -345,7 +345,7 @@ def test_lapack_matches_scipy_linalg_bitwise(a, data):
     raw QR are scipy.linalg's to the bit, geqrf overwrites an
     F-ordered input, and dormqr on the least workspace (dmd's lwork = 1
     for its one column) is scipy.linalg.lapack's."""
-    assert_matches_scipy(a, data.draw(matrices(rows=st.just(a.shape[0]), cols=st.integers(1, 3))))
+    assert_matches_scipy(a, data.draw(matrices(rows=st.just(a.shape[0]), cols=st.just(1))))
 
 
 @pytest.mark.parametrize("shape", [(400, 144), (144, 300), (288, 144)])
@@ -377,13 +377,13 @@ def test_lapack_tpqrt_matches_scipy_bitwise(data, n, m, merge, orders):
     rest = np.asarray(rng.standard_normal((m, top.shape[1])), order=orders[3])
     with one_blas_thread() as lapack:
         ours = a.copy(order="K"), b.copy(order="K")
-        got = _lapack.dtpqrt(l, nb, *ours, overwrite_a=1, overwrite_b=1)
-        want = lapack.dtpqrt(l, nb, a, b)
+        got = _lapack.dtpqrt(l, nb, *ours)
+        want = lapack.dtpqrt(l, nb, a, b, overwrite_a=1, overwrite_b=1)
         assert got[3] == want[3] == 0
         assert [np.shares_memory(x, y) for x, y in zip(got, ours)] == [
             y.flags.f_contiguous for y in ours]
         assert all(np.array_equal(x, y) for x, y in zip(got[:3], want[:3]))
-        carried = _lapack.dtpmqrt(l, got[1], got[2], top, rest, trans="T")
+        carried = _lapack.dtpmqrt(l, got[1], got[2], top, rest)
         expected = lapack.dtpmqrt(l, want[1], want[2], top, rest, trans="T")
     assert carried[2] == expected[2] == 0
     assert all(np.array_equal(x, y) for x, y in zip(carried[:2], expected[:2]))
@@ -460,10 +460,10 @@ def test_lapack_routine_is_numpys_openblas(name):
 
 
 @pytest.mark.parametrize("call", [
-    lambda: _lapack.dormqr("L", "T", np.ones((4, 2)), np.ones(3), np.ones((4, 1)), 1),
-    lambda: _lapack.dtpqrt(0, 1, np.eye(3), np.ones((5, 2)), overwrite_a=0, overwrite_b=0),
+    lambda: _lapack.dormqr(np.ones((4, 2)), np.ones(3), np.ones((4, 1))),
+    lambda: _lapack.dtpqrt(0, 1, np.eye(3), np.ones((5, 2))),
     lambda: _lapack.dtpmqrt(0, np.ones((5, 2)), np.ones((1, 2)), np.ones((3, 1)),
-                            np.ones((5, 1)), trans="T"),
+                            np.ones((5, 1))),
     lambda: _lapack.zgelsd(np.ones((4, 2), complex), np.ones(3)),
 ], ids=["dormqr", "dtpqrt", "dtpmqrt", "zgelsd"])
 def test_lapack_rejects_mismatched_shapes(call):

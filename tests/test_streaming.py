@@ -214,6 +214,21 @@ def test_leave_one_out_reads_the_result_not_the_file(tmp_path, mean_removal):
     assert after.failures == before.failures
 
 
+def test_a_file_renamed_over_after_open_decomposes_as_opened(tmp_path):
+    """open_snapshots keeps the file's handle: a DMDS file renamed over
+    after it was opened still decomposes to the bytes of the one opened."""
+    path, copy, other = (tmp_path / name for name in ("snap.dmds", "copy.dmds", "other.dmds"))
+    write_snapshots(path, generate(tidal_spec(d=120, n=40, noise_sigma=1e-3, seed=1))[0])
+    copy.write_bytes(path.read_bytes())
+    src = open_snapshots(path)
+    write_snapshots(other, generate(tidal_spec(d=120, n=40, noise_sigma=1e-3, seed=2))[0])
+    other.replace(path)
+    got = exact_dmd(src, modified_options(17))
+    want = exact_dmd(open_snapshots(copy), modified_options(17))
+    assert got.mu.tobytes() == want.mu.tobytes() and got.b.tobytes() == want.b.tobytes()
+    assert np.asarray(got.modes).tobytes() == np.asarray(want.modes).tobytes()
+
+
 def read_csv_columns(path: Path) -> np.ndarray:
     return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
 
