@@ -14,7 +14,7 @@ checked as it is read; the decomposition options are built once the
 last flag is set.  All outputs are deterministic: rerunning a command
 with the same config and seed rewrites byte-identical files.  Exit
 codes: 0 success, 2 configuration error, 3 numerical failure, 4 I/O
-error.
+error, 143 stopped by SIGTERM.
 """
 from __future__ import annotations
 
@@ -24,7 +24,9 @@ import dataclasses
 import json
 import math
 import os
+import signal
 import sys
+import threading
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -200,7 +202,7 @@ def _config_echo(cfg: RunConfig) -> str:
     return "\n".join(sorted(lines)) + "\n"
 
 
-class _OutputDir:
+class _OutputDir(contextlib.AbstractContextManager):
     """A command's output directory, a context manager that collects the
     written files for the manifest.  It appears with the first file, or
     with the mode file written at modes_path(), which finish renames to
@@ -213,9 +215,6 @@ class _OutputDir:
         self.files: list[str] = []
         self.partial: Path | None = None
         self.made: list[Path] = []  # outermost first
-
-    def __enter__(self) -> _OutputDir:
-        return self
 
     def __exit__(self, kind, exc, tb) -> None:
         if kind is None:
@@ -537,6 +536,11 @@ def _config(args: argparse.Namespace) -> tuple[RunConfig, DmdOptions]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command.  In the main thread a SIGTERM ends it as SystemExit(143),
+    which removes what it made as an error does; the old handler is restored."""
+    previous = None
+    if threading.current_thread() is threading.main_thread():
+        previous = signal.signal(signal.SIGTERM, lambda signum, _: sys.exit(128 + signum))
     try:
         args = build_parser().parse_args(argv)
         cfg, opts = _config(args)
@@ -551,6 +555,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DataFormatError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
+    finally:
+        if previous is not None:  # None: one set outside Python, which cannot be put back
+            signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -9,10 +9,10 @@ the RMS of |b| exp(sigma t) over [0, T]; it degenerates to |b| as
 sigma -> 0.  Modes whose envelope decays below a cut fraction of its
 initial value within the window count as non-persistent transients.
 
-Robustness is probed by rerunning the decomposition with one random
-column deleted from the regression pair, pooling the perturbed spectra,
-and reading a Gaussian kernel density over the complex plane at each
-eigenvalue of the full run:
+Robustness is probed by rerunning the decomposition with one column of
+the regression pair deleted (drawn from a seeded random.Random), pooling
+the perturbed spectra, and reading a Gaussian kernel density over the
+complex plane at each eigenvalue of the full run:
 
     d_h(z) = (1/Z) * sum_k w_k exp(-|z - p_k|^2 / h^2),  Z = (sum w) pi h^2.
 
@@ -30,6 +30,7 @@ bit.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,128 +249,28 @@ class LeaveOneOutResult:
         return np.concatenate([t.mu for t in self.trials])
 
 
-_M32 = 0xFFFFFFFF
-_M128 = (1 << 128) - 1
-
-
-def _seed_words(seed: int) -> list[int]:
-    """numpy.random.SeedSequence(seed).generate_state(8, np.uint32): the
-    seed's 32-bit words hashed into a pool of four, then read out."""
+def _draw_omitted(cols: int, trials: int, seed: int) -> list[int]:
+    """The pair columns leave_one_out omits: distinct ones, by a partial
+    Fisher-Yates shuffle, while the trial budget allows, then draws with
+    replacement.  Only random.Random(seed).random() is drawn from, the one
+    stream Python keeps the same across versions."""
     if seed < 0:
         raise ValueError("seed must be non-negative")
-    words = [seed >> k & _M32 for k in range(0, max(seed.bit_length(), 1), 32)]
-    mult = 0x43B0D7E5
-
-    def hashmix(value: int) -> int:
-        nonlocal mult
-        value ^= mult
-        mult = mult * 0x931E8875 & _M32
-        value = value * mult & _M32
-        return value ^ value >> 16
-
-    def mix(x: int, y: int) -> int:
-        x = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
-        return x ^ x >> 16
-
-    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[4:]:
-        pool = [mix(p, hashmix(word)) for p in pool]
-    out, mult_b = [], 0x8B51F9DD
-    for i in range(8):
-        value = pool[i % 4] ^ mult_b
-        mult_b = mult_b * 0x58F38DED & _M32
-        value = value * mult_b & _M32
-        out.append(value ^ value >> 16)
-    return out
-
-
-class _Pcg64:
-    """The bits of numpy.random.default_rng(seed): PCG64, a 128-bit LCG with
-    XSL-RR output, seeded through SeedSequence; a 32-bit draw is the low
-    half of a 64-bit output, and the next one its high half."""
-
-    def __init__(self, seed: int):
-        w = _seed_words(seed)
-        state, seq = (w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2],
-                      w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6])
-        self.inc, self.state, self.high = (seq << 1 | 1) & _M128, 0, None
-        self._next64()
-        self.state = (self.state + state) & _M128
-        self._next64()
-
-    def _next64(self) -> int:
-        self.state = (self.state * 0x2360ED051FC65DA44385DF649FCCF645 + self.inc) & _M128
-        x, rot = (self.state >> 64 ^ self.state) & (1 << 64) - 1, self.state >> 122
-        return (x >> rot | x << 64 - rot) & (1 << 64) - 1
-
-    def _next32(self) -> int:
-        if self.high is not None:
-            out, self.high = self.high, None
-            return out
-        x = self._next64()
-        self.high = x >> 32
-        return x & _M32
-
-    def lemire(self, high: int) -> int:
-        """A draw in [0, high], high < 2**32 - 1, by Lemire's multiply-shift."""
-        if high == 0:
-            return 0
-        m = self._next32() * (high + 1)
-        while m & _M32 < (1 << 32) % (high + 1):
-            m = self._next32() * (high + 1)
-        return m >> 32
-
-    def masked(self, high: int) -> int:
-        """A draw in [0, high], high > 0, by rejection under a bit mask."""
-        mask = (1 << high.bit_length()) - 1
-        while (value := self._next32() & mask) > high:
-            pass
-        return value
-
-
-def _shuffle(x: list, first: int, draw) -> None:
-    """Fisher-Yates from the end of x down to position first."""
-    for i in range(len(x) - 1, first - 1, -1):
-        j = draw(i)
-        x[i], x[j] = x[j], x[i]
-
-
-def _draw_omitted(cols: int, trials: int, seed: int) -> list[int]:
-    """np.random.default_rng(seed)'s choice(cols, trials, replace=False) while
-    the trial budget allows distinct columns, else the concatenation of its
-    permutation(cols) and choice(cols, trials - cols), drawn first: numpy's
-    algorithms on numpy's bits."""
-    bits = _Pcg64(seed)
-    if trials > cols:
-        extra = [bits.lemire(cols - 1) for _ in range(trials - cols)]
-        perm = list(range(cols))
-        _shuffle(perm, 1, bits.masked)
-        return perm + extra
-    if cols > 10_000 and trials > cols // 50:  # numpy's tail shuffle
-        idx = list(range(cols))
-        _shuffle(idx, max(cols - trials, 1), bits.lemire)
-        return idx[cols - trials:]
-    idx, seen = [], set()
-    for j in range(cols - trials, cols):  # Floyd's sampling
-        value = bits.lemire(j)
-        idx.append(j if value in seen else value)
-        seen.add(idx[-1])
-    _shuffle(idx, 1, bits.lemire)
-    return idx
+    rng, idx, distinct = random.Random(seed), list(range(cols)), min(trials, cols)
+    for i in range(distinct):
+        j = i + int(rng.random() * (cols - i))
+        idx[i], idx[j] = idx[j], idx[i]
+    return idx[:distinct] + [int(rng.random() * cols) for _ in range(trials - cols)]
 
 
 def leave_one_out(result: DmdResult, trials: int = 30, seed: int = 0) -> LeaveOneOutResult:
     """Rerun result, a decomposition of dmd.exact_dmd, with one random pair
     column deleted per trial (dmd.deletion_spectrum), eigenvalues only.
 
-    Column draws are those of numpy.random.default_rng(seed), taken by
-    _draw_omitted with this module's own PCG64 (_Pcg64), so trial order
-    is deterministic and no numpy.random (nor the OpenSSL its seeding
-    loads) is imported.  A trial that raises NumericalError is
+    The omitted columns are drawn by _draw_omitted from
+    random.Random(seed), so trial order is deterministic and no
+    numpy.random (nor the OpenSSL its seeding loads) is imported.  A
+    seed below 0 raises ValueError.  A trial that raises NumericalError is
     recorded in failures and skipped; NumericalError is raised only when
     every trial fails.
 
@@ -386,12 +287,8 @@ def leave_one_out(result: DmdResult, trials: int = 30, seed: int = 0) -> LeaveOn
     drawn = _draw_omitted(cols, trials, seed)
     records = _workers.in_order([1] * len(drawn),
                                 lambda run: [_record(result, drawn[j]) for j in run])
-    out, failed = [], []
-    for i, rec in zip(drawn, records):
-        if isinstance(rec, str):
-            failed.append(LooFailure(omitted_column=i, message=rec))
-        else:
-            out.append(LooTrial(omitted_column=i, mu=rec))
+    failed = [LooFailure(i, rec) for i, rec in zip(drawn, records) if isinstance(rec, str)]
+    out = [LooTrial(i, rec) for i, rec in zip(drawn, records) if not isinstance(rec, str)]
     if not out:
         raise NumericalError(
             f"all {len(failed)} leave-one-out trials failed; the first, omitting "

@@ -253,11 +253,12 @@ def test_no_command_imports_scipy(tmp_path):
 
 
 def test_analysis_commands_load_no_numpy_random(tmp_path):
-    """leave_one_out draws its columns with ranking's own generator, so in
-    a process that runs no synth (whose noise stays numpy's), run, loo, rom
-    with a robustness box and slice import no numpy.random, nor the
-    secrets, hmac and _hashlib modules its seeding imports, and map no
-    OpenSSL libcrypto."""
+    """leave_one_out draws its columns from the standard library's
+    random.Random, seeded with an int, so in a process that runs no synth
+    (whose noise stays numpy's), run, loo, rom with a robustness box and
+    slice import no numpy.random, nor hashlib, nor the secrets, hmac and
+    _hashlib modules numpy.random's seeding imports, and map no OpenSSL
+    libcrypto."""
     from koopmode.cli import main
 
     cfg = toy_config(tmp_path)
@@ -267,7 +268,7 @@ def test_analysis_commands_load_no_numpy_random(tmp_path):
             "    out = sys.argv[2] + '/' + command\n"
             "    assert koopmode.cli.main([command, '--config', sys.argv[1], '--out', out]) == 0\n"
             "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'random']\n"
-            "             or m in ('secrets', 'hmac', '_hashlib')))\n"
+            "             or m in ('secrets', 'hmac', 'hashlib', '_hashlib')))\n"
             "if os.path.exists('/proc/self/maps'):\n"
             "    with open('/proc/self/maps') as fh:\n"
             "        sys.stderr.write(fh.read())")

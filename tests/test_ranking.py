@@ -1,5 +1,6 @@
 """Mode ranking: windowed RMS weights, persistence cuts, spectral kernel
 densities, leave-one-out robustness, and density clustering."""
+import itertools
 import math
 import os
 import signal
@@ -388,30 +389,32 @@ def test_loo_unique_columns_within_budget():
     assert len(omitted2) == cols + 5
 
 
-def numpy_draws(cols: int, trials: int, seed: int) -> list[int]:
-    """leave_one_out's column draws as they were taken from numpy.random."""
-    rng = np.random.default_rng(seed)
-    if trials <= cols:
-        return rng.choice(cols, size=trials, replace=False).tolist()
-    extra = rng.choice(cols, size=trials - cols, replace=True)
-    return np.concatenate([rng.permutation(cols), extra]).tolist()
-
-
 @given(cols=st.one_of(st.integers(1, 1100), st.integers(1, 30_000)),
        trials=st.integers(1, 1100), seed=st.one_of(st.integers(0, 100), st.integers(0, 2**128)))
-@example(cols=10_001, trials=201, seed=3)  # numpy's tail shuffle from here on
-@example(cols=10_001, trials=200, seed=3)  # Floyd's sampling
-@example(cols=30_000, trials=1100, seed=2**128)
-@example(cols=20_000, trials=401, seed=0)
-@example(cols=1100, trials=1100, seed=0)  # a permutation drawn by Floyd and a shuffle
 @example(cols=1, trials=1100, seed=1)
+@example(cols=1100, trials=1100, seed=0)
+@example(cols=30_000, trials=1100, seed=2**128)
 @settings(max_examples=300, deadline=None)
-def test_draws_are_numpys(cols, trials, seed):
-    """The in-module generator draws numpy.random.default_rng(seed)'s
-    columns: choice without replacement by Floyd's sampling and a shuffle,
-    or by numpy's tail shuffle past 10,000 columns; beyond the budget a
-    permutation after the draws with replacement."""
-    assert ranking._draw_omitted(cols, trials, seed) == numpy_draws(cols, trials, seed)
+def test_draws_keep_their_contract(cols, trials, seed):
+    """Every drawn column lies in range; while the budget allows they are
+    distinct, and beyond it a permutation of every column comes first,
+    then repeats; a seed draws the same list each time."""
+    drawn = ranking._draw_omitted(cols, trials, seed)
+    assert len(drawn) == trials
+    assert all(0 <= c < cols for c in drawn)
+    if trials <= cols:
+        assert len(set(drawn)) == trials
+    else:
+        assert sorted(drawn[:cols]) == list(range(cols))
+    assert ranking._draw_omitted(cols, trials, seed) == drawn
+
+
+def test_draws_are_pinned():
+    """A change of the draws changes this list: every column once, then
+    three repeats."""
+    assert ranking._draw_omitted(11, 14, 0) == [9, 8, 5, 2, 7, 4, 0, 1, 6, 10, 3, 5, 3, 8]
+    with pytest.raises(ValueError, match="seed"):
+        ranking._draw_omitted(11, 14, -1)
 
 
 def test_loo_caps_rank_to_reduced_columns():
@@ -441,7 +444,7 @@ def test_loo_rejects_bad_budget():
     snap, opts = loo_setup()
     with pytest.raises(ValueError, match="trial"):
         leave_one_out(exact_dmd(snap, opts), trials=0)
-    with pytest.raises(ValueError, match="seed"):  # as numpy.random.default_rng(-1)
+    with pytest.raises(ValueError, match="seed"):
         leave_one_out(exact_dmd(snap, opts), seed=-1)
 
 
@@ -457,9 +460,9 @@ def test_loo_records_failed_trial_and_goes_on():
 
 def test_loo_raises_when_every_trial_fails():
     snap = rank_critical_snapshots()
-    # seed 23 draws pair column 0 for a single trial
+    seed = next(s for s in itertools.count() if ranking._draw_omitted(snap.n - 1, 1, s) == [0])
     with pytest.raises(NumericalError, match="all 1 leave-one-out trials failed.*column 0"):
-        leave_one_out(exact_dmd(snap, DmdOptions(r=3)), trials=1, seed=23)
+        leave_one_out(exact_dmd(snap, DmdOptions(r=3)), trials=1, seed=seed)
 
 
 # ------------------------------------------------ leave-one-out on many CPUs
