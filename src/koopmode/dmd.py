@@ -30,7 +30,7 @@ by one joint least-squares fit over a set of snapshot indices: {0} for
 the first-snapshot fit, or a small set spread across the record.
 
 Cost model.  The snapshots are read in two passes over fixed-size row
-blocks, each block through one buffer, so no D-row matrix is ever held.
+blocks, each pass through its own buffer, so no D-row matrix is ever held.
 Pass 1 is the tall-skinny QR of Demmel, Grigori, Hoemmen & Langou (SIAM
 J. Sci. Comput. 2012), run as a reduction tree, as Sayadi & Schmid run
 it for DMD (Theor. Comput. Fluid Dyn. 2016).  Its leaves are two blocks
@@ -65,9 +65,9 @@ projection, V Sigma^-1 and the unit norm, so Q is never needed
 the file then applies the phase convention in place.  This continues
 the row-block streaming of Sayadi & Schmid to the D x r modes, which
 are never held in memory either.  Each row of the lifted modes comes from one
-_LIFT_ROWS product whatever rows surround it, and the leads merge in
-row order, so pass 2 and the sweep split the leaves by row range and
-write the serial file, bit for bit.
+product of the _LIFT_ROWS rows read with it, counted from its leaf's start,
+and the leads merge in row order, so pass 2 and the sweep split the
+leaves by row range and write the serial file, bit for bit.
 A column-deletion trial (deletion_spectrum) deletes a column of a
 result's R pair and computes eigenvalues only: no modes, residuals or
 amplitude fit.
@@ -83,8 +83,9 @@ CPU of the set, since a forked process otherwise stays on its parent's
 CPU: on a 74,960 x 144 file and 2 vCPUs, a two-process pass 1 took
 214-274 ms unpinned, slower than the serial 199-243 ms, and 124-168 ms
 pinned (8 alternating calls each).  An input of one leaf forks nothing.
-Memory holds one block per process, its r lifted columns and
-O(N^2 log(D / 8192)) numbers.
+Memory holds one pass's block per process, its r lifted columns and
+O(N^2 log(D / 8192)) numbers: pass 1's _BLOCK_ROWS rows go with pass 1,
+and pass 2 and the sweep read _LIFT_ROWS rows at a time.
 
 Rank.  The data rank is counted on R[:, :-1], whose singular values are
 those of the D x (N-1) regression matrix: those above
@@ -104,8 +105,8 @@ from .errors import NumericalError
 from .fileio import MODES_MAGIC, ColumnFile
 from .grids import SnapshotMatrix
 
-# Rows per block of the two passes over the snapshots.  Fixed, so that a
-# rerun repeats every floating-point operation.
+# Rows per block of pass 1, whose leaves pass 2 splits too.  Fixed, so
+# that a rerun repeats every floating-point operation.
 _BLOCK_ROWS = 4096
 # Column block size of tpqrt's compact-WY reflectors when pass 1 folds a
 # block into a full R.  Fixed for the same reason; 16 and 32 measure
@@ -113,8 +114,8 @@ _BLOCK_ROWS = 4096
 _FOLD_NB = 16
 # Rows per C-ordered copy from which pass 1 takes row means.
 _MEAN_ROWS = 256
-# Rows per BLAS product within a block of pass 2: a row of the product
-# comes out as in the whole block's product, whatever rows surround it.
+# Rows per read and BLAS product of pass 2, each product of a fresh
+# F-ordered block: a row's bits depend on D and N only, not on a buffer.
 _LIFT_ROWS = 1024
 # Columns per C-ordered copy from which the amplitude fit takes its norms.
 _NORM_COLS = 8
@@ -283,14 +284,14 @@ def column_normalize(x1: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, np.nda
     return x1 / scales, x2 / scales, scales
 
 
-def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _svd(a: np.ndarray, with_u: bool = True) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     try:
         u, s, vh = np.linalg.svd(np.asarray_chkfinite(a), full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
     # F order, as scipy.linalg.svd returns them: the bits of the products
-    # taken of u and vh depend on their layout.
-    return np.asfortranarray(u), s, np.asfortranarray(vh)
+    # taken of u and vh depend on their layout.  A u not asked for is not copied.
+    return np.asfortranarray(u) if with_u else None, s, np.asfortranarray(vh)
 
 
 def truncated_svd(a: np.ndarray, r: int) -> TruncatedSvd:
@@ -313,7 +314,7 @@ def _tlsq_basis(x1: np.ndarray, x2: np.ndarray, rank: int) -> np.ndarray:
         raise ValueError(
             f"tlsq rank {rank} outside 1..{min(2 * x1.shape[0], cols)}"
         )
-    _, _, vh = _svd(np.vstack([x1, x2]))
+    _, _, vh = _svd(np.vstack([x1, x2]), with_u=False)
     return vh[:rank].conj().T
 
 
@@ -534,9 +535,9 @@ class _Node(NamedTuple):
     norms: np.ndarray
 
 
-def _blocks(start: int, stop: int):
-    for lo in range(start, stop, _BLOCK_ROWS):
-        yield lo, min(lo + _BLOCK_ROWS, stop)
+def _blocks(start: int, stop: int, rows: int):
+    for lo in range(start, stop, rows):
+        yield lo, min(lo + rows, stop)
 
 
 def _leaves(d: int, n: int) -> list[tuple[int, int]]:
@@ -563,10 +564,10 @@ def _subtrees(run: range, leaves: int) -> list[tuple[int, int]]:
 
 
 def _block_buffer(d: int, n: int) -> np.ndarray:
-    """One flat buffer for the blocks of both passes.  Its largest use is
-    a block of pass 1 stacked under R while R has fewer than n rows."""
+    """Pass 1's flat buffer for its blocks.  Its largest use is a block
+    stacked under R while R has fewer than n rows."""
     return np.empty(max(stop if start < n else stop - start
-                        for start, stop in _blocks(0, d)) * n)
+                        for start, stop in _blocks(0, d, _BLOCK_ROWS)) * n)
 
 
 def _rows(buf: np.ndarray, rows: int, n: int) -> np.ndarray:
@@ -574,7 +575,7 @@ def _rows(buf: np.ndarray, rows: int, n: int) -> np.ndarray:
     return buf[:rows * n].reshape((rows, n), order="F")
 
 
-def _factor(src, center: bool, buf: np.ndarray | None = None) -> _Factor:
+def _factor(src, center: bool) -> _Factor:
     """Pass 1: the R factor of src by a reduction tree over its leaves.
 
     Leaves (_leaves) are folded by _fold and merged pairwise, level by
@@ -585,30 +586,23 @@ def _factor(src, center: bool, buf: np.ndarray | None = None) -> _Factor:
     the complete subtrees inside its run and returns their roots and rows
     of the mean, and the parent merges the roots into the tree's root.
     So the result is the same on any number of CPUs, and an input of one
-    leaf is factored as by _fold alone.  buf (_block_buffer's by default)
-    holds the block being read.
+    leaf is factored as by _fold alone.  Its block buffer (_block_buffer)
+    is freed as it returns: no reference cycle holds it.
     """
     n = src.n
-    if buf is None:
-        buf = _block_buffer(src.d, n)
+    buf = _block_buffer(src.d, n)
     mean = np.empty(src.d) if center else None
     leaves = _leaves(src.d, n)
 
     def span(h: int, j: int) -> slice:
         return slice(leaves[j << h][0], leaves[min((j + 1) << h, len(leaves)) - 1][1])
 
-    def node(h: int, j: int, known: dict) -> _Node:
-        if (h, j) in known:
-            return known.pop((h, j))
-        if h == 0:
-            return _fold(src, center, buf, mean, *leaves[j])
-        left = node(h - 1, 2 * j, known)
-        if (2 * j + 1) << (h - 1) >= len(leaves):
-            return left
-        return _merge(left, node(h - 1, 2 * j + 1, known), center)
+    def fold(j: int) -> _Node:
+        return _fold(src, center, buf, mean, *leaves[j])
 
     def subtrees(run: range) -> list:
-        return [(hj, node(*hj, {}), None if mean is None else mean[span(*hj)])
+        return [(hj, _node(*hj, {}, fold, len(leaves), center),
+                 None if mean is None else mean[span(*hj)])
                 for hj in _subtrees(run, len(leaves))]
 
     costs = [stop - start for start, stop in leaves]
@@ -618,13 +612,27 @@ def _factor(src, center: bool, buf: np.ndarray | None = None) -> _Factor:
         known[hj] = value
         if mean is not None:
             mean[span(*hj)] = rows
-    r, m_r, m_out, norms = node((len(leaves) - 1).bit_length(), 0, known)
+    r, m_r, m_out, norms = _node((len(leaves) - 1).bit_length(), 0, known, fold, len(leaves),
+                                 center)
     if not center:
         return _Factor(r, mean, column_norms(r))
     r = np.c_[r, m_r]
     if src.d > n:  # the part of m outside the span of X_c
         r = np.r_[r, np.r_[np.zeros(n), m_out][None, :]]
     return _Factor(r, mean, norms)
+
+
+def _node(h: int, j: int, known: dict, fold, leaves: int, center: bool) -> _Node:
+    """Node j at height h of pass 1's tree over leaves leaves: known's if
+    a process reduced it, fold(j) for a leaf, else its children merged."""
+    if (h, j) in known:
+        return known.pop((h, j))
+    if h == 0:
+        return fold(j)
+    left = _node(h - 1, 2 * j, known, fold, leaves, center)
+    if (2 * j + 1) << (h - 1) >= leaves:
+        return left
+    return _merge(left, _node(h - 1, 2 * j + 1, known, fold, leaves, center), center)
 
 
 def _fold(src, center: bool, buf: np.ndarray, mean: np.ndarray | None,
@@ -649,7 +657,7 @@ def _fold(src, center: bool, buf: np.ndarray, mean: np.ndarray | None,
     r = np.empty((0, n)) if start == 0 else np.zeros((n, n), order="F")
     norms = np.zeros(n)
     m_r, m_out = np.zeros(r.shape[0]), 0.0  # R coordinates of m, its norm outside them
-    for start, stop in _blocks(start, stop):
+    for start, stop in _blocks(start, stop, _BLOCK_ROWS):
         fold = r.shape[0] == n
         k = 0 if fold else r.shape[0]  # rows of R stacked above the block
         stack = _rows(buf, k + stop - start, n)
@@ -717,7 +725,8 @@ def _lift(src, mean: np.ndarray | None, coef: np.ndarray, buf: np.ndarray,
     src with coef, written to out and rotated there by the phase
     convention.  Returns the phase factor of each column: the conjugate
     direction of its lead, its first entry of largest magnitude (the
-    entry np.argmax finds over the whole column).
+    entry np.argmax finds over the whole column).  buf, of
+    min(_LIFT_ROWS, D) x N floats, holds the rows read and rotated.
 
     _workers.in_order cuts pass 1's leaves into contiguous runs, one per
     process, by their rows.  _lift_rows lifts each leaf and returns its
@@ -744,11 +753,12 @@ def _lead(top: np.ndarray, lead: np.ndarray, got_top: np.ndarray, got_lead: np.n
 
 
 def _rotate(out: ColumnFile, phase: np.ndarray, buf: np.ndarray, start: int, stop: int) -> None:
-    """Multiply rows start..stop-1 of each column k of out by phase[k], a
-    block at a time through the head of buf."""
-    col = buf[:2 * min(_BLOCK_ROWS, stop - start)].view(np.complex128)
+    """Multiply rows start..stop-1 of each column k of out by phase[k],
+    _LIFT_ROWS rows at a time through the head of buf: numpy rounds a
+    run of one row otherwise, so the runs depend on D and N only."""
+    col = buf[:2 * min(_LIFT_ROWS, stop - start)].view(np.complex128)
     for k in range(phase.size):
-        for lo, hi in _blocks(start, stop):
+        for lo, hi in _blocks(start, stop, _LIFT_ROWS):
             c = col[:hi - lo]
             out.read_column(k, lo, c)
             c *= phase[k]
@@ -757,34 +767,33 @@ def _rotate(out: ColumnFile, phase: np.ndarray, buf: np.ndarray, start: int, sto
 
 def _lift_rows(src, mean: np.ndarray | None, real: np.ndarray, buf: np.ndarray,
                out: ColumnFile, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pass 2 over rows start..stop-1: block by block through the head of
-    buf and _LIFT_ROWS rows per product, written to out one column's rows
-    at a time.  real is the coefficient matrix viewed as float64.  Returns
-    each column's top magnitude and lead over these rows."""
+    """Pass 2 over rows start..stop-1, _LIFT_ROWS rows at a time, each
+    read into the head of buf, lifted by one BLAS product and written to
+    out one column's rows at a time.  real is the coefficient matrix
+    viewed as float64.  Returns each column's top magnitude and lead over
+    these rows."""
     n, r = src.n, real.shape[1] // 2
     most = min(_LIFT_ROWS, stop - start)
     prod, col, mag = np.empty((most, 2 * r)), np.empty(most, dtype=complex), np.empty(most)
     lead, top = np.zeros(r, dtype=complex), np.full(r, -1.0)
     got_lead, got_top = np.empty(r, dtype=complex), np.empty(r)
-    for start, stop in _blocks(start, stop):
-        block = _rows(buf, stop - start, n)
+    for start, stop in _blocks(start, stop, _LIFT_ROWS):
+        rows = stop - start
+        block = _rows(buf, rows, n)
         src.read_rows(start, block)
         if mean is not None:
             block -= mean[start:stop, None]
-        for i in range(0, stop - start, _LIFT_ROWS):
-            x2 = block[i:i + _LIFT_ROWS, 1:]
-            rows = x2.shape[0]
-            phi = np.matmul(x2, real, out=prod[:rows]).view(np.complex128)
-            # A column at a time: one abs and argmax(axis=0) over the product
-            # would hold its rows x r magnitudes (1.1 MB at r = 140), and
-            # argmax copies them again unless they are F-ordered.
-            c, m = col[:rows], mag[:rows]
-            for k in range(r):
-                np.copyto(c, phi[:, k])
-                j = np.abs(c, out=m).argmax()
-                got_top[k], got_lead[k] = m[j], c[j]
-                out.write_column(k, start + i, c)
-            _lead(top, lead, got_top, got_lead)
+        phi = np.matmul(block[:, 1:], real, out=prod[:rows]).view(np.complex128)
+        # A column at a time: one abs and argmax(axis=0) over the product
+        # would hold its rows x r magnitudes (1.1 MB at r = 140), and
+        # argmax copies them again unless they are F-ordered.
+        c, m = col[:rows], mag[:rows]
+        for k in range(r):
+            np.copyto(c, phi[:, k])
+            j = np.abs(c, out=m).argmax()
+            got_top[k], got_lead[k] = m[j], c[j]
+            out.write_column(k, start, c)
+        _lead(top, lead, got_top, got_lead)
     return top, lead
 
 
@@ -804,8 +813,7 @@ def exact_dmd(snap: SnapshotMatrix, opts: DmdOptions, dest: Path | None = None) 
     entry is real and positive, counter-rotating its amplitude.  The
     result's modes map that file read-only; no D x r array is held.
     """
-    buf = _block_buffer(snap.d, snap.n)
-    fac = _factor(snap, opts.remove_mean, buf)
+    fac = _factor(snap, opts.remove_mean)
     r = fac.r[:min(snap.d, snap.n), :snap.n]
     s = np.linalg.svd(r[:, :-1], compute_uv=False)
     data_rank = int((s > s[0] * max(snap.d, snap.n - 1) * np.finfo(float).eps).sum())
@@ -813,7 +821,7 @@ def exact_dmd(snap: SnapshotMatrix, opts: DmdOptions, dest: Path | None = None) 
         opts = replace(opts, r=max(1, min(data_rank, snap.n - 4)))
     red = _reduced_dmd(r[:, :-1], r[:, 1:], r, snap.d, opts)
     mode_file = ColumnFile.create(dest, MODES_MAGIC, snap.d, red.mu.size, snap.dt, snap.t0)
-    phase = _lift(snap, fac.mean, red.lift, buf, mode_file)
+    phase = _lift(snap, fac.mean, red.lift, np.empty(min(_LIFT_ROWS, snap.d) * snap.n), mode_file)
     return DmdResult(
         modes=mode_file.matrix(),
         mu=red.mu,

@@ -5,6 +5,7 @@ the blocks: the data is never held in memory.  The block size is patched
 down to a few rows here, so that many blocks, a partial last block and
 D below N all run at test sizes.
 """
+import gc
 import json
 import tempfile
 import tracemalloc
@@ -229,6 +230,59 @@ def test_a_file_renamed_over_after_open_decomposes_as_opened(tmp_path):
     assert np.asarray(got.modes).tobytes() == np.asarray(want.modes).tobytes()
 
 
+def lifted_at_once(data: np.ndarray, mean: np.ndarray | None, coef: np.ndarray) -> np.ndarray:
+    """The rotated modes X2 @ coef from all D rows of data at once.  Each
+    leaf's rows are lifted _LIFT_ROWS at a time from its start, by one
+    product of a new F-ordered copy, as pass 2 reads them (numpy takes a
+    one-row product another way when its row is strided), and rotated as
+    many at a time (numpy rounds a one-entry product otherwise) by the
+    conjugate direction of each column's first entry of largest
+    magnitude."""
+    d, n = data.shape
+    x = data if mean is None else data - mean[:, None]
+    real = np.ascontiguousarray(coef).view(np.float64)
+    phi = np.empty((d, coef.shape[1]), dtype=complex, order="F")
+    runs = [slice(lo, min(lo + dmd._LIFT_ROWS, stop))
+            for start, stop in dmd._leaves(d, n) for lo in range(start, stop, dmd._LIFT_ROWS)]
+    for rows in runs:
+        phi[rows] = np.matmul(np.array(x[rows, 1:], order="F"), real).view(np.complex128)
+    lead = phi[np.abs(phi).argmax(axis=0), np.arange(phi.shape[1])]
+    phase = np.conj(lead) / np.abs(lead)
+    for k in range(phi.shape[1]):
+        for rows in runs:
+            c = phi[rows, k]
+            c *= phase[k]
+    return phi
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       d=st.sampled_from([1_000, 1_023, 1_025, 2_049, 4_095, 4_097, 5_121, 8_191, 8_193,
+                          12_289]),
+       n=st.integers(2, 24), center=st.booleans(), from_file=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_mode_bytes_do_not_depend_on_the_rows_pass_2_reads(seed, d, n, center, from_file):
+    """Pass 2 and the sweep read _LIFT_ROWS rows at a time: the mode file
+    holds the bytes of the same products and rotations taken from all D
+    rows at once, for D across the lift, block and leaf sizes with
+    remainder rows (a last run of one row among them), N from 2 (where
+    the sweep's complex rows fill the buffer's floats twice as fast as
+    pass 2's rows), plain and centered, from a file and from memory."""
+    data = np.random.default_rng(seed).standard_normal((d, n))
+    snap = SnapshotMatrix(data, dt=1.0, t0=0.0, layout=scalar_layout(d))
+    lift, seen = dmd._lift, []
+
+    def spy(src, mean, coef, buf, out):
+        seen.append((mean, coef, buf.size))
+        return lift(src, mean, coef, buf, out)
+
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(dmd, "_lift", spy):
+        src = write_file(snap, tmp) if from_file else snap
+        got = np.asarray(exact_dmd(src, DmdOptions(remove_mean=center)).modes).tobytes("F")
+    (mean, coef, floats), = seen
+    assert floats == min(dmd._LIFT_ROWS, d) * n
+    assert got == lifted_at_once(data, mean, coef).tobytes("F")
+
+
 def read_csv_columns(path: Path) -> np.ndarray:
     return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
 
@@ -330,6 +384,40 @@ def test_run_holds_no_mode_matrix(ocean_file, tmp_path, mean_removal):
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * 20000 * 60 * 16
+
+
+@pytest.mark.parametrize("center", [False, True])
+def test_no_block_outlives_its_pass(ocean_file, monkeypatch, center):
+    """With the cycle collector off, a decomposition of a file of several
+    leaves holds less than one of pass 1's _BLOCK_ROWS x N blocks once
+    the R factor is formed (tracemalloc's current memory as the reduced
+    decomposition starts), and pass 2 reads through a buffer of at most
+    _LIFT_ROWS x N floats."""
+    path, _ = ocean_file
+    src = open_snapshots(path)
+    assert len(dmd._leaves(src.d, src.n)) > 1
+    held, floats = [], []
+    reduced, lift = dmd._reduced_dmd, dmd._lift
+
+    def spy_reduced(*args):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return reduced(*args)
+
+    def spy_lift(src, mean, coef, buf, out):
+        floats.append(buf.size)
+        return lift(src, mean, coef, buf, out)
+
+    monkeypatch.setattr(dmd, "_reduced_dmd", spy_reduced)
+    monkeypatch.setattr(dmd, "_lift", spy_lift)
+    gc.disable()
+    tracemalloc.start()
+    try:
+        exact_dmd(src, DmdOptions(r=17, remove_mean=center))
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert len(held) == 1 and held[0] < dmd._BLOCK_ROWS * src.n * 8
+    assert floats == [dmd._LIFT_ROWS * src.n]
 
 
 # -------------------------------------------------------------- robustness
