@@ -6,7 +6,7 @@ from .dmd import (DmdOptions, DmdResult, TruncatedSvd, column_normalize,
 from .errors import ConfigError, DataFormatError, KoopmodeError, NumericalError
 from .fileio import read_mode_matrix, write_mode_matrix, write_snapshots
 from .grids import (ChannelSpec, GridLayout, SnapshotMatrix, SurfaceSlice,
-                    VelocityField, VerticalSection, extract_slice,
+                    VelocityField, VerticalSection, cut_rows, extract_slice,
                     scalar_layout, stack_observables, velocity_layout)
 from .modes import (EllipseParams, ModeInfo, half_doubling_time, period,
                     polar_mode, tidal_ellipse, two_layer_wave_speed,

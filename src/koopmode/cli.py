@@ -36,7 +36,8 @@ import numpy as np
 from . import fileio
 from .dmd import DmdOptions, DmdResult, exact_dmd
 from .errors import ConfigError, DataFormatError, NumericalError
-from .grids import SnapshotMatrix, SurfaceSlice, VerticalSection, extract_slice
+from .grids import (GridLayout, SnapshotMatrix, SurfaceSlice, VerticalSection, cut_rows,
+                    extract_slice)
 from .modes import (ModeInfo, format_mode_table, period, polar_mode,
                     tidal_ellipse, write_mode_table)
 from .oracle import generate, tidal_spec
@@ -277,15 +278,21 @@ def _resolve_options(cfg: RunConfig) -> DmdOptions:
 
 @dataclass(frozen=True)
 class _Analysis:
-    """The input, decomposition and mode table of one command; after
-    leave-one-out also the trials.  snap is a DMDS file opened for
+    """The input and decomposition of one command, and after leave-one-out
+    the trials and each mode's robustness.  snap is a DMDS file opened for
     streaming, or CSV snapshots loaded whole."""
 
     snap: fileio.SnapshotFile | SnapshotMatrix
     t_window: float
     result: DmdResult
-    infos: list[ModeInfo]
     loo: LeaveOneOutResult | None
+    robustness: list[float | None]  # None for every mode without leave-one-out
+
+    def table(self, layout: GridLayout | None) -> list[ModeInfo]:
+        """The mode table with the robustness; a layout fills rms_vertical,
+        reading each mode's vertical rows."""
+        return [dataclasses.replace(info, robustness=s) for info, s in
+                zip(build_mode_table(self.result, self.t_window, layout=layout), self.robustness)]
 
 
 def _source(cfg: RunConfig) -> fileio.SnapshotFile | SnapshotMatrix:
@@ -296,24 +303,19 @@ def _source(cfg: RunConfig) -> fileio.SnapshotFile | SnapshotMatrix:
 
 def _analyse(cfg: RunConfig, opts: DmdOptions, snap: fileio.SnapshotFile | SnapshotMatrix,
              robust: bool, dest: Path | None = None) -> _Analysis:
-    """Decompose snap, writing the modes to dest (or a temporary), and
-    tabulate them; robust runs leave-one-out and fills robustness."""
+    """Decompose snap, writing the modes to dest (or a temporary); robust
+    runs leave-one-out and scores each mode's robustness."""
     if robust and snap.n < 3:  # a trial deletes one of the N - 1 pair columns
         raise DataFormatError(f"{cfg.input}: leave-one-out needs N >= 3 snapshots, "
                               f"the input has N = {snap.n}")
     t_window = cfg.persistence_t if cfg.persistence_t is not None else (snap.n - 1) * snap.dt
     result = exact_dmd(snap, opts, dest)
     loo = leave_one_out(result, trials=cfg.loo_trials, seed=cfg.seed) if robust else None
-    infos = build_mode_table(result, t_window, layout=snap.layout)
-    if robust:
-        scores = robustness_scores(result.mu, loo, h=cfg.h_robust)
-        infos = [dataclasses.replace(info, robustness=float(s))
-                 for info, s in zip(infos, scores)]
-    return _Analysis(snap, t_window, result, infos, loo)
+    return _Analysis(snap, t_window, result, loo, [None] * result.r if loo is None
+                     else robustness_scores(result.mu, loo, h=cfg.h_robust).tolist())
 
 
-def _write_result_files(out: _OutputDir, a: _Analysis) -> None:
-    result = a.result
+def _write_result_files(out: _OutputDir, result: DmdResult, infos: list[ModeInfo]) -> None:
     payload = {
         "schema": "koopmode.result.v1",
         "r": result.r,
@@ -330,7 +332,7 @@ def _write_result_files(out: _OutputDir, a: _Analysis) -> None:
     out.write_json("result.json", payload)
     fileio.write_csv(out.path("singular_values.csv"), ("k", "sigma"), "%d,%.17g",
                      enumerate(result.singular_values.tolist(), start=1))
-    write_mode_table(a.infos, out.path("modes_table.csv"))
+    write_mode_table(infos, out.path("modes_table.csv"))
 
 
 def cmd_synth(cfg: RunConfig, opts: DmdOptions, out: _OutputDir) -> int:
@@ -363,24 +365,25 @@ def cmd_synth(cfg: RunConfig, opts: DmdOptions, out: _OutputDir) -> int:
 
 def cmd_run(cfg: RunConfig, opts: DmdOptions, out: _OutputDir) -> int:
     a = _analyse(cfg, opts, _source(cfg), robust=False, dest=out.modes_path())
-    _write_result_files(out, a)
+    infos = a.table(a.snap.layout)
+    _write_result_files(out, a.result, infos)
     out.finish(cfg)
     print(f"run: r={a.result.r} modes from {a.snap.d}x{a.snap.n} snapshots -> {out.dir}")
-    print(format_mode_table(a.infos), end="")
+    print(format_mode_table(infos), end="")
     return 0
 
 
 def cmd_loo(cfg: RunConfig, opts: DmdOptions, out: _OutputDir) -> int:
     a = _analyse(cfg, opts, _source(cfg), robust=True, dest=out.modes_path())
+    infos = a.table(a.snap.layout)
     pooled = a.loo.pooled()
     density = KdeDensity(points=pooled, weights=np.ones(pooled.size),
                          bandwidth=cfg.h_cluster)
     re_axis, im_axis, values = raster = kde_grid(density, extra_points=a.result.mu)
     clusters = label_clusters(density, raster, a.result.mu, cfg.cluster_level,
-                              weights=np.array([info.rms for info in a.infos]))
-    a = dataclasses.replace(a, infos=[dataclasses.replace(info, cluster=c)
-                                      for info, c in zip(a.infos, clusters)])
-    _write_result_files(out, a)
+                              weights=np.array([info.rms for info in infos]))
+    infos = [dataclasses.replace(info, cluster=c) for info, c in zip(infos, clusters)]
+    _write_result_files(out, a.result, infos)
     fileio.write_csv(
         out.path("pooled_eigenvalues.csv"), ("trial", "omitted_column", "re", "im"),
         "%d,%d,%.17g,%.17g",
@@ -394,11 +397,11 @@ def cmd_loo(cfg: RunConfig, opts: DmdOptions, out: _OutputDir) -> int:
          for im, v in zip(im_text, row.tolist())),
     )
     out.finish(cfg)
-    n_clustered = sum(1 for info in a.infos if info.cluster is not None)
+    n_clustered = sum(1 for info in infos if info.cluster is not None)
     failed = f", {len(a.loo.failures)} failed" if a.loo.failures else ""
     print(f"loo: {len(a.loo.trials)} trials{failed}, {pooled.size} pooled eigenvalues, "
           f"{n_clustered}/{a.result.r} modes in clusters -> {out.dir}")
-    print(format_mode_table(a.infos), end="")
+    print(format_mode_table(infos), end="")
     return 0
 
 
@@ -408,6 +411,7 @@ def cmd_rom(cfg: RunConfig, opts: DmdOptions, out: _OutputDir) -> int:
     a = _analyse(cfg, opts, _source(cfg),
                  robust=any(kw.get(f) is not None for kw in cfg.roms.values()
                             for f in ("robustness_min", "robustness_max")))
+    infos = a.table(None)  # no selection reads rms_vertical
     curves = {}  # every selection resolves before the first file is written
     for name in sorted(cfg.roms):
         kw = cfg.roms[name]
@@ -416,7 +420,7 @@ def cmd_rom(cfg: RunConfig, opts: DmdOptions, out: _OutputDir) -> int:
         sel = RomSelection(persistence_t=a.t_window,
                            persistence_factor=cfg.persistence_factor, **kw)
         try:
-            indices = select_modes(a.infos, sel)
+            indices = select_modes(infos, sel)
             curves[name] = indices, factor_error_curve(a.result, indices)
         except ValueError as exc:
             raise ConfigError(f"rom.{name}: {exc}") from exc
@@ -466,25 +470,26 @@ def cmd_slice(cfg: RunConfig, opts: DmdOptions, out: _OutputDir) -> int:
     channel = cfg.slice_channel or layout.channels[0].name
     spec = (SurfaceSlice(channel, cfg.slice_k) if cfg.slice_kind == "surface"
             else VerticalSection(channel, cfg.slice_path))
-    extract_slice(np.zeros(layout.dim), layout, spec)  # checks the cut before any data is read
-    result = _analyse(cfg, opts, snap, robust=False).result
+    rows = cut_rows(layout, spec)  # checks the cut before any data is read
+    # a velocity surface draws a pair's ellipse from ux and uy, unweighted, doubled
+    uv = [(s, cut_rows(layout, s), 2.0 / layout.channels[layout.channel_index(s.channel)].weight)
+          for s in (SurfaceSlice("ux", cfg.slice_k), SurfaceSlice("uy", cfg.slice_k))
+          if cfg.slice_kind == "surface" and {"ux", "uy"} <= {c.name for c in layout.channels}]
+    result = exact_dmd(snap, opts)
     for m in cfg.slice_modes:
         if not 1 <= m <= result.r:
             raise ConfigError(f"slice mode index {m} outside 1..{result.r}")
     for m in cfg.slice_modes:
-        phi, b = result.mode(m - 1), result.b[m - 1]
-        sl = extract_slice(phi, layout, spec)
+        b = result.b[m - 1]
+        sl = extract_slice(result.mode(m - 1, rows), layout, spec)
         for tag, grid in zip(("amplitude", "phase"), polar_mode(sl, b)):
             fileio.write_csv(
                 out.path(f"slice_mode{m}_{tag}.csv"), ("row", "col", "value"), "%d,%d,%.17g",
                 ((i, j, v) for i, row in enumerate(grid.tolist()) for j, v in enumerate(row)),
             )
-        if (cfg.slice_kind == "surface" and result.partner[m - 1] is not None
-                and {"ux", "uy"} <= {c.name for c in layout.channels}):
-            vec = phi * b
-            gu, gv = (layout.grid_from_stacked(vec, c)[cfg.slice_k]
-                      * (2.0 / layout.channels[layout.channel_index(c)].weight)
-                      for c in ("ux", "uy"))
+        if uv and result.partner[m - 1] is not None:
+            gu, gv = (extract_slice(result.mode(m - 1, r) * b, layout, s) * scale
+                      for s, r, scale in uv)
             fileio.write_csv(
                 out.path(f"slice_mode{m}_ellipse.csv"),
                 ("row", "col", "semi_major", "semi_minor", "orientation_rad",

@@ -211,8 +211,8 @@ class DmdResult:
     functions of this module read it.  Its modes are a read-only
     np.memmap of modes_file, the DMDM file exact_dmd wrote at the
     destination its caller gave, or in an unlinked temporary in TMPDIR:
-    a page is read from disk when touched, and mode(k) reads one column
-    without touching the map.
+    a page is read from disk when touched, and mode(k, rows) reads rows of
+    one column without touching the map.
     """
 
     modes: np.ndarray
@@ -234,10 +234,9 @@ class DmdResult:
     def r(self) -> int:
         return self.mu.size
 
-    def mode(self, k: int, rows: slice = slice(None)) -> np.ndarray:
-        """Mode k (0-based), or a contiguous run of its rows, in a new
-        array, read from modes_file: no page of the mapped modes enters
-        memory."""
+    def mode(self, k: int, rows: slice) -> np.ndarray:
+        """A contiguous run of rows of mode k (0-based), in a new array,
+        read from modes_file: no page of the mapped modes enters memory."""
         start, stop, _ = rows.indices(self.modes.shape[0])
         out = np.empty(max(stop - start, 0), dtype=complex)
         self.modes_file.read_column(k, start, out)

@@ -10,6 +10,10 @@ the raw field: (1/2)(Ux^2 + Uy^2) + Uz^2 + (1/2)(Ux^2 + Uy^2) restores
 Ux^2 + Uy^2 + Uz^2 cell by cell.  Stacking order is channel outermost,
 then depth k, then row j, then column i; masked cells are excluded
 entirely so the state dimension is n_channels * n_ocean_cells.
+
+So a cut of one channel covers one run of stacked rows, which cut_rows
+resolves: a surface its layer's, a vertical section the channel's.
+extract_slice scatters only those rows, onto the cut's own mask.
 """
 from __future__ import annotations
 
@@ -92,21 +96,6 @@ class GridLayout:
         """Slice of the stacked vector holding the given channel."""
         c = self.channel_index(name)
         return slice(c * self.n_cells, (c + 1) * self.n_cells)
-
-    def grid_from_stacked(self, vec: np.ndarray, channel: str) -> np.ndarray:
-        """Scatter one channel of a stacked vector back onto the grid.
-
-        Masked cells are filled with NaN.  Complex input yields a complex
-        grid with NaN real and imaginary parts on masked cells.
-        """
-        vec = np.asarray(vec)
-        if vec.shape != (self.dim,):
-            raise ValueError(f"expected vector of length {self.dim}, got {vec.shape}")
-        seg = vec[self.channel_slice(channel)]
-        dtype = complex if np.iscomplexobj(vec) else float
-        grid = np.full((self.nz, self.ny, self.nx), np.nan, dtype=dtype)
-        grid[self.mask] = seg
-        return grid
 
     def to_json_dict(self) -> dict:
         return {
@@ -297,21 +286,36 @@ def _rasterize_path(path: Sequence[tuple[int, int]], ny: int, nx: int) -> tuple[
     return np.asarray(jj), np.asarray(ii)
 
 
-def extract_slice(vec: np.ndarray, layout: GridLayout, spec) -> np.ndarray:
-    """One channel of a stacked vector on a 2-D cut of the grid, as a new
-    array.
-
-    Supports surface layers (ny x nx) and vertical sections along
-    polylines (nz x path length).  Masked cells are NaN in the result.
-    A channel the layout lacks, or a layer or polyline vertex outside the
-    grid, raises ValueError.
-    """
-    grid = layout.grid_from_stacked(vec, spec.channel)
+def cut_rows(layout: GridLayout, spec) -> slice:
+    """The stacked rows a cut covers: layer k of the channel for a
+    SurfaceSlice (all rows of a scalar layout), the whole channel for a
+    VerticalSection.  A channel the layout lacks, or a layer or polyline
+    vertex outside the grid, raises ValueError."""
+    rows = layout.channel_slice(spec.channel)
     if isinstance(spec, SurfaceSlice):
         if not 0 <= spec.k < layout.nz:
             raise ValueError(f"layer k={spec.k} outside 0..{layout.nz - 1}")
-        return grid[spec.k].copy()
+        start = rows.start + int(layout.mask[:spec.k].sum())
+        return slice(start, start + int(layout.mask[spec.k].sum()))
     if isinstance(spec, VerticalSection):
-        jj, ii = _rasterize_path(spec.path, layout.ny, layout.nx)
-        return grid[:, jj, ii]
+        _rasterize_path(spec.path, layout.ny, layout.nx)
+        return rows
     raise TypeError(f"unknown slice spec {type(spec).__name__}")
+
+
+def extract_slice(vec: np.ndarray, layout: GridLayout, spec) -> np.ndarray:
+    """A cut of the grid as a new 2-D array, from vec, the rows
+    cut_rows(layout, spec) of a stacked vector (a mode, say).
+
+    A SurfaceSlice scatters them onto layer k's ny x nx mask; a
+    VerticalSection onto the channel's nz x ny x nx mask, then takes the
+    columns along its polyline (nz x path length).  Masked cells are NaN.
+    A cut that cut_rows rejects, or a vec of another length, raises
+    ValueError."""
+    rows = cut_rows(layout, spec)
+    if np.shape(vec) != (rows.stop - rows.start,):
+        raise ValueError(f"expected the cut's {rows.stop - rows.start} rows, got {np.shape(vec)}")
+    mask = layout.mask[spec.k] if isinstance(spec, SurfaceSlice) else layout.mask
+    grid = np.full(mask.shape, np.nan, dtype=complex if np.iscomplexobj(vec) else float)
+    grid[mask] = vec
+    return grid if mask.ndim == 2 else grid[:, *_rasterize_path(spec.path, layout.ny, layout.nx)]

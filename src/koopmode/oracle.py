@@ -193,18 +193,15 @@ def generate(spec: OracleSpec) -> tuple[SnapshotMatrix, GroundTruth]:
     gam = []
     amp = []
     for s, phi in zip(spec.modes, profiles):
-        if s.gamma.imag == 0.0:
-            if abs(complex(s.b).imag) > 1e-14 * max(1.0, abs(s.b)):
-                raise ValueError(
-                    f"real-frequency mode gamma={s.gamma} needs a real amplitude, got {s.b}"
-                )
-            phi_cols.append(phi)
-            gam.append(complex(s.gamma))
-            amp.append(complex(s.b))
-        else:
-            phi_cols.append(phi)
-            gam.append(complex(s.gamma))
-            amp.append(complex(s.b))
+        real = s.gamma.imag == 0.0
+        if real and abs(complex(s.b).imag) > 1e-14 * max(1.0, abs(s.b)):
+            raise ValueError(
+                f"real-frequency mode gamma={s.gamma} needs a real amplitude, got {s.b}"
+            )
+        phi_cols.append(phi)
+        gam.append(complex(s.gamma))
+        amp.append(complex(s.b))
+        if not real:
             phi_cols.append(np.conj(phi))
             gam.append(np.conj(complex(s.gamma)))
             amp.append(np.conj(complex(s.b)))

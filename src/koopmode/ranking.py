@@ -409,20 +409,14 @@ def build_mode_table(result: DmdResult, t_window: float,
     conj_partner is result.partner, 1-based.
     """
     partner = result.partner
-    sel = None
-    if layout is not None:
-        try:
-            sel = layout.channel_slice(VERTICAL_CHANNEL)
-        except ValueError:
-            sel = None
+    names = [] if layout is None else [c.name for c in layout.channels]
+    sel = layout.channel_slice(VERTICAL_CHANNEL) if VERTICAL_CHANNEL in names else None
     infos = []
     for k in range(result.r):
         gamma = complex(result.gamma[k])
         rms = rms_contribution(complex(result.b[k]), gamma, t_window)
-        rms_v = None
-        if sel is not None:
-            rms_v = component_rms(result.mode(k, sel), complex(result.b[k]),
-                                  gamma, t_window)
+        rms_v = (None if sel is None else
+                 component_rms(result.mode(k, sel), complex(result.b[k]), gamma, t_window))
         infos.append(ModeInfo(
             index=k + 1,
             mu=complex(result.mu[k]),

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from koopmode import cli, ranking
 from koopmode.cli import main, load_config, RunConfig
-from koopmode.dmd import exact_dmd
+from koopmode.dmd import DmdResult, exact_dmd
 from koopmode.errors import ConfigError
 from koopmode.fileio import open_snapshots, write_mode_matrix, write_snapshots
 from koopmode.grids import (SnapshotMatrix, VelocityField, scalar_layout,
@@ -765,6 +765,55 @@ def test_slice_section(tmp_path):
     assert rows[0] == ["row", "col", "value"]
     # rows of a section are depth levels
     assert max(int(r[0]) for r in rows[1:]) == nz - 1
+
+
+def record_mode_reads(monkeypatch):
+    """A list that DmdResult.mode appends (k, first row, end row) to."""
+    reads = []
+    read = DmdResult.mode
+
+    def recorded(self, k, rows):
+        reads.append((k, *rows.indices(self.modes.shape[0])[:2]))
+        return read(self, k, rows)
+    monkeypatch.setattr(DmdResult, "mode", recorded)
+    return reads
+
+
+@pytest.mark.parametrize("setting, rows", [
+    # nz, ny, nx = 2, 3, 4 with (0, 1, 2) masked: layers of 11 and 12
+    # cells, 23 per channel, channels ux, uy, uz, speed
+    ({"slice_channel": "uz", "slice_k": 1}, (57, 69)),
+    ({"slice_channel": "ux", "slice_k": 0}, (0, 11)),
+    ({"slice_kind": "section", "slice_channel": "uy", "slice_path": "0,0;2,3"}, (23, 46)),
+])
+def test_slice_reads_only_its_cut(tmp_path, monkeypatch, setting, rows):
+    """A surface reads its layer's rows of each mode, and for a conjugate
+    pair's ellipse also the ux and uy rows of that layer; a section reads
+    its channel's rows."""
+    data, _ = rotating_velocity_snapshots(tmp_path)
+    reads = record_mode_reads(monkeypatch)
+    cfg = write_cfg(tmp_path, input=data, out=tmp_path / "s", rank=3, tlsq="off",
+                    slice_modes="1,2,3", **setting)
+    assert main(["slice", "--config", cfg]) == 0
+    partner = [p is not None for p in exact_dmd(
+        open_snapshots(data), cli._resolve_options(load_config(cfg))).partner]
+    assert sum(partner) == 2
+    ellipse = {0: [(0, 11), (23, 34)], 1: [(11, 23), (34, 46)]}.get(setting.get("slice_k"), [])
+    assert reads == [read for m in range(3)
+                     for read in [(m, *rows)] + [(m, *r) for r in ellipse if partner[m]]]
+
+
+@pytest.mark.parametrize("boxes", [{}, {"rom.rob.robustness_min": 0.0}])
+def test_rom_reads_no_mode(tmp_path, monkeypatch, boxes):
+    """rom's selections and curves come from the amplitudes and the R
+    factor: on a velocity record, whose mode table could read each mode's
+    vertical rows, no mode is read."""
+    data, _ = rotating_velocity_snapshots(tmp_path)
+    reads = record_mode_reads(monkeypatch)
+    cfg = write_cfg(tmp_path, input=data, out=tmp_path / "rom", rank=3, tlsq="off",
+                    loo_trials=4, **{"rom.all.indices": "all"}, **boxes)
+    assert main(["rom", "--config", cfg]) == 0
+    assert reads == []
 
 
 @pytest.mark.parametrize("command,key,value,message", [

@@ -5,10 +5,28 @@ from hypothesis import given, settings, strategies as st
 
 from koopmode.grids import (ChannelSpec, GridLayout, SnapshotMatrix,
                             SurfaceSlice, VelocityField, VerticalSection,
-                            extract_slice, scalar_layout, stack_observables,
-                            velocity_layout)
+                            cut_rows, extract_slice, scalar_layout,
+                            stack_observables, velocity_layout)
 
 from conftest import make_rng, random_mask, random_velocity
+
+
+def whole_vector_slice(vec, layout, spec):
+    """The reference cut: scatter the channel's part of a whole stacked
+    vector onto the full nz x ny x nx grid, NaN on masked cells, then take
+    layer k or the columns along the polyline."""
+    grid = np.full(layout.mask.shape, np.nan, dtype=complex if np.iscomplexobj(vec) else float)
+    grid[layout.mask] = vec[layout.channel_slice(spec.channel)]
+    if isinstance(spec, SurfaceSlice):
+        return grid[spec.k].copy()
+    jj, ii = zip(*spec.path)  # vertices only: the tests' paths step by one cell
+    return grid[:, list(jj), list(ii)]
+
+
+def layer_slices(vec, layout, channel):
+    """extract_slice of every layer of the channel, stacked to nz x ny x nx."""
+    cuts = [SurfaceSlice(channel, k) for k in range(layout.nz)]
+    return np.stack([extract_slice(vec[cut_rows(layout, c)], layout, c) for c in cuts])
 
 
 def test_stack_norm_preservation_against_direct_sum():
@@ -33,8 +51,8 @@ def test_stack_dimension_and_order():
     assert np.allclose(x[:8], w * field.ux.ravel(order="C"))
     # third segment is uz with effective weight 1
     assert np.allclose(x[16:24], field.uz.ravel(order="C"))
-    # scattering a channel back onto the grid inverts the stacking
-    assert np.array_equal(layout.grid_from_stacked(x, "uy"), w * field.uy)
+    # scattering each layer back onto the grid inverts the stacking
+    assert np.array_equal(layer_slices(x, layout, "uy"), w * field.uy)
 
 
 def test_stack_excludes_masked_cells():
@@ -51,7 +69,7 @@ def test_stack_excludes_masked_cells():
     field = VelocityField(ux=ok, uy=np.zeros((1, 2, 2)), uz=np.zeros((1, 2, 2)))
     x = stack_observables(field, layout)
     assert np.isfinite(x).all()
-    back = layout.grid_from_stacked(x, "ux")
+    back = layer_slices(x, layout, "ux")
     assert np.isnan(back[0, 0, 0]) and np.isfinite(back[mask]).all()
 
 
@@ -81,14 +99,14 @@ def test_layout_roundtrip_json():
     assert clone.channels == layout.channels
 
 
-def test_grid_from_stacked_inverts_stacking():
+def test_layer_slices_invert_stacking():
     rng = make_rng(4)
     mask = random_mask(rng, 2, 3, 4)
     layout = velocity_layout(4, 3, 2, mask)
     field = random_velocity(rng, 2, 3, 4)
     x = stack_observables(field, layout)
-    grid = layout.grid_from_stacked(x, "uz")
-    assert np.allclose(grid[mask], field.uz[mask])
+    grid = layer_slices(x, layout, "uz")
+    assert np.array_equal(grid[mask], field.uz[mask])
     assert np.isnan(grid[~mask]).all()
 
 
@@ -170,7 +188,8 @@ def test_surface_slice_identity_pattern():
             pattern[:, j, i] = 10 * j + i
     field = VelocityField(ux=pattern, uy=0 * pattern, uz=0 * pattern)
     x = stack_observables(field, layout)
-    sl = extract_slice(x, layout, SurfaceSlice(channel="ux", k=0))
+    cut = SurfaceSlice(channel="ux", k=0)
+    sl = extract_slice(x[cut_rows(layout, cut)], layout, cut)
     w = np.sqrt(2.0) / 2.0
     assert sl.shape == (ny, nx)
     assert np.allclose(sl, w * pattern[0])
@@ -183,7 +202,8 @@ def test_surface_slice_masked_cells_are_nan():
     rng = make_rng(6)
     field = random_velocity(rng, 2, 2, 3)
     x = stack_observables(field, layout)
-    sl = extract_slice(x, layout, SurfaceSlice(channel="uy", k=0))
+    cut = SurfaceSlice(channel="uy", k=0)
+    sl = extract_slice(x[cut_rows(layout, cut)], layout, cut)
     assert np.isnan(sl[1, 2])
     assert np.isfinite(sl[0, 0])
 
@@ -194,11 +214,35 @@ def state_layout(nx, ny, nz):
                       channels=(ChannelSpec("state", 1.0),))
 
 
-def test_surface_slice_bounds_error():
-    layout = state_layout(4, 2, 2)
-    vec = np.arange(16.0)
-    with pytest.raises(ValueError, match=r"layer k=5 outside 0\.\.1"):
-        extract_slice(vec, layout, SurfaceSlice(channel="state", k=5))
+@pytest.mark.parametrize("cut, message", [
+    (SurfaceSlice("vort", 0), "layout has no channel named 'vort'; available: state"),
+    (VerticalSection("vort", ((0, 0),)), "layout has no channel named 'vort'"),
+    (SurfaceSlice("state", 2), r"layer k=2 outside 0\.\.1"),
+    (SurfaceSlice("state", 5), r"layer k=5 outside 0\.\.1"),
+    (SurfaceSlice("state", -1), r"layer k=-1 outside 0\.\.1"),
+    (VerticalSection("state", ((0, 0), (9, 0))), r"polyline vertex \(9, 0\) outside grid"),
+    (VerticalSection("state", ((0, 0), (0, -1))), r"polyline vertex \(0, -1\) outside grid"),
+])
+def test_a_cut_outside_the_layout_raises_before_any_data(cut, message):
+    """cut_rows checks a cut on the layout alone, and extract_slice
+    raises the same error whatever it is handed."""
+    layout = state_layout(4, 3, 2)
+    with pytest.raises(ValueError, match=message):
+        cut_rows(layout, cut)
+    with pytest.raises(ValueError, match=message):
+        extract_slice(np.zeros(3), layout, cut)
+
+
+def test_cut_rows_are_the_layer_or_the_channel():
+    mask = np.ones((3, 2, 2), dtype=bool)
+    mask[0, 0, 0] = mask[1, 1, :] = False  # layers of 3, 2 and 4 cells
+    layout = velocity_layout(2, 2, 3, mask)
+    assert [cut_rows(layout, SurfaceSlice("uy", k)) for k in range(3)] == [
+        slice(9, 12), slice(12, 14), slice(14, 18)]
+    assert cut_rows(layout, VerticalSection("uz", ((0, 0), (1, 1)))) == slice(18, 27)
+    assert cut_rows(scalar_layout(5), SurfaceSlice("state", 0)) == slice(0, 5)
+    with pytest.raises(ValueError, match=r"expected the cut's 3 rows, got \(4,\)"):
+        extract_slice(np.zeros(4), layout, SurfaceSlice("ux", 0))
 
 
 def test_vertical_section_follows_polyline():
@@ -207,11 +251,44 @@ def test_vertical_section_follows_polyline():
     sl = extract_slice(vec, layout,
                        VerticalSection(channel="state", path=((0, 0), (0, 3))))
     assert sl.shape == (2, 4)
-    grid = layout.grid_from_stacked(vec, "state")
-    assert np.allclose(sl, grid[:, 0, 0:4])
-    with pytest.raises(ValueError, match=r"polyline vertex \(9, 0\) outside grid"):
-        extract_slice(vec, layout,
-                      VerticalSection(channel="state", path=((0, 0), (9, 0))))
+    assert np.array_equal(sl, vec.reshape(2, 3, 4)[:, 0, 0:4])
+
+
+@st.composite
+def cuts(draw):
+    """A random mask and channel, a layer or a path of unit steps, and a
+    real or complex stacked vector."""
+    nz, ny, nx = (draw(st.integers(1, 4)) for _ in range(3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = make_rng(seed)
+    layout = velocity_layout(nx, ny, nz, random_mask(rng, nz, ny, nx, keep=draw(st.floats(0.1, 1.0))))
+    channel = draw(st.sampled_from([c.name for c in layout.channels]))
+    if draw(st.booleans()):
+        cut = SurfaceSlice(channel, draw(st.integers(0, nz - 1)))
+    else:
+        path = [(draw(st.integers(0, ny - 1)), draw(st.integers(0, nx - 1)))]
+        for dj, di in draw(st.lists(st.sampled_from([(0, 1), (1, 0), (0, -1), (-1, 0)]),
+                                    max_size=8)):
+            j, i = path[-1][0] + dj, path[-1][1] + di
+            if 0 <= j < ny and 0 <= i < nx:
+                path.append((j, i))
+        cut = VerticalSection(channel, tuple(path))
+    vec = rng.standard_normal(layout.dim)
+    if draw(st.booleans()):
+        vec = vec + 1j * rng.standard_normal(layout.dim)
+    return layout, cut, vec
+
+
+@settings(max_examples=200, deadline=None)
+@given(cuts())
+def test_a_cut_of_its_rows_is_the_whole_vector_scatter(case):
+    """extract_slice of only the cut's rows equals, bit for bit, the
+    channel of the whole vector scattered onto the full grid and cut."""
+    layout, cut, vec = case
+    got = extract_slice(vec[cut_rows(layout, cut)], layout, cut)
+    want = whole_vector_slice(vec, layout, cut)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_complex_mode_slice_keeps_phase():
