@@ -451,17 +451,6 @@ def cmd_rom(cfg: RunConfig, opts: DmdOptions, out: _OutputDir) -> int:
     return 0
 
 
-def _ellipse_rows(gu: np.ndarray, gv: np.ndarray):
-    for (j, i), u in np.ndenumerate(gu):
-        v = gv[j, i]
-        if np.isnan(u.real) or np.isnan(v.real):
-            yield j, i, math.nan, math.nan, math.nan, ""
-            continue
-        ell = tidal_ellipse(u, v)
-        yield (j, i, ell.semi_major, ell.semi_minor, ell.orientation_rad,
-               ell.rotation_sense)
-
-
 def cmd_slice(cfg: RunConfig, opts: DmdOptions, out: _OutputDir) -> int:
     if cfg.slice_kind == "section" and not cfg.slice_path:
         raise ConfigError("slice_path must be set for a section: j0,i0;j1,i1;...")
@@ -483,19 +472,16 @@ def cmd_slice(cfg: RunConfig, opts: DmdOptions, out: _OutputDir) -> int:
         b = result.b[m - 1]
         sl = extract_slice(result.mode(m - 1, rows), layout, spec)
         for tag, grid in zip(("amplitude", "phase"), polar_mode(sl, b)):
-            fileio.write_csv(
-                out.path(f"slice_mode{m}_{tag}.csv"), ("row", "col", "value"), "%d,%d,%.17g",
-                ((i, j, v) for i, row in enumerate(grid.tolist()) for j, v in enumerate(row)),
-            )
+            fileio.write_csv(out.path(f"slice_mode{m}_{tag}.csv"), ("row", "col", "value"),
+                             "%d,%d,%.17g", fileio.grid_cells(grid))
         if uv and result.partner[m - 1] is not None:
-            gu, gv = (extract_slice(result.mode(m - 1, r) * b, layout, s) * scale
-                      for s, r, scale in uv)
+            ell = tidal_ellipse(*(extract_slice(result.mode(m - 1, r) * b, layout, s) * scale
+                                  for s, r, scale in uv))
             fileio.write_csv(
                 out.path(f"slice_mode{m}_ellipse.csv"),
-                ("row", "col", "semi_major", "semi_minor", "orientation_rad",
-                 "rotation_sense"),
-                "%d,%d,%.17g,%.17g,%.17g,%s", _ellipse_rows(gu, gv),
-            )
+                ("row", "col", "semi_major", "semi_minor", "orientation_rad", "rotation_sense"),
+                "%d,%d,%.17g,%.17g,%.17g,%s",
+                fileio.grid_cells(ell.semi_major, ell.semi_minor, ell.orientation_rad, ell.rotation_sense))
     out.finish(cfg)
     print(f"slice: wrote {cfg.slice_kind} slices of modes {list(cfg.slice_modes)} -> {out.dir}")
     return 0

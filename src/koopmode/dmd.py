@@ -308,11 +308,6 @@ def _tlsq_basis(x1: np.ndarray, x2: np.ndarray, rank: int) -> np.ndarray:
     """The leading rank right singular vectors of the stacked pair."""
     if x1.shape != x2.shape:
         raise ValueError("pair matrices must share one shape")
-    cols = x1.shape[1]
-    if not 1 <= rank <= min(2 * x1.shape[0], cols):
-        raise ValueError(
-            f"tlsq rank {rank} outside 1..{min(2 * x1.shape[0], cols)}"
-        )
     _, _, vh = _svd(np.vstack([x1, x2]), with_u=False)
     return vh[:rank].conj().T
 
@@ -398,21 +393,20 @@ def _spectrum(r1: np.ndarray, r2: np.ndarray, d: int, opts: DmdOptions) -> _Spec
     they have at most N rows; d is the state dimension D of the original
     snapshots.  Column norms, singular values and eigenpairs are those
     of the original matrices, because Q preserves lengths.  Raises
-    NumericalError on rank loss below opts.r, a numerically defective
-    eigenvector matrix or a zero eigenvalue.
+    ValueError on a rank outside 1..min(d, pair columns), before any
+    projection, and NumericalError on rank loss below opts.r, a
+    numerically defective eigenvector matrix or a zero eigenvalue.
     """
-    cols = r1.shape[1]
+    feasible = min(d, r1.shape[1])
+    if not 1 <= opts.r <= feasible:
+        raise ValueError(f"rank {opts.r} infeasible for a {d}x{r1.shape[1]} regression "
+                         f"matrix; the largest feasible rank is {feasible}")
     scales = basis = None
     if opts.normalize_columns:
         r1, r2, scales = column_normalize(r1, r2)
     if opts.use_tlsq:
         basis = _tlsq_basis(r1, r2, opts.r)
         r1, r2 = r1 @ basis, r2 @ basis
-        cols = opts.r
-    if not 1 <= opts.r <= min(d, cols):
-        raise ValueError(
-            f"truncation rank r={opts.r} infeasible for a {d}x{cols} matrix"
-        )
 
     svd = truncated_svd(r1, opts.r)
     if svd.sigma[-1] <= _RANK_RTOL * svd.sigma[0]:

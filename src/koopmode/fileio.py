@@ -32,11 +32,12 @@ import json
 import os
 import struct
 import tempfile
+import warnings
 import weakref
 from contextlib import closing
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -48,7 +49,7 @@ SNAPSHOT_MAGIC = b"DMDS"
 MODES_MAGIC = b"DMDM"
 FORMAT_VERSION = 1
 _ITEMS = {SNAPSHOT_MAGIC: np.dtype("<f8"), MODES_MAGIC: np.dtype("<c16")}
-_CSV_CHUNK = 1024  # lines write_csv formats and writes at a time
+_CSV_CHUNK = 1024  # lines write_csv formats and writes, and cells grid_cells lists, at a time
 
 
 def _sidecar_path(path: Path) -> Path:
@@ -192,7 +193,11 @@ def read_snapshots_csv(path: str | Path) -> SnapshotMatrix:
                     times.append(float(c[2:]))
                 except ValueError as exc:
                     raise DataFormatError(f"{path}: cannot parse time from {c!r}") from exc
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():  # np.loadtxt warns when it reads no data row
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        if data.shape[0] == 0:
+            raise DataFormatError(f"{path}: no data rows below the header")
         times_arr = np.asarray(times)
         if times_arr.size < 2:
             raise DataFormatError(f"{path}: need at least two snapshot columns")
@@ -239,6 +244,17 @@ def read_mode_matrix(path: str | Path) -> tuple[np.ndarray, float, float]:
         for k in range(src.n):
             src.read_column(k, 0, modes[:, k])
         return modes, src.dt, src.t0
+
+
+def grid_cells(*grids: np.ndarray) -> Iterator[tuple]:
+    """(row, col, *values) of each cell of same-shaped 2-D grids, in row
+    order, for write_csv: at most _CSV_CHUNK cells of each grid are Python
+    values at a time."""
+    nx = grids[0].shape[1]
+    flat = [g.reshape(-1) for g in grids]
+    for start in range(0, flat[0].size, _CSV_CHUNK):
+        for c, values in enumerate(zip(*(f[start:start + _CSV_CHUNK].tolist() for f in flat)), start):
+            yield *divmod(c, nx), *values
 
 
 def write_csv(path: str | Path, header: Sequence[str], fmt: str,

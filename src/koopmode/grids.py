@@ -267,23 +267,18 @@ class VerticalSection:
 
 
 def _rasterize_path(path: Sequence[tuple[int, int]], ny: int, nx: int) -> tuple[np.ndarray, np.ndarray]:
-    """Connect polyline vertices into a dense list of (j, i) grid columns."""
+    """Connect polyline vertices into a dense list of (j, i) grid columns: each
+    segment's evenly spaced points rounded to cells, consecutive repeats dropped."""
     if len(path) < 1:
         raise ValueError("polyline needs at least one vertex")
     for j, i in path:
         if not (0 <= j < ny and 0 <= i < nx):
             raise ValueError(f"polyline vertex ({j}, {i}) outside grid")
-    jj: list[int] = [int(path[0][0])]
-    ii: list[int] = [int(path[0][1])]
-    for (j0, i0), (j1, i1) in zip(path[:-1], path[1:]):
-        steps = max(abs(j1 - j0), abs(i1 - i0), 1)
-        js = np.rint(np.linspace(j0, j1, steps + 1)).astype(int)[1:]
-        is_ = np.rint(np.linspace(i0, i1, steps + 1)).astype(int)[1:]
-        for j, i in zip(js, is_):
-            if j != jj[-1] or i != ii[-1]:
-                jj.append(int(j))
-                ii.append(int(i))
-    return np.asarray(jj), np.asarray(ii)
+    ji = np.concatenate([np.asarray(path[:1])] + [
+        np.rint(np.linspace(a, b, max(abs(b[0] - a[0]), abs(b[1] - a[1]), 1) + 1)[1:]).astype(int)
+        for a, b in zip(path[:-1], path[1:])])
+    ji = ji[np.r_[True, (ji[1:] != ji[:-1]).any(axis=1)]]
+    return ji[:, 0], ji[:, 1]
 
 
 def cut_rows(layout: GridLayout, spec) -> slice:

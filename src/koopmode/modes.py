@@ -57,33 +57,40 @@ def polar_mode(phi: np.ndarray, b: complex) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class EllipseParams:
-    """Tidal ellipse of one oscillatory mode at one grid point."""
+    """Tidal ellipse of one oscillatory mode at one grid point, or at
+    every cell of a grid: then each field is an array of the grid's shape."""
 
-    semi_major: float
-    semi_minor: float
-    orientation_rad: float
-    rotation_sense: str  # "ccw" or "cw"
+    semi_major: float | np.ndarray
+    semi_minor: float | np.ndarray
+    orientation_rad: float | np.ndarray
+    rotation_sense: str | np.ndarray  # "ccw", "cw", or "" at a NaN cell
 
 
-def tidal_ellipse(u: complex, v: complex) -> EllipseParams:
-    """Rotary decomposition of a horizontal velocity phasor pair.
+def tidal_ellipse(u, v) -> EllipseParams:
+    """Rotary decomposition of horizontal velocity phasors: one (u, v)
+    pair, or two same-shaped grids of them, cell by cell.
 
     For u(t) = Re(U e^{i omega t}), v(t) = Re(V e^{i omega t}) the curve
     (u, v) is an ellipse; splitting into counter-rotating circles
     w+ = (U + iV)/2 and w- = conj(U - iV)/2 gives semi-axes |w+| +- |w-|
     and orientation (arg w+ + arg w-)/2.  The larger circle decides the
-    rotation sense.
+    rotation sense.  A cell whose u or v has a NaN real part (a masked
+    cell) gets NaN axes and orientation and an empty rotation sense.
     """
-    u = complex(u)
-    v = complex(v)
+    u = np.asarray(u, dtype=complex)
+    v = np.asarray(v, dtype=complex)
     w_plus = (u + 1j * v) / 2.0
     w_minus = np.conj(u - 1j * v) / 2.0
-    ap, am = abs(w_plus), abs(w_minus)
+    # hypot, as Python's abs of a complex takes it: np.abs rounds otherwise
+    ap, am = (np.hypot(w.real, w.imag) for w in (w_plus, w_minus))
+    sense = np.where(np.isnan(u.real) | np.isnan(v.real), "",
+                     np.where(ap > am, "ccw", "cw"))
+    # [()] makes a 0-d result a scalar and leaves a grid as it is
     return EllipseParams(
-        semi_major=ap + am,
-        semi_minor=abs(ap - am),
-        orientation_rad=(np.angle(w_plus) + np.angle(w_minus)) / 2.0,
-        rotation_sense="ccw" if ap > am else "cw",
+        semi_major=(ap + am)[()],
+        semi_minor=np.abs(ap - am)[()],
+        orientation_rad=((np.angle(w_plus) + np.angle(w_minus)) / 2.0)[()],
+        rotation_sense=sense[()],
     )
 
 

@@ -111,16 +111,14 @@ def _reduced_operator(x1: np.ndarray, x2: np.ndarray, opts: DmdOptions):
     """The truncated SVD of the (normalized, projected) first matrix, the
     lift x2 V Sigma^-1 and the reduced operator of a D-row pair."""
     d, cols = x1.shape
+    if not 1 <= opts.r <= min(d, cols):
+        raise ValueError(f"rank {opts.r} infeasible for a {d}x{cols} regression "
+                         f"matrix; the largest feasible rank is {min(d, cols)}")
     if opts.normalize_columns:
         x1, x2, _ = column_normalize(x1, x2)
     if opts.use_tlsq:
         v = _tlsq_basis(x1, x2, opts.r)
         x1, x2 = x1 @ v, x2 @ v
-        cols = opts.r
-    if not 1 <= opts.r <= min(d, cols):
-        raise ValueError(
-            f"truncation rank r={opts.r} infeasible for a {d}x{cols} matrix"
-        )
 
     svd = truncated_svd(x1, opts.r)
     if svd.sigma[-1] <= _RANK_RTOL * svd.sigma[0]:

@@ -10,6 +10,7 @@ import os
 import signal
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koopmode import cli, ranking
+from koopmode import cli, fileio, ranking
 from koopmode.cli import main, load_config, RunConfig
 from koopmode.dmd import DmdResult, exact_dmd
 from koopmode.errors import ConfigError
@@ -803,6 +804,59 @@ def test_slice_reads_only_its_cut(tmp_path, monkeypatch, setting, rows):
                      for read in [(m, *rows)] + [(m, *r) for r in ellipse if partner[m]]]
 
 
+def test_slice_draws_each_ellipse_grid_in_one_call(tmp_path, monkeypatch):
+    """tidal_ellipse takes a pair's whole ux and uy layers at once: one
+    call per ellipse file, on grids of the layer's shape."""
+    data, (nz, ny, nx) = rotating_velocity_snapshots(tmp_path)
+    calls = []
+    draw = cli.tidal_ellipse
+
+    def recorded(u, v):
+        calls.append((u.shape, v.shape))
+        return draw(u, v)
+    monkeypatch.setattr(cli, "tidal_ellipse", recorded)
+    cfg = write_cfg(tmp_path, input=data, out=tmp_path / "s", rank=3, tlsq="off",
+                    slice_channel="ux", slice_modes="1,2,3")
+    assert main(["slice", "--config", cfg]) == 0
+    ellipses = sorted((tmp_path / "s").glob("slice_mode*_ellipse.csv"))
+    assert len(ellipses) == 2
+    assert calls == [((ny, nx), (ny, nx))] * len(ellipses)
+
+
+@pytest.mark.parametrize("setting", [{}, {"slice_kind": "section", "slice_path": "0,0;0,199999"}],
+                         ids=["surface", "section"])
+def test_slice_csvs_hold_a_block_of_cells_not_the_cut(tmp_path, monkeypatch, setting):
+    """On a 200,000-cell scalar layer, each slice CSV turns at most 1,024
+    cells at a time into Python values: halfway through each file, the
+    traced Python objects (numpy's buffers left out) stay below 1 MiB,
+    where the cut's 200,000 floats in a Python list would take 6.4 MB."""
+    path = tmp_path / "wide.dmds"
+    t = np.arange(6.0)
+    x = np.outer(make_rng(2).standard_normal(200_000), np.cos(0.5 * t)) + np.outer(
+        make_rng(3).standard_normal(200_000), np.sin(0.5 * t))
+    write_snapshots(path, SnapshotMatrix(x, dt=1.0, t0=0.0, layout=scalar_layout(200_000)))
+    held = []
+    write = fileio.write_csv
+
+    def sampled(rows):
+        for k, row in enumerate(rows):
+            if k == 100_000:  # halfway; domain 0 is Python's, numpy's buffers have their own
+                python = tracemalloc.take_snapshot().filter_traces([tracemalloc.DomainFilter(True, 0)])
+                held.append(sum(trace.size for trace in python.traces))
+            yield row
+    monkeypatch.setattr(fileio, "write_csv",
+                        lambda path, header, fmt, rows: write(path, header, fmt, sampled(rows)))
+    cfg = write_cfg(tmp_path, input=path, out=tmp_path / "s", rank=2, tlsq="off",
+                    slice_modes=2, **setting)
+    tracemalloc.start()
+    try:
+        assert main(["slice", "--config", cfg]) == 0
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 2
+    assert max(held) < 2**20, held
+
+
 @pytest.mark.parametrize("boxes", [{}, {"rom.rob.robustness_min": 0.0}])
 def test_rom_reads_no_mode(tmp_path, monkeypatch, boxes):
     """rom's selections and curves come from the amplitudes and the R
@@ -1085,6 +1139,8 @@ def dmds_header(d, n, dt=1.0, t0=0.0):
     ("empty.csv", b"", None, "empty file"),
     ("bad-time.csv", b"t=0,t=x\n1,2\n", None, "cannot parse time from 't=x'"),
     ("one-column.csv", b"t=0\n1\n2\n", None, "need at least two snapshot columns"),
+    ("header-only.csv", b"t=0,t=1,t=2\n", None, "no data rows below the header"),
+    ("blank-rows.csv", b"t=0,t=1\n\n# note\n\n", None, "no data rows below the header"),
 ])
 def test_a_malformed_input_file_exits_4(tmp_path, capsys, name, content, sidecar, message):
     """Each check of a snapshot file's header, time axis, sidecar and CSV
@@ -1156,3 +1212,18 @@ def test_exit_code_infeasible_rank(tmp_path):
     data = synth_dataset(tmp_path)
     cfg = write_cfg(tmp_path, input=data, out=tmp_path / "o")
     assert main(["run", "--config", cfg, "--rank", "99"]) == 2
+
+
+@pytest.mark.parametrize("tlsq", ["on", "off"])
+@pytest.mark.parametrize("rank", [2, 3])
+def test_a_rank_above_d_is_named_against_the_regression_matrix(tmp_path, capsys, tlsq, rank):
+    """On a D = 1, N = 10 record the rank is checked against the 1 x 9
+    regression matrix, before the TLSQ projection, under its key's name."""
+    path = tmp_path / "one-row.dmds"
+    write_snapshots(path, SnapshotMatrix(1.5 + np.sin(0.3 * np.arange(10.0))[None, :], dt=1.0,
+                                         t0=0.0, layout=scalar_layout(1)))
+    cfg = write_cfg(tmp_path, input=path, out=tmp_path / "o", tlsq=tlsq, rank=rank)
+    assert main(["run", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (f"config error: rank {rank} infeasible for a 1x9 "
+                                       "regression matrix; the largest feasible rank is 1\n")
+    assert not (tmp_path / "o").exists()

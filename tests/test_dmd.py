@@ -73,11 +73,15 @@ def test_tlsq_energy_identity(rng):
 
 
 def test_tlsq_rank_bounds(rng):
+    """_spectrum bounds the rank by D and the pair columns, before the
+    TLSQ projection, whose basis only checks the pair's shapes."""
     x1 = rng.standard_normal((4, 6))
-    with pytest.raises(ValueError, match="rank"):
-        dmd._tlsq_basis(x1, x1, 0)
-    with pytest.raises(ValueError, match="rank"):
-        dmd._tlsq_basis(x1, x1, 7)
+    for d, r in ((4, 5), (3, 4), (9, 7)):
+        for use_tlsq in (True, False):
+            with pytest.raises(ValueError, match=(
+                    f"^rank {r} infeasible for a {d}x6 regression matrix; "
+                    f"the largest feasible rank is {min(d, 6)}$")):
+                dmd._spectrum(x1, x1, d, DmdOptions(r=r, use_tlsq=use_tlsq))
     with pytest.raises(ValueError, match="shape"):
         dmd._tlsq_basis(x1, x1[:, :-1], 2)
 

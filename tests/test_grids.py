@@ -1,9 +1,11 @@
 """Stacking, layouts, and slice extraction."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from koopmode.grids import (ChannelSpec, GridLayout, SnapshotMatrix,
+from koopmode.grids import (ChannelSpec, _rasterize_path, GridLayout, SnapshotMatrix,
                             SurfaceSlice, VelocityField, VerticalSection,
                             cut_rows, extract_slice, scalar_layout,
                             stack_observables, velocity_layout)
@@ -289,6 +291,46 @@ def test_a_cut_of_its_rows_is_the_whole_vector_scatter(case):
     want = whole_vector_slice(vec, layout, cut)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+def cell_by_cell_path(path):
+    """The reference rasterization: each segment's rounded linspace, cell
+    by cell, a cell dropped when it repeats the last one kept."""
+    cells = [tuple(path[0])]
+    for (j0, i0), (j1, i1) in zip(path[:-1], path[1:]):
+        steps = max(abs(j1 - j0), abs(i1 - i0), 1)
+        for j, i in zip(np.rint(np.linspace(j0, j1, steps + 1))[1:].tolist(),
+                        np.rint(np.linspace(i0, i1, steps + 1))[1:].tolist()):
+            if (j, i) != cells[-1]:
+                cells.append((int(j), int(i)))
+    return cells
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 30), st.integers(1, 30), st.data())
+def test_rasterized_path_is_the_cell_by_cell_reference(ny, nx, data):
+    """Any polyline, repeated and single vertices included, rasterizes to
+    the reference's integer cells."""
+    vertex = st.tuples(st.integers(0, ny - 1), st.integers(0, nx - 1))
+    path = data.draw(st.lists(st.one_of(vertex, st.just((0, 0))), min_size=1, max_size=6))
+    jj, ii = _rasterize_path(path, ny, nx)
+    assert jj.dtype.kind == ii.dtype.kind == "i"
+    assert list(zip(jj.tolist(), ii.tolist())) == cell_by_cell_path(path)
+
+
+def test_a_long_section_is_rasterized_in_arrays():
+    """A 200,000-cell path holds a few integer arrays of its length, no
+    Python int per cell: the traced peak stays below 64 bytes a cell,
+    where two lists of Python ints cost 80."""
+    path = ((0, 0), (0, 199_999))
+    tracemalloc.start()
+    try:
+        jj, ii = _rasterize_path(path, 1, 200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(ii, np.arange(200_000)) and not jj.any()
+    assert peak < 64 * 200_000
 
 
 def test_complex_mode_slice_keeps_phase():

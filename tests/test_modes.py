@@ -1,6 +1,8 @@
 """Spectrum post-processing: periods, polar form, tidal ellipses, wave speeds, and the mode-table CSV."""
 import csv
+import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -110,6 +112,55 @@ def test_ellipse_rotation_sense_against_sampled_curve(rng):
         vt = (v * np.exp(1j * t)).real
         area = np.trapezoid(ut * np.gradient(vt, t) - vt * np.gradient(ut, t), t) / 2
         assert (area > 0) == (e.rotation_sense == "ccw")
+
+
+def ellipse_reference(u: complex, v: complex) -> tuple:
+    """tidal_ellipse of one cell in Python complex arithmetic and abs,
+    arguments as np.angle takes them; a NaN cell is NaN with no sense."""
+    if math.isnan(u.real) or math.isnan(v.real):
+        return math.nan, math.nan, math.nan, ""
+    w_plus = (u + 1j * v) / 2.0
+    w_minus = (u - 1j * v).conjugate() / 2.0
+    ap, am = abs(w_plus), abs(w_minus)
+    return (ap + am, abs(ap - am), (np.angle(w_plus) + np.angle(w_minus)) / 2.0,
+            "ccw" if ap > am else "cw")
+
+
+def same_float(a, b) -> bool:
+    """a and b are the same bits, or both NaN (which prints as nothing)."""
+    return math.isnan(a) and math.isnan(b) or struct.pack("<d", a) == struct.pack("<d", b)
+
+
+_PART = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, -2.2e-308]),
+                  st.floats(-1e12, 1e12))
+_PHASOR = st.one_of(st.builds(complex, _PART, _PART),  # general
+                    st.builds(complex, _PART, st.sampled_from([0.0, -0.0])),  # purely real
+                    st.sampled_from([0j, complex(-0.0, -0.0), complex(math.nan, 0.0)]))
+
+
+@st.composite
+def phasor_grids(draw):
+    ny, nx = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    cells = st.lists(_PHASOR, min_size=ny * nx, max_size=ny * nx)
+    return tuple(np.array(draw(cells), dtype=complex).reshape(ny, nx) for _ in "uv")
+
+
+@settings(max_examples=300, deadline=None)
+@given(phasor_grids())
+def test_grid_ellipse_is_the_cell_by_cell_reference(grids):
+    """tidal_ellipse of two grids equals, bit for bit, the reference taken
+    cell by cell with Python complex and abs, and so does each cell's own
+    scalar call: NaN (masked), zero and purely real phasors included."""
+    gu, gv = grids
+    ell = tidal_ellipse(gu, gv)
+    fields = (ell.semi_major, ell.semi_minor, ell.orientation_rad, ell.rotation_sense)
+    assert all(np.shape(f) == gu.shape for f in fields)
+    for (j, i), u in np.ndenumerate(gu):
+        want = ellipse_reference(complex(u), complex(gv[j, i]))
+        one = tidal_ellipse(u, gv[j, i])
+        for got in ([f[j, i] for f in fields], dataclasses.astuple(one)):
+            assert all(same_float(float(a), b) for a, b in zip(got[:3], want[:3])), (u, gv[j, i])
+            assert str(got[3]) == want[3]
 
 
 # ------------------------------------------------------------ wave speed
