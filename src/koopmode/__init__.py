@@ -5,9 +5,9 @@ from .dmd import (DmdOptions, DmdResult, TruncatedSvd, column_normalize,
                   truncated_svd)
 from .errors import ConfigError, DataFormatError, KoopmodeError, NumericalError
 from .fileio import read_mode_matrix, write_mode_matrix, write_snapshots
-from .grids import (ChannelSpec, GridLayout, SnapshotMatrix, SurfaceSlice,
-                    VelocityField, VerticalSection, cut_rows, extract_slice,
-                    scalar_layout, stack_observables, velocity_layout)
+from .grids import (ChannelSpec, Cut, GridLayout, SnapshotMatrix, VelocityField,
+                    extract_slice, scalar_layout, section_cut, stack_observables,
+                    surface_cut, velocity_layout)
 from .modes import (EllipseParams, ModeInfo, half_doubling_time, period,
                     polar_mode, tidal_ellipse, two_layer_wave_speed,
                     write_mode_table)

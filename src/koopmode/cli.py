@@ -36,8 +36,7 @@ import numpy as np
 from . import fileio
 from .dmd import DmdOptions, DmdResult, exact_dmd
 from .errors import ConfigError, DataFormatError, NumericalError
-from .grids import (GridLayout, SnapshotMatrix, SurfaceSlice, VerticalSection, cut_rows,
-                    extract_slice)
+from .grids import GridLayout, SnapshotMatrix, extract_slice, section_cut, surface_cut
 from .modes import (ModeInfo, format_mode_table, period, polar_mode,
                     tidal_ellipse, write_mode_table)
 from .oracle import generate, tidal_spec
@@ -170,7 +169,8 @@ def _set(cfg: RunConfig, key: str, text: str, where: str) -> None:
 
 def load_config(path: str | Path) -> RunConfig:
     """Parse a flat key=value config file; unknown keys are errors, and so
-    is a ROM block that sets indices together with a box bound."""
+    is a ROM block that sets indices together with a box bound, or whose
+    name, part of the file name rom_<name>_errors.csv, is empty or holds '/'."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -184,7 +184,7 @@ def load_config(path: str | Path) -> RunConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key.startswith("rom."):
             parts = key.split(".")
-            if len(parts) != 3 or parts[2] not in _ROM_PARSERS:
+            if len(parts) != 3 or parts[2] not in _ROM_PARSERS or not parts[1] or "/" in parts[1]:
                 raise ConfigError(f"{path}:{lineno}: bad ROM key {key!r}")
         elif key not in _PARSERS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
@@ -457,12 +457,12 @@ def cmd_slice(cfg: RunConfig, opts: DmdOptions, out: _OutputDir) -> int:
     snap = _source(cfg)
     layout = snap.layout
     channel = cfg.slice_channel or layout.channels[0].name
-    spec = (SurfaceSlice(channel, cfg.slice_k) if cfg.slice_kind == "surface"
-            else VerticalSection(channel, cfg.slice_path))
-    rows = cut_rows(layout, spec)  # checks the cut before any data is read
+    # each cut is checked, and a section's path rasterized, once, before any data is read
+    cut = (surface_cut(layout, channel, cfg.slice_k) if cfg.slice_kind == "surface"
+           else section_cut(layout, channel, cfg.slice_path))
     # a velocity surface draws a pair's ellipse from ux and uy, unweighted, doubled
-    uv = [(s, cut_rows(layout, s), 2.0 / layout.channels[layout.channel_index(s.channel)].weight)
-          for s in (SurfaceSlice("ux", cfg.slice_k), SurfaceSlice("uy", cfg.slice_k))
+    uv = [(surface_cut(layout, name, cfg.slice_k), 2.0 / layout.channels[layout.channel_index(name)].weight)
+          for name in ("ux", "uy")
           if cfg.slice_kind == "surface" and {"ux", "uy"} <= {c.name for c in layout.channels}]
     result = exact_dmd(snap, opts)
     for m in cfg.slice_modes:
@@ -470,13 +470,13 @@ def cmd_slice(cfg: RunConfig, opts: DmdOptions, out: _OutputDir) -> int:
             raise ConfigError(f"slice mode index {m} outside 1..{result.r}")
     for m in cfg.slice_modes:
         b = result.b[m - 1]
-        sl = extract_slice(result.mode(m - 1, rows), layout, spec)
+        sl = extract_slice(result.mode(m - 1, cut.rows), cut)
         for tag, grid in zip(("amplitude", "phase"), polar_mode(sl, b)):
             fileio.write_csv(out.path(f"slice_mode{m}_{tag}.csv"), ("row", "col", "value"),
                              "%d,%d,%.17g", fileio.grid_cells(grid))
         if uv and result.partner[m - 1] is not None:
-            ell = tidal_ellipse(*(extract_slice(result.mode(m - 1, r) * b, layout, s) * scale
-                                  for s, r, scale in uv))
+            ell = tidal_ellipse(*(extract_slice(result.mode(m - 1, c.rows) * b, c) * scale
+                                  for c, scale in uv))
             fileio.write_csv(
                 out.path(f"slice_mode{m}_ellipse.csv"),
                 ("row", "col", "semi_major", "semi_minor", "orientation_rad", "rotation_sense"),

@@ -386,21 +386,16 @@ class _Spectrum(NamedTuple):
     singular_values: np.ndarray
 
 
-def _spectrum(r1: np.ndarray, r2: np.ndarray, d: int, opts: DmdOptions) -> _Spectrum:
+def _spectrum(r1: np.ndarray, r2: np.ndarray, opts: DmdOptions) -> _Spectrum:
     """The eigenvalues of a pair given in R-factor coordinates.
 
     r1 and r2 hold the pair in one orthonormal basis Q (x = Q @ r), so
-    they have at most N rows; d is the state dimension D of the original
-    snapshots.  Column norms, singular values and eigenpairs are those
-    of the original matrices, because Q preserves lengths.  Raises
-    ValueError on a rank outside 1..min(d, pair columns), before any
-    projection, and NumericalError on rank loss below opts.r, a
+    they have at most N rows.  Column norms, singular values and
+    eigenpairs are those of the original matrices, because Q preserves
+    lengths.  opts.r is feasible: exact_dmd checks it against D and the
+    pair columns, and deletion_spectrum caps it.  Raises NumericalError on rank loss below opts.r, a
     numerically defective eigenvector matrix or a zero eigenvalue.
     """
-    feasible = min(d, r1.shape[1])
-    if not 1 <= opts.r <= feasible:
-        raise ValueError(f"rank {opts.r} infeasible for a {d}x{r1.shape[1]} regression "
-                         f"matrix; the largest feasible rank is {feasible}")
     scales = basis = None
     if opts.normalize_columns:
         r1, r2, scales = column_normalize(r1, r2)
@@ -456,8 +451,7 @@ class _Reduced(NamedTuple):
     partner: tuple[int | None, ...]
 
 
-def _reduced_dmd(r1: np.ndarray, r2: np.ndarray, r_fit: np.ndarray, d: int,
-                 opts: DmdOptions) -> _Reduced:
+def _reduced_dmd(r1: np.ndarray, r2: np.ndarray, r_fit: np.ndarray, opts: DmdOptions) -> _Reduced:
     """The decomposition of a pair given in R-factor coordinates.
 
     _spectrum of the pair, then the eig residuals, the exact modes and
@@ -465,7 +459,7 @@ def _reduced_dmd(r1: np.ndarray, r2: np.ndarray, r_fit: np.ndarray, d: int,
     basis Q.  Least-squares residuals are those of the original
     matrices, because Q preserves lengths.
     """
-    sp = _spectrum(r1, r2, d, opts)
+    sp = _spectrum(r1, r2, opts)
     mu, w = sp.mu, sp.w
     residuals = np.linalg.norm(sp.k_reduced @ w - w * mu[None, :], axis=0)
 
@@ -805,14 +799,19 @@ def exact_dmd(snap: SnapshotMatrix, opts: DmdOptions, dest: Path | None = None) 
     None); a sweep rotates each in place so its first largest-magnitude
     entry is real and positive, counter-rotating its amplitude.  The
     result's modes map that file read-only; no D x r array is held.
+    A set rank above min(D, N - 1) raises ValueError before any row is read.
     """
+    feasible = min(snap.d, snap.n - 1)
+    if opts.r is not None and opts.r > feasible:  # DmdOptions checks r >= 1
+        raise ValueError(f"rank {opts.r} infeasible for a {snap.d}x{snap.n - 1} regression "
+                         f"matrix; the largest feasible rank is {feasible}")
     fac = _factor(snap, opts.remove_mean)
     r = fac.r[:min(snap.d, snap.n), :snap.n]
     s = np.linalg.svd(r[:, :-1], compute_uv=False)
     data_rank = int((s > s[0] * max(snap.d, snap.n - 1) * np.finfo(float).eps).sum())
     if opts.r is None:
         opts = replace(opts, r=max(1, min(data_rank, snap.n - 4)))
-    red = _reduced_dmd(r[:, :-1], r[:, 1:], r, snap.d, opts)
+    red = _reduced_dmd(r[:, :-1], r[:, 1:], r, opts)
     mode_file = ColumnFile.create(dest, MODES_MAGIC, snap.d, red.mu.size, snap.dt, snap.t0)
     phase = _lift(snap, fac.mean, red.lift, np.empty(min(_LIFT_ROWS, snap.d) * snap.n), mode_file)
     return DmdResult(
@@ -873,6 +872,5 @@ def deletion_spectrum(result: DmdResult, column: int) -> np.ndarray:
     r = fac.r[:fac.modes.shape[0], :n]
     cap = n - 2  # the pair columns left after the deletion
     opts = replace(opts, r=min(opts.r, cap))
-    mu = _spectrum(np.delete(r[:, :-1], column, axis=1), np.delete(r[:, 1:], column, axis=1),
-                   result.modes.shape[0], opts).mu
+    mu = _spectrum(np.delete(r[:, :-1], column, axis=1), np.delete(r[:, 1:], column, axis=1), opts).mu
     return mu[np.lexsort((np.angle(mu), -np.abs(mu)))]

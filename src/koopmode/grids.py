@@ -11,9 +11,10 @@ Ux^2 + Uy^2 + Uz^2 cell by cell.  Stacking order is channel outermost,
 then depth k, then row j, then column i; masked cells are excluded
 entirely so the state dimension is n_channels * n_ocean_cells.
 
-So a cut of one channel covers one run of stacked rows, which cut_rows
-resolves: a surface its layer's, a vertical section the channel's.
-extract_slice scatters only those rows, onto the cut's own mask.
+So a cut of one channel covers one run of stacked rows: surface_cut
+resolves a layer's, section_cut the channel's and its polyline's columns,
+each once, into a checked Cut.  extract_slice scatters only those rows,
+onto the cut's own mask.
 """
 from __future__ import annotations
 
@@ -251,19 +252,14 @@ def stack_observables(field: VelocityField, layout: GridLayout) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SurfaceSlice:
-    """Horizontal layer at depth index k of one channel."""
+class Cut:
+    """A checked cut of one channel: its run of stacked rows, the mask
+    they scatter onto (layer k's ny x nx or the channel's nz x ny x nx)
+    and a section's rasterized (j, i) columns, None for a surface."""
 
-    channel: str
-    k: int
-
-
-@dataclass(frozen=True)
-class VerticalSection:
-    """Vertical curtain along a polyline of (j, i) vertices."""
-
-    channel: str
-    path: tuple[tuple[int, int], ...]
+    rows: slice
+    mask: np.ndarray
+    path: tuple[np.ndarray, np.ndarray] | None
 
 
 def _rasterize_path(path: Sequence[tuple[int, int]], ny: int, nx: int) -> tuple[np.ndarray, np.ndarray]:
@@ -281,36 +277,31 @@ def _rasterize_path(path: Sequence[tuple[int, int]], ny: int, nx: int) -> tuple[
     return ji[:, 0], ji[:, 1]
 
 
-def cut_rows(layout: GridLayout, spec) -> slice:
-    """The stacked rows a cut covers: layer k of the channel for a
-    SurfaceSlice (all rows of a scalar layout), the whole channel for a
-    VerticalSection.  A channel the layout lacks, or a layer or polyline
-    vertex outside the grid, raises ValueError."""
-    rows = layout.channel_slice(spec.channel)
-    if isinstance(spec, SurfaceSlice):
-        if not 0 <= spec.k < layout.nz:
-            raise ValueError(f"layer k={spec.k} outside 0..{layout.nz - 1}")
-        start = rows.start + int(layout.mask[:spec.k].sum())
-        return slice(start, start + int(layout.mask[spec.k].sum()))
-    if isinstance(spec, VerticalSection):
-        _rasterize_path(spec.path, layout.ny, layout.nx)
-        return rows
-    raise TypeError(f"unknown slice spec {type(spec).__name__}")
+def surface_cut(layout: GridLayout, channel: str, k: int) -> Cut:
+    """Layer k of the channel (all rows of a scalar layout).  A channel
+    the layout lacks, then a layer outside the grid, raises ValueError."""
+    rows = layout.channel_slice(channel)
+    if not 0 <= k < layout.nz:
+        raise ValueError(f"layer k={k} outside 0..{layout.nz - 1}")
+    start = rows.start + int(layout.mask[:k].sum())
+    return Cut(slice(start, start + int(layout.mask[k].sum())), layout.mask[k], None)
 
 
-def extract_slice(vec: np.ndarray, layout: GridLayout, spec) -> np.ndarray:
-    """A cut of the grid as a new 2-D array, from vec, the rows
-    cut_rows(layout, spec) of a stacked vector (a mode, say).
+def section_cut(layout: GridLayout, channel: str, path: Sequence[tuple[int, int]]) -> Cut:
+    """The vertical curtain of the channel along a polyline of (j, i)
+    vertices.  A channel the layout lacks, then a vertex outside the
+    grid, raises ValueError."""
+    return Cut(layout.channel_slice(channel), layout.mask, _rasterize_path(path, layout.ny, layout.nx))
 
-    A SurfaceSlice scatters them onto layer k's ny x nx mask; a
-    VerticalSection onto the channel's nz x ny x nx mask, then takes the
-    columns along its polyline (nz x path length).  Masked cells are NaN.
-    A cut that cut_rows rejects, or a vec of another length, raises
-    ValueError."""
-    rows = cut_rows(layout, spec)
-    if np.shape(vec) != (rows.stop - rows.start,):
-        raise ValueError(f"expected the cut's {rows.stop - rows.start} rows, got {np.shape(vec)}")
-    mask = layout.mask[spec.k] if isinstance(spec, SurfaceSlice) else layout.mask
-    grid = np.full(mask.shape, np.nan, dtype=complex if np.iscomplexobj(vec) else float)
-    grid[mask] = vec
-    return grid if mask.ndim == 2 else grid[:, *_rasterize_path(spec.path, layout.ny, layout.nx)]
+
+def extract_slice(vec: np.ndarray, cut: Cut) -> np.ndarray:
+    """A cut of the grid as a new 2-D array: vec, the rows cut.rows of a
+    stacked vector (a mode, say), scattered onto cut.mask, then for a
+    section taken along its path (nz x path length).  Masked cells are
+    NaN; a vec of another length raises ValueError."""
+    n = cut.rows.stop - cut.rows.start
+    if np.shape(vec) != (n,):
+        raise ValueError(f"expected the cut's {n} rows, got {np.shape(vec)}")
+    grid = np.full(cut.mask.shape, np.nan, dtype=complex if np.iscomplexobj(vec) else float)
+    grid[cut.mask] = vec
+    return grid if cut.path is None else grid[:, *cut.path]

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koopmode import cli, fileio, ranking
+from koopmode import cli, fileio, grids, ranking
 from koopmode.cli import main, load_config, RunConfig
 from koopmode.dmd import DmdResult, exact_dmd
 from koopmode.errors import ConfigError
@@ -93,9 +93,13 @@ def test_load_config_rejects_unknown_key(tmp_path, line):
         load_config(path)
 
 
-def test_load_config_rejects_bad_rom_key(tmp_path):
+@pytest.mark.parametrize("line", ["rom.x.colour = 3", "rom.a/b.indices = 1,2",
+                                  "rom..indices = 1,2"])
+def test_load_config_rejects_bad_rom_key(tmp_path, line):
+    """An unknown field, or a block name that is empty or holds '/' (the
+    name is part of the file name rom_<name>_errors.csv), is a bad key."""
     path = tmp_path / "a.cfg"
-    path.write_text("rom.x.colour = 3\n")
+    path.write_text(line + "\n")
     with pytest.raises(ConfigError, match="ROM key"):
         load_config(path)
 
@@ -804,6 +808,22 @@ def test_slice_reads_only_its_cut(tmp_path, monkeypatch, setting, rows):
                      for read in [(m, *rows)] + [(m, *r) for r in ellipse if partner[m]]]
 
 
+def test_a_section_slice_rasterizes_its_path_once(tmp_path, monkeypatch):
+    """slice resolves its section once, before the decomposition: six
+    modes take one rasterization of the path, not one to check it and
+    two for each mode."""
+    data = synth_dataset(tmp_path)
+    calls = []
+    rasterize = grids._rasterize_path
+    monkeypatch.setattr(grids, "_rasterize_path", lambda *args: calls.append(args) or rasterize(*args))
+    out = tmp_path / "s"
+    cfg = write_cfg(tmp_path, input=data, out=out, rank=6, tlsq="off", slice_kind="section",
+                    slice_path="0,0;0,39;0,20", slice_modes="1,2,3,4,5,6")
+    assert main(["slice", "--config", cfg]) == 0
+    assert len(sorted(out.glob("slice_mode*_amplitude.csv"))) == 6
+    assert len(calls) == 1
+
+
 def test_slice_draws_each_ellipse_grid_in_one_call(tmp_path, monkeypatch):
     """tidal_ellipse takes a pair's whole ux and uy layers at once: one
     call per ellipse file, on grids of the layer's shape."""
@@ -880,6 +900,8 @@ def test_rom_reads_no_mode(tmp_path, monkeypatch, boxes):
     ("rom", "rom.b.rms_min", "1e9", "rom.b: either indices or box bounds, got indices, rms_min"),
     ("rom", "rom.b.robustness_min", "1e9", "rom.b: either indices or box bounds"),
     ("rom", "rom.b.persistent_only", "on", "rom.b: either indices or box bounds"),
+    ("rom", "rom.a/b.indices", "1,2", "bad ROM key 'rom.a/b.indices'"),
+    ("rom", "rom..indices", "1,2", "bad ROM key 'rom..indices'"),
     ("slice", "slice_kind", "bogus", "slice_kind must be surface or section, got bogus"),
     ("slice", "slice_modes", "a", "bad value for slice_modes"),
     ("slice", "slice_path", "1;2", "slice_path must be"),
@@ -1208,10 +1230,19 @@ def test_exit_code_arithmetic_error(tmp_path, monkeypatch):
     assert main(["run", "--config", cfg]) == 3
 
 
-def test_exit_code_infeasible_rank(tmp_path):
-    data = synth_dataset(tmp_path)
-    cfg = write_cfg(tmp_path, input=data, out=tmp_path / "o")
-    assert main(["run", "--config", cfg, "--rank", "99"]) == 2
+@pytest.mark.parametrize("command", ["run", "loo", "rom", "slice"])
+def test_exit_code_infeasible_rank(tmp_path, monkeypatch, capsys, command):
+    """A rank above min(D, N - 1) exits 2 before any row is read."""
+    data = synth_dataset(tmp_path)  # D = 40, N = 32
+
+    def never(*args):
+        raise AssertionError("a row was read before the rank was checked")
+    monkeypatch.setattr(fileio.SnapshotFile, "read_rows", never)
+    cfg = write_cfg(tmp_path, input=data, out=tmp_path / "o", **{"rom.a.indices": "1"})
+    assert main([command, "--config", cfg, "--rank", "99"]) == 2
+    assert capsys.readouterr().err == ("config error: rank 99 infeasible for a 40x31 "
+                                       "regression matrix; the largest feasible rank is 31\n")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("tlsq", ["on", "off"])

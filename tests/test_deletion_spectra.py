@@ -50,7 +50,7 @@ def test_trial_spectrum_is_the_reduced_decomposition_spectrum(seed, wide, rank, 
     for i in range(n - 1):
         try:
             ref = dmd._reduced_dmd(np.delete(r1, i, axis=1), np.delete(r2, i, axis=1),
-                                   r, snap.d, trial_opts).mu
+                                   r, trial_opts).mu
         except NumericalError:
             with pytest.raises(NumericalError):
                 deletion_spectrum(base, i)

@@ -72,16 +72,22 @@ def test_tlsq_energy_identity(rng):
         assert kept == pytest.approx(np.sum(s[:rank] ** 2), rel=1e-12)
 
 
-def test_tlsq_rank_bounds(rng):
-    """_spectrum bounds the rank by D and the pair columns, before the
-    TLSQ projection, whose basis only checks the pair's shapes."""
-    x1 = rng.standard_normal((4, 6))
+def test_tlsq_rank_bounds(rng, monkeypatch):
+    """exact_dmd bounds the rank by D and the pair columns before it reads
+    a row, so before the TLSQ projection, whose basis only checks the
+    pair's shapes."""
+    def never(*args):
+        raise AssertionError("a row was read before the rank was checked")
+
+    monkeypatch.setattr(SnapshotMatrix, "read_rows", never)
     for d, r in ((4, 5), (3, 4), (9, 7)):
+        snap = snapshots_from_array(rng.standard_normal((d, 7)))
         for use_tlsq in (True, False):
             with pytest.raises(ValueError, match=(
                     f"^rank {r} infeasible for a {d}x6 regression matrix; "
                     f"the largest feasible rank is {min(d, 6)}$")):
-                dmd._spectrum(x1, x1, d, DmdOptions(r=r, use_tlsq=use_tlsq))
+                exact_dmd(snap, DmdOptions(r=r, use_tlsq=use_tlsq))
+    x1 = rng.standard_normal((4, 6))
     with pytest.raises(ValueError, match="shape"):
         dmd._tlsq_basis(x1, x1[:, :-1], 2)
 
@@ -369,13 +375,13 @@ def test_defective_operator_detected():
     defective, so the pair goes straight to the reduced eigenproblem."""
     jordan = np.array([[1.0, 1.0], [0.0, 1.0]])
     with pytest.raises(NumericalError, match="defective"):
-        dmd._spectrum(np.eye(2), jordan, 2, DmdOptions(r=2))
+        dmd._spectrum(np.eye(2), jordan, DmdOptions(r=2))
 
 
 def test_zero_eigenvalue_detected():
     x2 = np.diag([1.0, 0.0])
     with pytest.raises(NumericalError, match="zero eigenvalue"):
-        dmd._spectrum(np.eye(2), x2, 2, DmdOptions(r=2))
+        dmd._spectrum(np.eye(2), x2, DmdOptions(r=2))
 
 
 def test_infeasible_rank_rejected(rng):

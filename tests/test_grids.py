@@ -6,29 +6,34 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from koopmode.grids import (ChannelSpec, _rasterize_path, GridLayout, SnapshotMatrix,
-                            SurfaceSlice, VelocityField, VerticalSection,
-                            cut_rows, extract_slice, scalar_layout,
-                            stack_observables, velocity_layout)
+                            VelocityField, extract_slice, scalar_layout, section_cut,
+                            stack_observables, surface_cut, velocity_layout)
 
 from conftest import make_rng, random_mask, random_velocity
 
 
-def whole_vector_slice(vec, layout, spec):
+def resolve(layout, channel, where):
+    """surface_cut of layer where, an int, or section_cut along the
+    polyline where."""
+    return (surface_cut if isinstance(where, int) else section_cut)(layout, channel, where)
+
+
+def whole_vector_slice(vec, layout, channel, where):
     """The reference cut: scatter the channel's part of a whole stacked
     vector onto the full nz x ny x nx grid, NaN on masked cells, then take
-    layer k or the columns along the polyline."""
+    layer where, an int, or the columns along the polyline where."""
     grid = np.full(layout.mask.shape, np.nan, dtype=complex if np.iscomplexobj(vec) else float)
-    grid[layout.mask] = vec[layout.channel_slice(spec.channel)]
-    if isinstance(spec, SurfaceSlice):
-        return grid[spec.k].copy()
-    jj, ii = zip(*spec.path)  # vertices only: the tests' paths step by one cell
+    grid[layout.mask] = vec[layout.channel_slice(channel)]
+    if isinstance(where, int):
+        return grid[where].copy()
+    jj, ii = zip(*where)  # vertices only: the tests' paths step by one cell
     return grid[:, list(jj), list(ii)]
 
 
 def layer_slices(vec, layout, channel):
     """extract_slice of every layer of the channel, stacked to nz x ny x nx."""
-    cuts = [SurfaceSlice(channel, k) for k in range(layout.nz)]
-    return np.stack([extract_slice(vec[cut_rows(layout, c)], layout, c) for c in cuts])
+    cuts = [surface_cut(layout, channel, k) for k in range(layout.nz)]
+    return np.stack([extract_slice(vec[c.rows], c) for c in cuts])
 
 
 def test_stack_norm_preservation_against_direct_sum():
@@ -190,8 +195,8 @@ def test_surface_slice_identity_pattern():
             pattern[:, j, i] = 10 * j + i
     field = VelocityField(ux=pattern, uy=0 * pattern, uz=0 * pattern)
     x = stack_observables(field, layout)
-    cut = SurfaceSlice(channel="ux", k=0)
-    sl = extract_slice(x[cut_rows(layout, cut)], layout, cut)
+    cut = surface_cut(layout, "ux", 0)
+    sl = extract_slice(x[cut.rows], cut)
     w = np.sqrt(2.0) / 2.0
     assert sl.shape == (ny, nx)
     assert np.allclose(sl, w * pattern[0])
@@ -204,8 +209,8 @@ def test_surface_slice_masked_cells_are_nan():
     rng = make_rng(6)
     field = random_velocity(rng, 2, 2, 3)
     x = stack_observables(field, layout)
-    cut = SurfaceSlice(channel="uy", k=0)
-    sl = extract_slice(x[cut_rows(layout, cut)], layout, cut)
+    cut = surface_cut(layout, "uy", 0)
+    sl = extract_slice(x[cut.rows], cut)
     assert np.isnan(sl[1, 2])
     assert np.isfinite(sl[0, 0])
 
@@ -216,42 +221,49 @@ def state_layout(nx, ny, nz):
                       channels=(ChannelSpec("state", 1.0),))
 
 
-@pytest.mark.parametrize("cut, message", [
-    (SurfaceSlice("vort", 0), "layout has no channel named 'vort'; available: state"),
-    (VerticalSection("vort", ((0, 0),)), "layout has no channel named 'vort'"),
-    (SurfaceSlice("state", 2), r"layer k=2 outside 0\.\.1"),
-    (SurfaceSlice("state", 5), r"layer k=5 outside 0\.\.1"),
-    (SurfaceSlice("state", -1), r"layer k=-1 outside 0\.\.1"),
-    (VerticalSection("state", ((0, 0), (9, 0))), r"polyline vertex \(9, 0\) outside grid"),
-    (VerticalSection("state", ((0, 0), (0, -1))), r"polyline vertex \(0, -1\) outside grid"),
+@pytest.mark.parametrize("channel, where, message", [
+    ("vort", 0, "layout has no channel named 'vort'; available: state"),
+    ("vort", ((0, 0),), "layout has no channel named 'vort'"),
+    ("vort", 9, "layout has no channel named 'vort'"),  # the channel is checked first
+    ("vort", ((9, 0),), "layout has no channel named 'vort'"),
+    ("state", 2, r"layer k=2 outside 0\.\.1"),
+    ("state", 5, r"layer k=5 outside 0\.\.1"),
+    ("state", -1, r"layer k=-1 outside 0\.\.1"),
+    ("state", ((0, 0), (9, 0)), r"polyline vertex \(9, 0\) outside grid"),
+    ("state", ((0, 0), (0, -1)), r"polyline vertex \(0, -1\) outside grid"),
+    ("state", (), "polyline needs at least one vertex"),
 ])
-def test_a_cut_outside_the_layout_raises_before_any_data(cut, message):
-    """cut_rows checks a cut on the layout alone, and extract_slice
-    raises the same error whatever it is handed."""
-    layout = state_layout(4, 3, 2)
+def test_a_cut_outside_the_layout_raises_before_any_data(channel, where, message):
+    """surface_cut and section_cut check a cut on the layout alone: the
+    channel first, then the layer or the vertices."""
     with pytest.raises(ValueError, match=message):
-        cut_rows(layout, cut)
-    with pytest.raises(ValueError, match=message):
-        extract_slice(np.zeros(3), layout, cut)
+        resolve(state_layout(4, 3, 2), channel, where)
 
 
-def test_cut_rows_are_the_layer_or_the_channel():
+def test_a_cut_is_the_layer_or_the_channel():
+    """A surface covers its layer's rows and scatters onto the layer's
+    mask; a section covers the channel's rows, scatters onto the
+    channel's mask and holds its rasterized path."""
     mask = np.ones((3, 2, 2), dtype=bool)
     mask[0, 0, 0] = mask[1, 1, :] = False  # layers of 3, 2 and 4 cells
     layout = velocity_layout(2, 2, 3, mask)
-    assert [cut_rows(layout, SurfaceSlice("uy", k)) for k in range(3)] == [
-        slice(9, 12), slice(12, 14), slice(14, 18)]
-    assert cut_rows(layout, VerticalSection("uz", ((0, 0), (1, 1)))) == slice(18, 27)
-    assert cut_rows(scalar_layout(5), SurfaceSlice("state", 0)) == slice(0, 5)
+    surfaces = [surface_cut(layout, "uy", k) for k in range(3)]
+    assert [c.rows for c in surfaces] == [slice(9, 12), slice(12, 14), slice(14, 18)]
+    assert all(np.array_equal(c.mask, mask[k]) and c.path is None for k, c in enumerate(surfaces))
+    section = section_cut(layout, "uz", ((0, 0), (1, 1)))
+    assert section.rows == slice(18, 27) and np.array_equal(section.mask, mask)
+    assert [a.tolist() for a in section.path] == [[0, 1], [0, 1]]
+    assert surface_cut(scalar_layout(5), "state", 0).rows == slice(0, 5)
     with pytest.raises(ValueError, match=r"expected the cut's 3 rows, got \(4,\)"):
-        extract_slice(np.zeros(4), layout, SurfaceSlice("ux", 0))
+        extract_slice(np.zeros(4), surface_cut(layout, "ux", 0))
+    with pytest.raises(ValueError, match=r"expected the cut's 9 rows, got \(3, 3\)"):
+        extract_slice(np.zeros((3, 3)), section)
 
 
 def test_vertical_section_follows_polyline():
     layout = state_layout(4, 3, 2)
     vec = np.arange(layout.dim, dtype=float)
-    sl = extract_slice(vec, layout,
-                       VerticalSection(channel="state", path=((0, 0), (0, 3))))
+    sl = extract_slice(vec, section_cut(layout, "state", ((0, 0), (0, 3))))
     assert sl.shape == (2, 4)
     assert np.array_equal(sl, vec.reshape(2, 3, 4)[:, 0, 0:4])
 
@@ -266,7 +278,7 @@ def cuts(draw):
     layout = velocity_layout(nx, ny, nz, random_mask(rng, nz, ny, nx, keep=draw(st.floats(0.1, 1.0))))
     channel = draw(st.sampled_from([c.name for c in layout.channels]))
     if draw(st.booleans()):
-        cut = SurfaceSlice(channel, draw(st.integers(0, nz - 1)))
+        where = draw(st.integers(0, nz - 1))
     else:
         path = [(draw(st.integers(0, ny - 1)), draw(st.integers(0, nx - 1)))]
         for dj, di in draw(st.lists(st.sampled_from([(0, 1), (1, 0), (0, -1), (-1, 0)]),
@@ -274,11 +286,11 @@ def cuts(draw):
             j, i = path[-1][0] + dj, path[-1][1] + di
             if 0 <= j < ny and 0 <= i < nx:
                 path.append((j, i))
-        cut = VerticalSection(channel, tuple(path))
+        where = tuple(path)
     vec = rng.standard_normal(layout.dim)
     if draw(st.booleans()):
         vec = vec + 1j * rng.standard_normal(layout.dim)
-    return layout, cut, vec
+    return layout, channel, where, vec
 
 
 @settings(max_examples=200, deadline=None)
@@ -286,9 +298,10 @@ def cuts(draw):
 def test_a_cut_of_its_rows_is_the_whole_vector_scatter(case):
     """extract_slice of only the cut's rows equals, bit for bit, the
     channel of the whole vector scattered onto the full grid and cut."""
-    layout, cut, vec = case
-    got = extract_slice(vec[cut_rows(layout, cut)], layout, cut)
-    want = whole_vector_slice(vec, layout, cut)
+    layout, channel, where, vec = case
+    cut = resolve(layout, channel, where)
+    got = extract_slice(vec[cut.rows], cut)
+    want = whole_vector_slice(vec, layout, channel, where)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
@@ -336,6 +349,6 @@ def test_a_long_section_is_rasterized_in_arrays():
 def test_complex_mode_slice_keeps_phase():
     layout = scalar_layout(6)
     vec = np.exp(1j * np.linspace(0, 2, 6))
-    sl = extract_slice(vec, layout, SurfaceSlice(channel="state", k=0))
+    sl = extract_slice(vec, surface_cut(layout, "state", 0))
     assert sl.dtype.kind == "c"
     assert np.allclose(np.angle(sl[0]), np.linspace(0, 2, 6))
