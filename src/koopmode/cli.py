@@ -95,6 +95,12 @@ def _parse_indices(s: str) -> tuple[int, ...] | str:
     return tuple(dict.fromkeys(int(t) for t in s.split(",") if t.strip()))
 
 
+def _first_above(indices, r: int) -> int:
+    """The first of indices, 1-based mode indices (a rule checks each is
+    >= 1), above rank r; 0 for none, and for indices None or "all"."""
+    return next((i for i in indices if i > r), 0) if isinstance(indices, tuple) else 0
+
+
 def _parse_path(s: str) -> tuple[tuple[int, ...], ...]:
     """A ;-separated list of comma lists of ints: j0,i0;j1,i1;..."""
     return tuple(tuple(int(c) for c in vert.split(",")) for vert in s.split(";") if vert.strip())
@@ -170,7 +176,8 @@ def _set(cfg: RunConfig, key: str, text: str, where: str) -> None:
 def load_config(path: str | Path) -> RunConfig:
     """Parse a flat key=value config file; unknown keys are errors, and so
     is a ROM block that sets indices together with a box bound, or whose
-    name, part of the file name rom_<name>_errors.csv, is empty or holds '/'."""
+    name, part of the file name rom_<name>_errors.csv, is empty, holds
+    '/' or makes that name longer than 255 bytes in UTF-8."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -184,7 +191,10 @@ def load_config(path: str | Path) -> RunConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key.startswith("rom."):
             parts = key.split(".")
-            if len(parts) != 3 or parts[2] not in _ROM_PARSERS or not parts[1] or "/" in parts[1]:
+            # rom_<name>_errors.csv fits Linux's NAME_MAX, the one platform
+            # pyproject.toml names, of 255 bytes: the name 240 of them
+            if (len(parts) != 3 or parts[2] not in _ROM_PARSERS
+                    or not 0 < len(parts[1].encode()) <= 240 or "/" in parts[1]):
                 raise ConfigError(f"{path}:{lineno}: bad ROM key {key!r}")
         elif key not in _PARSERS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
@@ -408,6 +418,10 @@ def cmd_loo(cfg: RunConfig, opts: DmdOptions, out: _OutputDir) -> int:
 def cmd_rom(cfg: RunConfig, opts: DmdOptions, out: _OutputDir) -> int:
     if not cfg.roms:
         raise ConfigError("no ROM selections configured (keys: rom.<name>.<field>)")
+    if opts.r is not None:  # an explicit rank: checked before the input is read
+        for name in sorted(cfg.roms):
+            if i := _first_above(cfg.roms[name].get("indices"), opts.r):
+                raise ConfigError(f"rom.{name}: mode index {i} not in the table")
     a = _analyse(cfg, opts, _source(cfg),
                  robust=any(kw.get(f) is not None for kw in cfg.roms.values()
                             for f in ("robustness_min", "robustness_max")))
@@ -454,6 +468,8 @@ def cmd_rom(cfg: RunConfig, opts: DmdOptions, out: _OutputDir) -> int:
 def cmd_slice(cfg: RunConfig, opts: DmdOptions, out: _OutputDir) -> int:
     if cfg.slice_kind == "section" and not cfg.slice_path:
         raise ConfigError("slice_path must be set for a section: j0,i0;j1,i1;...")
+    if opts.r is not None and (m := _first_above(cfg.slice_modes, opts.r)):  # before any read
+        raise ConfigError(f"slice mode index {m} outside 1..{opts.r}")
     snap = _source(cfg)
     layout = snap.layout
     channel = cfg.slice_channel or layout.channels[0].name

@@ -60,14 +60,15 @@ preserves lengths, so column norms, singular values, eigenpairs and
 least-squares residuals are those of the original matrices.  Pass 2
 lifts the modes as X2 (M w): M folds the column scaling, the TLSQ
 projection, V Sigma^-1 and the unit norm, so Q is never needed
-(Q R2 = X2).  It writes each block's rows of the modes to a DMDM file
-(a fileio.ColumnFile) and keeps each mode's lead entry; one sweep over
-the file then applies the phase convention in place.  This continues
-the row-block streaming of Sayadi & Schmid to the D x r modes, which
-are never held in memory either.  Each row of the lifted modes comes from one
-product of the _LIFT_ROWS rows read with it, counted from its leaf's start,
-and the leads merge in row order, so pass 2 and the sweep split the
-leaves by row range and write the serial file, bit for bit.
+(Q R2 = X2).  M also folds each mode's phase: the unit factor of its
+amplitude, known from the reduced problem, so every amplitude is real
+and non-negative and pass 2 writes each block's rows of the modes, in
+their final form, to a DMDM file (a fileio.ColumnFile) once.  This
+continues the row-block streaming of Sayadi & Schmid to the D x r
+modes, which are never held in memory either.  Each row of the lifted
+modes comes from one product of the _LIFT_ROWS rows read with it,
+counted from its leaf's start, so pass 2 splits the leaves by row range
+and writes the serial file, bit for bit.
 A column-deletion trial (deletion_spectrum) deletes a column of a
 result's R pair and computes eigenvalues only: no modes, residuals or
 amplitude fit.
@@ -78,14 +79,14 @@ unless the process runs a second thread such as a BLAS pool: one
 contiguous run per process, the parent's first.  Pass 1's workers return
 the roots of the complete subtrees in their runs, O(log leaves)
 triangles, and the parent merges them; pass 2's write their rows of the
-mode file and return their leads.  Each process is pinned to its own
-CPU of the set, since a forked process otherwise stays on its parent's
-CPU: on a 74,960 x 144 file and 2 vCPUs, a two-process pass 1 took
+mode file.  Each process is pinned to its own CPU of the set, since a
+forked process otherwise stays on its parent's CPU: on a 74,960 x 144
+file and 2 vCPUs, a two-process pass 1 took
 214-274 ms unpinned, slower than the serial 199-243 ms, and 124-168 ms
 pinned (8 alternating calls each).  An input of one leaf forks nothing.
 Memory holds one pass's block per process, its r lifted columns and
 O(N^2 log(D / 8192)) numbers: pass 1's _BLOCK_ROWS rows go with pass 1,
-and pass 2 and the sweep read _LIFT_ROWS rows at a time.
+and pass 2 reads _LIFT_ROWS rows at a time.
 
 Rank.  The data rank is counted on R[:, :-1], whose singular values are
 those of the D x (N-1) regression matrix: those above
@@ -193,15 +194,15 @@ class TruncatedSvd:
 class DmdResult:
     """Modes, spectrum, and amplitudes of one decomposition.
 
-    Columns of modes have unit l2 norm with the first largest-magnitude
-    entry rotated real and positive.  Entries are sorted by descending |b|,
-    where both members of a conjugate pair take the larger of their two
-    |b|, ties broken by descending |mu| then ascending arg(mu): a pair is
-    adjacent, its negative imaginary part first.  partner[k] is the
-    0-based index of mode k's conjugate partner, None for a real mode:
-    the pairs eig returns, exactly conjugate.  The mode table, the ROM
-    closure and slice's ellipses read it; nothing else decides which
-    modes pair.  gamma holds the continuous-time exponents log(mu)/dt on
+    Columns of modes have unit l2 norm and carry the phase of their
+    fitted amplitudes, so b is real and non-negative: a real mode stays
+    real, and a conjugate pair, exactly conjugate modes, shares the larger
+    of its two fitted |b|.  Entries are sorted by descending b, ties
+    broken by descending |mu| then ascending arg(mu): a pair is adjacent,
+    its negative imaginary part first.  partner[k] is the 0-based index of
+    mode k's conjugate partner, None for a real mode: the pairs eig
+    returns.  The mode table, the ROM closure and slice's ellipses read
+    it; nothing else decides which modes pair.  gamma holds the continuous-time exponents log(mu)/dt on
     the principal branch.
     mean_mode is the removed temporal mean when the option was on, None
     without centering.  data_rank is the numerical rank of the (centered)
@@ -438,9 +439,8 @@ def _spectrum(r1: np.ndarray, r2: np.ndarray, opts: DmdOptions) -> _Spectrum:
 class _Reduced(NamedTuple):
     """One decomposition in R-factor coordinates, in result order.
 
-    b fits the exact modes at unit norm, before the phase convention:
-    x2 @ lift for the pair's second matrix x2, in D rows or in R
-    coordinates.  partner is DmdResult.partner.
+    The modes are x2 @ lift for the pair's second matrix x2, in D rows or
+    in R coordinates, and b and partner are DmdResult's.
     """
 
     mu: np.ndarray
@@ -456,14 +456,13 @@ def _reduced_dmd(r1: np.ndarray, r2: np.ndarray, r_fit: np.ndarray, opts: DmdOpt
 
     _spectrum of the pair, then the eig residuals, the exact modes and
     their amplitudes fitted against r_fit, the fit snapshots in the same
-    basis Q.  Least-squares residuals are those of the original
-    matrices, because Q preserves lengths.
+    basis Q, whose unit factors the lift takes (DmdResult).  Least-squares
+    residuals are those of the original matrices, because Q preserves lengths.
     """
     sp = _spectrum(r1, r2, opts)
     mu, w = sp.mu, sp.w
     residuals = np.linalg.norm(sp.k_reduced @ w - w * mu[None, :], axis=0)
 
-    # Exact modes at unit norm; the phase convention needs the lifted modes.
     modes = sp.r2_v_sinv @ w
     norms = np.linalg.norm(modes, axis=0)
     if (norms == 0.0).any():
@@ -474,21 +473,26 @@ def _reduced_dmd(r1: np.ndarray, r2: np.ndarray, r_fit: np.ndarray, opts: DmdOpt
     idx = [0] if count is None else default_fit_indices(r_fit.shape[1], count)
     b = fit_coefficients_multi(modes, mu, r_fit, idx)
 
-    # |b| does not depend on the phase convention, so neither does the order.
-    # A conjugate pair's two |b| differ by round-off only: both partners
-    # take the larger, so arg(mu) orders the pair.  eig of the real
-    # operator returns each pair adjacent and exactly conjugate, the
-    # positive imaginary part first.
+    # eig of the real operator returns each pair adjacent and exactly
+    # conjugate, the positive imaginary part first.  b's unit factor: a
+    # real mode's the sign of its real part, an upper member's b / |b|,
+    # its partner's the conjugate; 1 where b is 0.
     amp = np.abs(b)
     first = np.flatnonzero(mu.imag > 0)
+    unit = np.where(b.real < 0, -1.0, 1.0).astype(complex)
+    unit[first] = np.divide(b[first], amp[first], out=unit[first], where=amp[first] > 0)
+    unit[first + 1] = unit[first].conj()
+    coef = sp.lift @ w / norms * unit
+    # A pair's two |b| differ by round-off only: both partners take the
+    # larger, so arg(mu) orders the pair.
     amp[first] = amp[first + 1] = np.maximum(amp[first], amp[first + 1])
     order = np.lexsort((np.angle(mu), -np.abs(mu), -amp))
     at = np.argsort(order)  # the result position of each of eig's entries
     partner: list[int | None] = [None] * mu.size
     for i, j in zip(at[first].tolist(), at[first + 1].tolist()):
         partner[i], partner[j] = j, i
-    return _Reduced(mu[order], b[order], sp.singular_values,
-                    residuals[order], (sp.lift @ w / norms)[:, order], tuple(partner))
+    return _Reduced(mu[order], amp[order].astype(complex), sp.singular_values,
+                    residuals[order], coef[:, order], tuple(partner))
 
 
 class _Factor(NamedTuple):
@@ -706,82 +710,38 @@ def _tpqrt(l: int, a: np.ndarray, b: np.ndarray, carry: tuple[np.ndarray, np.nda
     return r, top, length
 
 
-def _lift(src, mean: np.ndarray | None, coef: np.ndarray, buf: np.ndarray,
-          out: ColumnFile) -> np.ndarray:
+def _lift(src, mean: np.ndarray | None, coef: np.ndarray, partner: Sequence[int | None],
+          buf: np.ndarray, out: ColumnFile) -> None:
     """Pass 2: the D-row product of the (centered) snapshots 1..N-1 of
-    src with coef, written to out and rotated there by the phase
-    convention.  Returns the phase factor of each column: the conjugate
-    direction of its lead, its first entry of largest magnitude (the
-    entry np.argmax finds over the whole column).  buf, of
-    min(_LIFT_ROWS, D) x N floats, holds the rows read and rotated.
-
+    src with coef, the modes in their final form, written to out: a
+    pair's first member (partner: DmdResult.partner) is lifted and its
+    conjugate written as the second, so they are exact conjugates.
     _workers.in_order cuts pass 1's leaves into contiguous runs, one per
-    process, by their rows.  _lift_rows lifts each leaf and returns its
-    columns' top magnitudes and leads, which merge in row order (_lead);
-    then _rotate rotates each leaf's rows."""
-    real = np.ascontiguousarray(coef).view(np.float64)
+    process, by their rows.  A leaf is lifted _LIFT_ROWS rows at a time,
+    each read into the head of buf, of min(_LIFT_ROWS, D) x N floats, by
+    one BLAS product, and written to out one column's rows at a time."""
+    cols = [(k, p) for k, p in enumerate(partner) if p is None or p > k]
+    real = np.ascontiguousarray(coef[:, [k for k, _ in cols]]).view(np.float64)
     leaves = _leaves(src.d, src.n)
-    rows = [stop - start for start, stop in leaves]
-    lead, top = np.zeros(coef.shape[1], dtype=complex), np.full(coef.shape[1], -1.0)
-    for got in _workers.in_order(rows, lambda run: [_lift_rows(src, mean, real, buf, out,
-                                                               *leaves[j]) for j in run]):
-        _lead(top, lead, *got)
-    phase = np.conj(lead) / np.abs(lead)
-    _workers.in_order(rows, lambda run: [_rotate(out, phase, buf, *leaves[j]) for j in run])
-    return phase
 
+    def leaf(start: int, stop: int) -> None:
+        most = min(_LIFT_ROWS, stop - start)
+        prod, col = np.empty((most, real.shape[1])), np.empty(most, dtype=complex)
+        for start, stop in _blocks(start, stop, _LIFT_ROWS):
+            block = _rows(buf, stop - start, src.n)
+            src.read_rows(start, block)
+            if mean is not None:
+                block -= mean[start:stop, None]
+            phi = np.matmul(block[:, 1:], real, out=prod[:stop - start]).view(np.complex128)
+            c = col[:stop - start]
+            for j, (k, p) in enumerate(cols):
+                np.copyto(c, phi[:, j])
+                out.write_column(k, start, c)
+                if p is not None:
+                    out.write_column(p, start, np.conjugate(c, out=c))
 
-def _lead(top: np.ndarray, lead: np.ndarray, got_top: np.ndarray, got_lead: np.ndarray) -> None:
-    """Merge the top magnitudes and leads of later rows into those of the
-    rows before them, in place: a larger magnitude takes over, and a NaN
-    leads, as in argmax."""
-    take = ~(got_top <= top) & ~np.isnan(top)
-    top[take], lead[take] = got_top[take], got_lead[take]
-
-
-def _rotate(out: ColumnFile, phase: np.ndarray, buf: np.ndarray, start: int, stop: int) -> None:
-    """Multiply rows start..stop-1 of each column k of out by phase[k],
-    _LIFT_ROWS rows at a time through the head of buf: numpy rounds a
-    run of one row otherwise, so the runs depend on D and N only."""
-    col = buf[:2 * min(_LIFT_ROWS, stop - start)].view(np.complex128)
-    for k in range(phase.size):
-        for lo, hi in _blocks(start, stop, _LIFT_ROWS):
-            c = col[:hi - lo]
-            out.read_column(k, lo, c)
-            c *= phase[k]
-            out.write_column(k, lo, c)
-
-
-def _lift_rows(src, mean: np.ndarray | None, real: np.ndarray, buf: np.ndarray,
-               out: ColumnFile, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pass 2 over rows start..stop-1, _LIFT_ROWS rows at a time, each
-    read into the head of buf, lifted by one BLAS product and written to
-    out one column's rows at a time.  real is the coefficient matrix
-    viewed as float64.  Returns each column's top magnitude and lead over
-    these rows."""
-    n, r = src.n, real.shape[1] // 2
-    most = min(_LIFT_ROWS, stop - start)
-    prod, col, mag = np.empty((most, 2 * r)), np.empty(most, dtype=complex), np.empty(most)
-    lead, top = np.zeros(r, dtype=complex), np.full(r, -1.0)
-    got_lead, got_top = np.empty(r, dtype=complex), np.empty(r)
-    for start, stop in _blocks(start, stop, _LIFT_ROWS):
-        rows = stop - start
-        block = _rows(buf, rows, n)
-        src.read_rows(start, block)
-        if mean is not None:
-            block -= mean[start:stop, None]
-        phi = np.matmul(block[:, 1:], real, out=prod[:rows]).view(np.complex128)
-        # A column at a time: one abs and argmax(axis=0) over the product
-        # would hold its rows x r magnitudes (1.1 MB at r = 140), and
-        # argmax copies them again unless they are F-ordered.
-        c, m = col[:rows], mag[:rows]
-        for k in range(r):
-            np.copyto(c, phi[:, k])
-            j = np.abs(c, out=m).argmax()
-            got_top[k], got_lead[k] = m[j], c[j]
-            out.write_column(k, start, c)
-        _lead(top, lead, got_top, got_lead)
-    return top, lead
+    _workers.in_order([stop - start for start, stop in leaves],
+                      lambda run: [leaf(*leaves[j]) for j in run])
 
 
 def exact_dmd(snap: SnapshotMatrix, opts: DmdOptions, dest: Path | None = None) -> DmdResult:
@@ -796,9 +756,9 @@ def exact_dmd(snap: SnapshotMatrix, opts: DmdOptions, dest: Path | None = None) 
     data rank is counted on R[:, :-1] and resolves a default rank.  Once
     the reduced decomposition succeeds, pass 2 lifts the modes into a
     DMDM fileio.ColumnFile at dest (an unlinked temporary in TMPDIR if
-    None); a sweep rotates each in place so its first largest-magnitude
-    entry is real and positive, counter-rotating its amplitude.  The
-    result's modes map that file read-only; no D x r array is held.
+    None), each with the phase of its amplitude, so every b is real and
+    non-negative (DmdResult), and reads nothing back.  The result's
+    modes map that file read-only; no D x r array is held.
     A set rank above min(D, N - 1) raises ValueError before any row is read.
     """
     feasible = min(snap.d, snap.n - 1)
@@ -813,12 +773,13 @@ def exact_dmd(snap: SnapshotMatrix, opts: DmdOptions, dest: Path | None = None) 
         opts = replace(opts, r=max(1, min(data_rank, snap.n - 4)))
     red = _reduced_dmd(r[:, :-1], r[:, 1:], r, opts)
     mode_file = ColumnFile.create(dest, MODES_MAGIC, snap.d, red.mu.size, snap.dt, snap.t0)
-    phase = _lift(snap, fac.mean, red.lift, np.empty(min(_LIFT_ROWS, snap.d) * snap.n), mode_file)
+    _lift(snap, fac.mean, red.lift, red.partner, np.empty(min(_LIFT_ROWS, snap.d) * snap.n),
+          mode_file)
     return DmdResult(
         modes=mode_file.matrix(),
         mu=red.mu,
         gamma=np.log(red.mu) / snap.dt,
-        b=red.b / phase,
+        b=red.b,
         singular_values=red.singular_values,
         residuals=red.residuals,
         partner=red.partner,
@@ -827,7 +788,7 @@ def exact_dmd(snap: SnapshotMatrix, opts: DmdOptions, dest: Path | None = None) 
         t0=snap.t0,
         mean_mode=fac.mean,
         data_rank=data_rank,
-        factor=fac._replace(modes=(r[:, 1:] @ red.lift) * phase[None, :]),
+        factor=fac._replace(modes=r[:, 1:] @ red.lift),
         modes_file=mode_file,
     )
 

@@ -121,7 +121,6 @@ class ModeInfo:
     period_hours: float
     half_double_hours: float
     conj_partner: int | None
-    b_mag: float
     rms: float
     rms_vertical: float | None
     robustness: float | None = None

@@ -424,7 +424,6 @@ def build_mode_table(result: DmdResult, t_window: float,
             period_hours=period(gamma),
             half_double_hours=half_doubling_time(gamma),
             conj_partner=None if partner[k] is None else partner[k] + 1,
-            b_mag=abs(complex(result.b[k])),
             rms=rms,
             rms_vertical=rms_v,
         ))

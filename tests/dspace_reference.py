@@ -156,8 +156,6 @@ def reference_dmd_from_pair(x1: np.ndarray, x2: np.ndarray, fit_data: np.ndarray
     if (norms == 0.0).any():
         raise NumericalError("zero exact mode; cannot normalize")
     modes = modes / norms
-    lead = modes[np.argmax(np.abs(modes), axis=0), np.arange(opts.r)]
-    modes = modes * (np.conj(lead) / np.abs(lead))[None, :]
 
     gamma = np.log(mu) / dt
 
@@ -168,9 +166,23 @@ def reference_dmd_from_pair(x1: np.ndarray, x2: np.ndarray, fit_data: np.ndarray
         idx = default_fit_indices(fit_data.shape[1], count)
         b = fit_coefficients_multi(modes, mu, fit_data, idx)
 
-    order = np.lexsort((np.angle(mu), -np.abs(mu), -np.abs(b)))
-    # eig of a real operator lists a pair's positive imaginary part first,
-    # its exact conjugate right after
+    # The phase convention: each mode takes its amplitude's phase, so b is
+    # real and non-negative.  A real mode's factor is a sign; eig of a real
+    # operator lists a pair's positive imaginary part first, its exact
+    # conjugate right after, and the pair shares its larger |b|.
+    unit = np.ones(mu.size, dtype=complex)
+    amp = np.abs(b)
+    for k in range(mu.size):
+        if mu[k].imag == 0.0:
+            unit[k] = -1.0 if b[k].real < 0 else 1.0
+        elif mu[k].imag > 0.0:
+            unit[k] = b[k] / abs(b[k]) if b[k] != 0 else 1.0
+            unit[k + 1] = np.conj(unit[k])
+            amp[k] = amp[k + 1] = max(amp[k], amp[k + 1])
+    modes = modes * unit[None, :]
+    b = amp.astype(complex)
+
+    order = np.lexsort((np.angle(mu), -np.abs(mu), -amp))
     first = np.flatnonzero(mu.imag > 0)
     at = np.argsort(order)
     partner = [None] * mu.size

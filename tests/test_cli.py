@@ -94,14 +94,26 @@ def test_load_config_rejects_unknown_key(tmp_path, line):
 
 
 @pytest.mark.parametrize("line", ["rom.x.colour = 3", "rom.a/b.indices = 1,2",
-                                  "rom..indices = 1,2"])
+                                  "rom..indices = 1,2",
+                                  pytest.param(f"rom.{'x' * 241}.indices = 1,2", id="256-bytes"),
+                                  pytest.param(f"rom.{'é' * 121}.indices = 1,2",
+                                               id="257-bytes-utf-8")])
 def test_load_config_rejects_bad_rom_key(tmp_path, line):
-    """An unknown field, or a block name that is empty or holds '/' (the
-    name is part of the file name rom_<name>_errors.csv), is a bad key."""
+    """An unknown field, or a block name that is empty, holds '/' or makes
+    the file name rom_<name>_errors.csv longer than 255 bytes in UTF-8
+    (the name is part of it), is a bad key."""
     path = tmp_path / "a.cfg"
-    path.write_text(line + "\n")
+    path.write_text(line + "\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="ROM key"):
         load_config(path)
+
+
+@pytest.mark.parametrize("name", ["x" * 240, "é" * 120], ids=["ascii", "utf-8"])
+def test_load_config_takes_a_rom_name_of_255_bytes(tmp_path, name):
+    """rom_<name>_errors.csv of exactly 255 bytes is a file name Linux takes."""
+    path = tmp_path / "a.cfg"
+    path.write_text(f"rom.{name}.indices = 1,2\n", encoding="utf-8")
+    assert load_config(path).roms == {name: {"indices": (1, 2)}}
 
 
 def test_load_config_rejects_bad_value(tmp_path):
@@ -902,6 +914,8 @@ def test_rom_reads_no_mode(tmp_path, monkeypatch, boxes):
     ("rom", "rom.b.persistent_only", "on", "rom.b: either indices or box bounds"),
     ("rom", "rom.a/b.indices", "1,2", "bad ROM key 'rom.a/b.indices'"),
     ("rom", "rom..indices", "1,2", "bad ROM key 'rom..indices'"),
+    pytest.param("rom", f"rom.{'x' * 241}.indices", "1,2",
+                 f"bad ROM key 'rom.{'x' * 241}.indices'", id="rom-name-of-256-bytes"),
     ("slice", "slice_kind", "bogus", "slice_kind must be surface or section, got bogus"),
     ("slice", "slice_modes", "a", "bad value for slice_modes"),
     ("slice", "slice_path", "1;2", "slice_path must be"),
@@ -1242,6 +1256,41 @@ def test_exit_code_infeasible_rank(tmp_path, monkeypatch, capsys, command):
     assert main([command, "--config", cfg, "--rank", "99"]) == 2
     assert capsys.readouterr().err == ("config error: rank 99 infeasible for a 40x31 "
                                        "regression matrix; the largest feasible rank is 31\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, key, message", [
+    ("slice", "slice_modes", "slice mode index 20 outside 1..17"),
+    ("rom", "rom.a.indices", "rom.a: mode index 20 not in the table"),
+])
+def test_a_mode_index_above_an_explicit_rank_exits_before_any_row_is_read(
+        tmp_path, monkeypatch, capsys, command, key, message):
+    """An explicit rank bounds slice's and rom's mode indices before pass
+    1: an index above it exits 2 with the message the check after the
+    decomposition gives, having read no row and written nothing."""
+    data = synth_dataset(tmp_path)  # D = 40, N = 32
+
+    def never(*args):
+        raise AssertionError("a row was read before the mode indices were checked")
+    monkeypatch.setattr(fileio.SnapshotFile, "read_rows", never)
+    cfg = write_cfg(tmp_path, input=data, out=tmp_path / "o", rank=17, **{key: "1,20,25"})
+    assert main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, key, message", [
+    ("slice", "slice_modes", "slice mode index 99 outside 1..17"),
+    ("rom", "rom.a.indices", "rom.a: mode index 99 not in the table"),
+])
+def test_a_mode_index_above_the_default_rank_exits_after_the_decomposition(
+        tmp_path, capsys, command, key, message):
+    """The default rank depends on the data: an index above the rank it
+    resolves to exits 2 once the decomposition is done, writing nothing."""
+    data = synth_dataset(tmp_path)  # D = 40, N = 32: rank 17
+    cfg = write_cfg(tmp_path, input=data, out=tmp_path / "o", **{key: "1,99"})
+    assert main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "o").exists()
 
 

@@ -268,12 +268,13 @@ def test_recovers_linear_system_spectrum(rng):
 
 
 def test_mode_normalization_and_phase(rng):
+    """Unit modes that carry the phase: every b is real and non-negative,
+    and the modes scaled by b still reproduce the first snapshot."""
     x, _ = linear_trajectory(rng, 6, 40)
     res = exact_dmd(snapshots_from_array(x), DmdOptions(r=6))
     assert np.allclose(np.linalg.norm(res.modes, axis=0), 1.0, atol=1e-12)
-    lead = res.modes[np.argmax(np.abs(res.modes), axis=0), np.arange(res.r)]
-    assert np.allclose(lead.imag, 0.0, atol=1e-12)
-    assert np.all(lead.real > 0)
+    assert np.all(res.b.imag == 0.0) and np.all(res.b.real >= 0.0)
+    assert np.allclose(np.asarray(res.modes) @ res.b, x[:, 0], rtol=0, atol=1e-12)
 
 
 def test_conjugate_pairs_in_real_data(rng):

@@ -191,7 +191,7 @@ def make_info(index, *, omega=0.5, sigma=-0.01, robustness=None,
         period_hours=period(gamma),
         half_double_hours=half_doubling_time(gamma),
         conj_partner=None if omega == 0 else index,
-        b_mag=1.0, rms=3.5, rms_vertical=rms_v,
+        rms=3.5, rms_vertical=rms_v,
         robustness=robustness, cluster=cluster,
     )
 

@@ -738,6 +738,22 @@ def test_build_mode_table_alignment(rng):
         assert info.robustness is None and info.cluster is None
 
 
+def test_a_pair_has_one_rms_and_one_vertical_rms():
+    """Both members of a conjugate pair share b and are conjugate modes,
+    so their rows give bitwise-equal rms and rms_vertical: leave-one-out
+    weighs a cluster and its mirror alike, and its tie-break numbers
+    them."""
+    layout = velocity_layout(4, 3, 2, np.ones((2, 3, 4), dtype=bool))
+    x = make_rng(11).standard_normal((layout.dim, 40))
+    res = exact_dmd(snapshots_from_array(x), DmdOptions(r=20, b_fit="multi:10"))
+    infos = build_mode_table(res, 39.0, layout=layout)
+    pairs = [(k, p) for k, p in enumerate(res.partner) if p is not None and k < p]
+    assert len(pairs) >= 5
+    for k, p in pairs:
+        assert infos[k].rms == infos[p].rms, (k, p)
+        assert infos[k].rms_vertical == infos[p].rms_vertical, (k, p)
+
+
 def test_build_mode_table_vertical_component():
     rng = make_rng(5)
     layout = velocity_layout(3, 2, 2, np.ones((2, 2, 3), dtype=bool))

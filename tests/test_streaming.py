@@ -22,14 +22,15 @@ from hypothesis import strategies as st
 from koopmode import dmd
 from koopmode.cli import _resolve_options, load_config, main
 from koopmode.dmd import DmdOptions, exact_dmd, modified_options
-from koopmode.fileio import open_snapshots, write_mode_matrix, write_snapshots
+from koopmode.fileio import (ColumnFile, SnapshotFile, open_snapshots, write_mode_matrix,
+                             write_snapshots)
 from koopmode.grids import SnapshotMatrix, scalar_layout
 from koopmode.oracle import generate, tidal_spec
 from koopmode.ranking import leave_one_out
 from koopmode.rom import build_rom, error_curve, factor_error_curve
 
 from dspace_reference import reference_exact_dmd
-from test_qr_equivalence import assert_spectra_match, mode_tolerance
+from test_qr_equivalence import assert_spectra_match, mode_errors, mode_tolerance
 
 # N = 40 below: 39, 40 and 41 rows make R square before, at and after a
 # block boundary, where pass 1 switches from stacking to folding.
@@ -45,15 +46,29 @@ def write_file(snap: SnapshotMatrix, folder: str):
     return open_snapshots(path)
 
 
+def assert_phase_convention(result) -> None:
+    """Every b is real and non-negative, a real mode is real, and the two
+    members of a conjugate pair share b and are conjugate modes, bitwise."""
+    assert np.all(result.b.imag == 0.0) and np.all(result.b.real >= 0.0)
+    modes = np.asarray(result.modes)
+    for k, p in enumerate(result.partner):
+        if p is None:
+            assert np.all(modes[:, k].imag == 0.0), k
+        else:
+            assert result.b[k] == result.b[p], (k, p)
+            assert modes[:, k].tobytes() == modes[:, p].conj().tobytes(), (k, p)
+
+
 @given(seed=st.integers(0, 10_000), d=st.sampled_from([25, 61, 120]),
        block_rows=BLOCK_ROWS, **OPTION_SETS)
 @settings(max_examples=40, deadline=None)
 def test_streamed_file_matches_dspace_reference(seed, d, block_rows, remove_mean,
                                                 use_tlsq, normalize, b_fit):
     """D below and above N = 40, every option: the streamed file gives
-    the eigenvalues and modes of the D-row reference within 1e-10 (more
-    for a sensitive eigenvector, as in test_qr_equivalence), and exactly
-    the result of the in-memory snapshots under the same block size."""
+    the eigenvalues of the D-row reference within 1e-10 and its modes,
+    up to a unit factor, as closely (more for a sensitive eigenvector, as
+    in test_qr_equivalence), and exactly the result of the in-memory
+    snapshots under the same block size, in the phase convention."""
     snap, _ = generate(tidal_spec(d=d, n=40, noise_sigma=1e-3, seed=seed))
     opts = DmdOptions(r=16 if remove_mean else 17, use_tlsq=use_tlsq, normalize_columns=normalize,
                       remove_mean=remove_mean, b_fit=b_fit)
@@ -64,13 +79,14 @@ def test_streamed_file_matches_dspace_reference(seed, d, block_rows, remove_mean
     for name in ("mu", "b", "modes", "singular_values", "residuals"):
         assert np.array_equal(getattr(res, name), getattr(in_memory, name)), name
     assert res.partner == in_memory.partner
+    assert_phase_convention(res)
     if remove_mean:
         assert np.array_equal(res.mean_mode, in_memory.mean_mode)
         assert np.allclose(res.mean_mode, snap.data.mean(axis=1), rtol=0, atol=1e-14)
 
     ref = reference_exact_dmd(snap, opts)
     match = assert_spectra_match(res.mu, ref.mu)
-    mode_err = np.abs(res.modes - ref.modes[:, match]).max(axis=0)
+    mode_err = mode_errors(res.modes, ref.modes[:, match])
     assert np.all(mode_err <= mode_tolerance(snap, opts, ref.mu)[match])
     assert np.allclose(res.singular_values, ref.singular_values,
                        rtol=0, atol=1e-13 * ref.singular_values[0])
@@ -230,28 +246,26 @@ def test_a_file_renamed_over_after_open_decomposes_as_opened(tmp_path):
     assert np.asarray(got.modes).tobytes() == np.asarray(want.modes).tobytes()
 
 
-def lifted_at_once(data: np.ndarray, mean: np.ndarray | None, coef: np.ndarray) -> np.ndarray:
-    """The rotated modes X2 @ coef from all D rows of data at once.  Each
+def lifted_at_once(data: np.ndarray, mean: np.ndarray | None, coef: np.ndarray,
+                   partner: tuple) -> np.ndarray:
+    """The modes X2 @ coef from all D rows of data at once, the second
+    member of each conjugate pair the conjugate of the first.  Each
     leaf's rows are lifted _LIFT_ROWS at a time from its start, by one
-    product of a new F-ordered copy, as pass 2 reads them (numpy takes a
-    one-row product another way when its row is strided), and rotated as
-    many at a time (numpy rounds a one-entry product otherwise) by the
-    conjugate direction of each column's first entry of largest
-    magnitude."""
+    product of a new F-ordered copy with the columns of the real modes
+    and first members, as pass 2 reads them (numpy takes a one-row
+    product another way when its row is strided)."""
     d, n = data.shape
     x = data if mean is None else data - mean[:, None]
-    real = np.ascontiguousarray(coef).view(np.float64)
+    first = [k for k, p in enumerate(partner) if p is None or p > k]
+    real = np.ascontiguousarray(coef[:, first]).view(np.float64)
     phi = np.empty((d, coef.shape[1]), dtype=complex, order="F")
-    runs = [slice(lo, min(lo + dmd._LIFT_ROWS, stop))
-            for start, stop in dmd._leaves(d, n) for lo in range(start, stop, dmd._LIFT_ROWS)]
-    for rows in runs:
-        phi[rows] = np.matmul(np.array(x[rows, 1:], order="F"), real).view(np.complex128)
-    lead = phi[np.abs(phi).argmax(axis=0), np.arange(phi.shape[1])]
-    phase = np.conj(lead) / np.abs(lead)
-    for k in range(phi.shape[1]):
-        for rows in runs:
-            c = phi[rows, k]
-            c *= phase[k]
+    for start, stop in dmd._leaves(d, n):
+        for lo in range(start, stop, dmd._LIFT_ROWS):
+            rows = slice(lo, min(lo + dmd._LIFT_ROWS, stop))
+            phi[rows, first] = np.matmul(np.array(x[rows, 1:], order="F"),
+                                         real).view(np.complex128)
+    second = [k for k, p in enumerate(partner) if p is not None and p < k]
+    phi[:, second] = phi[:, [partner[k] for k in second]].conj()
     return phi
 
 
@@ -261,26 +275,46 @@ def lifted_at_once(data: np.ndarray, mean: np.ndarray | None, coef: np.ndarray) 
        n=st.integers(2, 24), center=st.booleans(), from_file=st.booleans())
 @settings(max_examples=40, deadline=None)
 def test_mode_bytes_do_not_depend_on_the_rows_pass_2_reads(seed, d, n, center, from_file):
-    """Pass 2 and the sweep read _LIFT_ROWS rows at a time: the mode file
-    holds the bytes of the same products and rotations taken from all D
-    rows at once, for D across the lift, block and leaf sizes with
-    remainder rows (a last run of one row among them), N from 2 (where
-    the sweep's complex rows fill the buffer's floats twice as fast as
-    pass 2's rows), plain and centered, from a file and from memory."""
+    """Pass 2 reads _LIFT_ROWS rows at a time: the mode file holds the
+    bytes of the same products taken from all D rows at once, for D
+    across the lift, block and leaf sizes with remainder rows (a last
+    run of one row among them), N from 2, plain and centered, from a
+    file and from memory."""
     data = np.random.default_rng(seed).standard_normal((d, n))
     snap = SnapshotMatrix(data, dt=1.0, t0=0.0, layout=scalar_layout(d))
     lift, seen = dmd._lift, []
 
-    def spy(src, mean, coef, buf, out):
-        seen.append((mean, coef, buf.size))
-        return lift(src, mean, coef, buf, out)
+    def spy(src, mean, coef, partner, buf, out):
+        seen.append((mean, coef, partner, buf.size))
+        return lift(src, mean, coef, partner, buf, out)
 
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(dmd, "_lift", spy):
         src = write_file(snap, tmp) if from_file else snap
         got = np.asarray(exact_dmd(src, DmdOptions(remove_mean=center)).modes).tobytes("F")
-    (mean, coef, floats), = seen
+    (mean, coef, partner, floats), = seen
     assert floats == min(dmd._LIFT_ROWS, d) * n
-    assert got == lifted_at_once(data, mean, coef).tobytes("F")
+    assert got == lifted_at_once(data, mean, coef, partner).tobytes("F")
+
+
+@pytest.mark.parametrize("center", [False, True], ids=["plain", "centered"])
+@pytest.mark.parametrize("from_file", [False, True], ids=["memory", "file"])
+def test_exact_dmd_reads_nothing_back_from_its_mode_file(monkeypatch, center, from_file):
+    """Pass 2 writes every mode once, in its final form, over several
+    leaves: no column of the mode file is read back."""
+    snap = generate(tidal_spec(d=120, n=40, noise_sigma=1e-3, seed=3))[0]
+    read = ColumnFile.read_column
+
+    def spy(self, k, start, out):
+        assert isinstance(self, SnapshotFile), "read a column of the mode file"
+        read(self, k, start, out)
+
+    monkeypatch.setattr(dmd, "_BLOCK_ROWS", 8)
+    monkeypatch.setattr(ColumnFile, "read_column", spy)
+    with tempfile.TemporaryDirectory() as tmp:
+        result = exact_dmd(write_file(snap, tmp) if from_file else snap,
+                           DmdOptions(r=16, remove_mean=center))
+    assert len(dmd._leaves(snap.d, snap.n)) > 1
+    assert_phase_convention(result)
 
 
 def read_csv_columns(path: Path) -> np.ndarray:
@@ -291,19 +325,14 @@ def read_csv_columns(path: Path) -> np.ndarray:
        block_rows=st.sampled_from([1, 3, 7, 4096]), mean_removal=st.booleans())
 @settings(max_examples=20, deadline=None)
 def test_streamed_mode_file(seed, d, block_rows, mean_removal):
-    """Pass 2 writes the modes to a file block by block.  Every mode's
-    first entry of largest magnitude is rotated real and positive, also
-    when a later block holds an entry of equal magnitude and opposite
-    sign; the modes are a read-only map; run's modes.dmdm holds the
-    bytes write_mode_matrix writes for them; and rom, which gathers no
-    mode, writes the curves of the model build_rom gathers (which
+    """Pass 2 writes the modes to a file block by block, once, in the
+    phase convention (assert_phase_convention); the modes are a
+    read-only map; run's modes.dmdm holds the bytes write_mode_matrix
+    writes for them; and rom, which gathers no mode, writes the curves
+    of the model build_rom gathers (which
     test_rom_curves_from_the_factor_match_the_d_row_curves holds to the
     D-row curves)."""
-    data = generate(tidal_spec(d=d, n=40, noise_sigma=1e-3, seed=seed))[0].data.copy()
-    data[0] *= 10.0  # the largest entry of every mode
-    if block_rows < d // 2:  # its negation, at the same place of the next block
-        data[block_rows] = -data[0]
-    snap = SnapshotMatrix(data, dt=1.0, t0=0.0, layout=scalar_layout(d))
+    snap = generate(tidal_spec(d=d, n=40, noise_sigma=1e-3, seed=seed))[0]
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.object(dmd, "_BLOCK_ROWS", block_rows):
         folder = Path(tmp)
@@ -322,9 +351,7 @@ def test_streamed_mode_file(seed, d, block_rows, mean_removal):
         curves = {name: read_csv_columns(folder / "rom" / f"rom_{name}_errors.csv")
                   for name in summary["roms"]}
 
-    lead = modes[np.argmax(np.abs(modes), axis=0), np.arange(result.r)]
-    assert np.all(lead.real > 0)
-    assert np.all(np.abs(lead.imag) <= 4 * np.finfo(float).eps * lead.real)
+    assert_phase_convention(result)
     assert not result.modes.flags.writeable
     with pytest.raises(ValueError):
         result.modes[0, 0] = 0.0
@@ -403,9 +430,9 @@ def test_no_block_outlives_its_pass(ocean_file, monkeypatch, center):
         held.append(tracemalloc.get_traced_memory()[0])
         return reduced(*args)
 
-    def spy_lift(src, mean, coef, buf, out):
+    def spy_lift(src, mean, coef, partner, buf, out):
         floats.append(buf.size)
-        return lift(src, mean, coef, buf, out)
+        return lift(src, mean, coef, partner, buf, out)
 
     monkeypatch.setattr(dmd, "_reduced_dmd", spy_reduced)
     monkeypatch.setattr(dmd, "_lift", spy_lift)
